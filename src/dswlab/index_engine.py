@@ -35,6 +35,7 @@ __all__ = [
     "EvenSymmetryError",
     "DegenerateDMatrixError",
     "InconsistentIndexError",
+    "QuadratureNotConvergedError",
     "build_varphi",
     "non_periodicity_gap",
     "a_integrals",
@@ -60,6 +61,10 @@ class InconsistentIndexError(ArithmeticError):
     """The count formula produced a negative k_Ham, violating k_Ham >= 0."""
 
 
+class QuadratureNotConvergedError(ArithmeticError):
+    """Panel doubling reached max_panels before two successive values agreed."""
+
+
 # ---------------------------------------------------------------------------
 # quadrature helper
 
@@ -69,7 +74,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 def gauss_legendre_adaptive(f: Callable, a: float, b: float,
                             rel_tol: float = 1e-12, max_panels: int = 4096):
     """Composite 16-point Gauss-Legendre, doubling the panel count until two
-    successive values agree to rel_tol (plus a small absolute floor)."""
+    successive values agree to rel_tol (plus a small absolute floor).
+
+    Raises QuadratureNotConvergedError when no two successive values within
+    max_panels panels agree.
+    """
     prev = None
     panels = 4
     while panels <= max_panels:
@@ -83,7 +92,9 @@ def gauss_legendre_adaptive(f: Callable, a: float, b: float,
             return total
         prev = total
         panels *= 2
-    return prev if prev is not None else 0.0
+    raise QuadratureNotConvergedError(
+        f"integral over [{a}, {b}] not converged to rel_tol={rel_tol} within "
+        f"max_panels={max_panels} (last value {prev!r})")
 
 
 # ---------------------------------------------------------------------------

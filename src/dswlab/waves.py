@@ -22,6 +22,7 @@ __all__ = [
     "WaveParams",
     "GridFunction",
     "SpeedBelowThresholdError",
+    "WaveInvariantError",
     "params_from_kappa",
     "kappa_from_c",
     "eval_profile",
@@ -35,6 +36,10 @@ __all__ = [
 
 class SpeedBelowThresholdError(ValueError):
     """No L-periodic wave exists: the requested speed is at or below 4 pi^2 / L^2."""
+
+
+class WaveInvariantError(ArithmeticError):
+    """The built parameters violate an identity of the construction."""
 
 
 @dataclass(frozen=True)
@@ -88,19 +93,27 @@ def params_from_kappa(L: float, kappa: float) -> WaveParams:
 
 
 def _check_invariants(p: WaveParams) -> None:
-    """Sanity assertions from the construction; cheap, run on every build."""
+    """Identities of the construction; cheap, run on every build.
+
+    Raises WaveInvariantError naming the first identity that fails. The
+    comparisons are written so that a nan fails them.
+    """
     scale = abs(p.eta4)
-    assert abs(p.eta1 + p.eta3 + p.eta4) <= 1e-10 * scale, "root sum eta1+eta3+eta4 != 0"
-    assert 0.0 < p.eta3 < 2.0 * p.c / np.sqrt(3.0) < p.eta4 < 2.0 * p.c, "root ordering violated"
+    if not abs(p.eta1 + p.eta3 + p.eta4) <= 1e-10 * scale:
+        raise WaveInvariantError("root sum eta1+eta3+eta4 != 0")
+    if not 0.0 < p.eta3 < 2.0 * p.c / np.sqrt(3.0) < p.eta4 < 2.0 * p.c:
+        raise WaveInvariantError("root ordering violated")
     period = 8.0 * np.sqrt(p.c) * p.K / (16.0 * p.c**2 * p.eta4**2 - 3.0 * p.eta4**4) ** 0.25
-    assert abs(period - p.L) <= 1e-10 * p.L, "fundamental-period identity violated"
-    assert abs(p.beta_sq + p.kappa**2 * p.eta4 / p.eta1) <= 1e-10 * max(p.beta_sq, 1e-3), \
-        "beta^2 = -kappa^2 eta4/eta1 violated"
+    if not abs(period - p.L) <= 1e-10 * p.L:
+        raise WaveInvariantError("fundamental-period identity violated")
+    if not abs(p.beta_sq + p.kappa**2 * p.eta4 / p.eta1) <= 1e-10 * max(p.beta_sq, 1e-3):
+        raise WaveInvariantError("beta^2 = -kappa^2 eta4/eta1 violated")
     # strictly negative in exact arithmetic; the margin closes like kappa^4 at
     # the constant-wave end, so allow rounding there
-    assert 27.0 * p.F1**2 - 4.0 * p.c**4 < 1e-12 * p.c**4, "four-real-root condition violated"
-    assert abs(p.alpha - 1.0 / (2.0 * p.a * np.sqrt(p.c))) <= 1e-10 * p.alpha, \
-        "alpha = 1/(2 a sqrt(c)) violated"
+    if not 27.0 * p.F1**2 - 4.0 * p.c**4 < 1e-12 * p.c**4:
+        raise WaveInvariantError("four-real-root condition violated")
+    if not abs(p.alpha - 1.0 / (2.0 * p.a * np.sqrt(p.c))) <= 1e-10 * p.alpha:
+        raise WaveInvariantError("alpha = 1/(2 a sqrt(c)) violated")
 
 
 def kappa_from_c(L: float, c: float) -> float:

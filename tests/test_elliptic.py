@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipj, ellipk, ellipkm1
 
-from dswlab.elliptic import ellip_k, jacobi_sn_cn_dn
+from dswlab import elliptic
+from dswlab.elliptic import KAPPA_MAX, ellip_k, jacobi_sn_cn_dn
+
+# Dense grid over (0, KAPPA_MAX]. It holds 0.35, 0.6, 0.75 and 0.95, whose AGM
+# runs to the 64-term cap under any stopping test finer than the double
+# spacing (1e-17, say), and the moduli next to the upper end.
+KAPPA_DENSE = np.unique(np.concatenate([
+    [1e-12, 1e-6], np.linspace(0.001, 0.999, 999), [0.35, 0.6, 0.75, 0.95],
+    [1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8, KAPPA_MAX]]))
 
 
 def test_k_at_zero_is_quarter_circle():
@@ -102,3 +111,58 @@ def test_scalar_and_array_agree():
 def test_nonfinite_argument_rejected():
     with pytest.raises(ValueError):
         jacobi_sn_cn_dn(float("inf"), 0.5)
+
+
+def test_agm_terms_bounded_on_dense_grid():
+    terms = [len(elliptic._agm_scheme(k)[0]) for k in KAPPA_DENSE]
+    assert max(terms) <= 9
+
+
+def test_against_scipy_on_dense_grid():
+    # scipy takes the parameter m = kappa**2, and rounding it moves 1 - m by up
+    # to eps/2: above kappa = 0.999 that shifts scipy's sn, cn, dn by more than
+    # 1e-13 (4e-10 at kappa = 1 - 1e-8). Those moduli are checked against
+    # mpmath below, and their K against ellipkm1 of 1 - m = (1 - kappa)(1 + kappa).
+    u = np.linspace(-20.0, 20.0, 2001)
+    worst_scd = worst_k = worst_km1 = 0.0
+    for kappa in KAPPA_DENSE:
+        K = ellip_k(kappa)
+        worst_km1 = max(worst_km1, abs(K / ellipkm1((1.0 - kappa) * (1.0 + kappa)) - 1.0))
+        if kappa > 0.999:
+            continue
+        worst_k = max(worst_k, abs(K / ellipk(kappa**2) - 1.0))
+        ref = ellipj(u, kappa**2)
+        for mine, theirs in zip(jacobi_sn_cn_dn(u, kappa), ref):
+            worst_scd = max(worst_scd, float(np.max(np.abs(mine - theirs))))
+    assert worst_scd < 1e-13
+    assert worst_k < 4e-15
+    assert worst_km1 < 1e-15
+
+
+def test_near_unit_modulus_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    u = np.linspace(-20.0, 20.0, 81)
+    with mpmath.workdps(30):
+        for kappa in KAPPA_DENSE[KAPPA_DENSE > 0.999]:
+            mine = jacobi_sn_cn_dn(u, kappa)
+            for name, values in zip(("sn", "cn", "dn"), mine):
+                exact = [float(mpmath.ellipfun(name, x, k=kappa)) for x in u]
+                assert np.max(np.abs(values - exact)) < 1e-13, (name, kappa)
+
+
+def test_interleaved_moduli_match_fresh_evaluation():
+    u = np.linspace(-9.0, 9.0, 37)
+    kappas = [0.3, 0.35, 0.95, KAPPA_MAX, 0.6]
+
+    def evaluate(kappa):
+        return ellip_k(kappa), jacobi_sn_cn_dn(u, kappa), jacobi_sn_cn_dn(1.7, kappa)
+
+    fresh = {}
+    for kappa in kappas:
+        elliptic._RECORDS.clear()
+        fresh[kappa] = evaluate(kappa)
+    for kappa in kappas + kappas[::-1] + kappas:
+        K, arrays, scalars = evaluate(kappa)
+        assert K == fresh[kappa][0]
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, fresh[kappa][1]))
+        assert scalars == fresh[kappa][2]

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, EvenSymmetryError,
-                                 InconsistentIndexError, a_integrals, assemble_dmatrix,
+                                 InconsistentIndexError, QuadratureNotConvergedError,
+                                 a_integrals, assemble_dmatrix,
                                  build_varphi, dmatrix_from_entries,
                                  gauss_legendre_adaptive, half_period_data,
                                  hamiltonian_index, linv_apply, lplus_apply,
@@ -20,6 +21,15 @@ def test_gauss_legendre_against_scipy():
     mine = gauss_legendre_adaptive(f, 0.0, 2.5)
     ref = quad(f, 0.0, 2.5, epsabs=1e-13, epsrel=1e-13)[0]
     assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def test_gauss_legendre_unconverged_raises():
+    # a kink inside a panel converges only like panels**-2
+    kinked = lambda x: np.abs(x - 1.0 / 3.0)
+    with pytest.raises(QuadratureNotConvergedError, match="max_panels=64"):
+        gauss_legendre_adaptive(kinked, 0.0, 1.0, max_panels=64)
+    smooth = lambda x: np.exp(x)
+    assert gauss_legendre_adaptive(smooth, 0.0, 1.0, max_panels=64) == pytest.approx(np.e - 1.0, rel=1e-14)
 
 
 class TestVarphi:

@@ -1,13 +1,20 @@
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dswlab
 from dswlab.elliptic import ellip_k, jacobi_sn_cn_dn
-from dswlab.waves import (GridFunction, SpeedBelowThresholdError, conserved_quantities,
-                          eval_profile, eval_profile_derivatives, kappa_from_c,
-                          params_from_kappa, profile_grid, profile_residual)
+from dswlab.waves import (GridFunction, SpeedBelowThresholdError, WaveInvariantError,
+                          _check_invariants, conserved_quantities, eval_profile,
+                          eval_profile_derivatives, kappa_from_c, params_from_kappa,
+                          profile_grid, profile_residual)
 
 KAPPA_GRID = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 L_GRID = [1.0, 2.0, 4.0, 10.0]
@@ -27,6 +34,44 @@ def test_parameter_invariants(L, kappa):
     # Vieta checks of the quartic roots against (c, F1)
     assert abs(p.eta1 * p.eta3 + p.eta1 * p.eta4 + p.eta3 * p.eta4 + 4 * p.c**2) < 1e-9 * p.c**2
     assert abs(p.eta1 * p.eta3 * p.eta4 - 8 * p.c * p.F1) < 1e-9 * abs(8 * p.c * p.F1)
+
+
+TAMPERED = {  # changed fields -> the identity that must fail first
+    "eta1": (lambda p: {"eta1": 1.01 * p.eta1}, "root sum"),
+    "eta3-eta4": (lambda p: {"eta3": p.eta4, "eta4": p.eta3}, "root ordering"),
+    "K": (lambda p: {"K": 1.01 * p.K}, "fundamental-period"),
+    "beta_sq": (lambda p: {"beta_sq": 1.01 * p.beta_sq}, "beta^2"),
+    "F1": (lambda p: {"F1": p.c**2}, "four-real-root"),
+    "alpha": (lambda p: {"alpha": 1.01 * p.alpha}, "alpha"),
+    "kappa-nan": (lambda p: {"kappa": float("nan")}, "beta^2"),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED)
+def test_tampered_params_raise(tamper, wave_2_03):
+    change, identity = TAMPERED[tamper]
+    _check_invariants(wave_2_03)
+    bad = dataclasses.replace(wave_2_03, **change(wave_2_03))
+    with pytest.raises(WaveInvariantError, match="^" + re.escape(identity)):
+        _check_invariants(bad)
+
+
+def test_invariant_check_survives_optimize_flag():
+    script = (
+        "import dataclasses, sys\n"
+        "from dswlab.waves import WaveInvariantError, _check_invariants, params_from_kappa\n"
+        "p = params_from_kappa(2.0, 0.3)\n"
+        "try:\n"
+        "    _check_invariants(dataclasses.replace(p, K=1.01 * p.K))\n"
+        "except WaveInvariantError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    src = str(Path(dswlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1 fundamental-period identity violated"
 
 
 def test_kappa_recovered_from_c_and_eta4():
