@@ -247,8 +247,10 @@ def cmd_simulate(args) -> int:
     try:
         traj = simulate(u0, v0, args.T, args.dt, frame_speed=frame)
     except BlowUpError as exc:
-        print(f"blow-up at t = {exc.t_last}", file=sys.stderr)
+        print(f"blow-up after t = {exc.t_last}", file=sys.stderr)
         return 1
+    if abs(traj.dt - args.dt) > 1e-12 * args.dt:  # T/dt is not a whole number of steps
+        header.append(f"dt_used={_fmt(traj.dt)}")
 
     cons_rows = [tuple(row) for row in traj.conserved]
     _write_csv(args.out_prefix + "_conservation.csv",

@@ -7,8 +7,8 @@ Morse indices are n(L+) = n(H) = 1 (triple-checked: converged collocation,
 monodromy shooting, 40-digit eigensolve), so k_Ham = n(H) - n(D) = 0 and the
 co-periodic spectrum is purely imaginary -- there is no unstable mode to
 reproduce. Criterion 8's order-fit window also fails: the invariant drift of
-the integrating-factor RK4 superconverges at order ~5 (better than the dt^4
-the criterion expects).
+the ETDRK4 stepper superconverges at order ~5 (better than the dt^4 the
+criterion expects).
 """
 
 import time

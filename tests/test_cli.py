@@ -156,6 +156,20 @@ class TestSimulate:
         _, tcols, trows = read_csv(tmp_path / "run_trajectory.csv")
         assert tcols == ["t", "x", "u", "v"]
 
+    def test_header_reports_step_actually_used(self, tmp_path):
+        # T/dt = 12.5: the run takes 13 steps of T/13 and ends at T
+        prefix = str(tmp_path / "z")
+        assert main(["simulate", "--zero", "--N", "32", "--T", "0.05", "--dt", "4e-3",
+                     "--out-prefix", prefix]) == 0
+        header, _, rows = read_csv(tmp_path / "z_conservation.csv")
+        assert float(header_value(header, "dt_used")) == 0.05 / 13
+        assert float(rows[-1][0]) == 0.05
+        assert main(["simulate", "--zero", "--N", "32", "--T", "0.05", "--dt", "5e-3",
+                     "--out-prefix", prefix]) == 0
+        header, _, _ = read_csv(tmp_path / "z_conservation.csv")
+        with pytest.raises(KeyError):
+            header_value(header, "dt_used")
+
     def test_wave_run_writes_drift(self, tmp_path):
         prefix = str(tmp_path / "wave")
         assert main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "64",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dswlab.evolution import (BlowUpError, WindowTooShortError, fit_growth_rate,
-                              growth_rate_experiment, make_state, preprocess,
-                              simulate, state_fields, step, undo_preprocess)
+from dswlab.evolution import (_CHECK_EVERY, BlowUpError, WindowTooShortError,
+                              _etd_coefficients, fit_growth_rate, growth_rate_experiment,
+                              make_state, preprocess, simulate, state_fields, step,
+                              undo_preprocess)
 from dswlab.spectra import NoUnstableModeError, imaginary_eigenmode
 from dswlab.waves import GridFunction, eval_profile, profile_grid
 
@@ -83,13 +84,46 @@ class TestBasics:
         with pytest.raises(ValueError):
             step(make_state(u0, v0), dt=0.0)
 
+    def test_run_ends_at_T_with_a_step_no_larger_than_requested(self):
+        # 0.05 / 4e-3 = 12.5: thirteen steps of 0.05 / 13, not twelve of 4e-3
+        u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=4)
+        traj = simulate(u0, v0, T=0.05, dt=4e-3, sample_every=1)
+        assert traj.times[-1] == 0.05
+        assert traj.states[-1].t == 0.05
+        assert len(traj.times) == 14
+        assert traj.dt == 0.05 / 13 and traj.dt <= 4e-3
+        assert simulate(u0, v0, T=0.1, dt=5e-5).dt == 5e-5
+
+
+class TestEtdCoefficients:
+    H = 0.37
+
+    def closed_form(self, z):
+        h, ez = self.H, np.exp(z)
+        return (h * (np.exp(z / 2) - 1) / z,
+                h * (-4 - z + ez * (4 - 3 * z + z * z)) / z**3,
+                h * (2 + z + ez * (z - 2)) / z**3,
+                h * (-4 - 3 * z - z * z + ez * (4 - z)) / z**3)
+
+    def test_rk4_limits_at_zero(self):
+        E, E2, *weights = _etd_coefficients(np.zeros((2, 3), dtype=complex), self.H)
+        assert np.all(E == 1.0) and np.all(E2 == 1.0)
+        for w, limit in zip(weights, (self.H / 2, self.H / 6, self.H / 6, self.H / 6)):
+            assert np.max(np.abs(w / limit - 1.0)) < 1e-14
+
+    def test_closed_forms_away_from_zero(self):
+        # no cancellation for |z| >= 10: the closed forms are accurate there
+        z = np.array([[10j, -10j, 37.5j, -1e3j, 2e5j], [10.0, -12.0, 3 + 10j, -1e3, 1.7e7j]])
+        E, E2, *weights = _etd_coefficients(z, self.H)
+        assert np.max(np.abs(E2 - np.exp(z / 2))) < 1e-15
+        for w, exact in zip(weights, self.closed_form(z)):
+            assert np.max(np.abs(w / exact - 1.0)) < 1e-13
+
 
 class TestWaveEquilibrium:
     def test_stationary_in_comoving_frame(self, wave_2_03):
-        # relative-equilibrium check inside the measured stable envelope
-        # (N = 64, dt = 5e-5; the acceptance-scale N = 256, dt = 1e-3 pair sits
-        # outside the integrating-factor scheme's stability region for fields
-        # this large, see the README stability note)
+        # relative-equilibrium check over 100k small steps; the acceptance-scale
+        # pair N = 256, dt = 1e-3 is test_comoving_wave_is_fixed_point_at_acceptance_scale
         p = wave_2_03
         N = 64
         u0, v0 = profile_grid(p, N)
@@ -113,15 +147,52 @@ class TestWaveEquilibrium:
         u_com, _ = state_fields(com.states[-1])
         assert np.max(np.abs(u_lab_shifted - u_com.samples)) < 1e-7
 
+    def test_lab_frame_wave_matches_exact_translate(self, wave_2_03):
+        # the wave travels at c: u(T) = psi(x - cT) at a step ten times the
+        # one the integrating-factor scheme needed here
+        p = wave_2_03
+        u0, v0 = profile_grid(p, 128)
+        traj = simulate(u0, v0, T=0.5, dt=1e-3)
+        u, v = state_fields(traj.states[-1])
+        psi, phi = eval_profile(p, u0.x - p.c * 0.5)
+        assert np.max(np.abs(u.samples - psi)) / np.max(np.abs(psi)) < 1e-6
+        assert np.max(np.abs(v.samples - phi)) / np.max(np.abs(phi)) < 1e-6
+
+    def test_comoving_wave_is_fixed_point_at_acceptance_scale(self, wave_2_03):
+        # N = 256, dt = 1e-3 blew up under the integrating-factor scheme; the
+        # exponential integrator keeps the relative equilibrium
+        p = wave_2_03
+        u0, v0 = profile_grid(p, 256)
+        traj = simulate(u0, v0, T=5.0, dt=1e-3, frame_speed=p.c)
+        psi_m, phi_m = masked_profile(p, 256)
+        u, v = state_fields(traj.states[-1])
+        assert traj.max_rel_drift <= 1e-12
+        assert np.max(np.abs(u.samples - psi_m)) < 1e-8
+        assert np.max(np.abs(v.samples - phi_m)) < 1e-8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected_outside_envelope(self, wave_2_03):
-        # this (N, dt) pair sits outside the IFRK4 stability region for
-        # wave-sized fields; the solver reports the blow-up cleanly
+        # the lab-frame wave at this (N, dt) pair sits outside the stepper's
+        # stability region; the solver reports the blow-up cleanly
         u0, v0 = profile_grid(wave_2_03, 256)
         with pytest.raises(BlowUpError) as err:
-            simulate(u0, v0, T=5.0, dt=1e-3, frame_speed=wave_2_03.c)
+            simulate(u0, v0, T=5.0, dt=5e-2)
         assert 0.0 < err.value.t_last < 1.0
         assert err.value.trajectory is not None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_between_samples_reports_last_finite_check(self, wave_2_03):
+        u0, v0 = profile_grid(wave_2_03, 256)
+        dt = 5e-2
+        s = make_state(u0, v0)
+        with pytest.raises(BlowUpError) as by_step:
+            for _ in range(100):
+                s = step(s, dt)
+        t_bad = by_step.value.t_last + dt   # first step that fails the check
+        with pytest.raises(BlowUpError) as err:
+            simulate(u0, v0, T=5.0, dt=dt, sample_every=1000)
+        assert len(err.value.trajectory.times) == 1   # only t = 0 was sampled
+        assert t_bad - _CHECK_EVERY * dt - 1e-9 <= err.value.t_last < t_bad
 
 
 class TestConservation:
@@ -168,7 +239,9 @@ class TestConservation:
             assert ux2 <= bound
 
     def test_dealiasing_reduces_quadratic_drift(self):
-        # with rough data the aliased product contaminates the invariants
+        # with rough data the aliased product contaminates the quadratic
+        # invariant l2, which the dealiased semi-discrete system conserves
+        # exactly (the cubic e_mixed drifts the same either way)
         rng = np.random.default_rng(11)
         L, N = 2 * np.pi, 128
         x = np.arange(N) * L / N
@@ -180,9 +253,11 @@ class TestConservation:
             v += amp * rng.normal() * np.cos(2 * np.pi * m * x / L + rng.uniform(0, 2 * np.pi))
         norm = np.sqrt(L * np.mean(u**2 + v**2))
         u0, v0 = GridFunction(L, u / norm), GridFunction(L, v / norm)
-        on = simulate(u0, v0, T=0.5, dt=5e-4, dealias=True).max_rel_drift
-        off = simulate(u0, v0, T=0.5, dt=5e-4, dealias=False).max_rel_drift
-        assert off > on
+        def l2_drift(dealias):
+            l2 = simulate(u0, v0, T=0.5, dt=5e-4, dealias=dealias).conserved[:, 4]
+            return np.max(np.abs(l2 - l2[0])) / l2[0]
+
+        assert l2_drift(False) > l2_drift(True)
 
 
 class TestPreprocess:
