@@ -160,12 +160,12 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import unstable_modes
+    from .spectra import EigensolveError, unstable_modes
 
     p = _resolve_wave(args)
     try:
         rep = unstable_modes(p, N=args.N)
-    except Exception as exc:  # noqa: BLE001
+    except EigensolveError as exc:
         print(f"spectrum failed: {exc}", file=sys.stderr)
         return 1
     k_ham, n_d = hamiltonian_index(assemble_dmatrix(p))
@@ -181,8 +181,10 @@ def cmd_spectrum(args) -> int:
         f"zero_cluster_abs_max={_fmt(float(np.max(np.abs(rep.zero_cluster))))}",
     ]
     krein_by_mu = dict((round(mu, 9), sgn) for mu, sgn in rep.krein_signs)
+    eigs = rep.eigenvalues
     rows = []
-    for lam in sorted(rep.eigenvalues, key=lambda z: (abs(z.imag), z.real)):
+    for i in np.lexsort((eigs.real, np.abs(eigs.imag))):  # by |Im|, then Re
+        lam = eigs[i]
         if abs(lam.imag) <= 1e-7 * max(1.0, abs(lam)):
             cls = "real"
         elif abs(lam.real) <= 1e-7 * max(1.0, abs(lam)):
@@ -190,8 +192,7 @@ def cmd_spectrum(args) -> int:
         else:
             cls = "quadruplet"
         krein = krein_by_mu.get(round(lam.imag, 9), 0) if cls == "imaginary" else 0
-        gap = float(np.min(np.abs(rep.eigenvalues + lam)) / max(1.0, abs(lam)))
-        rows.append((lam.real, lam.imag, cls, krein, gap))
+        rows.append((lam.real, lam.imag, cls, krein, float(rep.partner_gaps[i])))
     _write_csv(args.out, header, ["re", "im", "class", "krein_sign", "symmetry_residual"], rows)
     return 0
 

@@ -21,6 +21,7 @@ dt = 1e-3. The measured step envelope is in NOTES.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,11 +204,25 @@ class _Stepper:
         return not np.max(np.abs(X)) <= BLOWUP_LIMIT * self.N  # a nan fails it too
 
 
+@lru_cache(maxsize=8)
+def _stepper(N: int, L: float, dt: float, frame_speed: float, frame_speed_v: float | None,
+             dealias: bool) -> _Stepper:
+    """Memo of _Stepper: a loop of `step` calls builds the ETDRK4 weights once.
+
+    Every caller shares the returned weights, so they are made read-only.
+    """
+    stepper = _Stepper(N, L, dt, frame_speed, frame_speed_v, dealias)
+    for weights in vars(stepper).values():
+        if isinstance(weights, np.ndarray):
+            weights.flags.writeable = False
+    return stepper
+
+
 def step(s: SimState, dt: float, dealias: bool = True) -> SimState:
-    """Advance one ETDRK4 step. For long runs prefer simulate (reuses the weights)."""
+    """Advance one ETDRK4 step; the weights of the last few (N, L, dt, frame) are kept."""
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive (got {dt!r})")
-    stepper = _Stepper(s.N, s.L, dt, s.frame_speed, dealias=dealias)
+    stepper = _stepper(s.N, s.L, dt, s.frame_speed, None, dealias)
     X = stepper.advance(np.stack([s.u_hat, s.v_hat])[:, :s.N // 2 + 1])
     if stepper.blown_up(X):
         raise BlowUpError(f"solution blew up in the step from t = {s.t:.6g}", t_last=s.t)
@@ -247,7 +262,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     h = T / n_steps
     sample_every = sample_every or max(1, n_steps // 64)
     X = _spectrum(u0, v0, dealias)
-    stepper = _Stepper(u0.N, u0.L, h, frame_speed, frame_speed_v, dealias)
+    stepper = _stepper(u0.N, u0.L, h, frame_speed, frame_speed_v, dealias)
 
     times, states, logs = [], [], []
     t_ok = 0.0

@@ -1,10 +1,15 @@
 """Fourier-collocation operators and their spectra.
 
 Dense matrices for L+, L-, the 2x2 block operator H, and the linearized
-evolution generator dH = diag(d/dxi) H, plus Morse-index counts, kernel
-alignments, the full nonsymmetric eigensolve with Krein signatures, and
-pseudo-inverse pairings used as the independent oracle for the quadrature
-pipeline.
+evolution generator dH = diag(d/dxi) H. Each operator is decomposed once and
+every consumer reads that decomposition: one `eigh` of L+ and one of H give
+their Morse counts and kernel alignments; one `eig` of dH gives the spectrum,
+its zero cluster, the Krein signs and the quadruplet symmetry residual. The
+Krein sign of an imaginary pair with eigenvector v is the sign of the trace
+of the 2x2 form <H f, f> on span(Re v, Im v), that is of Re(v* H v). The
+independent oracle for the quadrature pipeline pairs the solutions of
+H e = rhs, all found by one bordered solve against the analytic kernel
+(psi', phi').
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "unstable_eigenmode",
     "pseudo_inverse_apply",
     "dmatrix_via_collocation",
-    "hcal_generalized_pairing",
 ]
 
 OPERATOR_KINDS = ("Lplus", "Lminus", "Hcal", "dHcal")
@@ -38,6 +42,10 @@ SYMMETRIC_KINDS = ("Lplus", "Lminus", "Hcal")
 # generalized kernel (e1, e2, the kernel pair (psi', phi'), and the e3 chain)
 # plus 2 artifacts of the zeroed Nyquist row of the spectral derivative.
 ZERO_CLUSTER_SIZE = 6
+
+# eigenvector columns (Krein forms) and eigenvalue rows (partner gaps) per batch;
+# bounds the temporaries at 2N x 64 instead of 2N x 2N
+_CHUNK = 64
 
 
 class EigensolveError(RuntimeError):
@@ -64,29 +72,31 @@ def _fourier_diff_matrices(N: int, L: float):
     return D1, D2
 
 
+def _schrodinger(D2: np.ndarray, c: float, potential: np.ndarray) -> np.ndarray:
+    A = -D2 + np.diag(c - potential)
+    return 0.5 * (A + A.T)
+
+
+def _operator(kind: str, D1: np.ndarray, D2: np.ndarray, c: float, psi: np.ndarray) -> np.ndarray:
+    """Collocation matrix of one operator kind from the derivative matrices."""
+    if kind == "Lplus":
+        return _schrodinger(D2, c, 1.5 * psi**2 / c)
+    Lm = _schrodinger(D2, c, 0.5 * psi**2 / c)
+    if kind == "Lminus":
+        return Lm
+    if kind == "Hcal":
+        return np.block([[Lm, -np.diag(psi)], [-np.diag(psi), c * np.eye(psi.size)]])
+    # dHcal = diag(D1, D1) @ Hcal, formed block by block
+    off = -D1 * psi
+    return np.block([[D1 @ Lm, off], [off, c * D1]])
+
+
 def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> OperatorMatrix:
     """Collocation matrix of the requested operator from raw profile samples."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     psi = np.asarray(psi, dtype=float)
-    N = psi.size
-    D1, D2 = _fourier_diff_matrices(N, L)
-
-    if kind == "Lplus":
-        A = -D2 + np.diag(c - 1.5 * psi**2 / c)
-        A = 0.5 * (A + A.T)
-    elif kind == "Lminus":
-        A = -D2 + np.diag(c - 0.5 * psi**2 / c)
-        A = 0.5 * (A + A.T)
-    else:
-        Lm = -D2 + np.diag(c - 0.5 * psi**2 / c)
-        Lm = 0.5 * (Lm + Lm.T)
-        H = np.block([[Lm, -np.diag(psi)], [-np.diag(psi), c * np.eye(N)]])
-        if kind == "Hcal":
-            A = H
-        else:  # dHcal
-            Z = np.zeros((N, N))
-            A = np.block([[D1, Z], [Z, D1]]) @ H
+    A = _operator(kind, *_fourier_diff_matrices(psi.size, L), c, psi)
     return OperatorMatrix(kind=kind, size=A.shape[0], matrix=A, params=None, c=float(c))
 
 
@@ -98,6 +108,26 @@ def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     psi, _ = eval_profile(p, x)
     op = assemble_operator(kind, p.L, p.c, psi)
     return OperatorMatrix(kind=kind, size=op.size, matrix=op.matrix, params=p, c=op.c)
+
+
+def _eigh(A: np.ndarray):
+    """(eigenvalues, eigenvectors) of a symmetric operator matrix: its one decomposition."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+
+
+def _morse_counts(lam: np.ndarray, c: float, zero_tol: float | None = None):
+    if zero_tol is None:
+        zero_tol = 1e-6 * max(1.0, abs(c))
+    return int(np.sum(lam < -zero_tol)), int(np.sum(np.abs(lam) <= zero_tol))
+
+
+def _kernel_overlap(lam: np.ndarray, vec: np.ndarray, reference: np.ndarray) -> float:
+    v = vec[:, int(np.argmin(np.abs(lam)))]
+    r = np.asarray(reference, dtype=float)
+    return float(abs(v @ r) / (np.linalg.norm(v) * np.linalg.norm(r)))
 
 
 def morse_index(m: OperatorMatrix, zero_tol: float | None = None):
@@ -112,29 +142,22 @@ def morse_index(m: OperatorMatrix, zero_tol: float | None = None):
     """
     if m.kind not in SYMMETRIC_KINDS:
         raise ValueError(f"morse_index requires a symmetric kind, got {m.kind!r}")
-    lam = np.linalg.eigvalsh(m.matrix)
-    if zero_tol is None:
-        zero_tol = 1e-6 * max(1.0, abs(m.c))
-    n_neg = int(np.sum(lam < -zero_tol))
-    n_zero = int(np.sum(np.abs(lam) <= zero_tol))
-    return n_neg, n_zero
+    return _morse_counts(_eigh(m.matrix)[0], m.c, zero_tol)
 
 
 def kernel_vector(m: OperatorMatrix) -> np.ndarray:
     """Eigenvector of the smallest-|eigenvalue| mode of a symmetric operator."""
-    lam, vec = np.linalg.eigh(m.matrix)
+    lam, vec = _eigh(m.matrix)
     return vec[:, int(np.argmin(np.abs(lam)))]
 
 
 def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
     """|cos angle| between the near-kernel eigenvector and a reference vector."""
-    v = kernel_vector(m)
-    r = np.asarray(reference, dtype=float)
-    return float(abs(v @ r) / (np.linalg.norm(v) * np.linalg.norm(r)))
+    return _kernel_overlap(*_eigh(m.matrix), reference)
 
 
 # ---------------------------------------------------------------------------
-# pseudo-inverse pairings (the oracle for the quadrature pipeline)
+# the oracle for the quadrature pipeline
 
 def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     """Solve m x = f on the orthogonal complement of the near-kernel mode.
@@ -142,7 +165,7 @@ def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     The smallest-|eigenvalue| direction is dropped; for even right-hand sides
     this reproduces the even periodic inverse exactly (the kernel is odd).
     """
-    lam, vec = np.linalg.eigh(m.matrix)
+    lam, vec = _eigh(m.matrix)
     inv = 1.0 / lam
     inv[int(np.argmin(np.abs(lam)))] = 0.0
     return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
@@ -151,34 +174,27 @@ def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
 def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
     """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the grid.
 
-    Uses only the collocation H and trapezoid quadrature; shares nothing with
-    the quadrature pipeline except the wave profile itself.
+    The three solves are one LU solve of the bordered system
+    [[H, k], [k^T, 0]] with k the normalised analytic kernel (psi', phi');
+    for the even right-hand sides (the kernel is odd) its solution is the
+    k-orthogonal inverse. Uses only the collocation H and trapezoid
+    quadrature; shares nothing with the quadrature pipeline except the wave
+    profile itself.
     """
     x = np.arange(N) * (p.L / N)
     psi, phi = eval_profile(p, x)
-    H = assemble_operator("Hcal", p.L, p.c, psi)
-    w = p.L / N
-    one = np.ones(N)
-    zero = np.zeros(N)
-    rhs = [np.concatenate([one, zero]),
-           np.concatenate([zero, one]),
-           np.concatenate([psi, phi])]
-    sols = [pseudo_inverse_apply(H, r) for r in rhs]
-    D = np.empty((3, 3))
-    for i, ri in enumerate(rhs):
-        for j, ej in enumerate(sols):
-            D[i, j] = w * float(ri @ ej)
+    dpsi = eval_profile_derivatives(p, x)[1]
+    H = assemble_operator("Hcal", p.L, p.c, psi).matrix
+    k = np.concatenate([dpsi, psi * dpsi / p.c])[:, None]
+    k /= np.linalg.norm(k)
+    one, zero = np.ones(N), np.zeros(N)
+    rhs = np.stack([np.concatenate([one, zero]),
+                    np.concatenate([zero, one]),
+                    np.concatenate([psi, phi])], axis=1)
+    bordered = np.block([[H, k], [k.T, np.zeros((1, 1))]])
+    sols = np.linalg.solve(bordered, np.vstack([rhs, np.zeros((1, 3))]))[:-1]
+    D = (p.L / N) * (rhs.T @ sols)
     return 0.5 * (D + D.T)
-
-
-def hcal_generalized_pairing(p: WaveParams, N: int = 512) -> float:
-    """<H e1, e1> computed spectrally: solve H x = (1,0)^T off-kernel, pair with the rhs."""
-    x = np.arange(N) * (p.L / N)
-    psi, _ = eval_profile(p, x)
-    H = assemble_operator("Hcal", p.L, p.c, psi)
-    rhs = np.concatenate([np.ones(N), np.zeros(N)])
-    sol = pseudo_inverse_apply(H, rhs)
-    return (p.L / N) * float(rhs @ sol)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +216,8 @@ class SpectrumReport:
     k_c: int
     krein_negative: int
     lambda_max_real: float
-    symmetry_residual: float
+    symmetry_residual: float         # max of partner_gaps
+    partner_gaps: np.ndarray         # min_j |lambda_j + lambda_i| / max(1, |lambda_i|) per eigenvalue
     krein_signs: list = field(default_factory=list)
 
     def count_identity_lhs(self) -> int:
@@ -218,6 +235,68 @@ def _classify(eigs: np.ndarray, scale_tol: float):
     return real_mask, imag_mask, quad_mask
 
 
+def _grid(p: WaveParams, N: int):
+    """(psi, psi', D1, D2) for the wave p on the N-point grid."""
+    x = np.arange(N) * (p.L / N)
+    psi, dpsi, _ = eval_profile_derivatives(p, x)
+    return psi, dpsi, *_fourier_diff_matrices(N, p.L)
+
+
+def _nonzero_spectrum(dH: np.ndarray):
+    """eig of dHcal with its zero cluster split off.
+
+    Returns (eigvals, eigvecs, keep, cluster): keep indexes the eigenvalues
+    outside the ZERO_CLUSTER_SIZE smallest |lambda|, in order of |lambda|, so
+    eigvecs[:, keep[i]] belongs to eigvals[keep[i]]. Raises EigensolveError
+    when LAPACK fails or the cluster is not separated from the spectrum by a
+    factor 10.
+    """
+    try:
+        eigvals, eigvecs = np.linalg.eig(dH)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+    order = np.argsort(np.abs(eigvals))
+    cluster, keep = eigvals[order[:ZERO_CLUSTER_SIZE]], order[ZERO_CLUSTER_SIZE:]
+    cluster_top = float(np.max(np.abs(cluster)))
+    first = float(np.min(np.abs(eigvals[keep])))
+    if cluster_top > 0.1 * first:
+        raise EigensolveError(
+            f"zero cluster (|.|<= {cluster_top:.2e}) not separated from the "
+            f"spectrum (next |.| = {first:.2e})"
+        )
+    return eigvals, eigvecs, keep, cluster
+
+
+def _krein_signs(H: np.ndarray, eigvecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sign Re(v* H v) for the eigenvector columns cols, _CHUNK columns at a time.
+
+    For v = u1 + i u2 this is the trace u1.H u1 + u2.H u2 of the 2x2 form of H
+    on span(u1, u2), the sum of its two eigenvalues.
+    """
+    signs = np.empty(cols.size, dtype=int)
+    for s in range(0, cols.size, _CHUNK):
+        V = eigvecs[:, cols[s:s + _CHUNK]]
+        form = (np.einsum("ij,ij->j", V.real, H @ V.real)
+                + np.einsum("ij,ij->j", V.imag, H @ V.imag))
+        signs[s:s + _CHUNK] = np.sign(form)
+    return signs
+
+
+def _partner_gaps(eigs: np.ndarray) -> np.ndarray:
+    """min_j |lambda_j + lambda_i| / max(1, |lambda_i|) for each lambda_i, _CHUNK rows at a time.
+
+    The Hamiltonian quadruplet symmetry gives every eigenvalue a -lambda partner.
+    """
+    gaps = np.empty(eigs.size)
+    for s in range(0, eigs.size, _CHUNK):
+        lam = eigs[s:s + _CHUNK]
+        # hypot rounds as the scalar abs(lambda) does; np.abs of a complex array
+        # can differ in the last bit, which would move the CSV column
+        gaps[s:s + _CHUNK] = (np.min(np.abs(eigs + lam[:, None]), axis=1)
+                              / np.maximum(1.0, np.hypot(lam.real, lam.imag)))
+    return gaps
+
+
 def unstable_modes(p: WaveParams, N: int = 256, re_tol: float = 1e-6,
                    class_tol: float = 1e-7) -> SpectrumReport:
     """Full eigensolve of dHcal with symmetry classification and Krein signs.
@@ -227,75 +306,45 @@ def unstable_modes(p: WaveParams, N: int = 256, re_tol: float = 1e-6,
     their Jordan-splitting noise would otherwise contaminate k_r. A separation
     factor between the cluster and the first genuine mode is asserted.
     """
-    x = np.arange(N) * (p.L / N)
-    psi, phi = eval_profile(p, x)
-    H = assemble_operator("Hcal", p.L, p.c, psi)
-    dH = assemble_operator("dHcal", p.L, p.c, psi)
-
-    try:
-        eigvals, eigvecs = np.linalg.eig(dH.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
-
-    order = np.argsort(np.abs(eigvals))
-    cluster = eigvals[order[:ZERO_CLUSTER_SIZE]]
-    keep = order[ZERO_CLUSTER_SIZE:]
+    psi, dpsi, D1, D2 = _grid(p, N)
+    H = _operator("Hcal", D1, D2, p.c, psi)
+    eigvals, eigvecs, keep, cluster = _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))
     eigs = eigvals[keep]
-    vecs = eigvecs[:, keep]
-    cluster_top = float(np.max(np.abs(cluster)))
-    first_real = float(np.min(np.abs(eigs)))
-    if cluster_top > 0.1 * first_real:
-        raise EigensolveError(
-            f"zero cluster (|.|<= {cluster_top:.2e}) not separated from the "
-            f"spectrum (next |.| = {first_real:.2e})"
-        )
 
     real_mask, imag_mask, quad_mask = _classify(eigs, class_tol)
     k_r = int(np.sum(real_mask & (eigs.real > re_tol)))
     k_c = int(np.sum(quad_mask & (eigs.real > re_tol) & (eigs.imag > re_tol)))
 
-    # Krein signature of each purely imaginary pair with Im > 0: sign of the
-    # quadratic form <H f, f> on the real 2-dimensional invariant subspace.
-    w = p.L / N
-    krein_signs = []
-    k_i_minus = 0
-    for idx in np.where(imag_mask & (eigs.imag > re_tol))[0]:
-        v = vecs[:, idx]
-        u1, u2 = v.real, v.imag
-        G = np.array([[u1 @ (H.matrix @ u1), u1 @ (H.matrix @ u2)],
-                      [u2 @ (H.matrix @ u1), u2 @ (H.matrix @ u2)]]) * w
-        glam = np.linalg.eigvalsh(0.5 * (G + G.T))
-        sign = int(np.sign(glam[0] + glam[1]))
-        krein_signs.append((float(eigs.imag[idx]), sign))
-        if sign < 0:
-            k_i_minus += 1
+    # Krein signature of each purely imaginary pair with Im > 0
+    pairs = np.where(imag_mask & (eigs.imag > re_tol))[0]
+    signs = _krein_signs(H, eigvecs, keep[pairs])
+    del eigvecs  # 2N x 2N complex: free it before the two eigh calls
+    krein_signs = [(float(mu), int(sign)) for mu, sign in zip(eigs.imag[pairs], signs)]
+    gaps = _partner_gaps(eigs)
 
-    # Hamiltonian quadruplet symmetry: every eigenvalue must have a -lambda partner
-    sym = 0.0
-    for lam in eigs:
-        gap = np.min(np.abs(eigs + lam))
-        sym = max(sym, float(gap / max(1.0, abs(lam))))
-
-    Lp = assemble_operator("Lplus", p.L, p.c, psi)
-    dpsi = eval_profile_derivatives(p, x)[1]
-    dphi = psi * dpsi / p.c
-    n_Lp = morse_index(Lp)
-    n_H = morse_index(H)
-    ker_lp = kernel_alignment(Lp, dpsi)
-    ker_h = kernel_alignment(H, np.concatenate([dpsi, dphi]))
-
+    Lp = _operator("Lplus", D1, D2, p.c, psi)
+    lam_lp, vec_lp = _eigh(Lp)
+    lam_h, vec_h = _eigh(H)
     reals = eigs.real[real_mask & (eigs.real > re_tol)]
-    lam_max = float(np.max(reals)) if reals.size else 0.0
 
-    return SpectrumReport(params=p, N=N, eigenvalues=eigs, zero_cluster=cluster,
-                          n_Lplus=n_Lp, n_H=n_H, kernel_overlap_Lplus=ker_lp,
-                          kernel_overlap_H=ker_h, k_r=k_r, k_c=k_c,
-                          krein_negative=k_i_minus, lambda_max_real=lam_max,
-                          symmetry_residual=sym, krein_signs=krein_signs)
+    return SpectrumReport(
+        params=p, N=N, eigenvalues=eigs, zero_cluster=cluster,
+        n_Lplus=_morse_counts(lam_lp, p.c), n_H=_morse_counts(lam_h, p.c),
+        kernel_overlap_Lplus=_kernel_overlap(lam_lp, vec_lp, dpsi),
+        kernel_overlap_H=_kernel_overlap(lam_h, vec_h, np.concatenate([dpsi, psi * dpsi / p.c])),
+        k_r=k_r, k_c=k_c, krein_negative=int(np.sum(signs < 0)),
+        lambda_max_real=float(np.max(reals)) if reals.size else 0.0,
+        symmetry_residual=float(np.max(gaps)), partner_gaps=gaps, krein_signs=krein_signs)
 
 
 class NoUnstableModeError(RuntimeError):
     """The discretized spectrum has no eigenvalue with positive real part."""
+
+
+def _dhcal_spectrum(p: WaveParams, N: int):
+    """(eigvals, eigvecs, keep) of dHcal for the wave p; see _nonzero_spectrum."""
+    psi, _, D1, D2 = _grid(p, N)
+    return _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))[:3]
 
 
 def unstable_eigenmode(p: WaveParams, N: int = 256, re_tol: float = 1e-6):
@@ -305,20 +354,15 @@ def unstable_eigenmode(p: WaveParams, N: int = 256, re_tol: float = 1e-6):
     no eigenvalue with real part above re_tol -- which is the measured state
     of affairs for this wave family; see NOTES.md.
     """
-    x = np.arange(N) * (p.L / N)
-    psi, _ = eval_profile(p, x)
-    dH = assemble_operator("dHcal", p.L, p.c, psi)
-    eigvals, eigvecs = np.linalg.eig(dH.matrix)
-    order = np.argsort(np.abs(eigvals))
-    keep = order[ZERO_CLUSTER_SIZE:]
-    eigs, vecs = eigvals[keep], eigvecs[:, keep]
+    eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
+    eigs = eigvals[keep]
     idx = int(np.argmax(eigs.real))
     if eigs.real[idx] <= re_tol:
         raise NoUnstableModeError(
             f"max Re lambda = {eigs.real[idx]:.3e} <= {re_tol}: spectrum is stable"
         )
     lam = eigs[idx]
-    v = vecs[:, idx]
+    v = eigvecs[:, keep[idx]]
     if abs(lam.imag) <= 1e-7 * max(1.0, abs(lam)):
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
@@ -331,14 +375,9 @@ def imaginary_eigenmode(p: WaveParams, N: int = 256):
     Used by the simulation cross-check: the seeded deviation oscillates at
     frequency mu in the co-moving frame.
     """
-    x = np.arange(N) * (p.L / N)
-    psi, _ = eval_profile(p, x)
-    dH = assemble_operator("dHcal", p.L, p.c, psi)
-    eigvals, eigvecs = np.linalg.eig(dH.matrix)
-    order = np.argsort(np.abs(eigvals))
-    keep = order[ZERO_CLUSTER_SIZE:]
-    eigs, vecs = eigvals[keep], eigvecs[:, keep]
+    eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
+    eigs = eigvals[keep]
     imag = np.where((np.abs(eigs.real) <= 1e-6 * np.abs(eigs)) & (eigs.imag > 0))[0]
     idx = imag[int(np.argmin(eigs.imag[imag]))]
-    v = vecs[:, idx]
+    v = eigvecs[:, keep[idx]]
     return float(eigs.imag[idx]), v[:N], v[N:]

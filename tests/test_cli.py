@@ -143,6 +143,28 @@ class TestSpectrum:
         sym = [float(dict(zip(cols, r))["symmetry_residual"]) for r in rows]
         assert max(sym) < 1e-7
 
+    def test_eigensolve_failure_exits_with_its_message(self, tmp_path, monkeypatch, capsys):
+        from dswlab import spectra
+
+        def fail(p, N):
+            raise spectra.EigensolveError("zero cluster not separated")
+
+        monkeypatch.setattr(spectra, "unstable_modes", fail)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--out", str(out)]) == 1
+        assert "spectrum failed: zero cluster not separated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_errors_are_not_swallowed(self, tmp_path, monkeypatch):
+        from dswlab import spectra
+
+        def fail(p, N):
+            raise RuntimeError("a bug, not an eigensolve failure")
+
+        monkeypatch.setattr(spectra, "unstable_modes", fail)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["spectrum", "--L", "2", "--kappa", "0.3", "--out", str(tmp_path / "s.csv")])
+
 
 class TestSimulate:
     def test_zero_initial_data(self, tmp_path):

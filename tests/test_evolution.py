@@ -71,6 +71,24 @@ class TestBasics:
         traj = simulate(u0, v0, T=10e-3, dt=1e-3, sample_every=10)
         assert np.max(np.abs(s.u_hat - traj.states[-1].u_hat)) < 1e-12 * 64
 
+    def test_repeated_steps_build_the_weights_once(self, monkeypatch):
+        from dswlab import evolution
+
+        builds = []
+
+        def counted(z, h):
+            builds.append(h)
+            return _etd_coefficients(z, h)
+
+        monkeypatch.setattr(evolution, "_etd_coefficients", counted)
+        evolution._stepper.cache_clear()
+        u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=5)
+        s = make_state(u0, v0, 0.0)
+        for _ in range(10):
+            s = step(s, 1e-3)
+        evolution._stepper.cache_clear()
+        assert builds == [1e-3]
+
     def test_hermitian_symmetry_preserved(self):
         u0, v0 = random_smooth_fields(2 * np.pi, 128, 5, seed=2)
         traj = simulate(u0, v0, T=0.5, dt=1e-3)

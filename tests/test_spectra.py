@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (NoUnstableModeError, assemble, assemble_operator,
-                            dmatrix_via_collocation, hcal_generalized_pairing,
+from dswlab.spectra import (ZERO_CLUSTER_SIZE, NoUnstableModeError, assemble,
+                            assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
@@ -171,7 +171,7 @@ class TestSpectrumReport:
 
     def test_generalized_pairing_matches_quadrature(self, wave_1_05):
         d11 = assemble_dmatrix(wave_1_05).entries[0, 0]
-        spectral = hcal_generalized_pairing(wave_1_05, 512)
+        spectral = dmatrix_via_collocation(wave_1_05, 512)[0, 0]
         assert spectral == pytest.approx(d11, rel=1e-5)
 
     def test_unstable_eigenmode_raises(self, wave_2_03):
@@ -181,3 +181,64 @@ class TestSpectrumReport:
     def test_oracle_dmatrix_symmetric(self, wave_1_05):
         D = dmatrix_via_collocation(wave_1_05, 256)
         assert np.max(np.abs(D - D.T)) < 1e-10 * np.max(np.abs(D))
+
+
+def per_pair_reference(p, N):
+    """Krein signs and partner gaps by one loop per eigenvalue, the reference for the batches:
+    the 2x2 form of H on span(Re v, Im v) through eigvalsh, and a min per row."""
+    H = assemble("Hcal", p, N).matrix
+    eigvals, eigvecs = np.linalg.eig(assemble("dHcal", p, N).matrix)
+    keep = np.argsort(np.abs(eigvals))[ZERO_CLUSTER_SIZE:]
+    eigs, vecs = eigvals[keep], eigvecs[:, keep]
+    scale = np.maximum(1.0, np.abs(eigs))
+    imag = (np.abs(eigs.imag) > 1e-7 * scale) & (np.abs(eigs.real) <= 1e-7 * scale)
+    signs = []
+    for idx in np.where(imag & (eigs.imag > 1e-6))[0]:
+        u1, u2 = vecs[:, idx].real, vecs[:, idx].imag
+        G = np.array([[u1 @ (H @ u1), u1 @ (H @ u2)],
+                      [u2 @ (H @ u1), u2 @ (H @ u2)]]) * (p.L / N)
+        glam = np.linalg.eigvalsh(0.5 * (G + G.T))
+        signs.append((float(eigs.imag[idx]), int(np.sign(glam[0] + glam[1]))))
+    gaps = [float(np.min(np.abs(eigs + lam)) / max(1.0, abs(lam))) for lam in eigs]
+    return signs, np.array(gaps)
+
+
+class TestBatchedSpectrum:
+    @pytest.mark.parametrize("L, kappa", [(2.0, 0.3), (1.0, 0.5)])
+    def test_krein_signs_and_gaps_match_per_pair_loop(self, L, kappa):
+        p = params_from_kappa(L, kappa)
+        rep = unstable_modes(p, N=128)
+        signs, gaps = per_pair_reference(p, 128)
+        assert rep.krein_signs == signs
+        assert np.array_equal(rep.partner_gaps, gaps)
+        assert rep.symmetry_residual == max(gaps)
+
+    def test_counts_and_signs_at_a_size_that_is_no_power_of_two(self, wave_2_03, spectrum_2_03):
+        rep = unstable_modes(wave_2_03, N=384)
+        assert (rep.k_r, rep.k_c, rep.krein_negative) == (
+            spectrum_2_03.k_r, spectrum_2_03.k_c, spectrum_2_03.krein_negative)
+        assert (rep.n_Lplus, rep.n_H) == (spectrum_2_03.n_Lplus, spectrum_2_03.n_H)
+        assert rep.symmetry_residual < 1e-7
+        # the resolved low frequencies carry the same signs at both sizes
+        low = spectrum_2_03.krein_signs[:40]
+        mus = np.array([mu for mu, _ in rep.krein_signs])
+        for mu, sign in low:
+            j = int(np.argmin(np.abs(mus - mu)))
+            assert abs(mus[j] - mu) < 1e-6 * mu
+            assert rep.krein_signs[j][1] == sign
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_bordered_oracle_matches_eigh_pseudo_inverse(kappa):
+    # worst measured: 2.4e-7 at kappa = 0.1
+    p = params_from_kappa(1.0, kappa)
+    N = 512
+    x = np.arange(N) * (p.L / N)
+    psi, phi = eval_profile(p, x)
+    H = assemble("Hcal", p, N)
+    one, zero = np.ones(N), np.zeros(N)
+    rhs = [np.concatenate([one, zero]), np.concatenate([zero, one]), np.concatenate([psi, phi])]
+    sols = [pseudo_inverse_apply(H, r) for r in rhs]
+    D = np.array([[(p.L / N) * (ri @ ej) for ej in sols] for ri in rhs])
+    D = 0.5 * (D + D.T)
+    assert np.max(np.abs(dmatrix_via_collocation(p, N) - D) / np.abs(D)) < 1e-6
