@@ -1,20 +1,21 @@
 """Command-line front end: reproducible experiments with CSV output.
 
 One command per artifact: `wave` (profile + residuals), `theta-table`
-(the Floquet table), `dmatrix-sweep` (index quadratures over a modulus grid),
-`spectrum` (collocation eigenvalues and counts), `simulate` (time evolution
-and conservation logs), `normalform-check` (multiplier identity trials).
+(the Floquet table, theta = -L A2/K by quadrature), `dmatrix-sweep` (index
+quadratures over a modulus grid), `spectrum` (collocation eigenvalues and
+counts), `simulate` (time evolution and conservation logs),
+`normalform-check` (multiplier identity trials).
 
 Every command prints/writes UTF-8 CSV with a '#'-prefixed provenance header;
 floats are rendered with repr (shortest round-trip), so identical flags give
-byte-identical output.
+byte-identical output. Each command imports only the modules it runs; scipy
+is loaded only to invert a `--c` speed into a modulus.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,13 +67,6 @@ def _resolve_wave(args):
     raise ValueError("one of --kappa or --c is required")
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -94,16 +88,16 @@ def cmd_wave(args) -> int:
 
 
 def _theta_row(pair, tol):
-    from .hill import DegenerateThetaError, integrate_hill_ivp, inertial_index_from_theta
+    from .hill import DegenerateThetaError, floquet_constant, inertial_index_from_theta
 
     L, kappa = pair
     p = params_from_kappa(L, kappa)
-    sol = integrate_hill_ivp(p, tol=tol)
+    f = floquet_constant(p, tol=tol)
     try:
-        n_minus, n_zero = inertial_index_from_theta(sol)
+        n_minus, n_zero = inertial_index_from_theta(f)
     except DegenerateThetaError:
         n_minus, n_zero = -1, -1
-    return (L, kappa, p.c, sol.p_prime_0, sol.q_prime_final, sol.theta, n_minus, n_zero)
+    return (L, kappa, p.c, f.p_prime_0, f.q_prime_final, f.theta, n_minus, n_zero)
 
 
 def cmd_theta_table(args) -> int:
@@ -112,19 +106,12 @@ def cmd_theta_table(args) -> int:
     header = _provenance("theta-table", tol=args.tol, rows=len(pairs))
     results = []
     failures = 0
-
-    def run(pair):
+    for pair in pairs:
         try:
-            return _theta_row(pair, args.tol)
+            results.append(_theta_row(pair, args.tol))
         except Exception as exc:  # noqa: BLE001 - per-row isolation is the contract
-            return ("error", pair, str(exc))
-
-    for res in _parallel_map(run, pairs, args.threads):
-        if res and res[0] == "error":
             failures += 1
-            header.append(f"row {res[1]} failed: {res[2]}")
-        else:
-            results.append(res)
+            header.append(f"row {pair} failed: {exc}")
     _write_csv(args.out, header,
                ["L", "kappa", "c", "p_prime_0", "q_prime_L", "theta", "n_minus", "n_zero"],
                results)
@@ -153,8 +140,7 @@ def cmd_dmatrix_sweep(args) -> int:
             nan = float("nan")
             return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *A, "degenerate")
 
-    rows = _parallel_map(run, kappas, args.threads)
-    _write_csv(args.out, header, cols, rows)
+    _write_csv(args.out, header, cols, [run(kappa) for kappa in kappas])
     return 0
 
 
@@ -330,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dswlab",
                                  description="Traveling-wave laboratory for the "
                                              "dispersive-dispersionless coupled system")
-    ap.add_argument("--threads", type=int, default=1, help="parallelism cap for sweep rows")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("wave", help="profile CSV with parameters and residuals")

@@ -1,27 +1,35 @@
-"""Hill-equation machinery: the kernel eigenfunction p, the companion IVP,
+"""Hill-equation machinery: the kernel eigenfunction p, the Floquet constant
 theta = q'(L)/p'(0), and the inertial-index classification it implies.
 
 The operator is L+ = -d^2/dxi^2 + c - 3 psi^2/(2c); p proportional to psi'
 solves L+ p = 0 with p(0) = 0. The companion solution q of the same equation
 with q(0) = 1/p'(0), q'(0) = 0 satisfies q(xi + L) = q(xi) + theta p(xi);
 theta != 0 makes the zero eigenvalue simple.
+
+q and the second kernel element varphi of the quadrature pipeline are both
+even solutions of L+ y = 0, which gives theta in closed form, theta = -L A2/K
+(`floquet_constant`); this is the production route. `integrate_hill_ivp`
+integrates the companion IVP instead and is kept as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .index_engine import a_integrals
 from .waves import WaveParams, eval_profile
 
 __all__ = [
     "HillSolution",
+    "FloquetConstant",
     "IntegrationFailureError",
     "DegenerateThetaError",
     "p_eigenfunction",
     "p_eigenfunction_prime",
+    "floquet_constant",
     "integrate_hill_ivp",
     "inertial_index_from_theta",
 ]
@@ -45,6 +53,31 @@ class HillSolution:
     p_prime_0: float
     theta: float
     wronskian_drift: float
+
+
+class FloquetConstant(NamedTuple):
+    """theta from the closed form, with p'(0) = alpha and q'(L) = theta p'(0)."""
+
+    p_prime_0: float
+    q_prime_final: float
+    theta: float
+
+
+def _check_tol(tol: float) -> None:
+    if not (1e-14 <= tol <= 1e-6):
+        raise ValueError(f"tol must lie in [1e-14, 1e-6] (got {tol!r})")
+
+
+def floquet_constant(p: WaveParams, tol: float = 1e-12) -> FloquetConstant:
+    """theta = -L A2 / K(kappa), with A2 by adaptive quadrature to relative tol.
+
+    Accurate to a few ulps for kappa >= 0.1 and to ~2e-13 relative at
+    kappa = 0.01, where theta ~ 1e-7 and the IVP's absolute error swamps it
+    (NOTES.md). Since L, K > 0, theta > 0 is the same fact as A2 < 0.
+    """
+    _check_tol(tol)
+    theta = -p.L * a_integrals(p, rel_tol=tol).A2 / p.K
+    return FloquetConstant(p_prime_0=p.alpha, q_prime_final=theta * p.alpha, theta=theta)
 
 
 def p_eigenfunction(p: WaveParams, xi):
@@ -79,10 +112,12 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12, n_wronskian: int = 33)
     The potential is evaluated from the elliptic closed form at every stage.
     The Wronskian q p' - q' p equals 1 at xi = 0 by construction and is
     constant along the flow; its maximal drift over n_wronskian sample points
-    is reported as an integration quality measure.
+    is reported as an integration quality measure. The independent oracle
+    for floquet_constant.
     """
-    if not (1e-14 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-14, 1e-6] (got {tol!r})")
+    from scipy.integrate import solve_ivp
+
+    _check_tol(tol)
 
     p_prime_0 = p.alpha  # = 2K/L = 1/(2 a sqrt(c))
 
@@ -106,8 +141,11 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12, n_wronskian: int = 33)
                         wronskian_drift=drift)
 
 
-def inertial_index_from_theta(h: HillSolution, threshold: float = THETA_DEGENERACY_THRESHOLD):
-    """Inertial index (n_minus, n_zero) of L+ from the sign of theta.
+def inertial_index_from_theta(h: HillSolution | FloquetConstant,
+                              threshold: float = THETA_DEGENERACY_THRESHOLD):
+    """Inertial index (n_minus, n_zero) of L+ from the sign of h.theta.
+
+    h is any record with a theta field: a HillSolution or a FloquetConstant.
 
     p has two zeros per period, so the zero eigenvalue is one of the second
     eigenvalue pair. With the normalization Wr(q, p) = +1 used here,

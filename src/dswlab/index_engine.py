@@ -20,13 +20,15 @@ Conventions that matter (they are easy to get wrong):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .elliptic import jacobi_sn_cn_dn
 from .waves import GridFunction, WaveParams, eval_profile, eval_profile_derivatives
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "VarphiTable",
@@ -168,6 +170,8 @@ def build_varphi(p: WaveParams, N: int = 4096) -> VarphiTable:
     The inner integrand is smooth (dn^4 is bounded away from zero), so a cubic
     spline antiderivative over a >= 4N point grid carries ~1e-13 accuracy.
     """
+    from scipy.interpolate import CubicSpline
+
     if N < 1024:
         raise ValueError(f"N must be >= 1024 (got {N})")
     M = max(4 * N, 16384)
@@ -299,6 +303,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction,
     Inputs are symmetrized; an asymmetry above asym_tol (relative sup norm) is
     a hard error.
     """
+    from scipy.interpolate import CubicSpline
+
     if f.L != p.L:
         raise ValueError("grid period does not match the wave period")
     vals = f.samples

@@ -62,7 +62,14 @@ class OperatorMatrix:
 
 
 def _fourier_diff_matrices(N: int, L: float):
-    """Dense spectral derivative matrices D1 (Nyquist zeroed) and D2."""
+    """Dense spectral derivative matrices D1 (Nyquist zeroed) and D2.
+
+    Every collocation matrix is built here, so this is where N is checked:
+    for odd N the index N // 2 is a real Fourier mode, not the Nyquist mode,
+    and zeroing it would corrupt D1 and the zero cluster of dHcal.
+    """
+    if N % 2:
+        raise ValueError(f"N must be even (got {N}): D1 zeroes the Nyquist mode k = N/2")
     k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
     F = np.fft.fft(np.eye(N), axis=0)
     k1 = k.copy()
@@ -102,8 +109,8 @@ def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> Operato
 
 def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     """Collocation matrix for the wave profile of p on an N-point grid."""
-    if N < 128 or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be a power of two >= 128 (got {N})")
+    if N < 128:
+        raise ValueError(f"N must be >= 128 (got {N})")
     x = np.arange(N) * (p.L / N)
     psi, _ = eval_profile(p, x)
     op = assemble_operator(kind, p.L, p.c, psi)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import KAPPA_MAX, ellip_k, jacobi_sn_cn_dn
 
@@ -118,6 +117,8 @@ def _check_invariants(p: WaveParams) -> None:
 
 def kappa_from_c(L: float, c: float) -> float:
     """Invert the strictly increasing speed map: the unique kappa with c(kappa) = c."""
+    from scipy.optimize import brentq
+
     L = float(L)
     c = float(c)
     if not (L > 0.0):

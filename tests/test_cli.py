@@ -93,13 +93,12 @@ class TestThetaTable:
         _, cols, rows = read_csv(out)
         assert cols is not None and rows == []
 
-    def test_threads_give_identical_output(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        main(["theta-table", "--pairs", "2:0.1,2:0.2,3:0.1", "--out", str(a)])
-        main(["--threads", "3", "theta-table", "--pairs", "2:0.1,2:0.2,3:0.1",
-              "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_invalid_tolerance_fails_the_rows(self, tmp_path):
+        out = tmp_path / "bad.csv"
+        assert main(["theta-table", "--pairs", "2:0.1", "--tol", "1e-3", "--out", str(out)]) == 1
+        header, _, rows = read_csv(out)
+        assert rows == []
+        assert "row (2.0, 0.1) failed: tol must lie in" in "\n".join(header)
 
 
 class TestDMatrixSweep:
@@ -153,6 +152,13 @@ class TestSpectrum:
         out = tmp_path / "spectrum.csv"
         assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--out", str(out)]) == 1
         assert "spectrum failed: zero cluster not separated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_odd_grid_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "odd.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "255",
+                     "--out", str(out)]) == 2
+        assert "N must be even (got 255)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_other_errors_are_not_swallowed(self, tmp_path, monkeypatch):

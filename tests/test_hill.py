@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dswlab.hill import (DegenerateThetaError, HillSolution, integrate_hill_ivp,
-                         inertial_index_from_theta, p_eigenfunction,
-                         p_eigenfunction_prime)
+from dswlab.hill import (DegenerateThetaError, FloquetConstant, HillSolution,
+                         floquet_constant, integrate_hill_ivp, inertial_index_from_theta,
+                         p_eigenfunction, p_eigenfunction_prime)
 from dswlab.waves import params_from_kappa
 
 # The reference table at its printed labels, (L, kappa) -> (c, p'(0), q'(L), theta).
@@ -118,6 +118,50 @@ class TestHillIVP:
         assert t10 == pytest.approx(5.0 * t2, rel=1e-8)
 
 
+def theta_mpmath(L, kappa, dps=30):
+    """theta = -L A2/K with A2 by mpmath.quad, every step at dps digits from the double kappa."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        m = mp.mpf(kappa) ** 2
+        h = 4 * mp.sqrt(1 - m + m * m)
+        g_plus, g_minus = h + 2 * (2 * m - 1), h - 2 * (2 * m - 1)
+        b2 = 2 * m * mp.sqrt(g_plus) / (mp.sqrt(g_plus) + mp.sqrt(3) * mp.sqrt(g_minus))
+        K = mp.ellipk(m)
+
+        def f2(u):
+            sn, dn = mp.ellipfun("sn", u, m=m), mp.ellipfun("dn", u, m=m)
+            B = 1 + b2 * sn * sn
+            return B**3 * (3 * (m + b2) + 5 * b2 * dn * dn) * (1 - 2 * sn * sn) / dn**4
+
+        return -mp.mpf(L) * mp.quad(f2, [0, K]) / K
+
+
+class TestClosedFormTheta:
+    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1, 0.3])
+    def test_matches_30_digit_quadrature(self, kappa):
+        # the measured worst is 2.3e-13, at kappa = 0.01 where theta ~ 1.3e-7
+        ref = theta_mpmath(2.0, kappa)
+        theta = floquet_constant(params_from_kappa(2.0, kappa)).theta
+        assert abs(theta - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @pytest.mark.parametrize("L,kappa", [(2.0, 0.1), (3.0, 0.3), (10.0, 0.4), (4.0, 0.7)])
+    def test_ivp_oracle_agrees(self, L, kappa):
+        p = params_from_kappa(L, kappa)
+        assert integrate_hill_ivp(p, tol=1e-14).theta == pytest.approx(
+            floquet_constant(p).theta, rel=1e-10)
+
+    def test_row_fields(self, wave_2_03):
+        f = floquet_constant(wave_2_03)
+        assert f.p_prime_0 == wave_2_03.alpha
+        assert f.q_prime_final == f.theta * f.p_prime_0
+        assert inertial_index_from_theta(f) == (1, 1)
+
+    def test_invalid_tolerance(self, wave_2_03):
+        with pytest.raises(ValueError):
+            floquet_constant(wave_2_03, tol=1e-3)
+
+
 class TestTableReproduction:
     @pytest.mark.parametrize("L,kappa,c_ref,pp0_ref,qpl_ref,theta_ref", TABLE_ROWS)
     def test_row(self, L, kappa, c_ref, pp0_ref, qpl_ref, theta_ref):
@@ -159,6 +203,9 @@ class TestInertialIndex:
                             p_prime_0=1.0, theta=5e-11, wronskian_drift=0.0)
         with pytest.raises(DegenerateThetaError):
             inertial_index_from_theta(fake)
+        with pytest.raises(DegenerateThetaError):
+            inertial_index_from_theta(FloquetConstant(p_prime_0=1.0, q_prime_final=0.0,
+                                                      theta=-5e-11))
 
     def test_isoinertial_across_sweep(self):
         indices = set()

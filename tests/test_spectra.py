@@ -45,6 +45,8 @@ class TestAssemble:
             assemble("bogus", wave_2_03, 128)
         with pytest.raises(ValueError):
             assemble("Lplus", wave_2_03, 100)
+        with pytest.raises(ValueError, match="N must be even"):
+            assemble("Lplus", wave_2_03, 255)
 
 
 class TestMorseIndex:
@@ -138,6 +140,11 @@ class TestSpectrumReport:
 
     def test_quadruplet_symmetry(self, spectrum_2_03):
         assert spectrum_2_03.symmetry_residual < 1e-7
+
+    def test_odd_grid_refused_before_the_eigensolve(self, wave_2_03):
+        # for odd N the zeroed index N // 2 would be a real Fourier mode
+        with pytest.raises(ValueError, match="N must be even"):
+            unstable_modes(wave_2_03, N=255)
 
     def test_zero_cluster_separated(self, spectrum_2_03):
         rep = spectrum_2_03
