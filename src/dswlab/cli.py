@@ -129,16 +129,16 @@ def cmd_dmatrix_sweep(args) -> int:
 
     def run(kappa):
         p = params_from_kappa(args.L, kappa)
-        A = a_integrals(p)
         try:
             d = assemble_dmatrix(p)
             k_ham, n_d = hamiltonian_index(d)
             e = d.entries
             return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
-                    d.det, n_d, k_ham, *A, "ok")
+                    d.det, n_d, k_ham, *d.A, "ok")
         except DegenerateDMatrixError:
             nan = float("nan")
-            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *A, "degenerate")
+            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *a_integrals(p),
+                    "degenerate")
 
     _write_csv(args.out, header, cols, [run(kappa) for kappa in kappas])
     return 0
@@ -146,7 +146,7 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import EigensolveError, unstable_modes
+    from .spectra import CLASS_TOL, EigensolveError, unstable_modes
 
     p = _resolve_wave(args)
     try:
@@ -171,9 +171,9 @@ def cmd_spectrum(args) -> int:
     rows = []
     for i in np.lexsort((eigs.real, np.abs(eigs.imag))):  # by |Im|, then Re
         lam = eigs[i]
-        if abs(lam.imag) <= 1e-7 * max(1.0, abs(lam)):
+        if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):
             cls = "real"
-        elif abs(lam.real) <= 1e-7 * max(1.0, abs(lam)):
+        elif abs(lam.real) <= CLASS_TOL * max(1.0, abs(lam)):
             cls = "imaginary"
         else:
             cls = "quadruplet"

@@ -345,15 +345,14 @@ def deviation_series(traj: Trajectory, p: WaveParams):
     return traj.times, np.asarray(devs)
 
 
-def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams,
-                    eps: float, linear_ceiling: float = 1e-2) -> float:
+def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams, eps: float) -> float:
     """Least-squares slope of log(deviation) over the exponential window.
 
-    The window keeps samples after a 10% warmup and below linear_ceiling
-    times the wave norm; fewer than five qualifying samples is an error.
+    The window keeps samples after a 10% warmup and below 1e-2 times the wave
+    norm; fewer than five qualifying samples is an error.
     """
     wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, np.linspace(0, p.L, 256))[0] ** 2))
-    ok = (times >= 0.1 * times[-1]) & (devs < linear_ceiling * wave_norm) & (devs > 0)
+    ok = (times >= 0.1 * times[-1]) & (devs < 1e-2 * wave_norm) & (devs > 0)
     if int(np.sum(ok)) < 5:
         raise WindowTooShortError(
             f"only {int(np.sum(ok))} samples inside the linear-regime window"

@@ -48,7 +48,6 @@ class DegenerateThetaError(ValueError):
 @dataclass(frozen=True)
 class HillSolution:
     params: WaveParams
-    q_final: float
     q_prime_final: float
     p_prime_0: float
     theta: float
@@ -106,14 +105,18 @@ def hill_potential(p: WaveParams, xi):
     return p.c - 1.5 * psi**2 / p.c
 
 
-def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12, n_wronskian: int = 33) -> HillSolution:
+def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     """Integrate -q'' + (c - 3 psi^2/(2c)) q = 0 over [0, L], q(0)=1/p'(0), q'(0)=0.
 
     The potential is evaluated from the elliptic closed form at every stage.
     The Wronskian q p' - q' p equals 1 at xi = 0 by construction and is
-    constant along the flow; its maximal drift over n_wronskian sample points
-    is reported as an integration quality measure. The independent oracle
-    for floquet_constant.
+    constant along the flow; its maximal drift over 33 sample points is
+    reported as an integration quality measure. The independent oracle for
+    floquet_constant.
+
+    tol is the absolute tolerance and the relative one, except that DOP853
+    takes no rtol below 100 eps ~ 2.2e-14: below that floor tol acts through
+    atol alone.
     """
     from scipy.integrate import solve_ivp
 
@@ -125,24 +128,21 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12, n_wronskian: int = 33)
         return [y[1], hill_potential(p, xi) * y[0]]
 
     sol = solve_ivp(rhs, (0.0, p.L), [1.0 / p_prime_0, 0.0], method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
+                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol, dense_output=True)
     if not sol.success:
         raise IntegrationFailureError(f"Hill IVP integration failed: {sol.message}")
 
-    xs = np.linspace(0.0, p.L, n_wronskian)
+    xs = np.linspace(0.0, p.L, 33)
     qs = sol.sol(xs)
     wr = qs[0] * p_eigenfunction_prime(p, xs) - qs[1] * p_eigenfunction(p, xs)
     drift = float(np.max(np.abs(wr - 1.0)))
 
-    q_final = float(sol.y[0, -1])
     q_prime_final = float(sol.y[1, -1])
-    return HillSolution(params=p, q_final=q_final, q_prime_final=q_prime_final,
-                        p_prime_0=p_prime_0, theta=q_prime_final / p_prime_0,
-                        wronskian_drift=drift)
+    return HillSolution(params=p, q_prime_final=q_prime_final, p_prime_0=p_prime_0,
+                        theta=q_prime_final / p_prime_0, wronskian_drift=drift)
 
 
-def inertial_index_from_theta(h: HillSolution | FloquetConstant,
-                              threshold: float = THETA_DEGENERACY_THRESHOLD):
+def inertial_index_from_theta(h: HillSolution | FloquetConstant):
     """Inertial index (n_minus, n_zero) of L+ from the sign of h.theta.
 
     h is any record with a theta field: a HillSolution or a FloquetConstant.
@@ -155,8 +155,9 @@ def inertial_index_from_theta(h: HillSolution | FloquetConstant,
     orientation slip; direct eigensolves of the discretized operator settle it
     this way, see the spectra module tests and the README stability note.)
     """
-    if abs(h.theta) <= threshold:
+    if abs(h.theta) <= THETA_DEGENERACY_THRESHOLD:
         raise DegenerateThetaError(
-            f"|theta| = {abs(h.theta)} <= {threshold}: double zero eigenvalue suspected"
+            f"|theta| = {abs(h.theta)} <= {THETA_DEGENERACY_THRESHOLD}: "
+            "double zero eigenvalue suspected"
         )
     return (1, 1) if h.theta > 0 else (2, 1)

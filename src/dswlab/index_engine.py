@@ -19,7 +19,7 @@ Conventions that matter (they are easy to get wrong):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -116,17 +116,11 @@ def _inner_integrand(p: WaveParams, u):
 
 @dataclass(frozen=True, eq=False)
 class VarphiTable:
-    """varphi and varphi' sampled on [0, L], plus the accumulated inner integral.
-
-    The spline antiderivative of the inner integrand is kept so varphi can be
-    evaluated anywhere without re-quadrature.
+    """varphi's closed-form branch with the spline antiderivative G of the
+    inner integrand, so varphi can be evaluated anywhere without re-quadrature.
     """
 
     params: WaveParams
-    x: np.ndarray
-    varphi: np.ndarray
-    varphi_prime: np.ndarray
-    inner_cumulative: np.ndarray  # G(u) on the u grid over [0, 2K]
     varphi_half_prime: float
     varphi_0: float
     _G: CubicSpline
@@ -164,27 +158,18 @@ def _varphi_eval(p: WaveParams, G: CubicSpline, x: np.ndarray):
     return val, deriv
 
 
-def build_varphi(p: WaveParams, N: int = 4096) -> VarphiTable:
-    """Accumulate the inner integral once on a fine grid, then tabulate varphi.
+def build_varphi(p: WaveParams) -> VarphiTable:
+    """Accumulate the inner integral once on a fine grid.
 
     The inner integrand is smooth (dn^4 is bounded away from zero), so a cubic
-    spline antiderivative over a >= 4N point grid carries ~1e-13 accuracy.
+    spline antiderivative over 16384 panels of [0, 2K] carries ~1e-13 accuracy.
     """
     from scipy.interpolate import CubicSpline
 
-    if N < 1024:
-        raise ValueError(f"N must be >= 1024 (got {N})")
-    M = max(4 * N, 16384)
-    u_grid = np.linspace(0.0, 2.0 * p.K, M + 1)
+    u_grid = np.linspace(0.0, 2.0 * p.K, 16385)
     G = CubicSpline(u_grid, _inner_integrand(p, u_grid)).antiderivative()
-
-    x = np.linspace(0.0, p.L, N + 1)
-    val, deriv = _varphi_eval(p, G, x)
-    table = VarphiTable(params=p, x=x, varphi=val, varphi_prime=deriv,
-                        inner_cumulative=G(u_grid), varphi_half_prime=float(
-                            _varphi_eval(p, G, np.asarray([0.5 * p.L]))[1][0]),
-                        varphi_0=float(val[0]), _G=G)
-    return table
+    val, deriv = _varphi_eval(p, G, np.array([0.0, 0.5 * p.L]))
+    return VarphiTable(params=p, varphi_half_prime=float(deriv[1]), varphi_0=float(val[0]), _G=G)
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -208,8 +193,9 @@ class AIntegrals(NamedTuple):
 def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
     """The six quadratures over [0, K(kappa)] entering the pairing closed forms.
 
-    A5 is the same integrand as A2 and is evaluated once. A4 carries a single
-    power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
+    A2's integrand is varphi's inner integrand; A5 is the same integrand and is
+    evaluated once. A4 carries a single power of (1 + beta^2 sn^2); see the A4
+    note in NOTES.md.
     """
     k2 = p.kappa**2
     b2 = p.beta_sq
@@ -226,10 +212,6 @@ def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
         B, w, _, dn = terms(u)
         return B * B * w / dn**2
 
-    def f2(u):
-        B, w, f, dn = terms(u)
-        return B**3 * f * w / dn**4
-
     def f3(u):
         B, w, f, dn = terms(u)
         return B * B * f * w / dn**2
@@ -243,7 +225,7 @@ def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
         return B * f * w
 
     A1 = gauss_legendre_adaptive(f1, 0.0, p.K, rel_tol)
-    A2 = gauss_legendre_adaptive(f2, 0.0, p.K, rel_tol)
+    A2 = gauss_legendre_adaptive(lambda u: _inner_integrand(p, u), 0.0, p.K, rel_tol)
     A3 = gauss_legendre_adaptive(f3, 0.0, p.K, rel_tol)
     A4 = gauss_legendre_adaptive(f4, 0.0, p.K, rel_tol)
     A6 = gauss_legendre_adaptive(f6, 0.0, p.K, rel_tol)
@@ -291,8 +273,7 @@ def half_period_data(p: WaveParams, A: AIntegrals | None = None):
 # ---------------------------------------------------------------------------
 # even inverse of L+
 
-def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction,
-               asym_tol: float = 1e-8) -> GridFunction:
+def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     """Apply the even inverse of L+ to an even periodic grid function.
 
     out(x) = psi'(x) int_0^x varphi f - varphi(x) int_0^x psi' f + C_f varphi(x),
@@ -300,8 +281,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction,
     with <varphi, f> the even-periodized pairing. This C_f makes the output
     L-periodic with matching one-sided derivatives, hence in the domain of L+.
 
-    Inputs are symmetrized; an asymmetry above asym_tol (relative sup norm) is
-    a hard error.
+    Inputs are symmetrized; an asymmetry above 1e-8 (relative sup norm) is a
+    hard error.
     """
     from scipy.interpolate import CubicSpline
 
@@ -311,8 +292,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction,
     reflected = np.roll(vals[::-1], 1)  # f(-x_j) on the same grid
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     asym = float(np.max(np.abs(vals - reflected))) / scale
-    if asym > asym_tol:
-        raise EvenSymmetryError(f"input asymmetry {asym:.3e} exceeds {asym_tol:.1e}")
+    if asym > 1e-8:
+        raise EvenSymmetryError(f"input asymmetry {asym:.3e} exceeds 1.0e-08")
     sym = 0.5 * (vals + reflected)
 
     N = f.N
@@ -322,8 +303,7 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction,
     coeff = np.fft.rfft(sym)
     pad = np.zeros(M // 2 + 1, dtype=complex)
     pad[: coeff.size] = coeff
-    if N % 2 == 0:
-        pad[N // 2] *= 0.5  # split the shared Nyquist coefficient
+    pad[N // 2] *= 0.5  # split the shared Nyquist coefficient (N is a power of two)
     f_fine = np.fft.irfft(pad, M) * (M / N)
     f_fine = np.append(f_fine, f_fine[0])
 
@@ -373,43 +353,22 @@ def psi_moments(p: WaveParams, rel_tol: float = 1e-12):
 
 @dataclass(frozen=True, eq=False)
 class DMatrix:
-    """Symmetric 3x3 matrix of pairings <H e_i, e_j> with derived quantities."""
+    """Symmetric 3x3 matrix of pairings <H e_i, e_j> with derived quantities.
+
+    A holds the quadratures the matrix was assembled from (None for a matrix
+    given by its entries).
+    """
 
     entries: np.ndarray
     det: float
     n_negative: int
-    kappa: float
-    L: float
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return symmetric_3x3_eigenvalues(self.entries)
+    A: AIntegrals | None = None
 
 
-def symmetric_3x3_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Closed-form (trigonometric) eigenvalues of a symmetric 3x3 matrix, ascending."""
-    A = np.asarray(A, dtype=float)
-    p1 = A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2
-    q = np.trace(A) / 3.0
-    if p1 == 0.0:
-        return np.sort(np.diag(A))
-    p2 = (A[0, 0] - q) ** 2 + (A[1, 1] - q) ** 2 + (A[2, 2] - q) ** 2 + 2.0 * p1
-    s = np.sqrt(p2 / 6.0)
-    B = (A - q * np.eye(3)) / s
-    r = np.clip(np.linalg.det(B) / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam1 = q + 2.0 * s * np.cos(phi)
-    lam3 = q + 2.0 * s * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-    return np.sort(np.array([lam1, lam2, lam3]))
-
-
-def dmatrix_from_entries(entries: np.ndarray, kappa: float = float("nan"),
-                         L: float = float("nan")) -> DMatrix:
+def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
     entries = np.asarray(entries, dtype=float)
-    lam = symmetric_3x3_eigenvalues(entries)
     return DMatrix(entries=entries, det=float(np.linalg.det(entries)),
-                   n_negative=int(np.sum(lam < 0.0)), kappa=kappa, L=L)
+                   n_negative=int(np.sum(np.linalg.eigvalsh(entries) < 0.0)))
 
 
 def assemble_dmatrix(p: WaveParams, rel_tol: float = 1e-12) -> DMatrix:
@@ -448,7 +407,7 @@ def assemble_dmatrix(p: WaveParams, rel_tol: float = 1e-12) -> DMatrix:
     D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
     D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
-    d = dmatrix_from_entries(D, kappa=p.kappa, L=p.L)
+    d = replace(dmatrix_from_entries(D), A=A)
     norm = float(np.linalg.norm(D))
     if abs(d.det) <= 1e-12 * norm**3:
         raise DegenerateDMatrixError(

@@ -1,6 +1,6 @@
 """Fourier-collocation operators and their spectra.
 
-Dense matrices for L+, L-, the 2x2 block operator H, and the linearized
+Dense matrices for L+, the 2x2 block operator H on L-, and the linearized
 evolution generator dH = diag(d/dxi) H. Each operator is decomposed once and
 every consumer reads that decomposition: one `eigh` of L+ and one of H give
 their Morse counts and kernel alignments; one `eig` of dH gives the spectrum,
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waves import WaveParams, eval_profile, eval_profile_derivatives
+from .waves import WaveParams, eval_profile_derivatives
 
 __all__ = [
     "OperatorMatrix",
@@ -27,7 +27,6 @@ __all__ = [
     "assemble",
     "assemble_operator",
     "morse_index",
-    "kernel_vector",
     "kernel_alignment",
     "unstable_modes",
     "unstable_eigenmode",
@@ -35,8 +34,14 @@ __all__ = [
     "dmatrix_via_collocation",
 ]
 
-OPERATOR_KINDS = ("Lplus", "Lminus", "Hcal", "dHcal")
-SYMMETRIC_KINDS = ("Lplus", "Lminus", "Hcal")
+OPERATOR_KINDS = ("Lplus", "Hcal", "dHcal")
+SYMMETRIC_KINDS = ("Lplus", "Hcal")
+
+# An eigenvalue is unstable when its real part exceeds RE_TOL, and the upper
+# member of its pair when its imaginary part does. It is real (imaginary) when
+# its imaginary (real) part is at most CLASS_TOL * max(1, |lambda|).
+RE_TOL = 1e-6
+CLASS_TOL = 1e-7
 
 # Dimension of the zero cluster of the discretized dHcal: the 4-dimensional
 # generalized kernel (e1, e2, the kernel pair (psi', phi'), and the e3 chain)
@@ -55,9 +60,7 @@ class EigensolveError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     kind: str
-    size: int
     matrix: np.ndarray
-    params: WaveParams | None
     c: float = 1.0
 
 
@@ -89,13 +92,17 @@ def _operator(kind: str, D1: np.ndarray, D2: np.ndarray, c: float, psi: np.ndarr
     if kind == "Lplus":
         return _schrodinger(D2, c, 1.5 * psi**2 / c)
     Lm = _schrodinger(D2, c, 0.5 * psi**2 / c)
-    if kind == "Lminus":
-        return Lm
     if kind == "Hcal":
         return np.block([[Lm, -np.diag(psi)], [-np.diag(psi), c * np.eye(psi.size)]])
     # dHcal = diag(D1, D1) @ Hcal, formed block by block
     off = -D1 * psi
     return np.block([[D1 @ Lm, off], [off, c * D1]])
+
+
+def _grid(p: WaveParams, N: int):
+    """(psi, psi') of the wave p on the N-point grid x_j = j L / N."""
+    psi, dpsi, _ = eval_profile_derivatives(p, np.arange(N) * (p.L / N))
+    return psi, dpsi
 
 
 def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> OperatorMatrix:
@@ -104,17 +111,14 @@ def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> Operato
         raise ValueError(f"unknown operator kind {kind!r}")
     psi = np.asarray(psi, dtype=float)
     A = _operator(kind, *_fourier_diff_matrices(psi.size, L), c, psi)
-    return OperatorMatrix(kind=kind, size=A.shape[0], matrix=A, params=None, c=float(c))
+    return OperatorMatrix(kind=kind, matrix=A, c=float(c))
 
 
 def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     """Collocation matrix for the wave profile of p on an N-point grid."""
     if N < 128:
         raise ValueError(f"N must be >= 128 (got {N})")
-    x = np.arange(N) * (p.L / N)
-    psi, _ = eval_profile(p, x)
-    op = assemble_operator(kind, p.L, p.c, psi)
-    return OperatorMatrix(kind=kind, size=op.size, matrix=op.matrix, params=p, c=op.c)
+    return assemble_operator(kind, p.L, p.c, _grid(p, N)[0])
 
 
 def _eigh(A: np.ndarray):
@@ -125,9 +129,8 @@ def _eigh(A: np.ndarray):
         raise EigensolveError(str(exc)) from exc
 
 
-def _morse_counts(lam: np.ndarray, c: float, zero_tol: float | None = None):
-    if zero_tol is None:
-        zero_tol = 1e-6 * max(1.0, abs(c))
+def _morse_counts(lam: np.ndarray, c: float):
+    zero_tol = 1e-6 * max(1.0, abs(c))
     return int(np.sum(lam < -zero_tol)), int(np.sum(np.abs(lam) <= zero_tol))
 
 
@@ -137,10 +140,10 @@ def _kernel_overlap(lam: np.ndarray, vec: np.ndarray, reference: np.ndarray) -> 
     return float(abs(v @ r) / (np.linalg.norm(v) * np.linalg.norm(r)))
 
 
-def morse_index(m: OperatorMatrix, zero_tol: float | None = None):
+def morse_index(m: OperatorMatrix):
     """(n_negative, n_zero) of a symmetric operator matrix.
 
-    Default zero_tol is 1e-6 times the operator's physical scale max(1, |c|):
+    The zero tolerance is 1e-6 times the operator's physical scale max(1, |c|):
     the kernel eigenvalue sits at the eigensolver noise floor (eps times the
     spectral radius, <= 1e-8 here) while the smallest genuinely nonzero
     eigenvalues are >= 1e-4 c across the sweep range, so the split is robust.
@@ -149,13 +152,7 @@ def morse_index(m: OperatorMatrix, zero_tol: float | None = None):
     """
     if m.kind not in SYMMETRIC_KINDS:
         raise ValueError(f"morse_index requires a symmetric kind, got {m.kind!r}")
-    return _morse_counts(_eigh(m.matrix)[0], m.c, zero_tol)
-
-
-def kernel_vector(m: OperatorMatrix) -> np.ndarray:
-    """Eigenvector of the smallest-|eigenvalue| mode of a symmetric operator."""
-    lam, vec = _eigh(m.matrix)
-    return vec[:, int(np.argmin(np.abs(lam)))]
+    return _morse_counts(_eigh(m.matrix)[0], m.c)
 
 
 def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
@@ -188,9 +185,8 @@ def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
     quadrature; shares nothing with the quadrature pipeline except the wave
     profile itself.
     """
-    x = np.arange(N) * (p.L / N)
-    psi, phi = eval_profile(p, x)
-    dpsi = eval_profile_derivatives(p, x)[1]
+    psi, dpsi = _grid(p, N)
+    phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
     H = assemble_operator("Hcal", p.L, p.c, psi).matrix
     k = np.concatenate([dpsi, psi * dpsi / p.c])[:, None]
     k /= np.linalg.norm(k)
@@ -234,19 +230,12 @@ class SpectrumReport:
         return self.n_H[0] - n_D
 
 
-def _classify(eigs: np.ndarray, scale_tol: float):
+def _classify(eigs: np.ndarray):
     """Split eigenvalues into real / imaginary / quadruplet classes."""
-    real_mask = np.abs(eigs.imag) <= scale_tol * np.maximum(1.0, np.abs(eigs))
-    imag_mask = (~real_mask) & (np.abs(eigs.real) <= scale_tol * np.maximum(1.0, np.abs(eigs)))
+    real_mask = np.abs(eigs.imag) <= CLASS_TOL * np.maximum(1.0, np.abs(eigs))
+    imag_mask = (~real_mask) & (np.abs(eigs.real) <= CLASS_TOL * np.maximum(1.0, np.abs(eigs)))
     quad_mask = ~(real_mask | imag_mask)
     return real_mask, imag_mask, quad_mask
-
-
-def _grid(p: WaveParams, N: int):
-    """(psi, psi', D1, D2) for the wave p on the N-point grid."""
-    x = np.arange(N) * (p.L / N)
-    psi, dpsi, _ = eval_profile_derivatives(p, x)
-    return psi, dpsi, *_fourier_diff_matrices(N, p.L)
 
 
 def _nonzero_spectrum(dH: np.ndarray):
@@ -304,8 +293,7 @@ def _partner_gaps(eigs: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def unstable_modes(p: WaveParams, N: int = 256, re_tol: float = 1e-6,
-                   class_tol: float = 1e-7) -> SpectrumReport:
+def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """Full eigensolve of dHcal with symmetry classification and Krein signs.
 
     The ZERO_CLUSTER_SIZE smallest-|lambda| eigenvalues form the generalized
@@ -313,17 +301,18 @@ def unstable_modes(p: WaveParams, N: int = 256, re_tol: float = 1e-6,
     their Jordan-splitting noise would otherwise contaminate k_r. A separation
     factor between the cluster and the first genuine mode is asserted.
     """
-    psi, dpsi, D1, D2 = _grid(p, N)
+    psi, dpsi = _grid(p, N)
+    D1, D2 = _fourier_diff_matrices(N, p.L)
     H = _operator("Hcal", D1, D2, p.c, psi)
     eigvals, eigvecs, keep, cluster = _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))
     eigs = eigvals[keep]
 
-    real_mask, imag_mask, quad_mask = _classify(eigs, class_tol)
-    k_r = int(np.sum(real_mask & (eigs.real > re_tol)))
-    k_c = int(np.sum(quad_mask & (eigs.real > re_tol) & (eigs.imag > re_tol)))
+    real_mask, imag_mask, quad_mask = _classify(eigs)
+    k_r = int(np.sum(real_mask & (eigs.real > RE_TOL)))
+    k_c = int(np.sum(quad_mask & (eigs.real > RE_TOL) & (eigs.imag > RE_TOL)))
 
     # Krein signature of each purely imaginary pair with Im > 0
-    pairs = np.where(imag_mask & (eigs.imag > re_tol))[0]
+    pairs = np.where(imag_mask & (eigs.imag > RE_TOL))[0]
     signs = _krein_signs(H, eigvecs, keep[pairs])
     del eigvecs  # 2N x 2N complex: free it before the two eigh calls
     krein_signs = [(float(mu), int(sign)) for mu, sign in zip(eigs.imag[pairs], signs)]
@@ -332,7 +321,7 @@ def unstable_modes(p: WaveParams, N: int = 256, re_tol: float = 1e-6,
     Lp = _operator("Lplus", D1, D2, p.c, psi)
     lam_lp, vec_lp = _eigh(Lp)
     lam_h, vec_h = _eigh(H)
-    reals = eigs.real[real_mask & (eigs.real > re_tol)]
+    reals = eigs.real[real_mask & (eigs.real > RE_TOL)]
 
     return SpectrumReport(
         params=p, N=N, eigenvalues=eigs, zero_cluster=cluster,
@@ -350,27 +339,27 @@ class NoUnstableModeError(RuntimeError):
 
 def _dhcal_spectrum(p: WaveParams, N: int):
     """(eigvals, eigvecs, keep) of dHcal for the wave p; see _nonzero_spectrum."""
-    psi, _, D1, D2 = _grid(p, N)
-    return _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))[:3]
+    psi, _ = _grid(p, N)
+    return _nonzero_spectrum(_operator("dHcal", *_fourier_diff_matrices(N, p.L), p.c, psi))[:3]
 
 
-def unstable_eigenmode(p: WaveParams, N: int = 256, re_tol: float = 1e-6):
+def unstable_eigenmode(p: WaveParams, N: int = 256):
     """(lambda, U, V) for the most unstable mode, if one exists.
 
     Raises NoUnstableModeError when the spectrum (zero cluster excluded) has
-    no eigenvalue with real part above re_tol -- which is the measured state
+    no eigenvalue with real part above RE_TOL -- which is the measured state
     of affairs for this wave family; see NOTES.md.
     """
     eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
     eigs = eigvals[keep]
     idx = int(np.argmax(eigs.real))
-    if eigs.real[idx] <= re_tol:
+    if eigs.real[idx] <= RE_TOL:
         raise NoUnstableModeError(
-            f"max Re lambda = {eigs.real[idx]:.3e} <= {re_tol}: spectrum is stable"
+            f"max Re lambda = {eigs.real[idx]:.3e} <= {RE_TOL}: spectrum is stable"
         )
     lam = eigs[idx]
     v = eigvecs[:, keep[idx]]
-    if abs(lam.imag) <= 1e-7 * max(1.0, abs(lam)):
+    if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
     return lam, v[:N], v[N:]

@@ -90,7 +90,7 @@ def test_criterion_03_kernel_companion_condition():
     for kappa in KAPPA_SWEEP:
         p = params_from_kappa(1.0, kappa)
         worst_a2 = max(worst_a2, a_integrals(p).A2)
-    table = build_varphi(params_from_kappa(1.0, 0.5), 1024)
+    table = build_varphi(params_from_kappa(1.0, 0.5))
     gap = non_periodicity_gap(table)
     gap_ratio = abs(gap) / abs(table.varphi_0)
     ok = worst_a2 < 0.0 and gap_ratio > 1e-6

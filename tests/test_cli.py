@@ -126,6 +126,35 @@ class TestDMatrixSweep:
             assert int(row["n_D"]) == 1
             assert float(row["A2"]) < 0
 
+    def test_quadratures_computed_once_per_row(self, tmp_path, monkeypatch):
+        from dswlab import index_engine
+
+        calls = []
+        a_integrals = index_engine.a_integrals
+        monkeypatch.setattr(index_engine, "a_integrals",
+                            lambda *a, **k: calls.append(a) or a_integrals(*a, **k))
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.3,0.6",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 2
+
+    def test_degenerate_row_keeps_its_quadratures(self, tmp_path, monkeypatch):
+        from dswlab import index_engine, params_from_kappa
+
+        def degenerate(p):
+            raise index_engine.DegenerateDMatrixError("det D = 0")
+
+        monkeypatch.setattr(index_engine, "assemble_dmatrix", degenerate)
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.5",
+                     "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        row = dict(zip(cols, rows[0]))
+        assert row["status"] == "degenerate"
+        assert (row["n_D"], row["k_ham"], row["det"]) == ("-1", "-1", "nan")
+        A = index_engine.a_integrals(params_from_kappa(1.0, 0.5))
+        assert [row[f"A{i}"] for i in range(1, 7)] == [repr(float(a)) for a in A]
+
 
 class TestSpectrum:
     def test_summary_counts(self, tmp_path):

@@ -144,7 +144,6 @@ class TestClosedFormTheta:
         theta = floquet_constant(params_from_kappa(2.0, kappa)).theta
         assert abs(theta - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
     @pytest.mark.parametrize("L,kappa", [(2.0, 0.1), (3.0, 0.3), (10.0, 0.4), (4.0, 0.7)])
     def test_ivp_oracle_agrees(self, L, kappa):
         p = params_from_kappa(L, kappa)
@@ -194,13 +193,13 @@ class TestInertialIndex:
         assert inertial_index_from_theta(sol) == morse_index(assemble("Lplus", wave_2_03, 256))
 
     def test_negative_theta_branch(self, wave_2_03):
-        fake = HillSolution(params=wave_2_03, q_final=1.0, q_prime_final=-1.0,
-                            p_prime_0=1.0, theta=-1.0, wronskian_drift=0.0)
+        fake = HillSolution(params=wave_2_03, q_prime_final=-1.0, p_prime_0=1.0, theta=-1.0,
+                            wronskian_drift=0.0)
         assert inertial_index_from_theta(fake) == (2, 1)
 
     def test_degenerate_theta_refused(self, wave_2_03):
-        fake = HillSolution(params=wave_2_03, q_final=1.0, q_prime_final=0.0,
-                            p_prime_0=1.0, theta=5e-11, wronskian_drift=0.0)
+        fake = HillSolution(params=wave_2_03, q_prime_final=0.0, p_prime_0=1.0, theta=5e-11,
+                            wronskian_drift=0.0)
         with pytest.raises(DegenerateThetaError):
             inertial_index_from_theta(fake)
         with pytest.raises(DegenerateThetaError):
