@@ -9,7 +9,9 @@ theta != 0 makes the zero eigenvalue simple.
 q and the second kernel element varphi of the quadrature pipeline are both
 even solutions of L+ y = 0, which gives theta in closed form, theta = -L A2/K
 (`floquet_constant`); this is the production route. `integrate_hill_ivp`
-integrates the companion IVP instead and is kept as the independent oracle.
+integrates the companion IVP instead and is kept as the independent oracle:
+it carries sn, cn, dn along as solutions of their own ODEs, so no stage of
+the integration evaluates an elliptic function.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .index_engine import a_integrals
-from .waves import WaveParams, eval_profile
+from .waves import WaveParams
 
 __all__ = [
     "HillSolution",
@@ -99,20 +101,18 @@ def p_eigenfunction_prime(p: WaveParams, xi):
     return p.alpha * core
 
 
-def hill_potential(p: WaveParams, xi):
-    """The Hill potential Q(xi) = c - 3 psi^2/(2c) so that L+ = -d^2 + Q."""
-    psi, _ = eval_profile(p, xi)
-    return p.c - 1.5 * psi**2 / p.c
-
-
 def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     """Integrate -q'' + (c - 3 psi^2/(2c)) q = 0 over [0, L], q(0)=1/p'(0), q'(0)=0.
 
-    The potential is evaluated from the elliptic closed form at every stage.
-    The Wronskian q p' - q' p equals 1 at xi = 0 by construction and is
-    constant along the flow; its maximal drift over 33 sample points is
-    reported as an integration quality measure. The independent oracle for
-    floquet_constant.
+    The state is (q, q', sn, cn, dn), with sn, cn, dn of u = alpha xi
+    integrated from (0, 1, 1) by their own ODEs d/du (sn, cn, dn) =
+    (cn dn, -sn dn, -kappa^2 sn cn) (DLMF 22.13); the potential is formed from
+    them through psi = eta4 dn^2 / (1 + beta^2 sn^2). A right-hand side is a
+    few float operations and calls nothing of the elliptic module. The
+    Wronskian q p' - q' p equals 1 at xi = 0 by construction and is constant
+    along the flow; its maximal drift over 33 sample points, against the
+    closed-form p and p', is reported as an integration quality measure. The
+    independent oracle for floquet_constant.
 
     tol is the absolute tolerance and the relative one, except that DOP853
     takes no rtol below 100 eps ~ 2.2e-14: below that floor tol acts through
@@ -123,11 +123,15 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     _check_tol(tol)
 
     p_prime_0 = p.alpha  # = 2K/L = 1/(2 a sqrt(c))
+    alpha, k2, b2, eta4, c = p.alpha, p.kappa**2, p.beta_sq, p.eta4, p.c
 
     def rhs(xi, y):
-        return [y[1], hill_potential(p, xi) * y[0]]
+        q, dq, sn, cn, dn = y.tolist()
+        psi = eta4 * dn * dn / (1.0 + b2 * sn * sn)
+        return [dq, (c - 1.5 * psi * psi / c) * q,
+                alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
 
-    sol = solve_ivp(rhs, (0.0, p.L), [1.0 / p_prime_0, 0.0], method="DOP853",
+    sol = solve_ivp(rhs, (0.0, p.L), [1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], method="DOP853",
                     rtol=max(tol, 100 * np.finfo(float).eps), atol=tol, dense_output=True)
     if not sol.success:
         raise IntegrationFailureError(f"Hill IVP integration failed: {sol.message}")

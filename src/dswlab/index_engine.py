@@ -253,19 +253,29 @@ def varphi_pairings(p: WaveParams, A: AIntegrals | None = None):
 # ---------------------------------------------------------------------------
 # boundary data at L/2 (closed forms)
 
-def half_period_data(p: WaveParams, A: AIntegrals | None = None):
-    """(psi(L/2), psi''(L/2), varphi'(L/2)) from closed forms.
+def _psi_half(p: WaveParams):
+    """(psi(L/2), psi''(L/2)) from closed forms.
 
     psi(L/2) = eta4 (1-kappa^2)/(1+beta^2) = eta3; psi''(L/2) simplifies to
     2 alpha^2 eta4 (1-kappa^2)(kappa^2+beta^2)/(1+beta^2)^2 (equivalently the
-    profile ODE at the trough); varphi'(L/2) carries the A2 quadrature.
+    profile ODE at the trough).
+    """
+    k2 = p.kappa**2
+    b2 = p.beta_sq
+    psi_h = p.eta4 * (1.0 - k2) / (1.0 + b2)
+    psi_pp_h = 2.0 * p.alpha**2 * p.eta4 * (1.0 - k2) * (k2 + b2) / (1.0 + b2) ** 2
+    return psi_h, psi_pp_h
+
+
+def half_period_data(p: WaveParams, A: AIntegrals | None = None):
+    """(psi(L/2), psi''(L/2), varphi'(L/2)) from closed forms; varphi'(L/2)
+    carries the A2 quadrature.
     """
     if A is None:
         A = a_integrals(p)
     k2 = p.kappa**2
     b2 = p.beta_sq
-    psi_h = p.eta4 * (1.0 - k2) / (1.0 + b2)
-    psi_pp_h = 2.0 * p.alpha**2 * p.eta4 * (1.0 - k2) * (k2 + b2) / (1.0 + b2) ** 2
+    psi_h, psi_pp_h = _psi_half(p)
     varphi_p_h = p.L * (1.0 - k2) * A.A2 / (4.0 * p.eta4 * p.K * (k2 + b2) * (1.0 + b2) ** 2)
     return psi_h, psi_pp_h, varphi_p_h
 
@@ -278,8 +288,9 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     out(x) = psi'(x) int_0^x varphi f - varphi(x) int_0^x psi' f + C_f varphi(x),
     C_f = int_0^{L/2} psi' f - (psi''(L/2) / (2 varphi'(L/2))) <varphi, f>,
-    with <varphi, f> the even-periodized pairing. This C_f makes the output
-    L-periodic with matching one-sided derivatives, hence in the domain of L+.
+    with <varphi, f> the even-periodized pairing and varphi'(L/2) read from t.
+    This C_f makes the output L-periodic with matching one-sided derivatives,
+    hence in the domain of L+.
 
     Inputs are symmetrized; an asymmetry above 1e-8 (relative sup norm) is a
     hard error.
@@ -313,9 +324,9 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     F_vf = CubicSpline(xf, varphi_f * f_fine).antiderivative()
     F_pf = CubicSpline(xf, dpsi_f * f_fine).antiderivative()
 
-    psi_h, psi_pp_h, varphi_p_h = half_period_data(p)
+    _, psi_pp_h = _psi_half(p)
     pair = 2.0 * float(F_vf(0.5 * p.L))
-    C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * varphi_p_h) * pair
+    C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * t.varphi_half_prime) * pair
 
     x = f.x
     varphi_x, _ = _varphi_eval(p, t._G, x)

@@ -90,11 +90,15 @@ class TestHillIVP:
         # q(xi + L) = q(xi) + theta p(xi): integrate over two periods and compare
         from scipy.integrate import solve_ivp
 
-        from dswlab.hill import hill_potential
+        from dswlab.waves import eval_profile
 
         p = wave_2_03
-        sol2 = solve_ivp(lambda x, y: [y[1], hill_potential(p, x) * y[0]],
-                         (0.0, 2 * p.L), [1.0 / p.alpha, 0.0], method="DOP853",
+
+        def rhs(x, y):
+            psi, _ = eval_profile(p, x)
+            return [y[1], (p.c - 1.5 * psi**2 / p.c) * y[0]]
+
+        sol2 = solve_ivp(rhs, (0.0, 2 * p.L), [1.0 / p.alpha, 0.0], method="DOP853",
                          rtol=1e-12, atol=1e-14, dense_output=True)
         theta = integrate_hill_ivp(p).theta
         ss = np.linspace(0.0, p.L, 9)
@@ -105,6 +109,32 @@ class TestHillIVP:
     def test_invalid_tolerance(self, wave_2_03):
         with pytest.raises(ValueError):
             integrate_hill_ivp(wave_2_03, tol=1e-3)
+
+    @pytest.mark.parametrize("L,kappa", [(0.5, 0.05), (50.0, 0.05), (0.5, 0.95), (50.0, 0.95)])
+    def test_sweep_corners(self, L, kappa):
+        # the corners of the benchmark's quadrature sweep, with its two IVP gates
+        p = params_from_kappa(L, kappa)
+        sol = integrate_hill_ivp(p)
+        assert sol.theta == pytest.approx(floquet_constant(p).theta, rel=1e-6)
+        assert sol.wronskian_drift <= 1e-8
+
+    def test_no_jacobi_call_per_stage(self, wave_2_03, monkeypatch):
+        # sn, cn, dn are integrated with q; only the Wronskian check evaluates
+        # the closed-form p and p', one array call each
+        from dswlab import elliptic, waves
+
+        calls = []
+        original = elliptic.jacobi_sn_cn_dn
+
+        def counting(u, kappa):
+            calls.append(np.ndim(u))
+            return original(u, kappa)
+
+        monkeypatch.setattr(elliptic, "jacobi_sn_cn_dn", counting)
+        monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
+        integrate_hill_ivp(wave_2_03)
+        assert len(calls) <= 2
+        assert 0 not in calls
 
     def test_q_prime_independent_of_period(self):
         # the Hill IVP is scale free in L, so q'(L) depends only on kappa

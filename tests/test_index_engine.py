@@ -174,6 +174,16 @@ class TestHalfPeriodData:
 
 
 class TestLinvApply:
+    def test_runs_no_quadrature(self, wave_1_05, varphi_1_05, monkeypatch):
+        # varphi'(L/2) comes from the table, psi''(L/2) from its closed form
+        import dswlab.index_engine as ie
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linv_apply ran an adaptive quadrature")
+
+        monkeypatch.setattr(ie, "gauss_legendre_adaptive", refuse)
+        linv_apply(wave_1_05, varphi_1_05, GridFunction(wave_1_05.L, np.ones(256)))
+
     def test_forward_operator_recovers_input(self, wave_1_05, varphi_1_05):
         p, t = wave_1_05, varphi_1_05
         N = 2048
