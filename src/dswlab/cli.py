@@ -119,8 +119,7 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_dmatrix_sweep(args) -> int:
-    from .index_engine import (DegenerateDMatrixError, a_integrals, assemble_dmatrix,
-                               hamiltonian_index)
+    from .index_engine import DegenerateDMatrixError, assemble_dmatrix, hamiltonian_index
 
     kappas = _sweep_values(args)
     header = _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas))
@@ -128,17 +127,15 @@ def cmd_dmatrix_sweep(args) -> int:
             "A1", "A2", "A3", "A4", "A5", "A6", "status"]
 
     def run(kappa):
-        p = params_from_kappa(args.L, kappa)
+        d = assemble_dmatrix(params_from_kappa(args.L, kappa))
         try:
-            d = assemble_dmatrix(p)
             k_ham, n_d = hamiltonian_index(d)
-            e = d.entries
-            return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
-                    d.det, n_d, k_ham, *d.A, "ok")
         except DegenerateDMatrixError:
             nan = float("nan")
-            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *a_integrals(p),
-                    "degenerate")
+            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *d.A, "degenerate")
+        e = d.entries
+        return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
+                d.det, n_d, k_ham, *d.A, "ok")
 
     _write_csv(args.out, header, cols, [run(kappa) for kappa in kappas])
     return 0
@@ -146,7 +143,7 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import CLASS_TOL, EigensolveError, unstable_modes
+    from .spectra import EigensolveError, unstable_modes
 
     p = _resolve_wave(args)
     try:
@@ -166,19 +163,9 @@ def cmd_spectrum(args) -> int:
         f"lambda_max_real={_fmt(rep.lambda_max_real)} symmetry_residual={_fmt(rep.symmetry_residual)}",
         f"zero_cluster_abs_max={_fmt(float(np.max(np.abs(rep.zero_cluster))))}",
     ]
-    krein_by_mu = dict((round(mu, 9), sgn) for mu, sgn in rep.krein_signs)
     eigs = rep.eigenvalues
-    rows = []
-    for i in np.lexsort((eigs.real, np.abs(eigs.imag))):  # by |Im|, then Re
-        lam = eigs[i]
-        if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):
-            cls = "real"
-        elif abs(lam.real) <= CLASS_TOL * max(1.0, abs(lam)):
-            cls = "imaginary"
-        else:
-            cls = "quadruplet"
-        krein = krein_by_mu.get(round(lam.imag, 9), 0) if cls == "imaginary" else 0
-        rows.append((lam.real, lam.imag, cls, krein, float(rep.partner_gaps[i])))
+    rows = [(eigs[i].real, eigs[i].imag, rep.classes[i], rep.krein[i], rep.partner_gaps[i])
+            for i in np.lexsort((eigs.real, np.abs(eigs.imag)))]  # by |Im|, then Re
     _write_csv(args.out, header, ["re", "im", "class", "krein_sign", "symmetry_residual"], rows)
     return 0
 

@@ -112,7 +112,11 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     Wronskian q p' - q' p equals 1 at xi = 0 by construction and is constant
     along the flow; its maximal drift over 33 sample points, against the
     closed-form p and p', is reported as an integration quality measure. The
-    independent oracle for floquet_constant.
+    drift is absolute, so it scales with |q|: toward kappa -> 1, |q| reaches
+    8.4e5 at (L, kappa) = (2, 0.999) and the drift 4.8e-6, still ~1.6e-12 of
+    max(|q p'| + |q' p|), while theta stays within 2e-12 relative of
+    floquet_constant.
+    The independent oracle for floquet_constant.
 
     tol is the absolute tolerance and the relative one, except that DOP853
     takes no rtol below 100 eps ~ 2.2e-14: below that floor tol acts through

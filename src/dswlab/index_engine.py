@@ -4,7 +4,12 @@ Builds the non-periodic second kernel element varphi of L+, evaluates the six
 elliptic quadratures A1..A6, applies the even inverse of L+ through the
 variation-of-parameters formula, assembles the 3x3 matrix D of pairings
 <H e_i, e_j> over the generalized kernel, and reports the index count
-k_Ham = 2 - n(D).
+k_Ham = 2 - n(D), refusing a numerically singular D.
+
+The quadratures over one quarter period come in two families, A1..A6 and the
+psi moments. Each family is one adaptive Gauss-Legendre pass over its stacked
+integrands, so sn, cn, dn are evaluated once per panel level and family, and
+one D costs two passes.
 
 Conventions that matter (they are easy to get wrong):
 
@@ -78,10 +83,16 @@ def gauss_legendre_adaptive(f: Callable, a: float, b: float,
     """Composite 16-point Gauss-Legendre, doubling the panel count until two
     successive values agree to rel_tol (plus a small absolute floor).
 
-    Raises QuadratureNotConvergedError when no two successive values within
-    max_panels panels agree.
+    f maps the node array to one row of values, or to a stack of rows, one per
+    integrand, so that quantities sharing an expensive factor evaluate it once
+    per level. Each row keeps the value of the level at which it converged,
+    which is the value a one-row call on it returns, and the loop runs until
+    every row has. One row gives a float, a stack a tuple of floats.
+
+    Raises QuadratureNotConvergedError, naming the rows, when some row has no
+    two successive values within max_panels panels that agree.
     """
-    prev = None
+    prev, done = None, []
     panels = 4
     while panels <= max_panels:
         edges = np.linspace(a, b, panels + 1)
@@ -89,14 +100,23 @@ def gauss_legendre_adaptive(f: Callable, a: float, b: float,
         half = 0.5 * (edges[1] - edges[0])
         pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
         vals = np.asarray(f(pts))
-        total = half * float(np.sum(vals.reshape(panels, -1) @ _GL_WEIGHTS))
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300) + 1e-15:
-            return total
-        prev = total
+        rows = vals.reshape(-1, pts.size)
+        totals = [half * float(np.sum(row.reshape(panels, -1) @ _GL_WEIGHTS)) for row in rows]
+        if prev is None:
+            done = [None] * len(totals)
+        else:
+            for i, (total, last) in enumerate(zip(totals, prev)):
+                if done[i] is None and abs(total - last) <= rel_tol * max(abs(total), 1e-300) + 1e-15:
+                    done[i] = total
+            if None not in done:
+                return done[0] if vals.ndim == 1 else tuple(done)
+        prev = totals
         panels *= 2
+    failed = [i for i, value in enumerate(done) if value is None]
     raise QuadratureNotConvergedError(
         f"integral over [{a}, {b}] not converged to rel_tol={rel_tol} within "
-        f"max_panels={max_panels} (last value {prev!r})")
+        f"max_panels={max_panels}: row(s) {failed} of {len(done)} "
+        f"(last values {[float(prev[i]) for i in failed]!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -193,52 +213,32 @@ class AIntegrals(NamedTuple):
 def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
     """The six quadratures over [0, K(kappa)] entering the pairing closed forms.
 
-    A2's integrand is varphi's inner integrand; A5 is the same integrand and is
-    evaluated once. A4 carries a single power of (1 + beta^2 sn^2); see the A4
+    One adaptive pass over the stacked integrands of A1, A2, A3, A4 and A6,
+    with one Jacobi evaluation per level. A2's integrand is varphi's inner
+    integrand, formed by the same operations as _inner_integrand; A5 is the
+    same integral. A4 carries a single power of (1 + beta^2 sn^2); see the A4
     note in NOTES.md.
     """
-    k2 = p.kappa**2
     b2 = p.beta_sq
-    k2b2 = k2 + b2
+    k2b2 = p.kappa**2 + b2
 
-    def terms(u):
+    def integrands(u):
         sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
         B = 1.0 + b2 * sn * sn
         w = 1.0 - 2.0 * sn * sn
         f = 3.0 * k2b2 + 5.0 * b2 * dn * dn
-        return B, w, f, dn
+        return (B * B * w / dn**2, B**3 * f * w / dn**4, B * B * f * w / dn**2,
+                B * w, B * f * w)
 
-    def f1(u):
-        B, w, _, dn = terms(u)
-        return B * B * w / dn**2
-
-    def f3(u):
-        B, w, f, dn = terms(u)
-        return B * B * f * w / dn**2
-
-    def f4(u):
-        B, w, _, _ = terms(u)
-        return B * w
-
-    def f6(u):
-        B, w, f, _ = terms(u)
-        return B * f * w
-
-    A1 = gauss_legendre_adaptive(f1, 0.0, p.K, rel_tol)
-    A2 = gauss_legendre_adaptive(lambda u: _inner_integrand(p, u), 0.0, p.K, rel_tol)
-    A3 = gauss_legendre_adaptive(f3, 0.0, p.K, rel_tol)
-    A4 = gauss_legendre_adaptive(f4, 0.0, p.K, rel_tol)
-    A6 = gauss_legendre_adaptive(f6, 0.0, p.K, rel_tol)
+    A1, A2, A3, A4, A6 = gauss_legendre_adaptive(integrands, 0.0, p.K, rel_tol)
     return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
 
 
-def varphi_pairings(p: WaveParams, A: AIntegrals | None = None):
+def varphi_pairings(p: WaveParams, A: AIntegrals):
     """(<varphi, 1>, <varphi, psi>) from the closed A-integral combinations.
 
     Pairings use the even-periodized varphi: <varphi, h> = 2 int_0^{L/2} varphi h.
     """
-    if A is None:
-        A = a_integrals(p)
     k2 = p.kappa**2
     b2 = p.beta_sq
     k2b2 = k2 + b2
@@ -267,12 +267,10 @@ def _psi_half(p: WaveParams):
     return psi_h, psi_pp_h
 
 
-def half_period_data(p: WaveParams, A: AIntegrals | None = None):
+def half_period_data(p: WaveParams, A: AIntegrals):
     """(psi(L/2), psi''(L/2), varphi'(L/2)) from closed forms; varphi'(L/2)
     carries the A2 quadrature.
     """
-    if A is None:
-        A = a_integrals(p)
     k2 = p.kappa**2
     b2 = p.beta_sq
     psi_h, psi_pp_h = _psi_half(p)
@@ -349,17 +347,18 @@ def lplus_apply(p: WaveParams, g: GridFunction) -> np.ndarray:
 def psi_moments(p: WaveParams, rel_tol: float = 1e-12):
     """(int psi, int psi^2, int psi^3, int psi^4) over one period.
 
-    Closed elliptic forms: int psi^m = eta4^m L / K * int_0^K dn^{2m} / B^m du.
+    Closed elliptic forms: int psi^m = eta4^m L / K * int_0^K dn^{2m} / B^m du,
+    the four integrands stacked in one adaptive pass.
     """
     b2 = p.beta_sq
+    powers = (1, 2, 3, 4)
 
-    def moment(m):
-        def f(u):
-            sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-            return dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m
-        return p.eta4**m * p.L / p.K * gauss_legendre_adaptive(f, 0.0, p.K, rel_tol)
+    def integrands(u):
+        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+        return [dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m for m in powers]
 
-    return tuple(moment(m) for m in (1, 2, 3, 4))
+    moments = gauss_legendre_adaptive(integrands, 0.0, p.K, rel_tol)
+    return tuple(p.eta4**m * p.L / p.K * integral for m, integral in zip(powers, moments))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +366,8 @@ class DMatrix:
     """Symmetric 3x3 matrix of pairings <H e_i, e_j> with derived quantities.
 
     A holds the quadratures the matrix was assembled from (None for a matrix
-    given by its entries).
+    given by its entries). A D that is numerically singular is still
+    returned; hamiltonian_index refuses it.
     """
 
     entries: np.ndarray
@@ -418,13 +418,7 @@ def assemble_dmatrix(p: WaveParams, rel_tol: float = 1e-12) -> DMatrix:
     D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
     D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
-    d = replace(dmatrix_from_entries(D), A=A)
-    norm = float(np.linalg.norm(D))
-    if abs(d.det) <= 1e-12 * norm**3:
-        raise DegenerateDMatrixError(
-            f"det D = {d.det:.3e} below degeneracy threshold {1e-12 * norm**3:.3e}"
-        )
-    return d
+    return replace(dmatrix_from_entries(D), A=A)
 
 
 def hamiltonian_index(d: DMatrix):
@@ -436,9 +430,10 @@ def hamiltonian_index(d: DMatrix):
     is implemented as specified; consumers can rebuild the count with the
     measured n(H) via k_r + 2 k_c + 2 k_i^- = n(H) - n(D).
     """
-    norm = float(np.linalg.norm(d.entries))
-    if abs(d.det) <= 1e-12 * norm**3:
-        raise DegenerateDMatrixError(f"det D = {d.det:.3e} is numerically zero")
+    threshold = 1e-12 * float(np.linalg.norm(d.entries)) ** 3
+    if abs(d.det) <= threshold:
+        raise DegenerateDMatrixError(
+            f"det D = {d.det:.3e} below degeneracy threshold {threshold:.3e}")
     k_ham = 2 - d.n_negative
     if k_ham < 0:
         raise InconsistentIndexError(

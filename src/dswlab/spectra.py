@@ -14,7 +14,7 @@ H e = rhs, all found by one bordered solve against the analytic kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,11 +205,19 @@ def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Eigenvalue lists and index counts for the linearized evolution generator."""
+    """Eigenvalue lists and index counts for the linearized evolution generator.
+
+    classes, krein and partner_gaps are aligned with eigenvalues: each
+    eigenvalue's class ("real", "imaginary" or "quadruplet"), its Krein sign
+    (+-1 on the upper member Im > RE_TOL of an imaginary pair, 0 on every
+    other eigenvalue) and its distance to the nearest -lambda partner.
+    """
 
     params: WaveParams
     N: int
     eigenvalues: np.ndarray          # nonzero spectrum, zero cluster excluded
+    classes: np.ndarray
+    krein: np.ndarray
     zero_cluster: np.ndarray         # the ZERO_CLUSTER_SIZE smallest-|.| eigenvalues
     n_Lplus: tuple
     n_H: tuple
@@ -221,7 +229,6 @@ class SpectrumReport:
     lambda_max_real: float
     symmetry_residual: float         # max of partner_gaps
     partner_gaps: np.ndarray         # min_j |lambda_j + lambda_i| / max(1, |lambda_i|) per eigenvalue
-    krein_signs: list = field(default_factory=list)
 
     def count_identity_lhs(self) -> int:
         return self.k_r + 2 * self.k_c + 2 * self.krein_negative
@@ -230,12 +237,11 @@ class SpectrumReport:
         return self.n_H[0] - n_D
 
 
-def _classify(eigs: np.ndarray):
-    """Split eigenvalues into real / imaginary / quadruplet classes."""
-    real_mask = np.abs(eigs.imag) <= CLASS_TOL * np.maximum(1.0, np.abs(eigs))
-    imag_mask = (~real_mask) & (np.abs(eigs.real) <= CLASS_TOL * np.maximum(1.0, np.abs(eigs)))
-    quad_mask = ~(real_mask | imag_mask)
-    return real_mask, imag_mask, quad_mask
+def _classify(eigs: np.ndarray) -> np.ndarray:
+    """The class of each eigenvalue: "real", "imaginary" or "quadruplet"."""
+    tol = CLASS_TOL * np.maximum(1.0, np.abs(eigs))
+    return np.where(np.abs(eigs.imag) <= tol, "real",
+                    np.where(np.abs(eigs.real) <= tol, "imaginary", "quadruplet"))
 
 
 def _nonzero_spectrum(dH: np.ndarray):
@@ -307,15 +313,16 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     eigvals, eigvecs, keep, cluster = _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))
     eigs = eigvals[keep]
 
-    real_mask, imag_mask, quad_mask = _classify(eigs)
+    classes = _classify(eigs)
+    real_mask = classes == "real"
     k_r = int(np.sum(real_mask & (eigs.real > RE_TOL)))
-    k_c = int(np.sum(quad_mask & (eigs.real > RE_TOL) & (eigs.imag > RE_TOL)))
+    k_c = int(np.sum((classes == "quadruplet") & (eigs.real > RE_TOL) & (eigs.imag > RE_TOL)))
 
     # Krein signature of each purely imaginary pair with Im > 0
-    pairs = np.where(imag_mask & (eigs.imag > RE_TOL))[0]
-    signs = _krein_signs(H, eigvecs, keep[pairs])
+    pairs = np.where((classes == "imaginary") & (eigs.imag > RE_TOL))[0]
+    krein = np.zeros(eigs.size, dtype=int)
+    krein[pairs] = _krein_signs(H, eigvecs, keep[pairs])
     del eigvecs  # 2N x 2N complex: free it before the two eigh calls
-    krein_signs = [(float(mu), int(sign)) for mu, sign in zip(eigs.imag[pairs], signs)]
     gaps = _partner_gaps(eigs)
 
     Lp = _operator("Lplus", D1, D2, p.c, psi)
@@ -324,13 +331,13 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     reals = eigs.real[real_mask & (eigs.real > RE_TOL)]
 
     return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, zero_cluster=cluster,
+        params=p, N=N, eigenvalues=eigs, classes=classes, krein=krein, zero_cluster=cluster,
         n_Lplus=_morse_counts(lam_lp, p.c), n_H=_morse_counts(lam_h, p.c),
         kernel_overlap_Lplus=_kernel_overlap(lam_lp, vec_lp, dpsi),
         kernel_overlap_H=_kernel_overlap(lam_h, vec_h, np.concatenate([dpsi, psi * dpsi / p.c])),
-        k_r=k_r, k_c=k_c, krein_negative=int(np.sum(signs < 0)),
+        k_r=k_r, k_c=k_c, krein_negative=int(np.sum(krein < 0)),
         lambda_max_real=float(np.max(reals)) if reals.size else 0.0,
-        symmetry_residual=float(np.max(gaps)), partner_gaps=gaps, krein_signs=krein_signs)
+        symmetry_residual=float(np.max(gaps)), partner_gaps=gaps)
 
 
 class NoUnstableModeError(RuntimeError):
@@ -359,7 +366,7 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
         )
     lam = eigs[idx]
     v = eigvecs[:, keep[idx]]
-    if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):
+    if _classify(eigs)[idx] == "real":
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
     return lam, v[:N], v[N:]
@@ -373,7 +380,7 @@ def imaginary_eigenmode(p: WaveParams, N: int = 256):
     """
     eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
     eigs = eigvals[keep]
-    imag = np.where((np.abs(eigs.real) <= 1e-6 * np.abs(eigs)) & (eigs.imag > 0))[0]
+    imag = np.where((_classify(eigs) == "imaginary") & (eigs.imag > 0))[0]
     idx = imag[int(np.argmin(eigs.imag[imag]))]
     v = eigvecs[:, keep[idx]]
     return float(eigs.imag[idx]), v[:N], v[N:]

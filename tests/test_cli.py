@@ -141,10 +141,10 @@ class TestDMatrixSweep:
     def test_degenerate_row_keeps_its_quadratures(self, tmp_path, monkeypatch):
         from dswlab import index_engine, params_from_kappa
 
-        def degenerate(p):
+        def degenerate(d):
             raise index_engine.DegenerateDMatrixError("det D = 0")
 
-        monkeypatch.setattr(index_engine, "assemble_dmatrix", degenerate)
+        monkeypatch.setattr(index_engine, "hamiltonian_index", degenerate)
         out = tmp_path / "d.csv"
         assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.5",
                      "--out", str(out)]) == 0
@@ -170,6 +170,21 @@ class TestSpectrum:
         assert "count_identity_vs_formula=False" in text  # the 2-n(D) formula count disagrees
         sym = [float(dict(zip(cols, r))["symmetry_residual"]) for r in rows]
         assert max(sym) < 1e-7
+
+    def test_every_upper_imaginary_row_carries_its_krein_sign(self, tmp_path):
+        # |mu| reaches 6e7 here, where numpy and Python floats round to 9 decimals
+        # differently, so a sign lookup keyed by round(mu, 9) would miss rows
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "1", "--kappa", "0.9", "--N", "128",
+                     "--out", str(out)]) == 0
+        header, cols, rows = read_csv(out)
+        rows = [dict(zip(cols, r)) for r in rows]
+        upper = [r for r in rows if r["class"] == "imaginary" and float(r["im"]) > 1e-6]
+        assert len(upper) > 100 and max(float(r["im"]) for r in upper) > 1e6
+        assert all(r["krein_sign"] in ("1", "-1") for r in upper)
+        assert all(r["krein_sign"] == "0" for r in rows if r not in upper)
+        negative = sum(r["krein_sign"] == "-1" for r in upper)
+        assert f"k_i_minus={negative}" in "\n".join(header)
 
     def test_eigensolve_failure_exits_with_its_message(self, tmp_path, monkeypatch, capsys):
         from dswlab import spectra

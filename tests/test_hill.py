@@ -118,6 +118,13 @@ class TestHillIVP:
         assert sol.theta == pytest.approx(floquet_constant(p).theta, rel=1e-6)
         assert sol.wronskian_drift <= 1e-8
 
+    @pytest.mark.parametrize("L,kappa", [(0.5, 0.999), (2.0, 0.99), (50.0, 0.999)])
+    def test_theta_near_kappa_one(self, L, kappa):
+        # |q| grows toward kappa -> 1 (8.4e5 at (2, 0.999)), and the
+        # absolute Wronskian drift with it; theta stays accurate (worst 1.5e-12)
+        p = params_from_kappa(L, kappa)
+        assert integrate_hill_ivp(p).theta == pytest.approx(floquet_constant(p).theta, rel=1e-10)
+
     def test_no_jacobi_call_per_stage(self, wave_2_03, monkeypatch):
         # sn, cn, dn are integrated with q; only the Wronskian check evaluates
         # the closed-form p and p', one array call each

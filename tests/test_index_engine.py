@@ -31,6 +31,21 @@ def test_gauss_legendre_unconverged_raises():
     assert gauss_legendre_adaptive(smooth, 0.0, 1.0, max_panels=64) == pytest.approx(np.e - 1.0, rel=1e-14)
 
 
+def test_gauss_legendre_stack_names_the_unconverged_row():
+    stacked = lambda x: (np.exp(x), np.abs(x - 1.0 / 3.0), np.cos(x))
+    with pytest.raises(QuadratureNotConvergedError, match=r"row\(s\) \[1\] of 3"):
+        gauss_legendre_adaptive(stacked, 0.0, 1.0, max_panels=64)
+
+
+def test_gauss_legendre_stack_keeps_each_row_at_its_own_level():
+    # the rows converge at different levels; each keeps the value a one-row call gives
+    fs = [np.exp, lambda x: 1.0 / (1.01 - x), lambda x: np.sin(150 * x)]  # 2, 5, 3 levels
+    stacked = gauss_legendre_adaptive(lambda x: [f(x) for f in fs], 0.0, 1.0)
+    single = tuple(gauss_legendre_adaptive(f, 0.0, 1.0) for f in fs)
+    assert isinstance(single[0], float)
+    assert stacked == single
+
+
 class TestVarphi:
     def test_value_at_origin(self, wave_1_05, varphi_1_05):
         p = wave_1_05
@@ -112,6 +127,52 @@ class TestAIntegrals:
         A = a_integrals(wave_1_05)
         assert A.A5 == A.A2
 
+    @pytest.mark.parametrize("L", [0.5, 2.0, 50.0])
+    @pytest.mark.parametrize("kappa", [0.01, 0.3, 0.7, 0.95, 0.999])
+    def test_stacked_pass_equals_one_call_per_integrand(self, L, kappa):
+        # the separate one-row calls are the reference: same bits, row by row
+        from dswlab.elliptic import jacobi_sn_cn_dn
+
+        p = params_from_kappa(L, kappa)
+        b2 = p.beta_sq
+        k2b2 = p.kappa**2 + b2
+
+        def base(u):
+            sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+            return 1.0 + b2 * sn * sn, 1.0 - 2.0 * sn * sn, 3.0 * k2b2 + 5.0 * b2 * dn * dn, dn
+
+        rows = [lambda B, w, f, dn: B * B * w / dn**2, lambda B, w, f, dn: B**3 * f * w / dn**4,
+                lambda B, w, f, dn: B * B * f * w / dn**2, lambda B, w, f, dn: B * w,
+                lambda B, w, f, dn: B * f * w]
+        A1, A2, A3, A4, A6 = (gauss_legendre_adaptive(lambda u, g=g: g(*base(u)), 0.0, p.K)
+                              for g in rows)
+        assert a_integrals(p) == (A1, A2, A3, A4, A2, A6)
+
+        def moment(m):
+            def f(u):
+                sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+                return dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m
+            return p.eta4**m * p.L / p.K * gauss_legendre_adaptive(f, 0.0, p.K)
+
+        assert psi_moments(p) == tuple(moment(m) for m in (1, 2, 3, 4))
+
+    def test_dmatrix_takes_two_passes_of_one_jacobi_call_per_level(self, wave_1_05, monkeypatch):
+        import dswlab.index_engine as ie
+
+        passes, levels, jacobi = [], [], []
+        quad_once, jacobi_once = ie.gauss_legendre_adaptive, ie.jacobi_sn_cn_dn
+
+        def counted_quad(f, *args):
+            passes.append(f)
+            return quad_once(lambda u: levels.append(u.size) or f(u), *args)
+
+        monkeypatch.setattr(ie, "gauss_legendre_adaptive", counted_quad)
+        monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
+                            lambda u, k: jacobi.append(np.size(u)) or jacobi_once(u, k))
+        assemble_dmatrix(wave_1_05)
+        assert len(passes) == 2
+        assert jacobi == levels
+
     def test_against_adaptive_quadrature(self, wave_1_05):
         from dswlab.elliptic import jacobi_sn_cn_dn
 
@@ -140,7 +201,7 @@ class TestAIntegrals:
 class TestVarphiPairings:
     def test_against_direct_quadrature(self, wave_1_05, varphi_1_05):
         p, t = wave_1_05, varphi_1_05
-        s1, spsi = varphi_pairings(p)
+        s1, spsi = varphi_pairings(p, a_integrals(p))
         d1 = 2 * quad(lambda x: t.varphi_at(x), 0, p.L / 2,
                       epsabs=1e-12, epsrel=1e-12, limit=200)[0]
         dpsi = 2 * quad(lambda x: t.varphi_at(x) * eval_profile(p, x)[0], 0, p.L / 2,
@@ -151,8 +212,9 @@ class TestVarphiPairings:
     def test_period_scaling(self):
         # <varphi, psi> carries the explicit L^3 prefactor; <varphi, 1> picks up
         # two more powers from the 1/eta4 factor (eta4 ~ 1/L^2 at fixed kappa)
-        a1, ap1 = varphi_pairings(params_from_kappa(1.0, 0.5))
-        a2, ap2 = varphi_pairings(params_from_kappa(2.0, 0.5))
+        p1, p2 = params_from_kappa(1.0, 0.5), params_from_kappa(2.0, 0.5)
+        a1, ap1 = varphi_pairings(p1, a_integrals(p1))
+        a2, ap2 = varphi_pairings(p2, a_integrals(p2))
         assert ap2 == pytest.approx(8 * ap1, rel=1e-12)
         assert a2 == pytest.approx(32 * a1, rel=1e-12)
 
@@ -160,7 +222,7 @@ class TestVarphiPairings:
 class TestHalfPeriodData:
     def test_closed_forms_match_numerics(self, wave_1_05, varphi_1_05):
         p, t = wave_1_05, varphi_1_05
-        psi_h, psi_pp_h, varphi_p_h = half_period_data(p)
+        psi_h, psi_pp_h, varphi_p_h = half_period_data(p, a_integrals(p))
         psi_num, _ = eval_profile(p, p.L / 2)
         h = 1e-5
         psi_p, _ = eval_profile(p, p.L / 2 + h)
@@ -315,6 +377,16 @@ class TestDMatrix:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDMatrixError):
             hamiltonian_index(dmatrix_from_entries(np.zeros((3, 3))))
+
+    def test_degenerate_wave_returns_its_matrix(self):
+        # det = -4.07e-5 against the threshold 1e-12 |D|^3 = 4.65e-5: the matrix and
+        # its quadratures come back, and the index alone is refused
+        p = params_from_kappa(0.5, 0.999)
+        d = assemble_dmatrix(p)
+        assert d.A == a_integrals(p)
+        assert abs(d.det) <= 1e-12 * np.linalg.norm(d.entries) ** 3
+        with pytest.raises(DegenerateDMatrixError, match="below degeneracy threshold"):
+            hamiltonian_index(d)
 
 
 class TestHamiltonianIndex:

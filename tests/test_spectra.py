@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (ZERO_CLUSTER_SIZE, NoUnstableModeError, assemble,
+from dswlab.spectra import (RE_TOL, ZERO_CLUSTER_SIZE, NoUnstableModeError, assemble,
                             assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
+
+
+def upper_pair_signs(rep):
+    """(Im lambda, Krein sign) for the upper member of each imaginary pair, in eigenvalue order."""
+    upper = (rep.classes == "imaginary") & (rep.eigenvalues.imag > RE_TOL)
+    return [(float(mu), int(sign)) for mu, sign in zip(rep.eigenvalues.imag[upper], rep.krein[upper])]
 
 
 class TestAssemble:
@@ -158,8 +164,22 @@ class TestSpectrumReport:
         assert spectrum_2_03.n_H[0] == 1 and n_d == 1
 
     def test_krein_signs_all_positive(self, spectrum_2_03):
-        assert len(spectrum_2_03.krein_signs) > 10
-        assert all(sign > 0 for _, sign in spectrum_2_03.krein_signs)
+        signs = upper_pair_signs(spectrum_2_03)
+        assert len(signs) > 10
+        assert all(sign > 0 for _, sign in signs)
+
+    def test_classes_and_krein_aligned_with_eigenvalues(self, spectrum_2_03):
+        rep = spectrum_2_03
+        lam = rep.eigenvalues
+        assert rep.classes.shape == rep.krein.shape == lam.shape
+        # reference: one eigenvalue at a time, with the scalar complex abs
+        scale = [1e-7 * max(1.0, abs(complex(z))) for z in lam]
+        by_scalar = ["real" if abs(z.imag) <= t else "imaginary" if abs(z.real) <= t
+                     else "quadruplet" for z, t in zip(lam, scale)]
+        assert list(rep.classes) == by_scalar
+        upper = (rep.classes == "imaginary") & (lam.imag > RE_TOL)
+        assert np.all(np.abs(rep.krein[upper]) == 1)
+        assert np.all(rep.krein[~upper] == 0)
 
     def test_counts_stable_under_refinement(self, wave_2_03, spectrum_2_03):
         rep2 = unstable_modes(wave_2_03, N=512)
@@ -216,7 +236,7 @@ class TestBatchedSpectrum:
         p = params_from_kappa(L, kappa)
         rep = unstable_modes(p, N=128)
         signs, gaps = per_pair_reference(p, 128)
-        assert rep.krein_signs == signs
+        assert upper_pair_signs(rep) == signs
         assert np.array_equal(rep.partner_gaps, gaps)
         assert rep.symmetry_residual == max(gaps)
 
@@ -227,12 +247,13 @@ class TestBatchedSpectrum:
         assert (rep.n_Lplus, rep.n_H) == (spectrum_2_03.n_Lplus, spectrum_2_03.n_H)
         assert rep.symmetry_residual < 1e-7
         # the resolved low frequencies carry the same signs at both sizes
-        low = spectrum_2_03.krein_signs[:40]
-        mus = np.array([mu for mu, _ in rep.krein_signs])
+        low = upper_pair_signs(spectrum_2_03)[:40]
+        signs = upper_pair_signs(rep)
+        mus = np.array([mu for mu, _ in signs])
         for mu, sign in low:
             j = int(np.argmin(np.abs(mus - mu)))
             assert abs(mus[j] - mu) < 1e-6 * mu
-            assert rep.krein_signs[j][1] == sign
+            assert signs[j][1] == sign
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])
