@@ -178,9 +178,8 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.zero:
         L = args.L or 2.0 * np.pi
-        x = np.arange(args.N) * (L / args.N)
-        u0 = GridFunction(L, np.zeros_like(x))
-        v0 = GridFunction(L, np.zeros_like(x))
+        u0 = GridFunction(L, np.zeros(args.N))
+        v0 = GridFunction(L, np.zeros(args.N))
         frame = 0.0
         p = None
     elif args.wave:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, WaveParams, eval_profile
+from .waves import GridFunction, WaveParams, eval_profile, profile_grid
 
 __all__ = [
     "SimState",
@@ -61,24 +61,27 @@ class WindowTooShortError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """Spectral state: full-length complex FFT coefficient arrays (Hermitian)."""
+    """Spectral state: the (2, N//2+1) rfft coefficients X of (u, v) at time t."""
 
     t: float
-    u_hat: np.ndarray
-    v_hat: np.ndarray
+    X: np.ndarray
+    N: int
     frame_speed: float
     L: float
 
-    @property
-    def N(self) -> int:
-        return self.u_hat.size
+    def _full(self, row: int) -> np.ndarray:
+        h = self.X[row]
+        return np.concatenate([h, np.conj(h[(self.N + 1) // 2 - 1:0:-1])])
 
-    def hermitian_defect(self) -> float:
-        """Max deviation of the coefficient arrays from Hermitian symmetry."""
-        d = max(float(np.max(np.abs(h - np.conj(h[-np.arange(h.size) % h.size]))))
-                for h in (self.u_hat, self.v_hat))
-        scale = max(float(np.max(np.abs(self.u_hat))), float(np.max(np.abs(self.v_hat))), 1.0)
-        return d / scale
+    @property
+    def u_hat(self) -> np.ndarray:
+        """Full-length FFT coefficients of u, expanded from X by Hermitian symmetry."""
+        return self._full(0)
+
+    @property
+    def v_hat(self) -> np.ndarray:
+        """Full-length FFT coefficients of v, expanded from X by Hermitian symmetry."""
+        return self._full(1)
 
 
 def _dealias_mask(N: int) -> np.ndarray:
@@ -94,19 +97,13 @@ def _spectrum(u: GridFunction, v: GridFunction, dealias: bool = True) -> np.ndar
     return X * _dealias_mask(u.N) if dealias else X
 
 
-def _state(X: np.ndarray, t: float, N: int, L: float, frame_speed: float) -> SimState:
-    """Expand the rfft state to the full-length Hermitian coefficient arrays."""
-    full = np.concatenate([X, np.conj(X[:, (N + 1) // 2 - 1:0:-1])], axis=1)
-    return SimState(t=t, u_hat=full[0], v_hat=full[1], frame_speed=float(frame_speed), L=L)
-
-
 def make_state(u: GridFunction, v: GridFunction, frame_speed: float = 0.0) -> SimState:
-    return _state(_spectrum(u, v), 0.0, u.N, u.L, frame_speed)
+    return SimState(t=0.0, X=_spectrum(u, v), N=u.N, frame_speed=float(frame_speed), L=u.L)
 
 
 def state_fields(s: SimState):
     """Physical-space (u, v) as GridFunctions."""
-    u, v = np.fft.irfft(np.stack([s.u_hat, s.v_hat])[:, :s.N // 2 + 1], s.N)
+    u, v = np.fft.irfft(s.X, s.N)
     return GridFunction(s.L, u), GridFunction(s.L, v)
 
 
@@ -116,7 +113,6 @@ def state_fields(s: SimState):
 @dataclass(frozen=True)
 class PreprocessRecord:
     g0: float
-    shift_rule: str
 
 
 def preprocess(u0: GridFunction, v0: GridFunction):
@@ -132,18 +128,15 @@ def preprocess(u0: GridFunction, v0: GridFunction):
         raise ValueError("u0 and v0 must share the same grid")
     g0 = float(np.mean(v0.samples))
     v_shifted = GridFunction(v0.L, v0.samples - g0)
-    rec = PreprocessRecord(g0=g0, shift_rule=f"x -> x + ({g0!r}) * t applied at output")
-    return u0, v_shifted, rec
+    return u0, v_shifted, PreprocessRecord(g0=g0)
 
 
 def undo_preprocess(rec: PreprocessRecord, u: GridFunction, v: GridFunction, t: float):
     """Map a preprocessed state at time t back to a lab-frame solution."""
-    shift = rec.g0 * t
-    k = 2.0 * np.pi * np.fft.fftfreq(u.N, d=u.L / u.N)
-    phase = np.exp(-1j * k * shift)
-    u_lab = np.fft.ifft(np.fft.fft(u.samples) * phase).real
-    v_lab = np.fft.ifft(np.fft.fft(v.samples) * phase).real + rec.g0
-    return GridFunction(u.L, u_lab), GridFunction(v.L, v_lab)
+    k = 2.0 * np.pi * np.fft.rfftfreq(u.N, d=u.L / u.N)
+    shifted = np.fft.rfft(np.stack([u.samples, v.samples])) * np.exp(-1j * k * (rec.g0 * t))
+    u_lab, v_lab = np.fft.irfft(shifted, u.N)
+    return GridFunction(u.L, u_lab), GridFunction(v.L, v_lab + rec.g0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +216,10 @@ def step(s: SimState, dt: float, dealias: bool = True) -> SimState:
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive (got {dt!r})")
     stepper = _stepper(s.N, s.L, dt, s.frame_speed, None, dealias)
-    X = stepper.advance(np.stack([s.u_hat, s.v_hat])[:, :s.N // 2 + 1])
+    X = stepper.advance(s.X)
     if stepper.blown_up(X):
         raise BlowUpError(f"solution blew up in the step from t = {s.t:.6g}", t_last=s.t)
-    return _state(X, s.t + dt, s.N, s.L, s.frame_speed)
+    return SimState(t=s.t + dt, X=X, N=s.N, frame_speed=s.frame_speed, L=s.L)
 
 
 def conserved_of_state(s: SimState):
@@ -278,7 +271,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
                                   t_last=t_ok, trajectory=partial)
             t_ok = t
         if sampled:
-            snap = _state(X, t, u0.N, u0.L, frame_speed)
+            snap = SimState(t=t, X=X, N=u0.N, frame_speed=float(frame_speed), L=u0.L)
             times.append(t)
             states.append(snap)
             logs.append((t, *conserved_of_state(snap)))
@@ -319,11 +312,10 @@ def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int = 256,
 
     lam, U, V = unstable_eigenmode(p, N)  # raises NoUnstableModeError if stable
     lam_lin = float(lam.real)
-    x = np.arange(N) * (p.L / N)
-    psi, phi = eval_profile(p, x)
+    psi, phi = profile_grid(p, N)
     znorm = np.sqrt(p.L / N * (np.sum(np.abs(U) ** 2) + np.sum(np.abs(V) ** 2)))
-    u0 = GridFunction(p.L, psi + eps * U.real / znorm)
-    v0 = GridFunction(p.L, phi + eps * V.real / znorm)
+    u0 = GridFunction(p.L, psi.samples + eps * U.real / znorm)
+    v0 = GridFunction(p.L, phi.samples + eps * V.real / znorm)
 
     traj = simulate(u0, v0, T, dt, frame_speed=p.c)
     times, devs = deviation_series(traj, p)

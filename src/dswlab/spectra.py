@@ -10,6 +10,9 @@ of the 2x2 form <H f, f> on span(Re v, Im v), that is of Re(v* H v). The
 independent oracle for the quadrature pipeline pairs the solutions of
 H e = rhs, all found by one bordered solve against the analytic kernel
 (psi', phi').
+
+Any grid size N works, odd or even: the zero cluster of dH has 4 members at
+odd N and 6 at even N (see _nonzero_spectrum).
 """
 
 from __future__ import annotations
@@ -43,11 +46,6 @@ SYMMETRIC_KINDS = ("Lplus", "Hcal")
 RE_TOL = 1e-6
 CLASS_TOL = 1e-7
 
-# Dimension of the zero cluster of the discretized dHcal: the 4-dimensional
-# generalized kernel (e1, e2, the kernel pair (psi', phi'), and the e3 chain)
-# plus 2 artifacts of the zeroed Nyquist row of the spectral derivative.
-ZERO_CLUSTER_SIZE = 6
-
 # eigenvector columns (Krein forms) and eigenvalue rows (partner gaps) per batch;
 # bounds the temporaries at 2N x 64 instead of 2N x 2N
 _CHUNK = 64
@@ -65,21 +63,14 @@ class OperatorMatrix:
 
 
 def _fourier_diff_matrices(N: int, L: float):
-    """Dense spectral derivative matrices D1 (Nyquist zeroed) and D2.
+    """Dense spectral derivative matrices D1 and D2, columns irfft((ik)^m rfft(e_j)).
 
-    Every collocation matrix is built here, so this is where N is checked:
-    for odd N the index N // 2 is a real Fourier mode, not the Nyquist mode,
-    and zeroing it would corrupt D1 and the zero cluster of dHcal.
+    At even N, irfft drops the imaginary Nyquist coefficient that ik puts on
+    the unpaired mode (-1)^j, so D1 annihilates it while D2 keeps -(pi N/L)^2.
     """
-    if N % 2:
-        raise ValueError(f"N must be even (got {N}): D1 zeroes the Nyquist mode k = N/2")
-    k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
-    F = np.fft.fft(np.eye(N), axis=0)
-    k1 = k.copy()
-    k1[N // 2] = 0.0
-    D1 = np.real(np.fft.ifft(1j * k1[:, None] * F, axis=0))
-    D2 = np.real(np.fft.ifft(-(k[:, None] ** 2) * F, axis=0))
-    return D1, D2
+    ik = 2j * np.pi * np.fft.rfftfreq(N, d=L / N)[:, None]
+    F = np.fft.rfft(np.eye(N), axis=0)
+    return np.fft.irfft(ik * F, N, axis=0), np.fft.irfft(ik * ik * F, N, axis=0)
 
 
 def _schrodinger(D2: np.ndarray, c: float, potential: np.ndarray) -> np.ndarray:
@@ -218,7 +209,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray          # nonzero spectrum, zero cluster excluded
     classes: np.ndarray
     krein: np.ndarray
-    zero_cluster: np.ndarray         # the ZERO_CLUSTER_SIZE smallest-|.| eigenvalues
+    zero_cluster: np.ndarray         # the 4 (odd N) or 6 (even N) smallest-|.| eigenvalues
     n_Lplus: tuple
     n_H: tuple
     kernel_overlap_Lplus: float
@@ -247,18 +238,21 @@ def _classify(eigs: np.ndarray) -> np.ndarray:
 def _nonzero_spectrum(dH: np.ndarray):
     """eig of dHcal with its zero cluster split off.
 
-    Returns (eigvals, eigvecs, keep, cluster): keep indexes the eigenvalues
-    outside the ZERO_CLUSTER_SIZE smallest |lambda|, in order of |lambda|, so
-    eigvecs[:, keep[i]] belongs to eigvals[keep[i]]. Raises EigensolveError
-    when LAPACK fails or the cluster is not separated from the spectrum by a
-    factor 10.
+    The cluster is the 4-dimensional generalized kernel (e1, e2, the kernel
+    pair (psi', phi') and the e3 chain), plus, at even N, the Nyquist mode
+    (-1)^j of each component, which D1 annihilates. Returns (eigvals, eigvecs,
+    keep, cluster): keep indexes the eigenvalues outside the cluster, in order
+    of |lambda|, so eigvecs[:, keep[i]] belongs to eigvals[keep[i]]. Raises
+    EigensolveError when LAPACK fails or the cluster is not separated from the
+    spectrum by a factor 10.
     """
     try:
         eigvals, eigvecs = np.linalg.eig(dH)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
+    size = 4 if (dH.shape[0] // 2) % 2 else 6
     order = np.argsort(np.abs(eigvals))
-    cluster, keep = eigvals[order[:ZERO_CLUSTER_SIZE]], order[ZERO_CLUSTER_SIZE:]
+    cluster, keep = eigvals[order[:size]], order[size:]
     cluster_top = float(np.max(np.abs(cluster)))
     first = float(np.min(np.abs(eigvals[keep])))
     if cluster_top > 0.1 * first:
@@ -302,9 +296,8 @@ def _partner_gaps(eigs: np.ndarray) -> np.ndarray:
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """Full eigensolve of dHcal with symmetry classification and Krein signs.
 
-    The ZERO_CLUSTER_SIZE smallest-|lambda| eigenvalues form the generalized
-    kernel cluster (plus Nyquist artifacts) and are excluded from the counts;
-    their Jordan-splitting noise would otherwise contaminate k_r. A separation
+    The zero cluster (see _nonzero_spectrum) is excluded from the counts; its
+    Jordan-splitting noise would otherwise contaminate k_r. A separation
     factor between the cluster and the first genuine mode is asserted.
     """
     psi, dpsi = _grid(p, N)

@@ -203,12 +203,13 @@ def profile_grid(p: WaveParams, N: int = 256):
 
 
 def spectral_derivative(g: GridFunction, order: int = 1) -> np.ndarray:
-    """Derivative by Fourier multiplier (ik)^order; Nyquist zeroed for odd orders."""
-    k = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.L / g.N)
-    if order % 2 == 1:
-        k = k.copy()
-        k[g.N // 2] = 0.0
-    return np.fft.ifft((1j * k) ** order * np.fft.fft(g.samples)).real
+    """Derivative by Fourier multiplier (ik)^order on the rfft half-spectrum.
+
+    irfft drops the imaginary Nyquist coefficient, so an odd order maps the
+    mode (-1)^j to 0 and an even order keeps its real (ik)^order.
+    """
+    ik = 2j * np.pi * np.fft.rfftfreq(g.N, d=g.L / g.N)
+    return np.fft.irfft(ik**order * np.fft.rfft(g.samples), g.N)
 
 
 def profile_residual(p: WaveParams, N: int = 256):

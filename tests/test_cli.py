@@ -198,12 +198,19 @@ class TestSpectrum:
         assert "spectrum failed: zero cluster not separated" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_odd_grid_is_refused(self, tmp_path, capsys):
-        out = tmp_path / "odd.csv"
-        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "255",
-                     "--out", str(out)]) == 2
-        assert "N must be even (got 255)" in capsys.readouterr().err
-        assert not out.exists()
+    def test_odd_grid_gives_the_even_grid_counts(self, tmp_path):
+        # odd N has no Nyquist mode: the zero cluster is the 4-member generalized
+        # kernel, and the 2N - 4 rows carry the counts of N = 256
+        runs = {}
+        for N in ("255", "256"):
+            out = tmp_path / f"spectrum_{N}.csv"
+            assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", N,
+                         "--out", str(out)]) == 0
+            runs[N] = read_csv(out)
+        (odd_header, _, odd_rows), (even_header, _, _) = runs["255"], runs["256"]
+        assert len(odd_rows) == 2 * 255 - 4
+        assert odd_header[2:5] == even_header[2:5]  # k_r..., n_Lplus..., identity checks
+        assert "k_r=0 k_c=0 k_i_minus=0" in odd_header[2]
 
     def test_other_errors_are_not_swallowed(self, tmp_path, monkeypatch):
         from dswlab import spectra

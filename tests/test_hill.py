@@ -249,3 +249,47 @@ class TestInertialIndex:
             sol = integrate_hill_ivp(params_from_kappa(2.0, kappa))
             indices.add(inertial_index_from_theta(sol))
         assert indices == {(1, 1)}
+
+
+def floquet_discriminant(p, lam, tol=1e-11):
+    """Delta(lam): the trace of the monodromy matrix of L+ - lam over one period.
+
+    The fundamental solutions of -y'' + (c - 3 psi^2/(2c) - lam) y = 0 are
+    integrated by DOP853 from the identity, with sn, cn, dn carried along by
+    their own ODEs as integrate_hill_ivp carries them. The L-periodic
+    eigenvalues of L+ are the roots of Delta = 2.
+    """
+    from scipy.integrate import solve_ivp
+
+    alpha, k2, b2, eta4, c = p.alpha, p.kappa**2, p.beta_sq, p.eta4, p.c
+
+    def rhs(xi, y):
+        y1, dy1, y2, dy2, sn, cn, dn = y.tolist()
+        psi = eta4 * dn * dn / (1.0 + b2 * sn * sn)
+        q = c - 1.5 * psi * psi / c - lam
+        return [dy1, q * y1, dy2, q * y2, alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
+
+    sol = solve_ivp(rhs, (0.0, p.L), [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0], method="DOP853",
+                    rtol=tol, atol=tol)
+    assert sol.success, sol.message
+    return sol.y[0, -1] + sol.y[3, -1]
+
+
+def test_monodromy_count(wave_2_03):
+    # the shooting count of NOTES.md: Delta = 2 at lambda = -10.2459, 0 and
+    # 0.2695 on [-12, 1], so L+ has exactly one negative periodic eigenvalue;
+    # the scan's spacing 0.13 puts no point on a root and one inside (0, 0.2695)
+    from scipy.optimize import brentq
+
+    from dswlab.spectra import assemble
+
+    p = wave_2_03
+    grid = np.linspace(-12.0, 1.0, 101)
+    gap = np.array([floquet_discriminant(p, lam) - 2.0 for lam in grid])
+    roots = [brentq(lambda lam: floquet_discriminant(p, lam) - 2.0, a, b, xtol=1e-12)
+             for a, b, ga, gb in zip(grid, grid[1:], gap, gap[1:]) if ga * gb < 0]
+    assert roots == pytest.approx([-10.2459, 0.0, 0.2695], abs=1e-4)
+    assert abs(roots[1]) < 1e-8
+    assert sum(r < -1e-6 for r in roots) == 1
+    lowest = np.linalg.eigvalsh(assemble("Lplus", p, 256).matrix)[0]
+    assert roots[0] == pytest.approx(lowest, rel=1e-10)

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (RE_TOL, ZERO_CLUSTER_SIZE, NoUnstableModeError, assemble,
+from dswlab.spectra import (RE_TOL, NoUnstableModeError, _fourier_diff_matrices, assemble,
                             assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
+
+
+def zero_cluster_size(N):
+    """The generalized kernel of dH, plus the Nyquist mode (-1)^j of each component at even N."""
+    return 4 if N % 2 else 6
 
 
 def upper_pair_signs(rep):
@@ -51,15 +56,31 @@ class TestAssemble:
             assemble("bogus", wave_2_03, 128)
         with pytest.raises(ValueError):
             assemble("Lplus", wave_2_03, 100)
-        with pytest.raises(ValueError, match="N must be even"):
-            assemble("Lplus", wave_2_03, 255)
+        # an odd N is a size like any other: no Nyquist mode, the same Morse index
+        assert morse_index(assemble("Lplus", wave_2_03, 255)) == (1, 1)
+
+    @pytest.mark.parametrize("N", [128, 129, 255])
+    def test_kernel_of_d1(self, N):
+        # the singular values of D1 are |k|: 0 for the constants, 2 pi m / L
+        # twice for 0 < m < N/2, and at even N 0 again for the Nyquist mode
+        # (-1)^j; at odd N, D1 annihilates only the constants
+        L = 2.0
+        D1, _ = _fourier_diff_matrices(N, L)
+        kernel = [np.ones(N)] + ([] if N % 2 else [(-1.0) ** np.arange(N)])
+        s = np.linalg.svd(D1, compute_uv=False)
+        n = len(kernel)
+        assert np.all(s[-n:] < 1e-12 * s[0])
+        assert s[-n - 2:-n] == pytest.approx([2 * np.pi / L] * 2, rel=1e-10)
+        for f in kernel:
+            assert np.max(np.abs(D1 @ f)) < 1e-12 * s[0]
 
 
 class TestMorseIndex:
     def test_lplus_counts(self, wave_2_03):
         # The reference material asserts (2, 1) here; the converged eigensolve
-        # (identical at N=256 and N=512, cross-checked by a monodromy shooting
-        # count) gives exactly one negative eigenvalue. See NOTES.md.
+        # (identical at N=256 and N=512, cross-checked by the monodromy count
+        # of tests/test_hill.py::test_monodromy_count) gives exactly one
+        # negative eigenvalue. See NOTES.md.
         assert morse_index(assemble("Lplus", wave_2_03, 256)) == (1, 1)
 
     def test_hcal_counts(self, wave_2_03):
@@ -147,14 +168,27 @@ class TestSpectrumReport:
     def test_quadruplet_symmetry(self, spectrum_2_03):
         assert spectrum_2_03.symmetry_residual < 1e-7
 
-    def test_odd_grid_refused_before_the_eigensolve(self, wave_2_03):
-        # for odd N the zeroed index N // 2 would be a real Fourier mode
-        with pytest.raises(ValueError, match="N must be even"):
-            unstable_modes(wave_2_03, N=255)
+    @pytest.mark.parametrize("L, kappa", [(2.0, 0.3), (2.5, 0.8)])
+    def test_odd_grid_matches_the_even_grid(self, L, kappa):
+        # odd N has no Nyquist mode: the zero cluster is the generalized kernel
+        # alone, and counts and the spectrum below 1000 are those of N = 256
+        p = params_from_kappa(L, kappa)
+        even = unstable_modes(p, N=256)
+        low = even.eigenvalues[np.abs(even.eigenvalues) < 1000]
+        for N in (255, 257):
+            rep = unstable_modes(p, N=N)
+            assert rep.zero_cluster.size == 4
+            assert np.max(np.abs(rep.zero_cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
+            assert (rep.k_r, rep.k_c, rep.krein_negative, rep.n_Lplus, rep.n_H) == (
+                even.k_r, even.k_c, even.krein_negative, even.n_Lplus, even.n_H)
+            odd_low = rep.eigenvalues[np.abs(rep.eigenvalues) < 1000]
+            assert odd_low.size == low.size
+            nearest = np.min(np.abs(odd_low[None, :] - low[:, None]), axis=1)
+            assert np.max(nearest / np.abs(low)) < 1e-9
 
     def test_zero_cluster_separated(self, spectrum_2_03):
         rep = spectrum_2_03
-        assert rep.zero_cluster.size == 6
+        assert rep.zero_cluster.size == zero_cluster_size(256) == 6
         assert np.max(np.abs(rep.zero_cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
 
     def test_count_identity_with_measured_morse_index(self, spectrum_2_03, wave_2_03):
@@ -215,7 +249,7 @@ def per_pair_reference(p, N):
     the 2x2 form of H on span(Re v, Im v) through eigvalsh, and a min per row."""
     H = assemble("Hcal", p, N).matrix
     eigvals, eigvecs = np.linalg.eig(assemble("dHcal", p, N).matrix)
-    keep = np.argsort(np.abs(eigvals))[ZERO_CLUSTER_SIZE:]
+    keep = np.argsort(np.abs(eigvals))[zero_cluster_size(N):]
     eigs, vecs = eigvals[keep], eigvecs[:, keep]
     scale = np.maximum(1.0, np.abs(eigs))
     imag = (np.abs(eigs.imag) > 1e-7 * scale) & (np.abs(eigs.real) <= 1e-7 * scale)

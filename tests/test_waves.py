@@ -14,7 +14,7 @@ from dswlab.elliptic import ellip_k, jacobi_sn_cn_dn
 from dswlab.waves import (GridFunction, SpeedBelowThresholdError, WaveInvariantError,
                           _check_invariants, conserved_quantities, eval_profile,
                           eval_profile_derivatives, kappa_from_c, params_from_kappa,
-                          profile_grid, profile_residual)
+                          profile_grid, profile_residual, spectral_derivative)
 
 KAPPA_GRID = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 L_GRID = [1.0, 2.0, 4.0, 10.0]
@@ -240,6 +240,16 @@ class TestConservedQuantities:
         v = GridFunction(2.0, np.zeros(128))
         with pytest.raises(ValueError):
             conserved_quantities(u, v)
+
+
+class TestSpectralDerivative:
+    @pytest.mark.parametrize("N, L", [(16, 2.0), (256, 3.7)])
+    def test_nyquist_mode(self, N, L):
+        # the unpaired mode (-1)^j: ik puts an imaginary coefficient on it, which
+        # irfft drops, so order 1 gives exactly 0; (ik)^2 = -(pi N / L)^2 is real
+        g = GridFunction(L, (-1.0) ** np.arange(N))
+        assert np.all(spectral_derivative(g, 1) == 0.0)
+        assert np.array_equal(spectral_derivative(g, 2), -(np.pi * N / L) ** 2 * g.samples)
 
 
 def test_grid_function_validation():
