@@ -37,7 +37,8 @@ def main(argv):
     print(f"  kernel overlaps: L+ {rep.kernel_overlap_Lplus:.12f}, "
           f"H {rep.kernel_overlap_H:.12f}")
     print(f"  k_r={rep.k_r} k_c={rep.k_c} k_i^-={rep.krein_negative} "
-          f"(zero cluster |.|<= {np.max(np.abs(rep.zero_cluster)):.2e})")
+          f"(certified: margin lambda_min(Hc) = {rep.margin:.10g}, margin/c = {rep.margin / p.c:.4f}, "
+          f"kernel residual {rep.kernel_residual:.2e})")
     print(f"  max Re lambda = {rep.lambda_max_real:.3e}, "
           f"quadruplet symmetry residual {rep.symmetry_residual:.2e}")
     lhs = rep.count_identity_lhs()

@@ -161,7 +161,7 @@ def cmd_spectrum(args) -> int:
         f"n_Lplus={rep.n_Lplus} n_H={rep.n_H} n_D={n_d} k_ham_formula={k_ham}",
         f"count_identity_vs_formula={identity_formula} count_identity_vs_measured_nH={identity_measured}",
         f"lambda_max_real={_fmt(rep.lambda_max_real)} symmetry_residual={_fmt(rep.symmetry_residual)}",
-        f"zero_cluster_abs_max={_fmt(float(np.max(np.abs(rep.zero_cluster))))}",
+        f"margin={_fmt(rep.margin)} kernel_residual={_fmt(rep.kernel_residual)}",
     ]
     eigs = rep.eigenvalues
     rows = [(eigs[i].real, eigs[i].imag, rep.classes[i], rep.krein[i], rep.partner_gaps[i])

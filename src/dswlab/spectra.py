@@ -1,18 +1,34 @@
 """Fourier-collocation operators and their spectra.
 
 Dense matrices for L+, the 2x2 block operator H on L-, and the linearized
-evolution generator dH = diag(d/dxi) H. Each operator is decomposed once and
-every consumer reads that decomposition: one `eigh` of L+ and one of H give
-their Morse counts and kernel alignments; one `eig` of dH gives the spectrum,
-its zero cluster, the Krein signs and the quadruplet symmetry residual. The
-Krein sign of an imaginary pair with eigenvector v is the sign of the trace
-of the 2x2 form <H f, f> on span(Re v, Im v), that is of Re(v* H v). The
-independent oracle for the quadrature pipeline pairs the solutions of
-H e = rhs, all found by one bordered solve against the analytic kernel
-(psi', phi').
+evolution generator dH = J H with J = diag(d/dxi, d/dxi). The wave is even,
+so on the orthonormal grid cosine and sine bases L+ and H each split into an
+even and an odd block, and J maps each parity onto the other: d/dxi takes
+cos_k to -k sin_k and sin_k to k cos_k. `unstable_modes` works on these
+blocks. One decomposition per block gives the Morse counts and the kernel
+alignments, and the spectrum of dH comes with a certificate.
 
-Any grid size N works, odd or even: the zero cluster of dH has 4 members at
-odd N and 6 at even N (see _nonzero_spectrum).
+The certificate is the finite-dimensional form of n(H) - n(D) = 0
+(Kapitula & Promislow 2013, ch. 7). On range(J), the modes 0 < k < N/2,
+K = J^-1 is explicit. An eigenvector of a nonzero eigenvalue lies in range(J)
+and is orthogonal to K e1 and K e2, where e1 = (psi', phi') spans the kernel
+of H and H e2 = K e1. K e1 is even and K e2 odd, so one Householder reflector
+per parity gives an orthonormal basis Q of that constrained space. If the
+constrained Hessian Hc = Q^T H Q has a Cholesky factor Hc = R^T R, then
+every nonzero eigenvalue of dH is imaginary, +-i omega, with Krein sign +1:
+the eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q.
+The parities make it block off-diagonal, so the omega are the singular
+values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. The margin
+lambda_min(Hc) says by how much the certificate holds; no threshold on
+Re lambda enters. If Hc has no Cholesky factor, IndefiniteHessianError
+names the inertia of the failing block.
+
+The dense `eig` of dH remains only in `unstable_eigenmode` and, through
+_nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
+members at odd N and 6 at even N, and the certified spectrum has as many
+eigenvalues as it leaves, 2N - 4 or 2N - 6. The independent oracle for the
+quadrature pipeline pairs the solutions of H e = rhs, all found by one
+bordered solve against the analytic kernel (psi', phi').
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ __all__ = [
     "OperatorMatrix",
     "SpectrumReport",
     "EigensolveError",
+    "IndefiniteHessianError",
     "assemble",
     "assemble_operator",
     "morse_index",
@@ -46,13 +63,23 @@ SYMMETRIC_KINDS = ("Lplus", "Hcal")
 RE_TOL = 1e-6
 CLASS_TOL = 1e-7
 
-# eigenvector columns (Krein forms) and eigenvalue rows (partner gaps) per batch;
-# bounds the temporaries at 2N x 64 instead of 2N x 2N
-_CHUNK = 64
-
-
 class EigensolveError(RuntimeError):
-    """Dense eigensolve failed to converge."""
+    """A dense factorization failed, or its result fails a structural check."""
+
+
+class IndefiniteHessianError(EigensolveError):
+    """The constrained Hessian of one parity block has no Cholesky factor.
+
+    Without the factor nothing certifies that the spectrum is imaginary.
+    inertia is (n_negative, n_zero, n_positive) of that block, with zeros
+    counted as morse_index counts them.
+    """
+
+    def __init__(self, block: str, inertia: tuple):
+        super().__init__(f"the constrained Hessian of the {block} block has no Cholesky "
+                         f"factor: inertia (n-, n0, n+) = {inertia}")
+        self.block = block
+        self.inertia = inertia
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +219,7 @@ def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# full spectrum of dHcal
+# the certified spectrum of dHcal
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -201,15 +228,19 @@ class SpectrumReport:
     classes, krein and partner_gaps are aligned with eigenvalues: each
     eigenvalue's class ("real", "imaginary" or "quadruplet"), its Krein sign
     (+-1 on the upper member Im > RE_TOL of an imaginary pair, 0 on every
-    other eigenvalue) and its distance to the nearest -lambda partner.
+    other eigenvalue) and its distance to the nearest -lambda partner. The
+    certificate makes the spectrum exactly +-i omega with Krein sign +1, so
+    k_r = k_c = krein_negative = 0, lambda_max_real = 0 and the partner gaps
+    are 0; the dense eig of the tests measures what these fields assert.
     """
 
     params: WaveParams
     N: int
-    eigenvalues: np.ndarray          # nonzero spectrum, zero cluster excluded
+    eigenvalues: np.ndarray          # nonzero spectrum: pairs +i omega, -i omega, omega ascending
     classes: np.ndarray
     krein: np.ndarray
-    zero_cluster: np.ndarray         # the 4 (odd N) or 6 (even N) smallest-|.| eigenvalues
+    margin: float                    # min lambda_min(Hc) over the even and odd blocks
+    kernel_residual: float           # |H (psi', phi')| / (c |(psi', phi')|)
     n_Lplus: tuple
     n_H: tuple
     kernel_overlap_Lplus: float
@@ -228,12 +259,181 @@ class SpectrumReport:
         return self.n_H[0] - n_D
 
 
+def _trig_basis(N: int):
+    """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
+
+    At even N the last cosine column is the Nyquist mode (-1)^j / sqrt(N).
+    """
+    j = np.arange(N)[:, None]
+    cos = np.cos((2 * np.pi / N) * (j * np.arange(N // 2 + 1) % N))
+    sin = np.sin((2 * np.pi / N) * (j * np.arange(1, (N + 1) // 2) % N))
+    weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
+    weight[0] = 1.0 / np.sqrt(N)
+    if N % 2 == 0:
+        weight[-1] = 1.0 / np.sqrt(N)
+    return cos * weight, np.sqrt(2.0 / N) * sin
+
+
+def _project(c: float, psi: np.ndarray, basis: np.ndarray, k: np.ndarray):
+    """(L+, H) on one parity basis whose columns have wavenumbers k.
+
+    -d^2/dxi^2 is diag(k^2) there, and a multiplication by f is basis^T f basis;
+    H is ordered (u coefficients, v coefficients).
+    """
+    m1 = basis.T @ (psi[:, None] * basis)
+    m2 = basis.T @ ((psi * psi)[:, None] * basis)
+    lap = np.diag(k * k + c)
+    H = np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
+    return lap - (1.5 / c) * m2, H
+
+
+def _parity_blocks(p: WaveParams, N: int):
+    """(C, S, k, (L+, H) even, (L+, H) odd, kernel) for the wave p on the N-point grid.
+
+    C and S are the cosine and sine bases, k = 2 pi (0..N//2) / L the cosine
+    wavenumbers (the sine ones are k[1:S.shape[1] + 1]), and kernel the
+    analytic kernel (psi', phi') of H in sine coordinates.
+    """
+    psi, dpsi = _grid(p, N)
+    C, S = _trig_basis(N)
+    k = (2 * np.pi / p.L) * np.arange(C.shape[1])
+    even = _project(p.c, psi, C, k)
+    odd = _project(p.c, psi, S, k[1:S.shape[1] + 1])
+    kernel = np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])
+    return C, S, k, even, odd, kernel
+
+
+def _reflector(a: np.ndarray) -> np.ndarray:
+    """Unit h with (I - 2 h h^T) a on the first axis: the other columns span a's complement."""
+    h = a.copy()
+    h[0] += np.copysign(np.linalg.norm(a), a[0])
+    return h / np.linalg.norm(h)
+
+
+def _reflected(A: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(I - 2 g g^T) A (I - 2 h h^T) less its first row and column, by rank-one updates."""
+    Ah, gA = A @ h, g @ A
+    return (A - 2.0 * np.outer(g, gA) - 2.0 * np.outer(Ah, h)
+            + 4.0 * (g @ Ah) * np.outer(g, h))[1:, 1:]
+
+
+def _factor(Hc: np.ndarray, block: str, c: float):
+    """(L, lambda_min(Hc)) with Hc = L L^T; IndefiniteHessianError when L does not exist."""
+    lam = np.linalg.eigvalsh(Hc)
+    try:
+        return np.linalg.cholesky(Hc), float(lam[0])
+    except np.linalg.LinAlgError:
+        neg, zero = _morse_counts(lam, c)
+        raise IndefiniteHessianError(block, (neg, zero, lam.size - neg - zero)) from None
+
+
+def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.ndarray, c: float):
+    """(X, (L_e, L_o), (g_e, g_o), margin): the certificate on range(J).
+
+    k holds the wavenumbers of range(J), 2 pi (1..m) / L, the even block's
+    modes less the constants and the Nyquist mode. g_e and g_o are the
+    reflectors whose complements are Q_e and Q_o, and L_e, L_o the lower
+    Cholesky factors of Hc on each, so R = L^T.
+    """
+    m, n = k.size, H_even.shape[0] // 2
+    kk = np.concatenate([k, k])
+    keep = np.r_[1:m + 1, n + 1:n + m + 1]
+    K_eo = -1.0 / kk   # K = J^-1 takes sin_k to -cos_k / k and cos_k to sin_k / k
+    try:
+        H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
+        Ke1 = K_eo * kernel
+        g_e, g_o = _reflector(Ke1), _reflector(np.linalg.solve(H_ee, Ke1) / kk)
+        L_e, margin_e = _factor(_reflected(H_ee, g_e, g_e), "even", c)
+        L_o, margin_o = _factor(_reflected(H_odd, g_o, g_o), "odd", c)
+        Kc = _reflected(np.diag(K_eo), g_e, g_o)
+        X = L_e.T @ np.linalg.solve(Kc.T, L_o)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+    return X, (L_e, L_o), (g_e, g_o), min(margin_e, margin_o)
+
+
 def _classify(eigs: np.ndarray) -> np.ndarray:
     """The class of each eigenvalue: "real", "imaginary" or "quadruplet"."""
     tol = CLASS_TOL * np.maximum(1.0, np.abs(eigs))
     return np.where(np.abs(eigs.imag) <= tol, "real",
                     np.where(np.abs(eigs.real) <= tol, "imaginary", "quadruplet"))
 
+
+def _odd_kernel_overlap(lam_even, lam_odd, vec_odd, reference) -> float:
+    """_kernel_overlap over both parity blocks for an odd reference in sine coordinates.
+
+    An even near-kernel eigenvector is orthogonal to the reference: overlap 0.
+    """
+    if np.min(np.abs(lam_even)) < np.min(np.abs(lam_odd)):
+        return 0.0
+    return _kernel_overlap(lam_odd, vec_odd, reference)
+
+
+def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
+    """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
+
+    The spectrum is +-i omega with omega the singular values of X (module
+    docstring); it leaves out the zero cluster of the dense eigensolve.
+    Raises IndefiniteHessianError when a constrained Hessian has no
+    Cholesky factor, so no spectrum is reported without its certificate.
+    """
+    _, S, k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
+    m = S.shape[1]
+    X, _, _, margin = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    try:
+        omega = np.linalg.svd(X, compute_uv=False)[::-1]
+        lam_lp, (lam_lp_odd, vec_lp_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
+        lam_h, (lam_h_odd, vec_h_odd) = np.linalg.eigvalsh(h_even), np.linalg.eigh(h_odd)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+    eigs = np.zeros(2 * omega.size, dtype=complex)
+    eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
+
+    # the certificate: no real part, Krein sign +1 on every upper member, and
+    # every eigenvalue next to its -lambda partner
+    classes = _classify(eigs)
+    krein = ((classes == "imaginary") & (eigs.imag > RE_TOL)).astype(int)
+    return SpectrumReport(
+        params=p, N=N, eigenvalues=eigs, classes=classes, krein=krein, margin=margin,
+        kernel_residual=float(np.linalg.norm(h_odd @ kernel) / (p.c * np.linalg.norm(kernel))),
+        n_Lplus=_morse_counts(np.concatenate([lam_lp, lam_lp_odd]), p.c),
+        n_H=_morse_counts(np.concatenate([lam_h, lam_h_odd]), p.c),
+        # kernel[:m] is psi' in sine coordinates, the kernel of L+
+        kernel_overlap_Lplus=_odd_kernel_overlap(lam_lp, lam_lp_odd, vec_lp_odd, kernel[:m]),
+        kernel_overlap_H=_odd_kernel_overlap(lam_h, lam_h_odd, vec_h_odd, kernel),
+        k_r=0, k_c=0, krein_negative=0, lambda_max_real=0.0,
+        symmetry_residual=0.0, partner_gaps=np.zeros(eigs.size))
+
+
+def imaginary_eigenmode(p: WaveParams, N: int = 256):
+    """(mu, U, V) for the smallest imaginary eigenvalue i mu, mu > 0, of dHcal.
+
+    Used by the simulation cross-check: the seeded deviation oscillates at
+    frequency mu in the co-moving frame. mu is the smallest singular value
+    of X, with X v = mu u and X^T u = mu v. The skew matrix R Kc^-1 R^T is
+    [[0, -X], [X^T, 0]], so (u, -i v) is its eigenvector for +i mu; R^-1, Q
+    and the basis map it back to the grid. (U, V) has unit norm.
+    """
+    C, S, k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
+    m = S.shape[1]
+    X, (L_e, L_o), (g_e, g_o), _ = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    try:
+        U_x, sigma, Vt_x = np.linalg.svd(X)
+        x_e = np.linalg.solve(L_e.T, U_x[:, -1])
+        x_o = -1j * np.linalg.solve(L_o.T, Vt_x[-1])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+    coef = []
+    for x, g in ((x_e, g_e), (x_o, g_o)):   # Q x = (I - 2 g g^T) (0, x)
+        q = np.concatenate([[0.0], x])
+        coef.append((q - 2.0 * g * (g @ q)).reshape(2, m).T)
+    w = C[:, 1:m + 1] @ coef[0] + S @ coef[1]   # columns U, V
+    w /= np.linalg.norm(w)
+    return float(sigma[-1]), w[:, 0], w[:, 1]
+
+
+# ---------------------------------------------------------------------------
+# the dense eigensolve of dHcal: unstable_eigenmode and the tests' oracle
 
 def _nonzero_spectrum(dH: np.ndarray):
     """eig of dHcal with its zero cluster split off.
@@ -263,84 +463,8 @@ def _nonzero_spectrum(dH: np.ndarray):
     return eigvals, eigvecs, keep, cluster
 
 
-def _krein_signs(H: np.ndarray, eigvecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sign Re(v* H v) for the eigenvector columns cols, _CHUNK columns at a time.
-
-    For v = u1 + i u2 this is the trace u1.H u1 + u2.H u2 of the 2x2 form of H
-    on span(u1, u2), the sum of its two eigenvalues.
-    """
-    signs = np.empty(cols.size, dtype=int)
-    for s in range(0, cols.size, _CHUNK):
-        V = eigvecs[:, cols[s:s + _CHUNK]]
-        form = (np.einsum("ij,ij->j", V.real, H @ V.real)
-                + np.einsum("ij,ij->j", V.imag, H @ V.imag))
-        signs[s:s + _CHUNK] = np.sign(form)
-    return signs
-
-
-def _partner_gaps(eigs: np.ndarray) -> np.ndarray:
-    """min_j |lambda_j + lambda_i| / max(1, |lambda_i|) for each lambda_i, _CHUNK rows at a time.
-
-    The Hamiltonian quadruplet symmetry gives every eigenvalue a -lambda partner.
-    """
-    gaps = np.empty(eigs.size)
-    for s in range(0, eigs.size, _CHUNK):
-        lam = eigs[s:s + _CHUNK]
-        # hypot rounds as the scalar abs(lambda) does; np.abs of a complex array
-        # can differ in the last bit, which would move the CSV column
-        gaps[s:s + _CHUNK] = (np.min(np.abs(eigs + lam[:, None]), axis=1)
-                              / np.maximum(1.0, np.hypot(lam.real, lam.imag)))
-    return gaps
-
-
-def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
-    """Full eigensolve of dHcal with symmetry classification and Krein signs.
-
-    The zero cluster (see _nonzero_spectrum) is excluded from the counts; its
-    Jordan-splitting noise would otherwise contaminate k_r. A separation
-    factor between the cluster and the first genuine mode is asserted.
-    """
-    psi, dpsi = _grid(p, N)
-    D1, D2 = _fourier_diff_matrices(N, p.L)
-    H = _operator("Hcal", D1, D2, p.c, psi)
-    eigvals, eigvecs, keep, cluster = _nonzero_spectrum(_operator("dHcal", D1, D2, p.c, psi))
-    eigs = eigvals[keep]
-
-    classes = _classify(eigs)
-    real_mask = classes == "real"
-    k_r = int(np.sum(real_mask & (eigs.real > RE_TOL)))
-    k_c = int(np.sum((classes == "quadruplet") & (eigs.real > RE_TOL) & (eigs.imag > RE_TOL)))
-
-    # Krein signature of each purely imaginary pair with Im > 0
-    pairs = np.where((classes == "imaginary") & (eigs.imag > RE_TOL))[0]
-    krein = np.zeros(eigs.size, dtype=int)
-    krein[pairs] = _krein_signs(H, eigvecs, keep[pairs])
-    del eigvecs  # 2N x 2N complex: free it before the two eigh calls
-    gaps = _partner_gaps(eigs)
-
-    Lp = _operator("Lplus", D1, D2, p.c, psi)
-    lam_lp, vec_lp = _eigh(Lp)
-    lam_h, vec_h = _eigh(H)
-    reals = eigs.real[real_mask & (eigs.real > RE_TOL)]
-
-    return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, classes=classes, krein=krein, zero_cluster=cluster,
-        n_Lplus=_morse_counts(lam_lp, p.c), n_H=_morse_counts(lam_h, p.c),
-        kernel_overlap_Lplus=_kernel_overlap(lam_lp, vec_lp, dpsi),
-        kernel_overlap_H=_kernel_overlap(lam_h, vec_h, np.concatenate([dpsi, psi * dpsi / p.c])),
-        k_r=k_r, k_c=k_c, krein_negative=int(np.sum(krein < 0)),
-        lambda_max_real=float(np.max(reals)) if reals.size else 0.0,
-        symmetry_residual=float(np.max(gaps)), partner_gaps=gaps)
-
-
 class NoUnstableModeError(RuntimeError):
     """The discretized spectrum has no eigenvalue with positive real part."""
-
-
-def _dhcal_spectrum(p: WaveParams, N: int):
-    """(eigvals, eigvecs, keep) of dHcal for the wave p; see _nonzero_spectrum."""
-    psi, _ = _grid(p, N)
-    return _nonzero_spectrum(_operator("dHcal", *_fourier_diff_matrices(N, p.L), p.c, psi))[:3]
 
 
 def unstable_eigenmode(p: WaveParams, N: int = 256):
@@ -350,7 +474,9 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
     no eigenvalue with real part above RE_TOL -- which is the measured state
     of affairs for this wave family; see NOTES.md.
     """
-    eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
+    psi, _ = _grid(p, N)
+    eigvals, eigvecs, keep, _ = _nonzero_spectrum(
+        _operator("dHcal", *_fourier_diff_matrices(N, p.L), p.c, psi))
     eigs = eigvals[keep]
     idx = int(np.argmax(eigs.real))
     if eigs.real[idx] <= RE_TOL:
@@ -363,17 +489,3 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
     return lam, v[:N], v[N:]
-
-
-def imaginary_eigenmode(p: WaveParams, N: int = 256):
-    """(mu, U, V) for the smallest purely imaginary pair with Im > 0.
-
-    Used by the simulation cross-check: the seeded deviation oscillates at
-    frequency mu in the co-moving frame.
-    """
-    eigvals, eigvecs, keep = _dhcal_spectrum(p, N)
-    eigs = eigvals[keep]
-    imag = np.where((_classify(eigs) == "imaginary") & (eigs.imag > 0))[0]
-    idx = imag[int(np.argmin(eigs.imag[imag]))]
-    v = eigvecs[:, keep[idx]]
-    return float(eigs.imag[idx]), v[:N], v[N:]

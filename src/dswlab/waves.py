@@ -137,9 +137,13 @@ def kappa_from_c(L: float, c: float) -> float:
     lo, hi = 1e-9, KAPPA_MAX
     if speed_gap(hi) < 0.0:
         raise ValueError(f"speed {c} exceeds the separatrix limit c(kappa={hi}) for L={L}")
-    if speed_gap(lo) > 0.0:
-        # c is within rounding of the threshold; the wave is essentially constant
-        return lo
+    if speed_gap(lo) >= 0.0:
+        # c is above 4 pi^2/L^2 by no more than rounding, and c(kappa) is flat
+        # to rounding near kappa = 0: no modulus in the bracket has this speed
+        raise SpeedBelowThresholdError(
+            f"speed {c} is within rounding of 4 pi^2/L^2 = {threshold}: at or below "
+            f"c(kappa={lo}), so no periodic wave of period {L} has it"
+        )
     # bracketed root of a strictly increasing function; brentq refines to machine precision
     return float(brentq(speed_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 

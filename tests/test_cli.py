@@ -198,6 +198,41 @@ class TestSpectrum:
         assert "spectrum failed: zero cluster not separated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_header_reports_the_certificate(self, tmp_path):
+        # the margin and the kernel residual sit on the line after the
+        # symmetry residual; the lines before it keep their place
+        out, again = tmp_path / "spectrum.csv", tmp_path / "again.csv"
+        for path in (out, again):
+            assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "256",
+                         "--out", str(path)]) == 0
+        assert out.read_bytes() == again.read_bytes()
+        header, cols, rows = read_csv(out)
+        assert header[5] == "# lambda_max_real=0.0 symmetry_residual=0.0"
+        fields = dict(item.split("=") for item in header[6][2:].split())
+        assert list(fields) == ["margin", "kernel_residual"]
+        assert float(fields["margin"]) == pytest.approx(6.3323282281, rel=1e-10)
+        assert float(fields["kernel_residual"]) < 1e-10
+        assert all(dict(zip(cols, r))["re"] == "0.0" for r in rows)
+
+    def test_indefinite_hessian_exits_with_the_inertia(self, tmp_path, monkeypatch, capsys):
+        # a profile that does not solve its equation at the speed given: no certificate
+        from dataclasses import replace
+
+        from dswlab import cli, params_from_kappa
+
+        def slow_wave(L, kappa):
+            p = params_from_kappa(L, kappa)
+            return replace(p, c=0.3 * p.c)
+
+        monkeypatch.setattr(cli, "params_from_kappa", slow_wave)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "128",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "spectrum failed: the constrained Hessian of the even block" in err
+        assert "inertia (n-, n0, n+) = (2, 0, 123)" in err
+        assert not out.exists()
+
     def test_odd_grid_gives_the_even_grid_counts(self, tmp_path):
         # odd N has no Nyquist mode: the zero cluster is the 4-member generalized
         # kernel, and the 2N - 4 rows carry the counts of N = 256

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (RE_TOL, NoUnstableModeError, _fourier_diff_matrices, assemble,
+from dswlab.spectra import (RE_TOL, IndefiniteHessianError, NoUnstableModeError,
+                            _fourier_diff_matrices, _nonzero_spectrum, assemble,
                             assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
@@ -170,15 +173,17 @@ class TestSpectrumReport:
 
     @pytest.mark.parametrize("L, kappa", [(2.0, 0.3), (2.5, 0.8)])
     def test_odd_grid_matches_the_even_grid(self, L, kappa):
-        # odd N has no Nyquist mode: the zero cluster is the generalized kernel
-        # alone, and counts and the spectrum below 1000 are those of N = 256
+        # odd N has no Nyquist mode: the zero cluster of the dense eigensolve is
+        # the generalized kernel alone, and counts and the spectrum below 1000
+        # are those of N = 256
         p = params_from_kappa(L, kappa)
         even = unstable_modes(p, N=256)
         low = even.eigenvalues[np.abs(even.eigenvalues) < 1000]
         for N in (255, 257):
             rep = unstable_modes(p, N=N)
-            assert rep.zero_cluster.size == 4
-            assert np.max(np.abs(rep.zero_cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
+            cluster = _nonzero_spectrum(assemble("dHcal", p, N).matrix)[3]
+            assert cluster.size == 4
+            assert np.max(np.abs(cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
             assert (rep.k_r, rep.k_c, rep.krein_negative, rep.n_Lplus, rep.n_H) == (
                 even.k_r, even.k_c, even.krein_negative, even.n_Lplus, even.n_H)
             odd_low = rep.eigenvalues[np.abs(rep.eigenvalues) < 1000]
@@ -186,10 +191,12 @@ class TestSpectrumReport:
             nearest = np.min(np.abs(odd_low[None, :] - low[:, None]), axis=1)
             assert np.max(nearest / np.abs(low)) < 1e-9
 
-    def test_zero_cluster_separated(self, spectrum_2_03):
-        rep = spectrum_2_03
-        assert rep.zero_cluster.size == zero_cluster_size(256) == 6
-        assert np.max(np.abs(rep.zero_cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
+    def test_zero_cluster_separated(self, spectrum_2_03, wave_2_03):
+        # the dense eigensolve leaves out as many eigenvalues as the certificate does
+        eigvals, _, keep, cluster = _nonzero_spectrum(assemble("dHcal", wave_2_03, 256).matrix)
+        assert cluster.size == zero_cluster_size(256) == 6
+        assert keep.size == spectrum_2_03.eigenvalues.size == 2 * 256 - 6
+        assert np.max(np.abs(cluster)) < 0.1 * np.min(np.abs(spectrum_2_03.eigenvalues))
 
     def test_count_identity_with_measured_morse_index(self, spectrum_2_03, wave_2_03):
         # k_r + 2 k_c + 2 k_i^- = n(H) - n(D) holds with the measured n(H) = 1
@@ -245,8 +252,9 @@ class TestSpectrumReport:
 
 
 def per_pair_reference(p, N):
-    """Krein signs and partner gaps by one loop per eigenvalue, the reference for the batches:
-    the 2x2 form of H on span(Re v, Im v) through eigvalsh, and a min per row."""
+    """Krein signs and partner gaps of the dense eig of dH by one loop per eigenvalue, the
+    oracle of the certified spectrum: the 2x2 form of H on span(Re v, Im v) through
+    eigvalsh, and a min per row."""
     H = assemble("Hcal", p, N).matrix
     eigvals, eigvecs = np.linalg.eig(assemble("dHcal", p, N).matrix)
     keep = np.argsort(np.abs(eigvals))[zero_cluster_size(N):]
@@ -265,14 +273,25 @@ def per_pair_reference(p, N):
 
 
 class TestBatchedSpectrum:
-    @pytest.mark.parametrize("L, kappa", [(2.0, 0.3), (1.0, 0.5)])
+    @pytest.mark.parametrize("L, kappa", [(2.0, 0.3), (2.7, 0.55), (1.0, 0.9), (3.7, 0.93),
+                                          (2.0, 0.05), (1.0, 0.5)])
     def test_krein_signs_and_gaps_match_per_pair_loop(self, L, kappa):
+        # the dense eig of dH, one eigenvalue at a time, is the oracle of the
+        # certified spectrum: as many eigenvalues, the same frequencies, every
+        # upper member of positive Krein sign and every eigenvalue with its
+        # -lambda partner
         p = params_from_kappa(L, kappa)
-        rep = unstable_modes(p, N=128)
-        signs, gaps = per_pair_reference(p, 128)
-        assert upper_pair_signs(rep) == signs
-        assert np.array_equal(rep.partner_gaps, gaps)
-        assert rep.symmetry_residual == max(gaps)
+        for N in (128, 255, 384):
+            rep = unstable_modes(p, N=N)
+            signs, gaps = per_pair_reference(p, N)
+            assert rep.eigenvalues.size == gaps.size == 2 * N - zero_cluster_size(N)
+            certified = np.array([mu for mu, _ in upper_pair_signs(rep)])
+            oracle = np.sort([mu for mu, _ in signs])
+            assert certified.size == oracle.size
+            assert np.max(np.abs(certified - oracle) / oracle) <= 1e-9
+            assert all(sign == 1 for _, sign in signs)
+            assert np.max(gaps) <= 1e-7
+            assert rep.symmetry_residual == 0.0 and np.all(rep.eigenvalues.real == 0.0)
 
     def test_counts_and_signs_at_a_size_that_is_no_power_of_two(self, wave_2_03, spectrum_2_03):
         rep = unstable_modes(wave_2_03, N=384)
@@ -288,6 +307,56 @@ class TestBatchedSpectrum:
             j = int(np.argmin(np.abs(mus - mu)))
             assert abs(mus[j] - mu) < 1e-6 * mu
             assert signs[j][1] == sign
+
+
+class TestCertificate:
+    def test_certified_spectrum_needs_no_eig(self, wave_2_03, spectrum_2_03, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("unstable_modes called a dense nonsymmetric eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        rep = unstable_modes(wave_2_03, N=256)
+        assert np.array_equal(rep.eigenvalues, spectrum_2_03.eigenvalues)
+
+    def test_margin_is_resolution_independent(self, wave_2_03, spectrum_2_03):
+        # lambda_min of the constrained Hessian at (2, 0.3) is a property of the wave
+        assert spectrum_2_03.margin == pytest.approx(6.3323282281, rel=1e-10)
+        for N in (127, 255, 384):
+            assert unstable_modes(wave_2_03, N=N).margin == pytest.approx(
+                spectrum_2_03.margin, rel=1e-9)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.9, 0.999])
+    def test_margin_over_c_depends_on_kappa_alone(self, kappa):
+        # the scaling (u, v)(x, t) -> L^-2 (U, V)(x/L, t/L^3) multiplies H by L^-2, as c
+        ratios = [unstable_modes(params_from_kappa(L, kappa), N=255) for L in (1.0, 2.0)]
+        ratios = [rep.margin / rep.params.c for rep in ratios]
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
+        assert 0.44 < ratios[0] < 0.64
+
+    def test_kernel_residual_at_rounding(self, spectrum_2_03):
+        assert spectrum_2_03.kernel_residual < 1e-10
+
+    def test_indefinite_hessian_raises_with_the_inertia(self, wave_2_03):
+        # at 0.3 c the profile no longer solves its equation, and the even block's
+        # constrained Hessian has two negative eigenvalues
+        with pytest.raises(IndefiniteHessianError) as info:
+            unstable_modes(replace(wave_2_03, c=0.3 * wave_2_03.c), N=128)
+        assert (info.value.block, info.value.inertia) == ("even", (2, 0, 123))
+        assert "inertia (n-, n0, n+) = (2, 0, 123)" in str(info.value)
+
+    @pytest.mark.parametrize("N", [64, 255])
+    def test_imaginary_eigenmode_is_the_oracle_eigenpair(self, wave_2_03, N):
+        # the smallest frequency of the dense eigensolve, and its eigenvector
+        p = wave_2_03
+        mu, U, V = imaginary_eigenmode(p, N)
+        dH = assemble_operator("dHcal", p.L, p.c, eval_profile(p, np.arange(N) * (p.L / N))[0])
+        eigvals, _, keep, _ = _nonzero_spectrum(dH.matrix)
+        eigs = eigvals[keep]
+        assert mu == pytest.approx(np.min(eigs.imag[eigs.imag > 0]), rel=1e-9)
+        w = np.concatenate([U, V])
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(dH.matrix @ w - 1j * mu * w) < 1e-8 * mu
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])

@@ -124,6 +124,14 @@ class TestKappaFromC:
         with pytest.raises(SpeedBelowThresholdError):
             kappa_from_c(L, 0.5 * 4 * np.pi**2 / L**2)
 
+    def test_speed_within_rounding_of_threshold_rejected(self):
+        # one ulp above 4 pi^2/L^2, where c(kappa) is flat to rounding: the
+        # bracket's end kappa = 1e-9 is no root, and it used to come back as one
+        L, c = 0.212802078381784, 871.7822176196752
+        assert np.nextafter(4 * np.pi**2 / L**2, np.inf) == c
+        with pytest.raises(SpeedBelowThresholdError, match="within rounding"):
+            kappa_from_c(L, c)
+
     def test_monotone_in_c(self):
         L = 2.0
         cs = np.linspace(9.9, 30.0, 25)
