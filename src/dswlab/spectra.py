@@ -21,14 +21,16 @@ The parities make it block off-diagonal, so the omega are the singular
 values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. The margin
 lambda_min(Hc) says by how much the certificate holds; no threshold on
 Re lambda enters. If Hc has no Cholesky factor, IndefiniteHessianError
-names the inertia of the failing block.
+names the inertia of the failing block. The certificate rests on e1 being
+the kernel of the collocation H; KernelResidualError says when it is not,
+for a profile that does not solve its equation or a grid too coarse for it.
 
 The dense `eig` of dH remains only in `unstable_eigenmode` and, through
 _nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
 members at odd N and 6 at even N, and the certified spectrum has as many
 eigenvalues as it leaves, 2N - 4 or 2N - 6. The independent oracle for the
-quadrature pipeline pairs the solutions of H e = rhs, all found by one
-bordered solve against the analytic kernel (psi', phi').
+quadrature pipeline pairs the solutions of H e = rhs. The right-hand sides
+are even and the kernel odd, so one solve on the even block finds them all.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "SpectrumReport",
     "EigensolveError",
     "IndefiniteHessianError",
+    "KernelResidualError",
     "assemble",
     "assemble_operator",
     "morse_index",
@@ -57,11 +60,18 @@ __all__ = [
 OPERATOR_KINDS = ("Lplus", "Hcal", "dHcal")
 SYMMETRIC_KINDS = ("Lplus", "Hcal")
 
-# An eigenvalue is unstable when its real part exceeds RE_TOL, and the upper
-# member of its pair when its imaginary part does. It is real (imaginary) when
-# its imaginary (real) part is at most CLASS_TOL * max(1, |lambda|).
+# In the dense eigensolve of unstable_eigenmode, an eigenvalue is unstable
+# when its real part exceeds RE_TOL. It is real (imaginary) when its
+# imaginary (real) part is at most CLASS_TOL * max(1, |lambda|).
 RE_TOL = 1e-6
 CLASS_TOL = 1e-7
+
+# |H (psi', phi')| / (c |(psi', phi')|) above which the certificate has no
+# premise. Waves from params_from_kappa give 3e-14 to 4e-12 at N = 128..384
+# for kappa in [1e-3, 0.999] (1e-10 at N = 2048: rounding grows like N^2);
+# grids that do not resolve the wave give 3e-8 (kappa = 0.99, N = 64) and more.
+KERNEL_RESIDUAL_BOUND = 1e-8
+
 
 class EigensolveError(RuntimeError):
     """A dense factorization failed, or its result fails a structural check."""
@@ -80,6 +90,18 @@ class IndefiniteHessianError(EigensolveError):
                          f"factor: inertia (n-, n0, n+) = {inertia}")
         self.block = block
         self.inertia = inertia
+
+
+class KernelResidualError(EigensolveError):
+    """(psi', phi') is not the kernel of the collocation H, so nothing is certified.
+
+    residual is |H (psi', phi')| / (c |(psi', phi')|), above KERNEL_RESIDUAL_BOUND.
+    """
+
+    def __init__(self, residual: float):
+        super().__init__(f"(psi', phi') is not the kernel of H: kernel residual "
+                         f"{residual:.3e} > {KERNEL_RESIDUAL_BOUND:.0e}")
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,85 +201,7 @@ def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the oracle for the quadrature pipeline
-
-def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
-    """Solve m x = f on the orthogonal complement of the near-kernel mode.
-
-    The smallest-|eigenvalue| direction is dropped; for even right-hand sides
-    this reproduces the even periodic inverse exactly (the kernel is odd).
-    """
-    lam, vec = _eigh(m.matrix)
-    inv = 1.0 / lam
-    inv[int(np.argmin(np.abs(lam)))] = 0.0
-    return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
-
-
-def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
-    """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the grid.
-
-    The three solves are one LU solve of the bordered system
-    [[H, k], [k^T, 0]] with k the normalised analytic kernel (psi', phi');
-    for the even right-hand sides (the kernel is odd) its solution is the
-    k-orthogonal inverse. Uses only the collocation H and trapezoid
-    quadrature; shares nothing with the quadrature pipeline except the wave
-    profile itself.
-    """
-    psi, dpsi = _grid(p, N)
-    phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
-    H = assemble_operator("Hcal", p.L, p.c, psi).matrix
-    k = np.concatenate([dpsi, psi * dpsi / p.c])[:, None]
-    k /= np.linalg.norm(k)
-    one, zero = np.ones(N), np.zeros(N)
-    rhs = np.stack([np.concatenate([one, zero]),
-                    np.concatenate([zero, one]),
-                    np.concatenate([psi, phi])], axis=1)
-    bordered = np.block([[H, k], [k.T, np.zeros((1, 1))]])
-    sols = np.linalg.solve(bordered, np.vstack([rhs, np.zeros((1, 3))]))[:-1]
-    D = (p.L / N) * (rhs.T @ sols)
-    return 0.5 * (D + D.T)
-
-
-# ---------------------------------------------------------------------------
-# the certified spectrum of dHcal
-
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    """Eigenvalue lists and index counts for the linearized evolution generator.
-
-    classes, krein and partner_gaps are aligned with eigenvalues: each
-    eigenvalue's class ("real", "imaginary" or "quadruplet"), its Krein sign
-    (+-1 on the upper member Im > RE_TOL of an imaginary pair, 0 on every
-    other eigenvalue) and its distance to the nearest -lambda partner. The
-    certificate makes the spectrum exactly +-i omega with Krein sign +1, so
-    k_r = k_c = krein_negative = 0, lambda_max_real = 0 and the partner gaps
-    are 0; the dense eig of the tests measures what these fields assert.
-    """
-
-    params: WaveParams
-    N: int
-    eigenvalues: np.ndarray          # nonzero spectrum: pairs +i omega, -i omega, omega ascending
-    classes: np.ndarray
-    krein: np.ndarray
-    margin: float                    # min lambda_min(Hc) over the even and odd blocks
-    kernel_residual: float           # |H (psi', phi')| / (c |(psi', phi')|)
-    n_Lplus: tuple
-    n_H: tuple
-    kernel_overlap_Lplus: float
-    kernel_overlap_H: float
-    k_r: int
-    k_c: int
-    krein_negative: int
-    lambda_max_real: float
-    symmetry_residual: float         # max of partner_gaps
-    partner_gaps: np.ndarray         # min_j |lambda_j + lambda_i| / max(1, |lambda_i|) per eigenvalue
-
-    def count_identity_lhs(self) -> int:
-        return self.k_r + 2 * self.k_c + 2 * self.krein_negative
-
-    def n_H_minus_nD(self, n_D: int) -> int:
-        return self.n_H[0] - n_D
-
+# the parity blocks
 
 def _trig_basis(N: int):
     """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
@@ -287,13 +231,83 @@ def _project(c: float, psi: np.ndarray, basis: np.ndarray, k: np.ndarray):
     return lap - (1.5 / c) * m2, H
 
 
+# ---------------------------------------------------------------------------
+# the oracle for the quadrature pipeline
+
+def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
+    """Solve m x = f on the orthogonal complement of the near-kernel mode.
+
+    The smallest-|eigenvalue| direction is dropped; for even right-hand sides
+    this reproduces the even periodic inverse exactly (the kernel is odd).
+    """
+    lam, vec = _eigh(m.matrix)
+    inv = 1.0 / lam
+    inv[int(np.argmin(np.abs(lam)))] = 0.0
+    return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
+
+
+def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
+    """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the grid.
+
+    The right-hand sides (1, 0), (0, 1) and (psi, phi) are even and the
+    kernel (psi', phi') of H is odd, so the off-kernel solutions are those of
+    one solve on the even block: D = (L/N) R^T H_even^-1 R, with R the cosine
+    coordinates of the right-hand sides. Uses only the collocation H and
+    trapezoid quadrature; shares nothing with the quadrature pipeline except
+    the wave profile itself.
+    """
+    psi, _ = _grid(p, N)
+    phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
+    C, _ = _trig_basis(N)
+    H_even = _project(p.c, psi, C, (2 * np.pi / p.L) * np.arange(C.shape[1]))[1]
+    one, zero = C.T @ np.ones(N), np.zeros(C.shape[1])
+    R = np.stack([np.concatenate([one, zero]),
+                  np.concatenate([zero, one]),
+                  np.concatenate([C.T @ psi, C.T @ phi])], axis=1)
+    D = (p.L / N) * (R.T @ np.linalg.solve(H_even, R))
+    return 0.5 * (D + D.T)
+
+
+# ---------------------------------------------------------------------------
+# the certified spectrum of dHcal
+
+@dataclass(frozen=True, eq=False)
+class SpectrumReport:
+    """The certified spectrum of the linearized evolution generator, with index counts.
+
+    The certificate makes every eigenvalue +-i omega with Krein sign +1, so
+    for every report k_r = k_c = krein_negative = 0 and the quadruplet
+    symmetry residual is 0: class constants, not fields. The dense eig of
+    the tests measures what they assert.
+    """
+
+    params: WaveParams
+    N: int
+    eigenvalues: np.ndarray          # nonzero spectrum: pairs +i omega, -i omega, omega ascending
+    margin: float                    # min lambda_min(Hc) over the even and odd blocks
+    kernel_residual: float           # |H (psi', phi')| / (c |(psi', phi')|)
+    n_Lplus: tuple
+    n_H: tuple
+    kernel_overlap_Lplus: float
+    kernel_overlap_H: float
+
+    k_r = k_c = krein_negative = 0
+    symmetry_residual = 0.0
+
+    def count_identity_lhs(self) -> int:
+        return self.k_r + 2 * self.k_c + 2 * self.krein_negative
+
+
 def _parity_blocks(p: WaveParams, N: int):
     """(C, S, k, (L+, H) even, (L+, H) odd, kernel) for the wave p on the N-point grid.
 
     C and S are the cosine and sine bases, k = 2 pi (0..N//2) / L the cosine
     wavenumbers (the sine ones are k[1:S.shape[1] + 1]), and kernel the
-    analytic kernel (psi', phi') of H in sine coordinates.
+    analytic kernel (psi', phi') of H in sine coordinates. N < 3 leaves no
+    mode in range(J): ValueError.
     """
+    if N < 3:
+        raise ValueError(f"N must be >= 3 (got {N})")
     psi, dpsi = _grid(p, N)
     C, S = _trig_basis(N)
     k = (2 * np.pi / p.L) * np.arange(C.shape[1])
@@ -328,12 +342,13 @@ def _factor(Hc: np.ndarray, block: str, c: float):
 
 
 def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.ndarray, c: float):
-    """(X, (L_e, L_o), (g_e, g_o), margin): the certificate on range(J).
+    """(X, (L_e, L_o), (g_e, g_o), margin, kernel_residual): the certificate on range(J).
 
     k holds the wavenumbers of range(J), 2 pi (1..m) / L, the even block's
     modes less the constants and the Nyquist mode. g_e and g_o are the
     reflectors whose complements are Q_e and Q_o, and L_e, L_o the lower
-    Cholesky factors of Hc on each, so R = L^T.
+    Cholesky factors of Hc on each, so R = L^T. Raises KernelResidualError
+    when the premise, H kernel = 0, fails.
     """
     m, n = k.size, H_even.shape[0] // 2
     kk = np.concatenate([k, k])
@@ -345,11 +360,14 @@ def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.nd
         g_e, g_o = _reflector(Ke1), _reflector(np.linalg.solve(H_ee, Ke1) / kk)
         L_e, margin_e = _factor(_reflected(H_ee, g_e, g_e), "even", c)
         L_o, margin_o = _factor(_reflected(H_odd, g_o, g_o), "odd", c)
+        residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
+        if residual > KERNEL_RESIDUAL_BOUND:
+            raise KernelResidualError(residual)
         Kc = _reflected(np.diag(K_eo), g_e, g_o)
         X = L_e.T @ np.linalg.solve(Kc.T, L_o)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
-    return X, (L_e, L_o), (g_e, g_o), min(margin_e, margin_o)
+    return X, (L_e, L_o), (g_e, g_o), min(margin_e, margin_o), residual
 
 
 def _classify(eigs: np.ndarray) -> np.ndarray:
@@ -375,11 +393,12 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     The spectrum is +-i omega with omega the singular values of X (module
     docstring); it leaves out the zero cluster of the dense eigensolve.
     Raises IndefiniteHessianError when a constrained Hessian has no
-    Cholesky factor, so no spectrum is reported without its certificate.
+    Cholesky factor, and KernelResidualError when (psi', phi') is not the
+    kernel of H, so no spectrum is reported without its certificate.
     """
     _, S, k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
     m = S.shape[1]
-    X, _, _, margin = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    X, _, _, margin, residual = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
     try:
         omega = np.linalg.svd(X, compute_uv=False)[::-1]
         lam_lp, (lam_lp_odd, vec_lp_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
@@ -388,21 +407,13 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
         raise EigensolveError(str(exc)) from exc
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
-
-    # the certificate: no real part, Krein sign +1 on every upper member, and
-    # every eigenvalue next to its -lambda partner
-    classes = _classify(eigs)
-    krein = ((classes == "imaginary") & (eigs.imag > RE_TOL)).astype(int)
     return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, classes=classes, krein=krein, margin=margin,
-        kernel_residual=float(np.linalg.norm(h_odd @ kernel) / (p.c * np.linalg.norm(kernel))),
+        params=p, N=N, eigenvalues=eigs, margin=margin, kernel_residual=residual,
         n_Lplus=_morse_counts(np.concatenate([lam_lp, lam_lp_odd]), p.c),
         n_H=_morse_counts(np.concatenate([lam_h, lam_h_odd]), p.c),
         # kernel[:m] is psi' in sine coordinates, the kernel of L+
         kernel_overlap_Lplus=_odd_kernel_overlap(lam_lp, lam_lp_odd, vec_lp_odd, kernel[:m]),
-        kernel_overlap_H=_odd_kernel_overlap(lam_h, lam_h_odd, vec_h_odd, kernel),
-        k_r=0, k_c=0, krein_negative=0, lambda_max_real=0.0,
-        symmetry_residual=0.0, partner_gaps=np.zeros(eigs.size))
+        kernel_overlap_H=_odd_kernel_overlap(lam_h, lam_h_odd, vec_h_odd, kernel))
 
 
 def imaginary_eigenmode(p: WaveParams, N: int = 256):
@@ -416,7 +427,7 @@ def imaginary_eigenmode(p: WaveParams, N: int = 256):
     """
     C, S, k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
     m = S.shape[1]
-    X, (L_e, L_o), (g_e, g_o), _ = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
     try:
         U_x, sigma, Vt_x = np.linalg.svd(X)
         x_e = np.linalg.solve(L_e.T, U_x[:, -1])

