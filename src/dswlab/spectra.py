@@ -5,8 +5,12 @@ evolution generator dH = J H with J = diag(d/dxi, d/dxi). The wave is even,
 so on the orthonormal grid cosine and sine bases L+ and H each split into an
 even and an odd block, and J maps each parity onto the other: d/dxi takes
 cos_k to -k sin_k and sin_k to k cos_k. `unstable_modes` works on these
-blocks. One decomposition per block gives the Morse counts and the kernel
-alignments, and the spectrum of dH comes with a certificate.
+blocks, and the spectrum of dH comes with a certificate. One decomposition
+per L+ block serves L+ and H: multiplication by the even psi keeps parity,
+so on each block M1 M1 = M2 and the Schur complement of c I in
+H = [[Lm, -M1], [-M1, c I]] is Lm - M1^2 / c = L+. Haynsworth's inertia
+additivity then gives n(H) = n(L+) for c > 0, and H's kernel is the lift
+(u, M1 u / c) of L+'s kernel u.
 
 The certificate is the finite-dimensional form of n(H) - n(D) = 0
 (Kapitula & Promislow 2013, ch. 7). On range(J), the modes 0 < k < N/2,
@@ -174,9 +178,7 @@ def _morse_counts(lam: np.ndarray, c: float):
     return int(np.sum(lam < -zero_tol)), int(np.sum(np.abs(lam) <= zero_tol))
 
 
-def _kernel_overlap(lam: np.ndarray, vec: np.ndarray, reference: np.ndarray) -> float:
-    v = vec[:, int(np.argmin(np.abs(lam)))]
-    r = np.asarray(reference, dtype=float)
+def _cosine(v: np.ndarray, r: np.ndarray) -> float:
     return float(abs(v @ r) / (np.linalg.norm(v) * np.linalg.norm(r)))
 
 
@@ -197,7 +199,8 @@ def morse_index(m: OperatorMatrix):
 
 def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
     """|cos angle| between the near-kernel eigenvector and a reference vector."""
-    return _kernel_overlap(*_eigh(m.matrix), reference)
+    lam, vec = _eigh(m.matrix)
+    return _cosine(vec[:, int(np.argmin(np.abs(lam)))], np.asarray(reference, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +212,9 @@ def _trig_basis(N: int):
     At even N the last cosine column is the Nyquist mode (-1)^j / sqrt(N).
     """
     j = np.arange(N)[:, None]
-    cos = np.cos((2 * np.pi / N) * (j * np.arange(N // 2 + 1) % N))
-    sin = np.sin((2 * np.pi / N) * (j * np.arange(1, (N + 1) // 2) % N))
+    angle = (2 * np.pi / N) * np.arange(N)   # cos and sin of angle[(j k) mod N]
+    cos = np.cos(angle)[j * np.arange(N // 2 + 1) % N]
+    sin = np.sin(angle)[j * np.arange(1, (N + 1) // 2) % N]
     weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
     weight[0] = 1.0 / np.sqrt(N)
     if N % 2 == 0:
@@ -377,43 +381,39 @@ def _classify(eigs: np.ndarray) -> np.ndarray:
                     np.where(np.abs(eigs.real) <= tol, "imaginary", "quadruplet"))
 
 
-def _odd_kernel_overlap(lam_even, lam_odd, vec_odd, reference) -> float:
-    """_kernel_overlap over both parity blocks for an odd reference in sine coordinates.
-
-    An even near-kernel eigenvector is orthogonal to the reference: overlap 0.
-    """
-    if np.min(np.abs(lam_even)) < np.min(np.abs(lam_odd)):
-        return 0.0
-    return _kernel_overlap(lam_odd, vec_odd, reference)
-
-
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
     The spectrum is +-i omega with omega the singular values of X (module
     docstring); it leaves out the zero cluster of the dense eigensolve.
-    Raises IndefiniteHessianError when a constrained Hessian has no
-    Cholesky factor, and KernelResidualError when (psi', phi') is not the
-    kernel of H, so no spectrum is reported without its certificate.
+    The eigendecompositions of the two L+ blocks give the counts and kernel
+    alignments of both L+ and H (module docstring). Raises
+    IndefiniteHessianError when a constrained Hessian has no Cholesky
+    factor, and KernelResidualError when (psi', phi') is not the kernel of
+    H, so no spectrum is reported without its certificate.
     """
     _, S, k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
     m = S.shape[1]
     X, _, _, margin, residual = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
     try:
         omega = np.linalg.svd(X, compute_uv=False)[::-1]
-        lam_lp, (lam_lp_odd, vec_lp_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
-        lam_h, (lam_h_odd, vec_h_odd) = np.linalg.eigvalsh(h_even), np.linalg.eigh(h_odd)
+        lam_even, (lam_odd, vec_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
+    n_Lplus = _morse_counts(np.concatenate([lam_even, lam_odd]), p.c)
+    overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
+    if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
+        u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
+        # the odd block H = [[Lm, -M1], [-M1, c I]] maps the lift (u, M1 u / c) to (L+ u, 0)
+        lift = np.concatenate([u, -h_odd[m:, :m] @ u / p.c])
+        # kernel[:m] is psi' in sine coordinates, the kernel of L+
+        overlaps = (_cosine(u, kernel[:m]), _cosine(lift, kernel))
     return SpectrumReport(
         params=p, N=N, eigenvalues=eigs, margin=margin, kernel_residual=residual,
-        n_Lplus=_morse_counts(np.concatenate([lam_lp, lam_lp_odd]), p.c),
-        n_H=_morse_counts(np.concatenate([lam_h, lam_h_odd]), p.c),
-        # kernel[:m] is psi' in sine coordinates, the kernel of L+
-        kernel_overlap_Lplus=_odd_kernel_overlap(lam_lp, lam_lp_odd, vec_lp_odd, kernel[:m]),
-        kernel_overlap_H=_odd_kernel_overlap(lam_h, lam_h_odd, vec_h_odd, kernel))
+        n_Lplus=n_Lplus, n_H=n_Lplus,
+        kernel_overlap_Lplus=overlaps[0], kernel_overlap_H=overlaps[1])
 
 
 def imaginary_eigenmode(p: WaveParams, N: int = 256):

@@ -65,8 +65,8 @@ def params_from_kappa(L: float, kappa: float) -> WaveParams:
     """Build WaveParams from the period L and the modulus kappa in (0, 1)."""
     L = float(L)
     kappa = float(kappa)
-    if not (L > 0.0):
-        raise ValueError(f"period L must be positive (got {L!r})")
+    if not (0.0 < L < np.inf):
+        raise ValueError(f"period L must be positive and finite (got {L!r})")
     if not (0.0 < kappa < 1.0) or kappa > KAPPA_MAX:
         raise ValueError(f"modulus must lie in (0, {KAPPA_MAX}] (got {kappa!r})")
 
@@ -121,8 +121,8 @@ def kappa_from_c(L: float, c: float) -> float:
 
     L = float(L)
     c = float(c)
-    if not (L > 0.0):
-        raise ValueError(f"period L must be positive (got {L!r})")
+    if not (0.0 < L < np.inf):
+        raise ValueError(f"period L must be positive and finite (got {L!r})")
     threshold = 4.0 * np.pi**2 / L**2
     if c <= threshold:
         raise SpeedBelowThresholdError(

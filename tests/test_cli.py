@@ -47,6 +47,14 @@ class TestWaveCommand:
         assert main(["wave", "--L", "2", "--kappa", "1.5"]) == 2
         assert "modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["wave", "spectrum"])
+    @pytest.mark.parametrize("route", [["--kappa", "0.3"], ["--c", "5"]])
+    def test_infinite_period_exits_2(self, tmp_path, capsys, command, route):
+        out = tmp_path / "out.csv"
+        assert main([command, "--L", "inf", *route, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: period L must be positive and finite (got inf)\n"
+        assert not out.exists()
+
     def test_below_threshold_speed_reported(self, capsys):
         assert main(["wave", "--L", "2", "--c", "1.0"]) == 2
         assert "4 pi^2" in capsys.readouterr().err

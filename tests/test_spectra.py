@@ -6,7 +6,8 @@ import pytest
 from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError,
-                            _fourier_diff_matrices, _nonzero_spectrum, assemble,
+                            _fourier_diff_matrices, _grid, _morse_counts,
+                            _nonzero_spectrum, _parity_blocks, _trig_basis, assemble,
                             assemble_operator, dmatrix_via_collocation,
                             imaginary_eigenmode, kernel_alignment, morse_index,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
@@ -367,6 +368,59 @@ class TestCertificate:
         w = np.concatenate([U, V])
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(dH.matrix @ w - 1j * mu * w) < 1e-8 * mu
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("L", [1.0, 2.7])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.3, 0.55, 0.9, 0.999])
+    def test_h_counts_and_kernel_are_those_of_lplus(self, L, kappa):
+        # the Schur complement of c I in each H block is the L+ block, so the
+        # eigensolves of the full H blocks are the oracle of n(H) and H's kernel
+        # (worst measured: |M1 M1 - M2| / |M2| 1.5e-15, overlap 5.6e-16)
+        p = params_from_kappa(L, kappa)
+        for N in (127, 128, 255, 384):
+            rep = unstable_modes(p, N)
+            C, S, _, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
+            psi, _ = _grid(p, N)
+            for basis in (C, S):
+                m1 = basis.T @ (psi[:, None] * basis)
+                m2 = basis.T @ ((psi * psi)[:, None] * basis)
+                assert np.linalg.norm(m1 @ m1 - m2) <= 1e-14 * np.linalg.norm(m2)
+            lam_even = np.linalg.eigvalsh(h_even)
+            lam_odd, vec_odd = np.linalg.eigh(h_odd)
+            assert rep.n_H == _morse_counts(np.concatenate([lam_even, lam_odd]), p.c)
+            overlap = 0.0
+            if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
+                v = vec_odd[:, np.argmin(np.abs(lam_odd))]
+                overlap = abs(v @ kernel) / (np.linalg.norm(v) * np.linalg.norm(kernel))
+            assert abs(rep.kernel_overlap_H - overlap) <= 1e-12
+
+    @pytest.mark.parametrize("N", [127, 256])
+    def test_one_eigensolve_per_lplus_block_and_constrained_hessian(self, wave_2_03, N,
+                                                                    monkeypatch):
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def record(A, *args, _solve=getattr(np.linalg, name), **kwargs):
+                sizes.append(A.shape[0])
+                return _solve(A, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, record)
+        unstable_modes(wave_2_03, N)
+        m = (N - 1) // 2   # the sine modes; the cosine ones are N // 2 + 1
+        assert sorted(sizes) == sorted([N // 2 + 1, m, 2 * m - 1, 2 * m - 1])
+        assert not {2 * (N // 2 + 1), 2 * m} & set(sizes)   # no H block
+
+    @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
+    def test_trig_basis_is_the_direct_evaluation(self, N):
+        j = np.arange(N)[:, None]
+        weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
+        weight[0] = 1.0 / np.sqrt(N)
+        if N % 2 == 0:
+            weight[-1] = 1.0 / np.sqrt(N)
+        cos = np.cos((2 * np.pi / N) * (j * np.arange(N // 2 + 1) % N)) * weight
+        sin = np.sqrt(2.0 / N) * np.sin((2 * np.pi / N) * (j * np.arange(1, (N + 1) // 2) % N))
+        C, S = _trig_basis(N)
+        assert np.array_equal(C, cos) and np.array_equal(S, sin)
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])

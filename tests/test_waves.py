@@ -107,6 +107,15 @@ def test_invalid_modulus_rejected():
         params_from_kappa(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("L", [np.inf, -np.inf, np.nan])
+def test_non_finite_period_rejected(L):
+    # inf used to pass the L > 0 guard and fail the root invariants instead
+    with pytest.raises(ValueError, match="period L must be positive and finite"):
+        params_from_kappa(L, 0.3)
+    with pytest.raises(ValueError, match="period L must be positive and finite"):
+        kappa_from_c(L, 5.0)
+
+
 class TestKappaFromC:
     def test_roundtrip_grid(self):
         for kappa in KAPPA_GRID:
