@@ -81,16 +81,8 @@ def floquet_constant(p: WaveParams, tol: float = 1e-12) -> FloquetConstant:
     return FloquetConstant(p_prime_0=p.alpha, q_prime_final=theta * p.alpha, theta=theta)
 
 
-def p_eigenfunction(p: WaveParams, xi):
-    """Normalized kernel eigenfunction sn*cn*dn(alpha xi) / (1 + beta^2 sn^2)^2."""
-    from .elliptic import jacobi_sn_cn_dn
-
-    sn, cn, dn = jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa)
-    return sn * cn * dn / (1.0 + p.beta_sq * sn * sn) ** 2
-
-
-def p_eigenfunction_prime(p: WaveParams, xi):
-    """d/dxi of p_eigenfunction; p'(0) = alpha = 2K/L."""
+def _p_and_prime(p: WaveParams, xi):
+    """(p, p') at xi from one evaluation of sn, cn, dn."""
     from .elliptic import jacobi_sn_cn_dn
 
     sn, cn, dn = jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa)
@@ -98,7 +90,17 @@ def p_eigenfunction_prime(p: WaveParams, xi):
     k2 = p.kappa**2
     core = (cn**2 * dn**2 - sn**2 * dn**2 - k2 * sn**2 * cn**2) / B**2
     core -= 4.0 * p.beta_sq * sn**2 * cn**2 * dn**2 / B**3
-    return p.alpha * core
+    return sn * cn * dn / B**2, p.alpha * core
+
+
+def p_eigenfunction(p: WaveParams, xi):
+    """Normalized kernel eigenfunction sn*cn*dn(alpha xi) / (1 + beta^2 sn^2)^2."""
+    return _p_and_prime(p, xi)[0]
+
+
+def p_eigenfunction_prime(p: WaveParams, xi):
+    """d/dxi of p_eigenfunction; p'(0) = alpha = 2K/L."""
+    return _p_and_prime(p, xi)[1]
 
 
 def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
@@ -142,7 +144,8 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
 
     xs = np.linspace(0.0, p.L, 33)
     qs = sol.sol(xs)
-    wr = qs[0] * p_eigenfunction_prime(p, xs) - qs[1] * p_eigenfunction(p, xs)
+    p_xs, p_prime_xs = _p_and_prime(p, xs)
+    wr = qs[0] * p_prime_xs - qs[1] * p_xs
     drift = float(np.max(np.abs(wr - 1.0)))
 
     q_prime_final = float(sol.y[1, -1])

@@ -11,6 +11,11 @@ psi moments. Each family is one adaptive Gauss-Legendre pass over its stacked
 integrands, so sn, cn, dn are evaluated once per panel level and family, and
 one D costs two passes.
 
+varphi carries the antiderivative G of an even, 2K-periodic, analytic inner
+integrand (A2's). build_varphi expands that integrand in its cosine series
+from a few dozen equispaced samples (the trapezoid rule converges
+geometrically there), and G is the integrated series, evaluated by Clenshaw.
+
 Conventions that matter (they are easy to get wrong):
 
 * varphi is even about 0 and NOT L-periodic; all pairings <varphi, h> in the
@@ -25,15 +30,12 @@ Conventions that matter (they are easy to get wrong):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .elliptic import jacobi_sn_cn_dn
-from .waves import GridFunction, WaveParams, eval_profile, eval_profile_derivatives
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .waves import GridFunction, WaveParams, _profile_derivatives, eval_profile
 
 __all__ = [
     "VarphiTable",
@@ -69,7 +71,9 @@ class InconsistentIndexError(ArithmeticError):
 
 
 class QuadratureNotConvergedError(ArithmeticError):
-    """Panel doubling reached max_panels before two successive values agreed."""
+    """Panel doubling reached max_panels before two successive values agreed,
+    or the cosine series of varphi's inner integrand reached its cap before
+    its tail reached rounding."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,74 +126,132 @@ def gauss_legendre_adaptive(f: Callable, a: float, b: float,
 # ---------------------------------------------------------------------------
 # varphi: the even, non-periodic second kernel element of L+
 
+# first and last n of the cosine series (n + 1 samples on [0, K])
+_SERIES_MIN, _SERIES_MAX = 32, 16384
+_SERIES_TAIL = 1e-15
+
+
 def _c0(p: WaveParams) -> float:
     return 1.0 / (2.0 * p.alpha**2 * p.eta4 * (p.kappa**2 + p.beta_sq))
 
 
-def _inner_integrand(p: WaveParams, u):
-    """Integrand of the accumulated inner integral, as a function of u = alpha x."""
-    sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+def _inner_integrand(p: WaveParams, sn, dn):
+    """Integrand M of the accumulated inner integral, from sn and dn of u = alpha x.
+
+    M is even and 2K-periodic in u and analytic in a strip about the real
+    axis (dn has no real zero for kappa < 1).
+    """
     B = 1.0 + p.beta_sq * sn * sn
     k2b2 = p.kappa**2 + p.beta_sq
     return B**3 * (3.0 * k2b2 + 5.0 * p.beta_sq * dn * dn) * (1.0 - 2.0 * sn * sn) / dn**4
 
 
-@dataclass(frozen=True, eq=False)
-class VarphiTable:
-    """varphi's closed-form branch with the spline antiderivative G of the
-    inner integrand, so varphi can be evaluated anywhere without re-quadrature.
+def _cosine_series(p: WaveParams) -> np.ndarray:
+    """Coefficients a_0, a_1, ... of M(u) = sum_m a_m cos(m pi u / K).
+
+    The trapezoid rule on n + 1 equispaced samples of [0, K] (a DCT-I, one
+    rfft of the even extension) converges geometrically for M, so n doubles
+    until the top quarter of the coefficients is below _SERIES_TAIL of the
+    largest; each level evaluates only its new midpoints. The coefficients
+    above that floor are returned. Raises QuadratureNotConvergedError past
+    n = _SERIES_MAX.
     """
+    def samples(u):
+        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+        return _inner_integrand(p, sn, dn)
 
-    params: WaveParams
-    varphi_half_prime: float
-    varphi_0: float
-    _G: CubicSpline
+    n = _SERIES_MIN
+    vals = samples(np.linspace(0.0, p.K, n + 1))
+    while True:
+        a = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+        a[0] *= 0.5
+        a[-1] *= 0.5
+        floor = _SERIES_TAIL * float(np.max(np.abs(a)))
+        tail = float(np.max(np.abs(a[3 * n // 4:])))
+        if tail <= floor:
+            # the terms past the last one above rounding change no digit of G
+            return a[: np.flatnonzero(np.abs(a) > floor)[-1] + 1]
+        if n == _SERIES_MAX:
+            raise QuadratureNotConvergedError(
+                f"cosine series of varphi's inner integrand not at rounding with "
+                f"{n + 1} samples: tail {tail:.3e} against the rounding floor {floor:.3e}")
+        finer = np.empty(2 * n + 1)
+        finer[::2] = vals
+        finer[1::2] = samples((np.arange(n) + 0.5) * (p.K / n))
+        vals, n = finer, 2 * n
 
-    def varphi_at(self, x):
-        return _varphi_eval(self.params, self._G, np.asarray(x, dtype=float))[0]
 
-    def varphi_prime_at(self, x):
-        return _varphi_eval(self.params, self._G, np.asarray(x, dtype=float))[1]
+def _antiderivative(a: np.ndarray, K: float, u):
+    """G(u) = int_0^u M = a_0 u + sum_m a_m K/(m pi) sin(m pi u / K), by Clenshaw.
+
+    G is odd and valid for every u.
+    """
+    theta = (np.pi / K) * u
+    two_cos = 2.0 * np.cos(theta)
+    y1 = y2 = 0.0
+    for b in (a[1:] * (K / np.pi) / np.arange(1, a.size))[::-1]:
+        y1, y2 = b + two_cos * y1 - y2, y1
+    return a[0] * u + y1 * np.sin(theta)
 
 
-def _varphi_eval(p: WaveParams, G: CubicSpline, x: np.ndarray):
-    """(varphi, varphi') on the non-periodic branch, analytic except for G."""
-    u = p.alpha * x
+def _branch(p: WaveParams, a: np.ndarray, x):
+    """(sn, cn, dn, G) at u = alpha x: everything varphi and varphi' read."""
+    u = p.alpha * np.asarray(x, dtype=float)
     sn, cn, dn = jacobi_sn_cn_dn(u, p.kappa)
-    B = 1.0 + p.beta_sq * sn * sn
-    k2 = p.kappa**2
-    C0 = _c0(p)
+    return sn, cn, dn, _antiderivative(a, p.K, u)
 
+
+def _varphi_value(p: WaveParams, sn, cn, dn, G):
+    """varphi on the non-periodic branch: C0 (N - S G)."""
+    B = 1.0 + p.beta_sq * sn * sn
     N_term = B**2 * (1.0 - 2.0 * sn**2) / dn**2
     S_term = sn * cn * dn / B**2
-    # the accumulated integral is odd in u (its integrand is even), which keeps
-    # the branch formula valid for negative arguments as well
-    Gu = np.sign(u) * G(np.abs(u))
-    val = C0 * (N_term - S_term * Gu)
+    return _c0(p) * (N_term - S_term * G)
 
-    # d/du of the two elliptic factors; varphi' = C0 * alpha * (N_u - S_u G - S M)
+
+def _varphi_prime(p: WaveParams, sn, cn, dn, G):
+    """varphi' = C0 alpha (N_u - S_u G - S M), the u-derivatives of the two factors."""
+    B = 1.0 + p.beta_sq * sn * sn
+    k2 = p.kappa**2
+    S_term = sn * cn * dn / B**2
     N_u = (4.0 * p.beta_sq * sn * cn * dn * B * (1.0 - 2.0 * sn**2)
            - 4.0 * B**2 * sn * cn * dn) / dn**2 \
         + 2.0 * k2 * sn * cn * B**2 * (1.0 - 2.0 * sn**2) / dn**3
     S_u = (cn**2 * dn**2 - sn**2 * dn**2 - k2 * sn**2 * cn**2) / B**2 \
         - 4.0 * p.beta_sq * sn**2 * cn**2 * dn**2 / B**3
-    M_u = _inner_integrand(p, u)
-    deriv = C0 * p.alpha * (N_u - S_u * Gu - S_term * M_u)
-    return val, deriv
+    M_u = _inner_integrand(p, sn, dn)
+    return _c0(p) * p.alpha * (N_u - S_u * G - S_term * M_u)
+
+
+@dataclass(frozen=True, eq=False)
+class VarphiTable:
+    """varphi's closed-form branch with the cosine series of its inner
+    integrand, whose antiderivative G makes varphi evaluable anywhere without
+    re-quadrature.
+    """
+
+    params: WaveParams
+    varphi_half_prime: float
+    varphi_0: float
+    _a: np.ndarray
+
+    def varphi_at(self, x):
+        return _varphi_value(self.params, *_branch(self.params, self._a, x))
+
+    def varphi_prime_at(self, x):
+        return _varphi_prime(self.params, *_branch(self.params, self._a, x))
 
 
 def build_varphi(p: WaveParams) -> VarphiTable:
-    """Accumulate the inner integral once on a fine grid.
+    """Expand varphi's inner integrand once in its cosine series.
 
-    The inner integrand is smooth (dn^4 is bounded away from zero), so a cubic
-    spline antiderivative over 16384 panels of [0, 2K] carries ~1e-13 accuracy.
+    The slope a_0 of G is the mean of the integrand over [0, K], A2 / K; the
+    sample counts per kappa are in NOTES.md.
     """
-    from scipy.interpolate import CubicSpline
-
-    u_grid = np.linspace(0.0, 2.0 * p.K, 16385)
-    G = CubicSpline(u_grid, _inner_integrand(p, u_grid)).antiderivative()
-    val, deriv = _varphi_eval(p, G, np.array([0.0, 0.5 * p.L]))
-    return VarphiTable(params=p, varphi_half_prime=float(deriv[1]), varphi_0=float(val[0]), _G=G)
+    a = _cosine_series(p)
+    ends = _branch(p, a, np.array([0.0, 0.5 * p.L]))
+    return VarphiTable(params=p, varphi_half_prime=float(_varphi_prime(p, *ends)[1]),
+                       varphi_0=float(_varphi_value(p, *ends)[0]), _a=a)
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -215,9 +277,8 @@ def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
 
     One adaptive pass over the stacked integrands of A1, A2, A3, A4 and A6,
     with one Jacobi evaluation per level. A2's integrand is varphi's inner
-    integrand, formed by the same operations as _inner_integrand; A5 is the
-    same integral. A4 carries a single power of (1 + beta^2 sn^2); see the A4
-    note in NOTES.md.
+    integrand, _inner_integrand; A5 is the same integral. A4 carries a single
+    power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
     """
     b2 = p.beta_sq
     k2b2 = p.kappa**2 + b2
@@ -227,7 +288,7 @@ def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
         B = 1.0 + b2 * sn * sn
         w = 1.0 - 2.0 * sn * sn
         f = 3.0 * k2b2 + 5.0 * b2 * dn * dn
-        return (B * B * w / dn**2, B**3 * f * w / dn**4, B * B * f * w / dn**2,
+        return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
                 B * w, B * f * w)
 
     A1, A2, A3, A4, A6 = gauss_legendre_adaptive(integrands, 0.0, p.K, rel_tol)
@@ -291,7 +352,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     hence in the domain of L+.
 
     Inputs are symmetrized; an asymmetry above 1e-8 (relative sup norm) is a
-    hard error.
+    hard error. sn, cn, dn are evaluated once, on the fine grid xf that the
+    antiderivatives integrate over, whose every 8th point is a grid point.
     """
     from scipy.interpolate import CubicSpline
 
@@ -316,8 +378,9 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     f_fine = np.fft.irfft(pad, M) * (M / N)
     f_fine = np.append(f_fine, f_fine[0])
 
-    varphi_f, _ = _varphi_eval(p, t._G, xf)
-    _, dpsi_f, _ = eval_profile_derivatives(p, xf)
+    sn, cn, dn, G = _branch(p, t._a, xf)
+    varphi_f = _varphi_value(p, sn, cn, dn, G)
+    _, dpsi_f, _ = _profile_derivatives(p, sn, cn, dn)
 
     F_vf = CubicSpline(xf, varphi_f * f_fine).antiderivative()
     F_pf = CubicSpline(xf, dpsi_f * f_fine).antiderivative()
@@ -326,9 +389,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     pair = 2.0 * float(F_vf(0.5 * p.L))
     C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * t.varphi_half_prime) * pair
 
-    x = f.x
-    varphi_x, _ = _varphi_eval(p, t._G, x)
-    _, dpsi_x, _ = eval_profile_derivatives(p, x)
+    x = xf[:M:8]
+    varphi_x, dpsi_x = varphi_f[:M:8], dpsi_f[:M:8]
     out = dpsi_x * F_vf(x) - varphi_x * F_pf(x) + C_f * varphi_x
     return GridFunction(p.L, out)
 

@@ -162,7 +162,11 @@ def eval_profile_derivatives(p: WaveParams, xi):
     profile ODE psi'' = c psi + F1 - psi^3/(2c), which the profile satisfies
     identically.
     """
-    sn, cn, dn = _scd(p, xi)
+    return _profile_derivatives(p, *_scd(p, xi))
+
+
+def _profile_derivatives(p: WaveParams, sn, cn, dn):
+    """(psi, psi', psi'') from sn, cn, dn at u = alpha xi."""
     B = 1.0 + p.beta_sq * sn * sn
     psi = p.eta4 * dn * dn / B
     dpsi = p.eta4 * p.alpha * sn * cn * dn * (-2.0 * p.kappa**2 * B - 2.0 * p.beta_sq * dn * dn) / (B * B)

@@ -87,6 +87,66 @@ class TestVarphi:
         assert np.max(np.abs(fd - t.varphi_prime_at(xs))) < 1e-6
 
 
+class TestVarphiSeries:
+    @pytest.mark.parametrize("L", [1.0, 2.7, 40.0])
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.55, 0.9, 0.999])
+    def test_slope_is_the_mean_of_the_inner_integrand(self, L, kappa):
+        # a_0 is the trapezoid mean of M over [0, K], the A2 quadrature over K
+        import dswlab.index_engine as ie
+
+        p = params_from_kappa(L, kappa)
+        t = build_varphi(p)
+        A2 = a_integrals(p).A2
+        assert t._a[0] == pytest.approx(A2 / p.K, rel=1e-13)
+        assert ie._antiderivative(t._a, p.K, 2.0 * p.K) == pytest.approx(2.0 * A2, rel=1e-13)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.99])
+    def test_antiderivative_against_quad(self, kappa):
+        # G is odd and needs no fold or extrapolation: negative u and u past 2K
+        import dswlab.index_engine as ie
+        from dswlab.elliptic import jacobi_sn_cn_dn
+
+        p = params_from_kappa(2.0, kappa)
+        t = build_varphi(p)
+
+        def M(u):
+            sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+            return ie._inner_integrand(p, sn, dn)
+
+        scale = quad(lambda v: abs(M(v)), 0.0, p.K, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        for u in np.array([-0.7, 0.3, 1.1, 2.5, 5.2]) * p.K:
+            ref = quad(M, 0.0, u, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+            assert ie._antiderivative(t._a, p.K, u) == pytest.approx(ref, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.95, 0.999])
+    def test_series_samples_few_points(self, kappa, monkeypatch):
+        import dswlab.index_engine as ie
+
+        points, jacobi_once = [], ie.jacobi_sn_cn_dn
+        monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
+                            lambda u, k: points.append(np.size(u)) or jacobi_once(u, k))
+        build_varphi(params_from_kappa(2.0, kappa))
+        assert sum(points) <= 129
+
+    def test_linv_apply_evaluates_the_elliptic_functions_once(self, wave_1_05, varphi_1_05,
+                                                               monkeypatch):
+        import dswlab.index_engine as ie
+
+        calls, jacobi_once = [], ie.jacobi_sn_cn_dn
+        monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
+                            lambda u, k: calls.append(np.size(u)) or jacobi_once(u, k))
+        linv_apply(wave_1_05, varphi_1_05, GridFunction(wave_1_05.L, np.ones(256)))
+        assert calls == [8 * 256 + 1]
+
+    def test_kinked_integrand_raises(self, wave_1_05, monkeypatch):
+        # a kink leaves coefficients decaying like m**-2, far above rounding at the cap
+        import dswlab.index_engine as ie
+
+        monkeypatch.setattr(ie, "_inner_integrand", lambda p, sn, dn: np.abs(sn - 0.5))
+        with pytest.raises(QuadratureNotConvergedError, match="16385 samples"):
+            build_varphi(wave_1_05)
+
+
 class TestNonPeriodicityGap:
     def test_gap_matches_closed_form(self, wave_1_05, varphi_1_05):
         p = wave_1_05

@@ -27,6 +27,12 @@ for info in pkgutil.iter_modules(dswlab.__path__):
     importlib.import_module("dswlab." + info.name)
 assert not scipy_modules(), ("import", scipy_modules())
 
+from dswlab.index_engine import build_varphi
+from dswlab.waves import params_from_kappa
+
+build_varphi(params_from_kappa(2.0, 0.3))
+assert not scipy_modules(), ("build_varphi", scipy_modules())
+
 from dswlab.cli import main
 
 with tempfile.TemporaryDirectory() as tmp:
