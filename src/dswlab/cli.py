@@ -87,12 +87,12 @@ def cmd_wave(args) -> int:
     return 0
 
 
-def _theta_row(pair, tol):
+def _theta_row(pair):
     from .hill import DegenerateThetaError, floquet_constant, inertial_index_from_theta
 
     L, kappa = pair
     p = params_from_kappa(L, kappa)
-    f = floquet_constant(p, tol=tol)
+    f = floquet_constant(p)
     try:
         n_minus, n_zero = inertial_index_from_theta(f)
     except DegenerateThetaError:
@@ -103,12 +103,12 @@ def _theta_row(pair, tol):
 def cmd_theta_table(args) -> int:
     pairs = (_parse_pairs(args.pairs) if args.pairs is not None
              else list(THETA_TABLE_DEFAULT_PAIRS))
-    header = _provenance("theta-table", tol=args.tol, rows=len(pairs))
+    header = _provenance("theta-table", rows=len(pairs))
     results = []
     failures = 0
     for pair in pairs:
         try:
-            results.append(_theta_row(pair, args.tol))
+            results.append(_theta_row(pair))
         except Exception as exc:  # noqa: BLE001 - per-row isolation is the contract
             failures += 1
             header.append(f"row {pair} failed: {exc}")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("theta-table", help="Floquet constant table")
     sp.add_argument("--pairs", default=None, help="comma list of L:kappa pairs")
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_theta_table)
 

@@ -211,11 +211,11 @@ def _stepper(N: int, L: float, dt: float, frame_speed: float, frame_speed_v: flo
     return stepper
 
 
-def step(s: SimState, dt: float, dealias: bool = True) -> SimState:
+def step(s: SimState, dt: float) -> SimState:
     """Advance one ETDRK4 step; the weights of the last few (N, L, dt, frame) are kept."""
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive (got {dt!r})")
-    stepper = _stepper(s.N, s.L, dt, s.frame_speed, None, dealias)
+    stepper = _stepper(s.N, s.L, dt, s.frame_speed, None, True)
     X = stepper.advance(s.X)
     if stepper.blown_up(X):
         raise BlowUpError(f"solution blew up in the step from t = {s.t:.6g}", t_last=s.t)

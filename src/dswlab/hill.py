@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .index_engine import a_integrals
+from .index_engine import _kernel_factor, a_integrals
 from .waves import WaveParams
 
 __all__ = [
@@ -64,20 +64,16 @@ class FloquetConstant(NamedTuple):
     theta: float
 
 
-def _check_tol(tol: float) -> None:
-    if not (1e-14 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-14, 1e-6] (got {tol!r})")
+def floquet_constant(p: WaveParams) -> FloquetConstant:
+    """theta = -L A2 / K(kappa), with A2 from the cosine sampler of a_integrals.
 
-
-def floquet_constant(p: WaveParams, tol: float = 1e-12) -> FloquetConstant:
-    """theta = -L A2 / K(kappa), with A2 by adaptive quadrature to relative tol.
-
-    Accurate to a few ulps for kappa >= 0.1 and to ~2e-13 relative at
-    kappa = 0.01, where theta ~ 1e-7 and the IVP's absolute error swamps it
-    (NOTES.md). Since L, K > 0, theta > 0 is the same fact as A2 < 0.
+    The sampler stops when the series of A2's integrand reaches rounding, so
+    there is no tolerance to set. Against 30-digit mpmath theta is accurate
+    to a few ulps for kappa >= 0.1 and to ~1e-13 relative at kappa = 0.01,
+    where theta ~ 1e-7 and the IVP's absolute error swamps it (NOTES.md).
+    Since L, K > 0, theta > 0 is the same fact as A2 < 0.
     """
-    _check_tol(tol)
-    theta = -p.L * a_integrals(p, rel_tol=tol).A2 / p.K
+    theta = -p.L * a_integrals(p).A2 / p.K
     return FloquetConstant(p_prime_0=p.alpha, q_prime_final=theta * p.alpha, theta=theta)
 
 
@@ -85,12 +81,8 @@ def _p_and_prime(p: WaveParams, xi):
     """(p, p') at xi from one evaluation of sn, cn, dn."""
     from .elliptic import jacobi_sn_cn_dn
 
-    sn, cn, dn = jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa)
-    B = 1.0 + p.beta_sq * sn * sn
-    k2 = p.kappa**2
-    core = (cn**2 * dn**2 - sn**2 * dn**2 - k2 * sn**2 * cn**2) / B**2
-    core -= 4.0 * p.beta_sq * sn**2 * cn**2 * dn**2 / B**3
-    return sn * cn * dn / B**2, p.alpha * core
+    S, S_u = _kernel_factor(p, *jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa))
+    return S, p.alpha * S_u
 
 
 def p_eigenfunction(p: WaveParams, xi):
@@ -112,12 +104,13 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     them through psi = eta4 dn^2 / (1 + beta^2 sn^2). A right-hand side is a
     few float operations and calls nothing of the elliptic module. The
     Wronskian q p' - q' p equals 1 at xi = 0 by construction and is constant
-    along the flow; its maximal drift over 33 sample points, against the
-    closed-form p and p', is reported as an integration quality measure. The
-    drift is absolute, so it scales with |q|: toward kappa -> 1, |q| reaches
-    8.4e5 at (L, kappa) = (2, 0.999) and the drift 4.8e-6, still ~1.6e-12 of
-    max(|q p'| + |q' p|), while theta stays within 2e-12 relative of
-    floquet_constant.
+    along the flow; its maximal drift over 33 sample points (solve_ivp's
+    t_eval, read from the interpolant of the step that holds each point),
+    against the closed-form p and p', is reported as an integration quality
+    measure. The drift is absolute, so it scales with |q|: toward kappa -> 1,
+    |q| reaches 8.4e5 at (L, kappa) = (2, 0.999) and the drift 4.8e-6, still
+    ~1.6e-12 of max(|q p'| + |q' p|), while theta stays within 2e-12 relative
+    of floquet_constant.
     The independent oracle for floquet_constant.
 
     tol is the absolute tolerance and the relative one, except that DOP853
@@ -126,7 +119,8 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     """
     from scipy.integrate import solve_ivp
 
-    _check_tol(tol)
+    if not (1e-14 <= tol <= 1e-6):
+        raise ValueError(f"tol must lie in [1e-14, 1e-6] (got {tol!r})")
 
     p_prime_0 = p.alpha  # = 2K/L = 1/(2 a sqrt(c))
     alpha, k2, b2, eta4, c = p.alpha, p.kappa**2, p.beta_sq, p.eta4, p.c
@@ -137,15 +131,14 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
         return [dq, (c - 1.5 * psi * psi / c) * q,
                 alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
 
+    xs = np.linspace(0.0, p.L, 33)
     sol = solve_ivp(rhs, (0.0, p.L), [1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], method="DOP853",
-                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol, dense_output=True)
+                    t_eval=xs, rtol=max(tol, 100 * np.finfo(float).eps), atol=tol)
     if not sol.success:
         raise IntegrationFailureError(f"Hill IVP integration failed: {sol.message}")
 
-    xs = np.linspace(0.0, p.L, 33)
-    qs = sol.sol(xs)
     p_xs, p_prime_xs = _p_and_prime(p, xs)
-    wr = qs[0] * p_prime_xs - qs[1] * p_xs
+    wr = sol.y[0] * p_prime_xs - sol.y[1] * p_xs
     drift = float(np.max(np.abs(wr - 1.0)))
 
     q_prime_final = float(sol.y[1, -1])

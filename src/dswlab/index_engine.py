@@ -6,15 +6,15 @@ variation-of-parameters formula, assembles the 3x3 matrix D of pairings
 <H e_i, e_j> over the generalized kernel, and reports the index count
 k_Ham = 2 - n(D), refusing a numerically singular D.
 
-The quadratures over one quarter period come in two families, A1..A6 and the
-psi moments. Each family is one adaptive Gauss-Legendre pass over its stacked
-integrands, so sn, cn, dn are evaluated once per panel level and family, and
-one D costs two passes.
-
-varphi carries the antiderivative G of an even, 2K-periodic, analytic inner
-integrand (A2's). build_varphi expands that integrand in its cosine series
-from a few dozen equispaced samples (the trapezoid rule converges
-geometrically there), and G is the integrated series, evaluated by Clenshaw.
+Every quadrature here is over one quarter period [0, K] of an even,
+2K-periodic integrand analytic in a strip, so one rule serves them all: the
+cosine series of equispaced samples (_cosine_series), whose trapezoid mean
+converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014) and
+stops when its tail reaches rounding. The A-integrals and the psi moments are
+K times the mean a_0 of their stacked rows, one pass each with one Jacobi
+evaluation per level, so one D costs two passes. varphi carries the
+antiderivative G of A2's integrand, the same series integrated term by term
+and evaluated by Clenshaw; its slope a_0 is A2 / K exactly.
 
 Conventions that matter (they are easy to get wrong):
 
@@ -30,7 +30,7 @@ Conventions that matter (they are easy to get wrong):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "assemble_dmatrix",
     "dmatrix_from_entries",
     "hamiltonian_index",
-    "gauss_legendre_adaptive",
     "psi_moments",
 ]
 
@@ -71,65 +70,64 @@ class InconsistentIndexError(ArithmeticError):
 
 
 class QuadratureNotConvergedError(ArithmeticError):
-    """Panel doubling reached max_panels before two successive values agreed,
-    or the cosine series of varphi's inner integrand reached its cap before
-    its tail reached rounding."""
+    """The cosine series of some integrand row had not reached rounding at the
+    sampler's cap of _SERIES_MAX intervals."""
 
 
 # ---------------------------------------------------------------------------
-# quadrature helper
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def gauss_legendre_adaptive(f: Callable, a: float, b: float,
-                            rel_tol: float = 1e-12, max_panels: int = 4096):
-    """Composite 16-point Gauss-Legendre, doubling the panel count until two
-    successive values agree to rel_tol (plus a small absolute floor).
-
-    f maps the node array to one row of values, or to a stack of rows, one per
-    integrand, so that quantities sharing an expensive factor evaluate it once
-    per level. Each row keeps the value of the level at which it converged,
-    which is the value a one-row call on it returns, and the loop runs until
-    every row has. One row gives a float, a stack a tuple of floats.
-
-    Raises QuadratureNotConvergedError, naming the rows, when some row has no
-    two successive values within max_panels panels that agree.
-    """
-    prev, done = None, []
-    panels = 4
-    while panels <= max_panels:
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-        vals = np.asarray(f(pts))
-        rows = vals.reshape(-1, pts.size)
-        totals = [half * float(np.sum(row.reshape(panels, -1) @ _GL_WEIGHTS)) for row in rows]
-        if prev is None:
-            done = [None] * len(totals)
-        else:
-            for i, (total, last) in enumerate(zip(totals, prev)):
-                if done[i] is None and abs(total - last) <= rel_tol * max(abs(total), 1e-300) + 1e-15:
-                    done[i] = total
-            if None not in done:
-                return done[0] if vals.ndim == 1 else tuple(done)
-        prev = totals
-        panels *= 2
-    failed = [i for i, value in enumerate(done) if value is None]
-    raise QuadratureNotConvergedError(
-        f"integral over [{a}, {b}] not converged to rel_tol={rel_tol} within "
-        f"max_panels={max_panels}: row(s) {failed} of {len(done)} "
-        f"(last values {[float(prev[i]) for i in failed]!r})")
-
-
-# ---------------------------------------------------------------------------
-# varphi: the even, non-periodic second kernel element of L+
+# the quarter-period sampler
 
 # first and last n of the cosine series (n + 1 samples on [0, K])
 _SERIES_MIN, _SERIES_MAX = 32, 16384
 _SERIES_TAIL = 1e-15
 
+
+def _cosine_series(f, K: float) -> list:
+    """Coefficients a_0, a_1, ... of each row of f on [0, K], row(u) = sum_m a_m cos(m pi u / K).
+
+    f maps the sample array u to one row of values or to a stack of rows,
+    each even, 2K-periodic and analytic in a strip. The coefficients of n + 1
+    equispaced samples come from one rfft of the even extension (a DCT-I);
+    a_0 is their trapezoid mean, so K a_0 is the integral over [0, K]. n
+    doubles from _SERIES_MIN, each level evaluating only its new midpoints,
+    and a row is frozen at the first level where the top quarter of its
+    coefficients is below _SERIES_TAIL of its largest, keeping the terms above
+    that floor. So a row gets the same bits stacked as alone. Returns one
+    array per row; raises QuadratureNotConvergedError, naming the rows that
+    are not at rounding at n = _SERIES_MAX.
+    """
+    n = _SERIES_MIN
+    vals = np.atleast_2d(f(np.linspace(0.0, K, n + 1)))
+    series = [None] * len(vals)
+    active = np.arange(len(vals))
+    while True:
+        a = np.fft.rfft(np.concatenate([vals, vals[:, -2:0:-1]], axis=1)).real / n
+        a[:, 0] *= 0.5
+        a[:, -1] *= 0.5
+        size = np.abs(a)
+        floor = _SERIES_TAIL * size.max(axis=1)
+        tail = size[:, 3 * n // 4:].max(axis=1)
+        done = tail <= floor
+        for i in np.flatnonzero(done):
+            # the terms past the last one above rounding change no digit
+            series[active[i]] = a[i, : np.flatnonzero(size[i] > floor[i])[-1] + 1]
+        active, vals = active[~done], vals[~done]
+        if active.size == 0:
+            return series
+        if n == _SERIES_MAX:
+            raise QuadratureNotConvergedError(
+                f"cosine series on [0, {K}] not at rounding with {n + 1} samples: "
+                f"row(s) {active.tolist()} of {len(series)}, tails "
+                f"{[f'{t:.3e}' for t in tail[~done]]} against rounding floors "
+                f"{[f'{t:.3e}' for t in floor[~done]]}")
+        finer = np.empty((active.size, 2 * n + 1))
+        finer[:, ::2] = vals
+        finer[:, 1::2] = np.atleast_2d(f((np.arange(n) + 0.5) * (K / n)))[active]
+        vals, n = finer, 2 * n
+
+
+# ---------------------------------------------------------------------------
+# varphi: the even, non-periodic second kernel element of L+
 
 def _c0(p: WaveParams) -> float:
     return 1.0 / (2.0 * p.alpha**2 * p.eta4 * (p.kappa**2 + p.beta_sq))
@@ -144,41 +142,6 @@ def _inner_integrand(p: WaveParams, sn, dn):
     B = 1.0 + p.beta_sq * sn * sn
     k2b2 = p.kappa**2 + p.beta_sq
     return B**3 * (3.0 * k2b2 + 5.0 * p.beta_sq * dn * dn) * (1.0 - 2.0 * sn * sn) / dn**4
-
-
-def _cosine_series(p: WaveParams) -> np.ndarray:
-    """Coefficients a_0, a_1, ... of M(u) = sum_m a_m cos(m pi u / K).
-
-    The trapezoid rule on n + 1 equispaced samples of [0, K] (a DCT-I, one
-    rfft of the even extension) converges geometrically for M, so n doubles
-    until the top quarter of the coefficients is below _SERIES_TAIL of the
-    largest; each level evaluates only its new midpoints. The coefficients
-    above that floor are returned. Raises QuadratureNotConvergedError past
-    n = _SERIES_MAX.
-    """
-    def samples(u):
-        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-        return _inner_integrand(p, sn, dn)
-
-    n = _SERIES_MIN
-    vals = samples(np.linspace(0.0, p.K, n + 1))
-    while True:
-        a = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
-        a[0] *= 0.5
-        a[-1] *= 0.5
-        floor = _SERIES_TAIL * float(np.max(np.abs(a)))
-        tail = float(np.max(np.abs(a[3 * n // 4:])))
-        if tail <= floor:
-            # the terms past the last one above rounding change no digit of G
-            return a[: np.flatnonzero(np.abs(a) > floor)[-1] + 1]
-        if n == _SERIES_MAX:
-            raise QuadratureNotConvergedError(
-                f"cosine series of varphi's inner integrand not at rounding with "
-                f"{n + 1} samples: tail {tail:.3e} against the rounding floor {floor:.3e}")
-        finer = np.empty(2 * n + 1)
-        finer[::2] = vals
-        finer[1::2] = samples((np.arange(n) + 0.5) * (p.K / n))
-        vals, n = finer, 2 * n
 
 
 def _antiderivative(a: np.ndarray, K: float, u):
@@ -209,18 +172,26 @@ def _varphi_value(p: WaveParams, sn, cn, dn, G):
     return _c0(p) * (N_term - S_term * G)
 
 
+def _kernel_factor(p: WaveParams, sn, cn, dn):
+    """(S, dS/du) for S = sn cn dn / (1 + beta^2 sn^2)^2 at u = alpha x.
+
+    S is the kernel eigenfunction p of L+ (proportional to psi'), and alpha
+    dS/du its x-derivative.
+    """
+    B = 1.0 + p.beta_sq * sn * sn
+    S_u = (cn**2 * dn**2 - sn**2 * dn**2 - p.kappa**2 * sn**2 * cn**2) / B**2 \
+        - 4.0 * p.beta_sq * sn**2 * cn**2 * dn**2 / B**3
+    return sn * cn * dn / B**2, S_u
+
+
 def _varphi_prime(p: WaveParams, sn, cn, dn, G):
     """varphi' = C0 alpha (N_u - S_u G - S M), the u-derivatives of the two factors."""
     B = 1.0 + p.beta_sq * sn * sn
-    k2 = p.kappa**2
-    S_term = sn * cn * dn / B**2
+    S_term, S_u = _kernel_factor(p, sn, cn, dn)
     N_u = (4.0 * p.beta_sq * sn * cn * dn * B * (1.0 - 2.0 * sn**2)
            - 4.0 * B**2 * sn * cn * dn) / dn**2 \
-        + 2.0 * k2 * sn * cn * B**2 * (1.0 - 2.0 * sn**2) / dn**3
-    S_u = (cn**2 * dn**2 - sn**2 * dn**2 - k2 * sn**2 * cn**2) / B**2 \
-        - 4.0 * p.beta_sq * sn**2 * cn**2 * dn**2 / B**3
-    M_u = _inner_integrand(p, sn, dn)
-    return _c0(p) * p.alpha * (N_u - S_u * G - S_term * M_u)
+        + 2.0 * p.kappa**2 * sn * cn * B**2 * (1.0 - 2.0 * sn**2) / dn**3
+    return _c0(p) * p.alpha * (N_u - S_u * G - S_term * _inner_integrand(p, sn, dn))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +216,15 @@ class VarphiTable:
 def build_varphi(p: WaveParams) -> VarphiTable:
     """Expand varphi's inner integrand once in its cosine series.
 
-    The slope a_0 of G is the mean of the integrand over [0, K], A2 / K; the
-    sample counts per kappa are in NOTES.md.
+    The slope a_0 of G is the mean of the integrand over [0, K]: the A2 row
+    of a_integrals is the same series, so A2 = K a_0 exactly. The sample
+    counts per kappa are in NOTES.md.
     """
-    a = _cosine_series(p)
+    def samples(u):
+        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+        return _inner_integrand(p, sn, dn)
+
+    a, = _cosine_series(samples, p.K)
     ends = _branch(p, a, np.array([0.0, 0.5 * p.L]))
     return VarphiTable(params=p, varphi_half_prime=float(_varphi_prime(p, *ends)[1]),
                        varphi_0=float(_varphi_value(p, *ends)[0]), _a=a)
@@ -272,13 +248,14 @@ class AIntegrals(NamedTuple):
     A6: float
 
 
-def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
+def a_integrals(p: WaveParams) -> AIntegrals:
     """The six quadratures over [0, K(kappa)] entering the pairing closed forms.
 
-    One adaptive pass over the stacked integrands of A1, A2, A3, A4 and A6,
-    with one Jacobi evaluation per level. A2's integrand is varphi's inner
-    integrand, _inner_integrand; A5 is the same integral. A4 carries a single
-    power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
+    One pass of the cosine sampler over the stacked integrands of A1, A2, A3,
+    A4 and A6, with one Jacobi evaluation per level; each A is K a_0 of its
+    row. A2's integrand is varphi's inner integrand, _inner_integrand; A5 is
+    the same integral. A4 carries a single power of (1 + beta^2 sn^2); see the
+    A4 note in NOTES.md.
     """
     b2 = p.beta_sq
     k2b2 = p.kappa**2 + b2
@@ -291,7 +268,7 @@ def a_integrals(p: WaveParams, rel_tol: float = 1e-12) -> AIntegrals:
         return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
                 B * w, B * f * w)
 
-    A1, A2, A3, A4, A6 = gauss_legendre_adaptive(integrands, 0.0, p.K, rel_tol)
+    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in _cosine_series(integrands, p.K))
     return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
 
 
@@ -406,11 +383,11 @@ def lplus_apply(p: WaveParams, g: GridFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # psi moments and the D matrix
 
-def psi_moments(p: WaveParams, rel_tol: float = 1e-12):
+def psi_moments(p: WaveParams):
     """(int psi, int psi^2, int psi^3, int psi^4) over one period.
 
-    Closed elliptic forms: int psi^m = eta4^m L / K * int_0^K dn^{2m} / B^m du,
-    the four integrands stacked in one adaptive pass.
+    Closed elliptic forms: int psi^m = eta4^m L <dn^{2m} / B^m>, with <.> the
+    mean over [0, K], the a_0 of the four rows stacked in one sampler pass.
     """
     b2 = p.beta_sq
     powers = (1, 2, 3, 4)
@@ -419,8 +396,8 @@ def psi_moments(p: WaveParams, rel_tol: float = 1e-12):
         sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
         return [dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m for m in powers]
 
-    moments = gauss_legendre_adaptive(integrands, 0.0, p.K, rel_tol)
-    return tuple(p.eta4**m * p.L / p.K * integral for m, integral in zip(powers, moments))
+    means = (a[0] for a in _cosine_series(integrands, p.K))
+    return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip(powers, means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,13 +421,13 @@ def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
                    n_negative=int(np.sum(np.linalg.eigvalsh(entries) < 0.0)))
 
 
-def assemble_dmatrix(p: WaveParams, rel_tol: float = 1e-12) -> DMatrix:
+def assemble_dmatrix(p: WaveParams) -> DMatrix:
     """All six D entries through the closed-form quadrature pipeline.
 
     Chain: A-integrals -> pairings <varphi,1>, <varphi,psi> -> boundary data at
     L/2 -> the three <L+^{-1} ., .> pairings -> the psi^3 reductions -> D.
     """
-    A = a_integrals(p, rel_tol)
+    A = a_integrals(p)
     s1, spsi = varphi_pairings(p, A)
     psi_h, psi_pp_h, varphi_p_h = half_period_data(p, A)
     mu = psi_pp_h / (2.0 * varphi_p_h)
@@ -465,7 +442,7 @@ def assemble_dmatrix(p: WaveParams, rel_tol: float = 1e-12) -> DMatrix:
     inv_psi1 = -1.5 * pair_psi2 + 0.5 * psi_h**2 * s1 + (psi_h - mu * s1) * spsi
     inv_psipsi = -pair_psi3 + (psi_h**2 - mu * spsi) * spsi
 
-    m1, m2, _, m4 = psi_moments(p, rel_tol)
+    m1, m2, _, m4 = psi_moments(p)
 
     # psi^3 reductions via L+^{-1} psi^3 = -c psi - c F1 L+^{-1} 1
     inv_c1 = -c * m1 - c * F1 * inv11

@@ -112,7 +112,6 @@ class KernelResidualError(EigensolveError):
 class OperatorMatrix:
     kind: str
     matrix: np.ndarray
-    c: float = 1.0
 
 
 def _fourier_diff_matrices(N: int, L: float):
@@ -155,7 +154,7 @@ def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> Operato
         raise ValueError(f"unknown operator kind {kind!r}")
     psi = np.asarray(psi, dtype=float)
     A = _operator(kind, *_fourier_diff_matrices(psi.size, L), c, psi)
-    return OperatorMatrix(kind=kind, matrix=A, c=float(c))
+    return OperatorMatrix(kind=kind, matrix=A)
 
 
 def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
@@ -173,9 +172,20 @@ def _eigh(A: np.ndarray):
         raise EigensolveError(str(exc)) from exc
 
 
-def _morse_counts(lam: np.ndarray, c: float):
-    zero_tol = 1e-6 * max(1.0, abs(c))
-    return int(np.sum(lam < -zero_tol)), int(np.sum(np.abs(lam) <= zero_tol))
+def _morse_counts(lam: np.ndarray):
+    """(n_negative, n_zero) from the eigenvalues of a symmetric matrix of size n.
+
+    A backward-stable symmetric eigensolve leaves each eigenvalue within
+    p(n) eps max|lam| of the exact one (LAPACK Users' Guide, sec. 4.7); with
+    p(n) = n that is the floor here. An eigenvalue below -floor is negative,
+    and the one nearest zero is the kernel when it lies within the floor.
+    The kernel of L+ is simple, since theta > 0 across the family (hill),
+    and H's is its lift, so any other eigenvalue within the floor is a
+    positive one the eigensolve cannot resolve: L+'s second even eigenvalue,
+    about 3.2 c kappa^4, sinks there near kappa = 1e-3.
+    """
+    floor = lam.size * np.finfo(float).eps * float(np.max(np.abs(lam)))
+    return int(np.sum(lam < -floor)), int(np.min(np.abs(lam)) <= floor)
 
 
 def _cosine(v: np.ndarray, r: np.ndarray) -> float:
@@ -183,18 +193,17 @@ def _cosine(v: np.ndarray, r: np.ndarray) -> float:
 
 
 def morse_index(m: OperatorMatrix):
-    """(n_negative, n_zero) of a symmetric operator matrix.
+    """(n_negative, n_zero) of a symmetric operator matrix, counted by _morse_counts.
 
-    The zero tolerance is 1e-6 times the operator's physical scale max(1, |c|):
-    the kernel eigenvalue sits at the eigensolver noise floor (eps times the
-    spectral radius, <= 1e-8 here) while the smallest genuinely nonzero
-    eigenvalues are >= 1e-4 c across the sweep range, so the split is robust.
-    (A spectral-radius anchor would grow like N^2 and swallow small physical
-    eigenvalues; see NOTES.md.)
+    The kernel eigenvalue sits at the eigensolver's rounding floor, and the
+    eigenvalue next to it is positive but scales like kappa^4 (2.0e-5 at
+    kappa = 0.02 and 1.3e-10 at 1e-3, for L = 1 where c = 39.5): no fixed
+    fraction of c separates the two at small kappa, and near kappa = 1e-3
+    not even the rounding floor does.
     """
     if m.kind not in SYMMETRIC_KINDS:
         raise ValueError(f"morse_index requires a symmetric kind, got {m.kind!r}")
-    return _morse_counts(_eigh(m.matrix)[0], m.c)
+    return _morse_counts(_eigh(m.matrix)[0])
 
 
 def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
@@ -335,13 +344,13 @@ def _reflected(A: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
             + 4.0 * (g @ Ah) * np.outer(g, h))[1:, 1:]
 
 
-def _factor(Hc: np.ndarray, block: str, c: float):
+def _factor(Hc: np.ndarray, block: str):
     """(L, lambda_min(Hc)) with Hc = L L^T; IndefiniteHessianError when L does not exist."""
     lam = np.linalg.eigvalsh(Hc)
     try:
         return np.linalg.cholesky(Hc), float(lam[0])
     except np.linalg.LinAlgError:
-        neg, zero = _morse_counts(lam, c)
+        neg, zero = _morse_counts(lam)
         raise IndefiniteHessianError(block, (neg, zero, lam.size - neg - zero)) from None
 
 
@@ -362,8 +371,8 @@ def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.nd
         H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
         Ke1 = K_eo * kernel
         g_e, g_o = _reflector(Ke1), _reflector(np.linalg.solve(H_ee, Ke1) / kk)
-        L_e, margin_e = _factor(_reflected(H_ee, g_e, g_e), "even", c)
-        L_o, margin_o = _factor(_reflected(H_odd, g_o, g_o), "odd", c)
+        L_e, margin_e = _factor(_reflected(H_ee, g_e, g_e), "even")
+        L_o, margin_o = _factor(_reflected(H_odd, g_o, g_o), "odd")
         residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
         if residual > KERNEL_RESIDUAL_BOUND:
             raise KernelResidualError(residual)
@@ -402,7 +411,7 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
         raise EigensolveError(str(exc)) from exc
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
-    n_Lplus = _morse_counts(np.concatenate([lam_even, lam_odd]), p.c)
+    n_Lplus = _morse_counts(np.concatenate([lam_even, lam_odd]))
     overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
     if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
         u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]

@@ -101,12 +101,12 @@ class TestThetaTable:
         _, cols, rows = read_csv(out)
         assert cols is not None and rows == []
 
-    def test_invalid_tolerance_fails_the_rows(self, tmp_path):
+    def test_failed_row_is_reported_and_fails_the_command(self, tmp_path):
         out = tmp_path / "bad.csv"
-        assert main(["theta-table", "--pairs", "2:0.1", "--tol", "1e-3", "--out", str(out)]) == 1
+        assert main(["theta-table", "--pairs", "2:0.3,2:1.5", "--out", str(out)]) == 1
         header, _, rows = read_csv(out)
-        assert rows == []
-        assert "row (2.0, 0.1) failed: tol must lie in" in "\n".join(header)
+        assert [row[:2] for row in rows] == [["2.0", "0.3"]]
+        assert "row (2.0, 1.5) failed: modulus must lie in" in "\n".join(header)
 
 
 class TestDMatrixSweep:

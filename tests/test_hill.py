@@ -176,7 +176,7 @@ def theta_mpmath(L, kappa, dps=30):
 class TestClosedFormTheta:
     @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1, 0.3])
     def test_matches_30_digit_quadrature(self, kappa):
-        # the measured worst is 2.3e-13, at kappa = 0.01 where theta ~ 1.3e-7
+        # the measured worst is 8.3e-14, at kappa = 0.01 where theta ~ 1.3e-7
         ref = theta_mpmath(2.0, kappa)
         theta = floquet_constant(params_from_kappa(2.0, kappa)).theta
         assert abs(theta - ref) <= 1e-12 * abs(ref)
@@ -192,10 +192,6 @@ class TestClosedFormTheta:
         assert f.p_prime_0 == wave_2_03.alpha
         assert f.q_prime_final == f.theta * f.p_prime_0
         assert inertial_index_from_theta(f) == (1, 1)
-
-    def test_invalid_tolerance(self, wave_2_03):
-        with pytest.raises(ValueError):
-            floquet_constant(wave_2_03, tol=1e-3)
 
 
 class TestTableReproduction:

@@ -6,44 +6,58 @@ from scipy.integrate import quad
 
 from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, EvenSymmetryError,
                                  InconsistentIndexError, QuadratureNotConvergedError,
-                                 a_integrals, assemble_dmatrix,
-                                 build_varphi, dmatrix_from_entries,
-                                 gauss_legendre_adaptive, half_period_data,
+                                 _cosine_series, a_integrals, assemble_dmatrix,
+                                 build_varphi, dmatrix_from_entries, half_period_data,
                                  hamiltonian_index, linv_apply, lplus_apply,
                                  non_periodicity_gap, psi_moments, varphi_pairings)
 from dswlab.waves import (GridFunction, eval_profile, eval_profile_derivatives,
                           params_from_kappa, profile_grid)
 
 
-def test_gauss_legendre_against_scipy():
-    f = lambda x: np.exp(np.sin(3 * x)) / (1.1 + np.cos(x) ** 2)
-    mine = gauss_legendre_adaptive(f, 0.0, 2.5)
-    ref = quad(f, 0.0, 2.5, epsabs=1e-13, epsrel=1e-13)[0]
-    assert mine == pytest.approx(ref, rel=1e-12)
+def _cosine_rows(K, *rows):
+    """Rows of the sampler as functions of theta = pi u / K."""
+    return lambda u: [g(np.pi * u / K) for g in rows]
 
 
-def test_gauss_legendre_unconverged_raises():
-    # a kink inside a panel converges only like panels**-2
-    kinked = lambda x: np.abs(x - 1.0 / 3.0)
-    with pytest.raises(QuadratureNotConvergedError, match="max_panels=64"):
-        gauss_legendre_adaptive(kinked, 0.0, 1.0, max_panels=64)
-    smooth = lambda x: np.exp(x)
-    assert gauss_legendre_adaptive(smooth, 0.0, 1.0, max_panels=64) == pytest.approx(np.e - 1.0, rel=1e-14)
+def test_cosine_sampler_against_scipy():
+    K = 2.5
+    f = lambda theta: np.exp(np.sin(np.cos(theta))) / (1.1 + np.cos(theta) ** 2)
+    a, = _cosine_series(_cosine_rows(K, f), K)
+    ref = quad(lambda u: f(np.pi * u / K), 0.0, K, epsabs=1e-13, epsrel=1e-13)[0]
+    assert K * a[0] == pytest.approx(ref, rel=1e-13)
 
 
-def test_gauss_legendre_stack_names_the_unconverged_row():
-    stacked = lambda x: (np.exp(x), np.abs(x - 1.0 / 3.0), np.cos(x))
+def test_cosine_sampler_kinked_row_raises():
+    # a kink leaves coefficients decaying like m**-2, far above rounding at the cap
+    with pytest.raises(QuadratureNotConvergedError, match=r"16385 samples: row\(s\) \[0\] of 1"):
+        _cosine_series(_cosine_rows(1.0, lambda theta: np.abs(np.cos(theta))), 1.0)
+    a, = _cosine_series(_cosine_rows(1.0, lambda theta: np.exp(np.cos(theta))), 1.0)
+    assert a[0] == pytest.approx(np.i0(1.0), rel=1e-15)  # the mean of exp(cos) is I0(1)
+
+
+def test_cosine_sampler_names_the_unconverged_row():
+    stacked = _cosine_rows(1.0, np.cos, lambda theta: np.abs(np.cos(theta)),
+                           lambda theta: np.exp(np.cos(theta)))
     with pytest.raises(QuadratureNotConvergedError, match=r"row\(s\) \[1\] of 3"):
-        gauss_legendre_adaptive(stacked, 0.0, 1.0, max_panels=64)
+        _cosine_series(stacked, 1.0)
 
 
-def test_gauss_legendre_stack_keeps_each_row_at_its_own_level():
-    # the rows converge at different levels; each keeps the value a one-row call gives
-    fs = [np.exp, lambda x: 1.0 / (1.01 - x), lambda x: np.sin(150 * x)]  # 2, 5, 3 levels
-    stacked = gauss_legendre_adaptive(lambda x: [f(x) for f in fs], 0.0, 1.0)
-    single = tuple(gauss_legendre_adaptive(f, 0.0, 1.0) for f in fs)
-    assert isinstance(single[0], float)
-    assert stacked == single
+def test_cosine_sampler_stack_keeps_each_row_at_its_own_level():
+    # the rows converge at different levels; each keeps the bits a one-row call gives
+    rows = [lambda theta: np.exp(np.cos(theta)), lambda theta: 1.0 / (1.2 - np.cos(theta)),
+            lambda theta: 1.0 / (1.01 - np.cos(theta))]
+    stacked = _cosine_series(_cosine_rows(2.0, *rows), 2.0)
+    single = [_cosine_series(_cosine_rows(2.0, g), 2.0)[0] for g in rows]
+    assert len({a.size for a in stacked}) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
+
+
+@pytest.mark.parametrize("L", [0.5, 2.0, 50.0])
+@pytest.mark.parametrize("kappa", [0.01, 0.3, 0.95, 0.999, 1 - 1e-6])
+def test_a2_is_the_slope_of_varphi_series(L, kappa):
+    # one rule, one row: A2's integrand is varphi's inner integrand, bit for bit
+    p = params_from_kappa(L, kappa)
+    assert a_integrals(p).A2 == p.K * build_varphi(p)._a[0]
 
 
 class TestVarphi:
@@ -204,7 +218,7 @@ class TestAIntegrals:
         rows = [lambda B, w, f, dn: B * B * w / dn**2, lambda B, w, f, dn: B**3 * f * w / dn**4,
                 lambda B, w, f, dn: B * B * f * w / dn**2, lambda B, w, f, dn: B * w,
                 lambda B, w, f, dn: B * f * w]
-        A1, A2, A3, A4, A6 = (gauss_legendre_adaptive(lambda u, g=g: g(*base(u)), 0.0, p.K)
+        A1, A2, A3, A4, A6 = (p.K * _cosine_series(lambda u, g=g: g(*base(u)), p.K)[0][0]
                               for g in rows)
         assert a_integrals(p) == (A1, A2, A3, A4, A2, A6)
 
@@ -212,7 +226,7 @@ class TestAIntegrals:
             def f(u):
                 sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
                 return dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m
-            return p.eta4**m * p.L / p.K * gauss_legendre_adaptive(f, 0.0, p.K)
+            return p.eta4**m * p.L * _cosine_series(f, p.K)[0][0]
 
         assert psi_moments(p) == tuple(moment(m) for m in (1, 2, 3, 4))
 
@@ -220,18 +234,30 @@ class TestAIntegrals:
         import dswlab.index_engine as ie
 
         passes, levels, jacobi = [], [], []
-        quad_once, jacobi_once = ie.gauss_legendre_adaptive, ie.jacobi_sn_cn_dn
+        sampler_once, jacobi_once = ie._cosine_series, ie.jacobi_sn_cn_dn
 
-        def counted_quad(f, *args):
+        def counted_sampler(f, K):
             passes.append(f)
-            return quad_once(lambda u: levels.append(u.size) or f(u), *args)
+            return sampler_once(lambda u: levels.append(u.size) or f(u), K)
 
-        monkeypatch.setattr(ie, "gauss_legendre_adaptive", counted_quad)
+        monkeypatch.setattr(ie, "_cosine_series", counted_sampler)
         monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
                             lambda u, k: jacobi.append(np.size(u)) or jacobi_once(u, k))
         assemble_dmatrix(wave_1_05)
         assert len(passes) == 2
         assert jacobi == levels
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.95, 0.999])
+    def test_dmatrix_samples_few_points(self, kappa, monkeypatch):
+        # two passes of 33 points up to kappa = 0.7, 194 in all at 0.999;
+        # 16-point Gauss-Legendre on 4 then 8 panels took 384
+        import dswlab.index_engine as ie
+
+        points, jacobi_once = [], ie.jacobi_sn_cn_dn
+        monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
+                            lambda u, k: points.append(np.size(u)) or jacobi_once(u, k))
+        assemble_dmatrix(params_from_kappa(2.0, kappa))
+        assert sum(points) <= 2 * (33 + 32 + 64)
 
     def test_against_adaptive_quadrature(self, wave_1_05):
         from dswlab.elliptic import jacobi_sn_cn_dn
@@ -301,9 +327,9 @@ class TestLinvApply:
         import dswlab.index_engine as ie
 
         def refuse(*args, **kwargs):
-            raise AssertionError("linv_apply ran an adaptive quadrature")
+            raise AssertionError("linv_apply ran the quadrature sampler")
 
-        monkeypatch.setattr(ie, "gauss_legendre_adaptive", refuse)
+        monkeypatch.setattr(ie, "_cosine_series", refuse)
         linv_apply(wave_1_05, varphi_1_05, GridFunction(wave_1_05.L, np.ones(256)))
 
     def test_forward_operator_recovers_input(self, wave_1_05, varphi_1_05):

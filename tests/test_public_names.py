@@ -1,9 +1,13 @@
-"""Every name a dswlab module exports is read somewhere.
+"""Every name a dswlab module exports is read somewhere, and every default
+of an exported function is overridden somewhere.
 
-The check parses src/, tests/, scripts/ and perfbench/ and counts loads of a
-name (``name`` or ``obj.name``). A definition (``def name``, ``class name``,
-``name = ...``) and the string in ``__all__`` are not loads, so a public name
-that only its own module defines fails.
+The checks parse src/, tests/, scripts/ and perfbench/. The first counts
+loads of a name (``name`` or ``obj.name``). A definition (``def name``,
+``class name``, ``name = ...``) and the string in ``__all__`` are not loads,
+so a public name that only its own module defines fails. The second matches
+calls by the called name (``f(...)`` or ``obj.f(...)``): a defaulted
+parameter that no call sets, by position or by keyword, is a knob nothing
+turns, and fails. A ``*args`` or ``**kwargs`` in a call may set anything.
 """
 
 import ast
@@ -42,3 +46,45 @@ def test_every_exported_name_is_read_somewhere():
     assert exported, f"no __all__ found under {PACKAGE}"
     dead = sorted(f"{module}.{name}" for module, name in exported if name not in loaded)
     assert not dead, f"exported but never read: {dead}"
+
+
+def _defaulted_parameters(tree, exported):
+    """(function, parameter, position or None) for each default of an exported function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _sets(call, parameter, position):
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_of_an_exported_function_is_set_somewhere():
+    calls, defaults = [], []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+            if path.parent == PACKAGE:
+                defaults += [(path.stem, *d) for d in _defaulted_parameters(tree, _exports(tree))]
+    assert defaults, f"no defaulted parameter found under {PACKAGE}"
+    by_name = {}
+    for call in calls:
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        by_name.setdefault(name, []).append(call)
+    dead = sorted(f"{module}.{function}({parameter})"
+                  for module, function, parameter, position in defaults
+                  if not any(_sets(call, parameter, position) for call in by_name.get(function, [])))
+    assert not dead, f"defaulted but never set: {dead}"

@@ -110,6 +110,20 @@ class TestMorseIndex:
         assert morse_index(assemble("Lplus", p, 256)) == (1, 1)
         assert morse_index(assemble("Hcal", p, 256)) == (1, 1)
 
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.005, 0.01, 0.02, 0.03])
+    def test_counts_at_small_modulus(self, L, kappa):
+        # the eigenvalue next to the kernel is positive but ~3.2 c kappa^4:
+        # 2.0e-5 at (1, 0.02) and 1.3e-10 at (1, 1e-3), below any fixed
+        # fraction of c; it must not count as a second zero
+        p = params_from_kappa(L, kappa)
+        for N in (127, 256, 384):
+            rep = unstable_modes(p, N)
+            assert (rep.n_Lplus, rep.n_H) == ((1, 1), (1, 1)), N
+        for N in (256, 384):
+            assert morse_index(assemble("Lplus", p, N)) == (1, 1), N
+            assert morse_index(assemble("Hcal", p, N)) == (1, 1), N
+
     def test_lplus_second_eigenvalue_positive_and_converged(self, wave_2_03):
         # the decisive quantity for the index disagreement: the eigenvalue
         # adjacent to the kernel is strictly positive and N-converged
@@ -388,7 +402,7 @@ class TestSchurComplement:
                 assert np.linalg.norm(m1 @ m1 - m2) <= 1e-14 * np.linalg.norm(m2)
             lam_even = np.linalg.eigvalsh(h_even)
             lam_odd, vec_odd = np.linalg.eigh(h_odd)
-            assert rep.n_H == _morse_counts(np.concatenate([lam_even, lam_odd]), p.c)
+            assert rep.n_H == _morse_counts(np.concatenate([lam_even, lam_odd]))
             overlap = 0.0
             if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
                 v = vec_odd[:, np.argmin(np.abs(lam_odd))]
