@@ -5,7 +5,11 @@ evolution generator dH = J H with J = diag(d/dxi, d/dxi). The wave is even,
 so on the orthonormal grid cosine and sine bases L+ and H each split into an
 even and an odd block, and J maps each parity onto the other: d/dxi takes
 cos_k to -k sin_k and sin_k to k cos_k. `unstable_modes` works on these
-blocks, and the spectrum of dH comes with a certificate. One decomposition
+blocks, and the spectrum of dH comes with a certificate. No basis is formed:
+in cosine (sine) coordinates multiplication by an even grid function f is
+half a Toeplitz plus (minus) a Hankel matrix of the DFT of f, so one FFT of
+psi and one of psi^2 assemble every block in O(N^2), and the coordinates of
+a grid function are its rfft coefficients, scaled. One decomposition
 per L+ block serves L+ and H: multiplication by the even psi keeps parity,
 so on each block M1 M1 = M2 and the Schur complement of c I in
 H = [[Lm, -M1], [-M1, c I]] is Lm - M1^2 / c = L+. Haynsworth's inertia
@@ -22,7 +26,10 @@ constrained Hessian Hc = Q^T H Q has a Cholesky factor Hc = R^T R, then
 every nonzero eigenvalue of dH is imaginary, +-i omega, with Krein sign +1:
 the eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q.
 The parities make it block off-diagonal, so the omega are the singular
-values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. The margin
+values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. Q_e^T K_EO Q_o is
+the trailing block of P_e K_EO P_o, with P_e, P_o the reflectors, and the
+inverse P_o K_EO^-1 P_e of that product is diagonal plus rank two, so
+bordering applies the inverse of its trailing block in O(N^2). The margin
 lambda_min(Hc) says by how much the certificate holds; no threshold on
 Re lambda enters. If Hc has no Cholesky factor, IndefiniteHessianError
 names the inertia of the failing block. The certificate rests on e1 being
@@ -34,7 +41,8 @@ _nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
 members at odd N and 6 at even N, and the certified spectrum has as many
 eigenvalues as it leaves, 2N - 4 or 2N - 6. The independent oracle for the
 quadrature pipeline pairs the solutions of H e = rhs. The right-hand sides
-are even and the kernel odd, so one solve on the even block finds them all.
+are even and the kernel odd, so the even block of H finds them all, and
+through its Schur complement that is one solve with L+'s even block.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .waves import WaveParams, eval_profile_derivatives
 
@@ -213,32 +222,82 @@ def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the parity blocks
+# the parity blocks, from the DFT of the profile
 
-def _trig_basis(N: int):
-    """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
+def _parity_grid(p: WaveParams, N: int):
+    """(psi, psi', k) of the wave p on the N-point grid, k = 2 pi (0..N//2) / L.
 
-    At even N the last cosine column is the Nyquist mode (-1)^j / sqrt(N).
+    k holds the wavenumbers of the cosine block; the sine block has k[1:m + 1],
+    m = (N - 1) // 2, the modes of range(J). N < 3 leaves no mode in range(J):
+    ValueError.
     """
-    j = np.arange(N)[:, None]
-    angle = (2 * np.pi / N) * np.arange(N)   # cos and sin of angle[(j k) mod N]
-    cos = np.cos(angle)[j * np.arange(N // 2 + 1) % N]
-    sin = np.sin(angle)[j * np.arange(1, (N + 1) // 2) % N]
-    weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
-    weight[0] = 1.0 / np.sqrt(N)
+    if N < 3:
+        raise ValueError(f"N must be >= 3 (got {N})")
+    psi, dpsi = _grid(p, N)
+    return psi, dpsi, (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+
+
+def _cosine_weights(N: int) -> np.ndarray:
+    """Norms that make the grid cosines cos(2 pi j k / N), k = 0..N//2, orthonormal.
+
+    The constant and, at even N, the Nyquist mode (-1)^j take 1/sqrt(N), the others sqrt(2/N).
+    """
+    w = np.full(N // 2 + 1, np.sqrt(2.0 / N))
+    w[0] = 1.0 / np.sqrt(N)
     if N % 2 == 0:
-        weight[-1] = 1.0 / np.sqrt(N)
-    return cos * weight, np.sqrt(2.0 / N) * sin
+        w[-1] = 1.0 / np.sqrt(N)
+    return w
 
 
-def _project(c: float, psi: np.ndarray, basis: np.ndarray, k: np.ndarray):
-    """(L+, H) on one parity basis whose columns have wavenumbers k.
+def _cosine_coordinates(f: np.ndarray) -> np.ndarray:
+    """C^T f along the last axis: w_k Re rfft(f)[k], k = 0..N//2."""
+    return _cosine_weights(f.shape[-1]) * np.fft.rfft(f).real
 
-    -d^2/dxi^2 is diag(k^2) there, and a multiplication by f is basis^T f basis;
-    H is ordered (u coefficients, v coefficients).
+
+def _sine_coordinates(f: np.ndarray) -> np.ndarray:
+    """S^T f along the last axis: -sqrt(2/N) Im rfft(f)[k], k = 1..(N-1)//2."""
+    N = f.shape[-1]
+    return -np.sqrt(2.0 / N) * np.fft.rfft(f).imag[..., 1:(N - 1) // 2 + 1]
+
+
+def _grid_function(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """C a + S b on the N-point grid, a and b the coefficients of the modes 1..m along axis 0.
+
+    For real a and b that is sqrt(N/2) irfft(a - i b); the real and imaginary
+    parts of complex coefficients ride along a last axis of the one irfft.
     """
-    m1 = basis.T @ (psi[:, None] * basis)
-    m2 = basis.T @ ((psi * psi)[:, None] * basis)
+    X = np.zeros((N // 2 + 1,) + a.shape[1:] + (2,), dtype=complex)
+    X[1:a.shape[0] + 1] = np.stack([a.real - 1j * b.real, a.imag - 1j * b.imag], axis=-1)
+    g = np.sqrt(N / 2.0) * np.fft.irfft(X, N, axis=0)
+    return g[..., 0] + 1j * g[..., 1]
+
+
+def _multiplication_blocks(f: np.ndarray):
+    """(C^T diag(f) C, S^T diag(f) S) for an even grid function f, from one FFT.
+
+    A product of two grid cosines (sines) is half the sum (difference) of the
+    cosines of the difference and the sum of their wavenumbers. With
+    F = Re fft(f), the cosine block is (w_k w_l / 2) (F[|k - l|] + F[(k + l) mod N])
+    and the sine block (F[|k - l|] - F[k + l]) / N: Toeplitz and Hankel
+    matrices, read as strided views of F.
+    """
+    N = f.size
+    n, m = N // 2 + 1, (N - 1) // 2
+    F = np.fft.fft(f).real
+    toeplitz = sliding_window_view(np.concatenate([F[n - 1:0:-1], F[:n]]), n)[::-1]
+    hankel = sliding_window_view(np.append(F, F[0])[:2 * n - 1], n)
+    w = _cosine_weights(N)
+    sines = slice(1, m + 1)
+    return (0.5 * np.outer(w, w) * (toeplitz + hankel),
+            (toeplitz[sines, sines] - hankel[sines, sines]) / N)
+
+
+def _project(c: float, m1: np.ndarray, m2: np.ndarray, k: np.ndarray):
+    """(L+, H) on one parity block with wavenumbers k.
+
+    -d^2/dxi^2 is diag(k^2) there, and m1, m2 are the blocks of multiplication
+    by psi and psi^2; H is ordered (u coefficients, v coefficients).
+    """
     lap = np.diag(k * k + c)
     H = np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
     return lap - (1.5 / c) * m2, H
@@ -264,20 +323,24 @@ def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
 
     The right-hand sides (1, 0), (0, 1) and (psi, phi) are even and the
     kernel (psi', phi') of H is odd, so the off-kernel solutions are those of
-    one solve on the even block: D = (L/N) R^T H_even^-1 R, with R the cosine
-    coordinates of the right-hand sides. Uses only the collocation H and
-    trapezoid quadrature; shares nothing with the quadrature pipeline except
-    the wave profile itself.
+    the even block: D = (L/N) R^T H_even^-1 R, with R = (A, B) the cosine
+    coordinates of the right-hand sides. The Schur complement of c I in
+    H_even is L+'s even block (module docstring), so H_even (x, y) = (A, B)
+    is L+ x = A + M1 B / c with y = (B + M1 x) / c: one solve of size
+    N//2 + 1. Uses only the collocation operators and trapezoid quadrature;
+    shares nothing with the quadrature pipeline except the wave profile
+    itself. N < 3 is refused as by the certificate.
     """
-    psi, _ = _grid(p, N)
+    psi, _, k = _parity_grid(p, N)
     phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
-    C, _ = _trig_basis(N)
-    H_even = _project(p.c, psi, C, (2 * np.pi / p.L) * np.arange(C.shape[1]))[1]
-    one, zero = C.T @ np.ones(N), np.zeros(C.shape[1])
-    R = np.stack([np.concatenate([one, zero]),
-                  np.concatenate([zero, one]),
-                  np.concatenate([C.T @ psi, C.T @ phi])], axis=1)
-    D = (p.L / N) * (R.T @ np.linalg.solve(H_even, R))
+    (m1, _), (m2, _) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
+    one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(N), psi, phi]))
+    zero = np.zeros_like(one)
+    A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
+    B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
+    x = np.linalg.solve(np.diag(k * k + p.c) - (1.5 / p.c) * m2, A + (m1 @ B) / p.c)
+    y = (B + m1 @ x) / p.c
+    D = (p.L / N) * (A.T @ x + B.T @ y)
     return 0.5 * (D + D.T)
 
 
@@ -312,22 +375,17 @@ class SpectrumReport:
 
 
 def _parity_blocks(p: WaveParams, N: int):
-    """(C, S, k, (L+, H) even, (L+, H) odd, kernel) for the wave p on the N-point grid.
+    """(k, (L+, H) even, (L+, H) odd, kernel) for the wave p on the N-point grid.
 
-    C and S are the cosine and sine bases, k = 2 pi (0..N//2) / L the cosine
-    wavenumbers (the sine ones are k[1:S.shape[1] + 1]), and kernel the
-    analytic kernel (psi', phi') of H in sine coordinates. N < 3 leaves no
-    mode in range(J): ValueError.
+    k = 2 pi (1..m) / L, m = (N - 1) // 2, are the wavenumbers of the sine
+    block and of range(J); kernel is the analytic kernel (psi', phi') of H in
+    sine coordinates. N < 3 leaves no mode in range(J): ValueError.
     """
-    if N < 3:
-        raise ValueError(f"N must be >= 3 (got {N})")
-    psi, dpsi = _grid(p, N)
-    C, S = _trig_basis(N)
-    k = (2 * np.pi / p.L) * np.arange(C.shape[1])
-    even = _project(p.c, psi, C, k)
-    odd = _project(p.c, psi, S, k[1:S.shape[1] + 1])
-    kernel = np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])
-    return C, S, k, even, odd, kernel
+    psi, dpsi, k = _parity_grid(p, N)
+    (m1_e, m1_o), (m2_e, m2_o) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
+    k_odd = k[1:(N - 1) // 2 + 1]
+    kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / p.c])).ravel()
+    return k_odd, _project(p.c, m1_e, m2_e, k), _project(p.c, m1_o, m2_o, k_odd), kernel
 
 
 def _reflector(a: np.ndarray) -> np.ndarray:
@@ -354,6 +412,23 @@ def _factor(Hc: np.ndarray, block: str):
         raise IndefiniteHessianError(block, (neg, zero, lam.size - neg - zero)) from None
 
 
+def _kc_inverse_t(K: np.ndarray, g_e: np.ndarray, g_o: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kc^-T B for Kc = (P_e diag(K) P_o)[1:, 1:], P = I - 2 g g^T, without a factorization.
+
+    Kc^T is the trailing block of M^T = P_o diag(K) P_e, whose inverse is
+    W = P_e diag(1/K) P_o: a diagonal plus rank two. Bordering gives
+    Kc^-T = W[1:, 1:] - W[1:, 0] W[0, 1:] / W[0, 0], so W applied to
+    (e_0, (0, B)) by two reflections and a scaling is all the work.
+    """
+    Z = np.zeros((K.size, B.shape[1] + 1))
+    Z[0, 0] = 1.0
+    Z[1:, 1:] = B
+    Z -= 2.0 * np.outer(g_o, g_o @ Z)
+    Z /= K[:, None]
+    Z -= 2.0 * np.outer(g_e, g_e @ Z)
+    return Z[1:, 1:] - np.outer(Z[1:, 0], Z[0, 1:]) / Z[0, 0]
+
+
 def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.ndarray, c: float):
     """(X, (L_e, L_o), (g_e, g_o), margin, kernel_residual): the certificate on range(J).
 
@@ -376,8 +451,7 @@ def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.nd
         residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
         if residual > KERNEL_RESIDUAL_BOUND:
             raise KernelResidualError(residual)
-        Kc = _reflected(np.diag(K_eo), g_e, g_o)
-        X = L_e.T @ np.linalg.solve(Kc.T, L_o)
+        X = L_e.T @ _kc_inverse_t(K_eo, g_e, g_o, L_o)   # Kc = Q_e^T K_EO Q_o
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
     return X, (L_e, L_o), (g_e, g_o), min(margin_e, margin_o), residual
@@ -401,9 +475,9 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     factor, and KernelResidualError when (psi', phi') is not the kernel of
     H, so no spectrum is reported without its certificate.
     """
-    _, S, k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
-    m = S.shape[1]
-    X, _, _, margin, residual = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
+    m = k.size
+    X, _, _, margin, residual = _certify(h_even, h_odd, kernel, k, p.c)
     try:
         omega = np.linalg.svd(X, compute_uv=False)[::-1]
         lam_even, (lam_odd, vec_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
@@ -432,11 +506,11 @@ def imaginary_eigenmode(p: WaveParams, N: int = 256):
     frequency mu in the co-moving frame. mu is the smallest singular value
     of X, with X v = mu u and X^T u = mu v. The skew matrix R Kc^-1 R^T is
     [[0, -X], [X^T, 0]], so (u, -i v) is its eigenvector for +i mu; R^-1, Q
-    and the basis map it back to the grid. (U, V) has unit norm.
+    and one irfft map it back to the grid. (U, V) has unit norm.
     """
-    C, S, k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
-    m = S.shape[1]
-    X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k[1:m + 1], p.c)
+    k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
+    m = k.size
+    X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k, p.c)
     try:
         U_x, sigma, Vt_x = np.linalg.svd(X)
         x_e = np.linalg.solve(L_e.T, U_x[:, -1])
@@ -447,7 +521,7 @@ def imaginary_eigenmode(p: WaveParams, N: int = 256):
     for x, g in ((x_e, g_e), (x_o, g_o)):   # Q x = (I - 2 g g^T) (0, x)
         q = np.concatenate([[0.0], x])
         coef.append((q - 2.0 * g * (g @ q)).reshape(2, m).T)
-    w = C[:, 1:m + 1] @ coef[0] + S @ coef[1]   # columns U, V
+    w = _grid_function(coef[0], coef[1], N)   # columns U, V
     w /= np.linalg.norm(w)
     return float(sigma[-1]), w[:, 0], w[:, 1]
 

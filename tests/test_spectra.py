@@ -5,13 +5,35 @@ import pytest
 
 from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
-                            KernelResidualError, NoUnstableModeError,
-                            _fourier_diff_matrices, _grid, _morse_counts,
-                            _nonzero_spectrum, _parity_blocks, _trig_basis, assemble,
-                            assemble_operator, dmatrix_via_collocation,
-                            imaginary_eigenmode, kernel_alignment, morse_index,
-                            pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
+                            KernelResidualError, NoUnstableModeError, _certify,
+                            _cosine_coordinates, _fourier_diff_matrices, _grid,
+                            _grid_function, _kc_inverse_t, _morse_counts,
+                            _multiplication_blocks, _nonzero_spectrum, _parity_blocks,
+                            _reflected, _sine_coordinates, assemble, assemble_operator,
+                            dmatrix_via_collocation, imaginary_eigenmode, kernel_alignment,
+                            morse_index, pseudo_inverse_apply, unstable_eigenmode,
+                            unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
+
+
+def trig_basis(N):
+    """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
+
+    The direct evaluation of cos and sin, the oracle of the DFT assembly in spectra.
+    At even N the last cosine column is the Nyquist mode (-1)^j / sqrt(N).
+    """
+    j = np.arange(N)[:, None]
+    weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
+    weight[0] = 1.0 / np.sqrt(N)
+    if N % 2 == 0:
+        weight[-1] = 1.0 / np.sqrt(N)
+    cos = np.cos((2 * np.pi / N) * (j * np.arange(N // 2 + 1) % N)) * weight
+    sin = np.sqrt(2.0 / N) * np.sin((2 * np.pi / N) * (j * np.arange(1, (N + 1) // 2) % N))
+    return cos, sin
+
+
+def relative(A, ref):
+    return np.linalg.norm(A - ref) / np.linalg.norm(ref)
 
 
 def zero_cluster_size(N):
@@ -255,6 +277,11 @@ class TestSpectrumReport:
         D = dmatrix_via_collocation(wave_1_05, 256)
         assert np.max(np.abs(D - D.T)) < 1e-10 * np.max(np.abs(D))
 
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_oracle_refuses_a_grid_without_a_mode_in_range_j(self, wave_1_05, N):
+        with pytest.raises(ValueError, match=f"N must be >= 3 \\(got {N}\\)"):
+            dmatrix_via_collocation(wave_1_05, N)
+
 
 def per_pair_reference(p, N):
     """Krein signs and partner gaps of the dense eig of dH by one loop per eigenvalue, the
@@ -390,11 +417,12 @@ class TestSchurComplement:
     def test_h_counts_and_kernel_are_those_of_lplus(self, L, kappa):
         # the Schur complement of c I in each H block is the L+ block, so the
         # eigensolves of the full H blocks are the oracle of n(H) and H's kernel
-        # (worst measured: |M1 M1 - M2| / |M2| 1.5e-15, overlap 5.6e-16)
+        # (worst measured: |M1 M1 - M2| / |M2| 1.5e-15, overlap 4.4e-16)
         p = params_from_kappa(L, kappa)
         for N in (127, 128, 255, 384):
             rep = unstable_modes(p, N)
-            C, S, _, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
+            C, S = trig_basis(N)
+            _, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
             psi, _ = _grid(p, N)
             for basis in (C, S):
                 m1 = basis.T @ (psi[:, None] * basis)
@@ -412,35 +440,79 @@ class TestSchurComplement:
     @pytest.mark.parametrize("N", [127, 256])
     def test_one_eigensolve_per_lplus_block_and_constrained_hessian(self, wave_2_03, N,
                                                                     monkeypatch):
-        sizes = []
+        sizes, solves = [], []
         for name in ("eigh", "eigvalsh"):
             def record(A, *args, _solve=getattr(np.linalg, name), **kwargs):
                 sizes.append(A.shape[0])
                 return _solve(A, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, record)
+
+        def record_solve(A, b, _solve=np.linalg.solve):
+            solves.append((A.shape[0], np.shape(b)))
+            return _solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", record_solve)
         unstable_modes(wave_2_03, N)
         m = (N - 1) // 2   # the sine modes; the cosine ones are N // 2 + 1
         assert sorted(sizes) == sorted([N // 2 + 1, m, 2 * m - 1, 2 * m - 1])
         assert not {2 * (N // 2 + 1), 2 * m} & set(sizes)   # no H block
+        # Kc^-T is applied in closed form: no solve with a matrix of right-hand sides
+        assert solves and (2 * m - 1, 2 * m - 1) not in [shape for _, shape in solves]
+        solves.clear()
+        dmatrix_via_collocation(wave_2_03, N)
+        assert [size for size, _ in solves] == [N // 2 + 1]   # L+'s even block, not H's
 
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_trig_basis_is_the_direct_evaluation(self, N):
-        j = np.arange(N)[:, None]
-        weight = np.full(N // 2 + 1, np.sqrt(2.0 / N))
-        weight[0] = 1.0 / np.sqrt(N)
-        if N % 2 == 0:
-            weight[-1] = 1.0 / np.sqrt(N)
-        cos = np.cos((2 * np.pi / N) * (j * np.arange(N // 2 + 1) % N)) * weight
-        sin = np.sqrt(2.0 / N) * np.sin((2 * np.pi / N) * (j * np.arange(1, (N + 1) // 2) % N))
-        C, S = _trig_basis(N)
-        assert np.array_equal(C, cos) and np.array_equal(S, sin)
+        # the rfft coordinates and the irfft back to the grid are the products with the bases
+        rng = np.random.default_rng(N)
+        C, S = trig_basis(N)
+        f = rng.standard_normal((2, N))
+        assert relative(_cosine_coordinates(f), f @ C) <= 1e-14
+        assert relative(_sine_coordinates(f), f @ S) <= 1e-14
+        m = S.shape[1]
+        a, b = (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)) for _ in range(2))
+        assert relative(_grid_function(a, b, N), C[:, 1:m + 1] @ a + S @ b) <= 1e-14
+
+    @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
+    def test_fft_assembly_is_the_direct_product(self, wave_2_03, N):
+        # the Toeplitz-plus-Hankel blocks are B^T diag(f) B of the direct bases, and the
+        # L+ and H blocks of both parities follow (worst measured: 5.9e-16)
+        p = wave_2_03
+        psi, dpsi = _grid(p, N)
+        k_odd, even, odd, kernel = _parity_blocks(p, N)
+        k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+        blocks = (_multiplication_blocks(psi), _multiplication_blocks(psi * psi))
+        for parity, (basis, kb, got) in enumerate(zip(trig_basis(N), (k, k_odd), (even, odd))):
+            m1 = basis.T @ (psi[:, None] * basis)
+            m2 = basis.T @ ((psi * psi)[:, None] * basis)
+            assert relative(blocks[0][parity], m1) <= 1e-14
+            assert relative(blocks[1][parity], m2) <= 1e-14
+            lap = np.diag(kb * kb + p.c)
+            H = np.block([[lap - (0.5 / p.c) * m2, -m1], [-m1, p.c * np.eye(kb.size)]])
+            assert relative(got[0], lap - (1.5 / p.c) * m2) <= 1e-14
+            assert relative(got[1], H) <= 1e-14
+        S = trig_basis(N)[1]
+        assert relative(kernel, np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])) <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.999])
+    def test_closed_form_kc_inverse_is_the_lu_solve(self, kappa):
+        # worst measured: 8.2e-17
+        p = params_from_kappa(2.0, kappa)
+        k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, 255)
+        X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k, p.c)
+        K_eo = -1.0 / np.concatenate([k, k])
+        Kc = _reflected(np.diag(K_eo), g_e, g_o)
+        closed = _kc_inverse_t(K_eo, g_e, g_o, L_o)
+        assert relative(closed, np.linalg.solve(Kc.T, L_o)) <= 1e-13
+        assert np.array_equal(X, L_e.T @ closed)
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
     # worst measured: 4.3e-7 at kappa = 0.1, the error of the grid pseudo-inverse
-    # itself (the even-block oracle agrees with the quadratures to 3.5e-11 at these kappa)
+    # itself (the even-block oracle agrees with the quadratures to 1.3e-11 at these kappa)
     p = params_from_kappa(1.0, kappa)
     N = 512
     x = np.arange(N) * (p.L / N)
@@ -456,7 +528,7 @@ def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
 
 @pytest.mark.parametrize("L", [1.0, 2.0, 4.0])
 def test_oracle_matches_quadrature_at_small_kappa(L):
-    # worst measured: 1.2e-10
+    # worst measured: 8.7e-12
     p = params_from_kappa(L, 0.05)
     D = assemble_dmatrix(p).entries
     oracle = dmatrix_via_collocation(p, 512)
