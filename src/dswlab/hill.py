@@ -9,9 +9,9 @@ theta != 0 makes the zero eigenvalue simple.
 q and the second kernel element varphi of the quadrature pipeline are both
 even solutions of L+ y = 0, which gives theta in closed form, theta = -L A2/K
 (`floquet_constant`); this is the production route. `integrate_hill_ivp`
-integrates the companion IVP instead and is kept as the independent oracle:
-it carries sn, cn, dn along as solutions of their own ODEs, so no stage of
-the integration evaluates an elliptic function.
+integrates the companion IVP over half a period instead and is kept as the
+independent oracle: it carries sn, cn, dn along as solutions of their own
+ODEs, so no stage of the integration evaluates an elliptic function.
 """
 
 from __future__ import annotations
@@ -96,22 +96,20 @@ def p_eigenfunction_prime(p: WaveParams, xi):
 
 
 def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
-    """Integrate -q'' + (c - 3 psi^2/(2c)) q = 0 over [0, L], q(0)=1/p'(0), q'(0)=0.
+    """q'(L) of -q'' + (c - 3 psi^2/(2c)) q = 0, q(0)=1/p'(0), q'(0)=0, from [0, L/2].
 
     The state is (q, q', sn, cn, dn), with sn, cn, dn of u = alpha xi
     integrated from (0, 1, 1) by their own ODEs d/du (sn, cn, dn) =
     (cn dn, -sn dn, -kappa^2 sn cn) (DLMF 22.13); the potential is formed from
     them through psi = eta4 dn^2 / (1 + beta^2 sn^2). A right-hand side is a
     few float operations and calls nothing of the elliptic module. The
-    Wronskian q p' - q' p equals 1 at xi = 0 by construction and is constant
-    along the flow; its maximal drift over 33 sample points (solve_ivp's
-    t_eval, read from the interpolant of the step that holds each point),
-    against the closed-form p and p', is reported as an integration quality
-    measure. The drift is absolute, so it scales with |q|: toward kappa -> 1,
-    |q| reaches 8.4e5 at (L, kappa) = (2, 0.999) and the drift 4.8e-6, still
-    ~1.6e-12 of max(|q p'| + |q' p|), while theta stays within 2e-12 relative
-    of floquet_constant.
-    The independent oracle for floquet_constant.
+    potential is even and L-periodic, so the even solution's monodromy gives
+    q'(L) = 2 alpha q(L/2) q'(L/2) (NOTES.md) and DOP853 runs over half a
+    period only. The Wronskian q p' - q' p equals 1 at xi = 0 and is constant
+    along the flow; its largest drift at the integrator's accepted steps,
+    against the closed-form p and p', is reported as a quality measure
+    (<= 1e-12 up to kappa = 0.9999, NOTES.md). The independent oracle for
+    floquet_constant.
 
     tol is the absolute tolerance and the relative one, except that DOP853
     takes no rtol below 100 eps ~ 2.2e-14: below that floor tol acts through
@@ -131,17 +129,15 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
         return [dq, (c - 1.5 * psi * psi / c) * q,
                 alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
 
-    xs = np.linspace(0.0, p.L, 33)
-    sol = solve_ivp(rhs, (0.0, p.L), [1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], method="DOP853",
-                    t_eval=xs, rtol=max(tol, 100 * np.finfo(float).eps), atol=tol)
+    sol = solve_ivp(rhs, (0.0, p.L / 2), [1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], method="DOP853",
+                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol)
     if not sol.success:
         raise IntegrationFailureError(f"Hill IVP integration failed: {sol.message}")
 
-    p_xs, p_prime_xs = _p_and_prime(p, xs)
-    wr = sol.y[0] * p_prime_xs - sol.y[1] * p_xs
-    drift = float(np.max(np.abs(wr - 1.0)))
+    p_xs, p_prime_xs = _p_and_prime(p, sol.t)
+    drift = float(np.max(np.abs(sol.y[0] * p_prime_xs - sol.y[1] * p_xs - 1.0)))
 
-    q_prime_final = float(sol.y[1, -1])
+    q_prime_final = float(2.0 * alpha * sol.y[0, -1] * sol.y[1, -1])
     return HillSolution(params=p, q_prime_final=q_prime_final, p_prime_0=p_prime_0,
                         theta=q_prime_final / p_prime_0, wronskian_drift=drift)
 

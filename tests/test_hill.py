@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dswlab.hill import (DegenerateThetaError, FloquetConstant, HillSolution,
-                         floquet_constant, integrate_hill_ivp, inertial_index_from_theta,
-                         p_eigenfunction, p_eigenfunction_prime)
+                         IntegrationFailureError, floquet_constant, integrate_hill_ivp,
+                         inertial_index_from_theta, p_eigenfunction, p_eigenfunction_prime)
 from dswlab.waves import params_from_kappa
 
 # The reference table at its printed labels, (L, kappa) -> (c, p'(0), q'(L), theta).
@@ -118,12 +118,51 @@ class TestHillIVP:
         assert sol.theta == pytest.approx(floquet_constant(p).theta, rel=1e-6)
         assert sol.wronskian_drift <= 1e-8
 
-    @pytest.mark.parametrize("L,kappa", [(0.5, 0.999), (2.0, 0.99), (50.0, 0.999)])
+    @pytest.mark.parametrize("L,kappa", [(0.5, 0.999), (2.0, 0.99), (50.0, 0.999),
+                                         (2.0, 0.9999)])
     def test_theta_near_kappa_one(self, L, kappa):
-        # |q| grows toward kappa -> 1 (8.4e5 at (2, 0.999)), and the
-        # absolute Wronskian drift with it; theta stays accurate (worst 1.5e-12)
+        # |q| grows toward kappa -> 1, to 444 at xi = L/2 for (2, 0.999) and
+        # 3.5e3 for (2, 0.9999); on half a period the drift stays <= 8.6e-13
+        # and theta within 1.7e-12 of the closed form
         p = params_from_kappa(L, kappa)
-        assert integrate_hill_ivp(p).theta == pytest.approx(floquet_constant(p).theta, rel=1e-10)
+        sol = integrate_hill_ivp(p)
+        assert sol.theta == pytest.approx(floquet_constant(p).theta, rel=1e-10)
+        assert sol.wronskian_drift <= 1e-8
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.95, 0.999])
+    @pytest.mark.parametrize("L", [0.5, 2.0, 50.0])
+    def test_half_period_identity(self, L, kappa):
+        # q'(L) = 2 alpha q(L/2) q'(L/2) against y1'(L)/alpha of the full-period
+        # monodromy; both at tol 1e-14, since at 1e-12 the IVP's absolute error
+        # alone is 1.4e-9 of q'(L) at kappa = 0.1 (measured worst here 1.2e-11)
+        p = params_from_kappa(L, kappa)
+        full = monodromy_matrix(p, 0.0, tol=1e-14)[1, 0] / p.alpha
+        assert integrate_hill_ivp(p, tol=1e-14).q_prime_final == pytest.approx(full, rel=1e-10)
+
+    def test_integrates_half_a_period_without_dense_output(self, wave_2_03, monkeypatch):
+        import scipy.integrate
+
+        spans = []
+        original = scipy.integrate.solve_ivp
+
+        def recording(fun, t_span, y0, **kwargs):
+            spans.append((tuple(t_span), kwargs.get("t_eval")))
+            return original(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+        integrate_hill_ivp(wave_2_03)
+        assert spans == [((0.0, wave_2_03.L / 2), None)]
+
+    def test_integration_failure_is_typed(self, wave_2_03, monkeypatch):
+        from types import SimpleNamespace
+
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: SimpleNamespace(
+            success=False, message="step size underflow"))
+        with pytest.raises(IntegrationFailureError,
+                           match="^Hill IVP integration failed: step size underflow$"):
+            integrate_hill_ivp(wave_2_03)
 
     def test_no_jacobi_call_per_stage(self, wave_2_03, monkeypatch):
         # sn, cn, dn are integrated with q; only the Wronskian check evaluates
@@ -247,13 +286,12 @@ class TestInertialIndex:
         assert indices == {(1, 1)}
 
 
-def floquet_discriminant(p, lam, tol=1e-11):
-    """Delta(lam): the trace of the monodromy matrix of L+ - lam over one period.
+def monodromy_matrix(p, lam, tol=1e-11):
+    """The monodromy matrix [[y1, y2], [y1', y2']](L) of L+ - lam over one full period.
 
     The fundamental solutions of -y'' + (c - 3 psi^2/(2c) - lam) y = 0 are
     integrated by DOP853 from the identity, with sn, cn, dn carried along by
-    their own ODEs as integrate_hill_ivp carries them. The L-periodic
-    eigenvalues of L+ are the roots of Delta = 2.
+    their own ODEs as integrate_hill_ivp carries them.
     """
     from scipy.integrate import solve_ivp
 
@@ -266,9 +304,15 @@ def floquet_discriminant(p, lam, tol=1e-11):
         return [dy1, q * y1, dy2, q * y2, alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
 
     sol = solve_ivp(rhs, (0.0, p.L), [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0], method="DOP853",
-                    rtol=tol, atol=tol)
+                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol)
     assert sol.success, sol.message
-    return sol.y[0, -1] + sol.y[3, -1]
+    return sol.y[[0, 2, 1, 3], -1].reshape(2, 2)
+
+
+def floquet_discriminant(p, lam, tol=1e-11):
+    """Delta(lam), the trace of the monodromy matrix; the L-periodic
+    eigenvalues of L+ are the roots of Delta = 2."""
+    return np.trace(monodromy_matrix(p, lam, tol))
 
 
 def test_monodromy_count(wave_2_03):
