@@ -60,6 +60,8 @@ def _provenance(cmd: str, **params) -> list:
 
 
 def _resolve_wave(args):
+    if args.kappa is not None and args.c is not None:
+        raise ValueError("give one of --kappa or --c, not both")
     if args.kappa is not None:
         return params_from_kappa(args.L, args.kappa)
     if args.c is not None:
@@ -176,13 +178,16 @@ def cmd_simulate(args) -> int:
                             state_fields)
     from .spectra import NoUnstableModeError
 
+    if args.perturb and not args.wave:
+        raise ValueError("--perturb requires --wave")
+    if args.wave and args.L is None:
+        raise ValueError("--wave requires --L")
     rng = np.random.default_rng(args.seed)
     if args.zero:
         L = args.L or 2.0 * np.pi
         u0 = GridFunction(L, np.zeros(args.N))
         v0 = GridFunction(L, np.zeros(args.N))
         frame = 0.0
-        p = None
     elif args.wave:
         p = _resolve_wave(args)
         u0, v0 = profile_grid(p, args.N)
@@ -198,15 +203,11 @@ def cmd_simulate(args) -> int:
         norm = np.sqrt(L * np.mean(u**2 + v**2))
         u0, v0 = GridFunction(L, u / norm), GridFunction(L, v / norm)
         frame = 0.0
-        p = None
 
     header = _provenance("simulate", L=u0.L, N=args.N, T=args.T, dt=args.dt,
                          frame_speed=frame, perturb=args.perturb or 0.0)
 
     if args.perturb:
-        if p is None:
-            print("--perturb requires --wave", file=sys.stderr)
-            return 1
         try:
             res = growth_rate_experiment(p, args.perturb, args.T, N=args.N, dt=args.dt)
         except NoUnstableModeError as exc:
@@ -278,17 +279,18 @@ def cmd_normalform_check(args) -> int:
 
 def _parse_pairs(text: str):
     pairs = []
-    if not text.strip():
-        return pairs
-    for item in text.split(","):
-        L_str, k_str = item.split(":")
-        pairs.append((float(L_str), float(k_str)))
+    for item in text.split(",") if text.strip() else []:
+        try:
+            L_str, k_str = item.split(":")
+            pairs.append((float(L_str), float(k_str)))
+        except ValueError:
+            raise ValueError(f"--pairs item {item!r} is not of the form L:kappa") from None
     return pairs
 
 
 def _sweep_values(args):
-    if args.kappas:
-        return [float(s) for s in args.kappas.split(",")]
+    if args.kappas is not None:
+        return [float(s) for s in args.kappas.split(",")] if args.kappas.strip() else []
     if not (args.kappa_step > 0 and args.kappa_min <= args.kappa_max):
         raise ValueError(f"the kappa grid needs --kappa-step > 0 and --kappa-min <= --kappa-max "
                          f"(got step {args.kappa_step}, min {args.kappa_min}, max {args.kappa_max})")

@@ -33,11 +33,9 @@ __all__ = [
     "Trajectory",
     "BlowUpError",
     "WindowTooShortError",
-    "make_state",
     "state_fields",
     "preprocess",
     "undo_preprocess",
-    "step",
     "simulate",
     "growth_rate_experiment",
     "conserved_of_state",
@@ -66,7 +64,6 @@ class SimState:
     t: float
     X: np.ndarray
     N: int
-    frame_speed: float
     L: float
 
     def _full(self, row: int) -> np.ndarray:
@@ -89,16 +86,12 @@ def _dealias_mask(N: int) -> np.ndarray:
     return np.arange(N // 2 + 1) <= N // 3
 
 
-def _spectrum(u: GridFunction, v: GridFunction, dealias: bool = True) -> np.ndarray:
+def _spectrum(u: GridFunction, v: GridFunction, dealias: bool) -> np.ndarray:
     """The (2, N//2+1) rfft state of (u, v), masked to the dealiased band."""
     if u.N != v.N or u.L != v.L:
         raise ValueError("u and v must share the same grid")
     X = np.fft.rfft(np.stack([u.samples, v.samples]))
     return X * _dealias_mask(u.N) if dealias else X
-
-
-def make_state(u: GridFunction, v: GridFunction, frame_speed: float = 0.0) -> SimState:
-    return SimState(t=0.0, X=_spectrum(u, v), N=u.N, frame_speed=float(frame_speed), L=u.L)
 
 
 def state_fields(s: SimState):
@@ -166,8 +159,8 @@ class _Stepper:
     g0 while u keeps its lab form, and the extra g0 dv/dx joins v's symbol.
     """
 
-    def __init__(self, N: int, L: float, dt: float, frame_speed: float = 0.0,
-                 frame_speed_v: float | None = None, dealias: bool = True):
+    def __init__(self, N: int, L: float, dt: float, frame_speed: float,
+                 frame_speed_v: float | None, dealias: bool):
         k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
         k[N // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
         sv = frame_speed if frame_speed_v is None else frame_speed_v
@@ -200,7 +193,8 @@ class _Stepper:
 @lru_cache(maxsize=8)
 def _stepper(N: int, L: float, dt: float, frame_speed: float, frame_speed_v: float | None,
              dealias: bool) -> _Stepper:
-    """Memo of _Stepper: a loop of `step` calls builds the ETDRK4 weights once.
+    """Memo of _Stepper: repeated simulate calls with the same grid, step, frame speeds and
+    dealias flag build the ETDRK4 weights once.
 
     Every caller shares the returned weights, so they are made read-only.
     """
@@ -209,17 +203,6 @@ def _stepper(N: int, L: float, dt: float, frame_speed: float, frame_speed_v: flo
         if isinstance(weights, np.ndarray):
             weights.flags.writeable = False
     return stepper
-
-
-def step(s: SimState, dt: float) -> SimState:
-    """Advance one ETDRK4 step; the weights of the last few (N, L, dt, frame) are kept."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive (got {dt!r})")
-    stepper = _stepper(s.N, s.L, dt, s.frame_speed, None, True)
-    X = stepper.advance(s.X)
-    if stepper.blown_up(X):
-        raise BlowUpError(f"solution blew up in the step from t = {s.t:.6g}", t_last=s.t)
-    return SimState(t=s.t + dt, X=X, N=s.N, frame_speed=s.frame_speed, L=s.L)
 
 
 def conserved_of_state(s: SimState):
@@ -271,7 +254,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
                                   t_last=t_ok, trajectory=partial)
             t_ok = t
         if sampled:
-            snap = SimState(t=t, X=X, N=u0.N, frame_speed=float(frame_speed), L=u0.L)
+            snap = SimState(t=t, X=X, N=u0.N, L=u0.L)
             times.append(t)
             states.append(snap)
             logs.append((t, *conserved_of_state(snap)))

@@ -29,8 +29,6 @@ __all__ = [
     "FloquetConstant",
     "IntegrationFailureError",
     "DegenerateThetaError",
-    "p_eigenfunction",
-    "p_eigenfunction_prime",
     "floquet_constant",
     "integrate_hill_ivp",
     "inertial_index_from_theta",
@@ -78,21 +76,15 @@ def floquet_constant(p: WaveParams) -> FloquetConstant:
 
 
 def _p_and_prime(p: WaveParams, xi):
-    """(p, p') at xi from one evaluation of sn, cn, dn."""
+    """(p, p') at xi from one evaluation of sn, cn, dn.
+
+    p = sn cn dn(alpha xi) / (1 + beta^2 sn^2)^2 is the normalized kernel
+    eigenfunction, with p'(0) = alpha = 2K/L.
+    """
     from .elliptic import jacobi_sn_cn_dn
 
     S, S_u = _kernel_factor(p, *jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa))
     return S, p.alpha * S_u
-
-
-def p_eigenfunction(p: WaveParams, xi):
-    """Normalized kernel eigenfunction sn*cn*dn(alpha xi) / (1 + beta^2 sn^2)^2."""
-    return _p_and_prime(p, xi)[0]
-
-
-def p_eigenfunction_prime(p: WaveParams, xi):
-    """d/dxi of p_eigenfunction; p'(0) = alpha = 2K/L."""
-    return _p_and_prime(p, xi)[1]
 
 
 def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:

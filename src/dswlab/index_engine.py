@@ -198,11 +198,11 @@ def _varphi_prime(p: WaveParams, sn, cn, dn, G):
 class VarphiTable:
     """varphi's closed-form branch with the cosine series of its inner
     integrand, whose antiderivative G makes varphi evaluable anywhere without
-    re-quadrature.
+    re-quadrature. varphi_0 = varphi(0) is C0 exactly (sn = 0 and G = 0 there);
+    varphi'(L/2) is _varphi_half_prime of A2 = K a_0.
     """
 
     params: WaveParams
-    varphi_half_prime: float
     varphi_0: float
     _a: np.ndarray
 
@@ -225,9 +225,7 @@ def build_varphi(p: WaveParams) -> VarphiTable:
         return _inner_integrand(p, sn, dn)
 
     a, = _cosine_series(samples, p.K)
-    ends = _branch(p, a, np.array([0.0, 0.5 * p.L]))
-    return VarphiTable(params=p, varphi_half_prime=float(_varphi_prime(p, *ends)[1]),
-                       varphi_0=float(_varphi_value(p, *ends)[0]), _a=a)
+    return VarphiTable(params=p, varphi_0=_c0(p), _a=a)
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -305,15 +303,16 @@ def _psi_half(p: WaveParams):
     return psi_h, psi_pp_h
 
 
-def half_period_data(p: WaveParams, A: AIntegrals):
-    """(psi(L/2), psi''(L/2), varphi'(L/2)) from closed forms; varphi'(L/2)
-    carries the A2 quadrature.
-    """
+def _varphi_half_prime(p: WaveParams, A2: float) -> float:
+    """varphi'(L/2) in closed form; it carries the A2 quadrature."""
     k2 = p.kappa**2
     b2 = p.beta_sq
-    psi_h, psi_pp_h = _psi_half(p)
-    varphi_p_h = p.L * (1.0 - k2) * A.A2 / (4.0 * p.eta4 * p.K * (k2 + b2) * (1.0 + b2) ** 2)
-    return psi_h, psi_pp_h, varphi_p_h
+    return p.L * (1.0 - k2) * A2 / (4.0 * p.eta4 * p.K * (k2 + b2) * (1.0 + b2) ** 2)
+
+
+def half_period_data(p: WaveParams, A: AIntegrals):
+    """(psi(L/2), psi''(L/2), varphi'(L/2)) from closed forms."""
+    return (*_psi_half(p), _varphi_half_prime(p, A.A2))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     out(x) = psi'(x) int_0^x varphi f - varphi(x) int_0^x psi' f + C_f varphi(x),
     C_f = int_0^{L/2} psi' f - (psi''(L/2) / (2 varphi'(L/2))) <varphi, f>,
-    with <varphi, f> the even-periodized pairing and varphi'(L/2) read from t.
+    with <varphi, f> the even-periodized pairing and varphi'(L/2) from the
+    closed form in A2 = K a_0, the slope of t's series.
     This C_f makes the output L-periodic with matching one-sided derivatives,
     hence in the domain of L+.
 
@@ -364,7 +364,8 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     _, psi_pp_h = _psi_half(p)
     pair = 2.0 * float(F_vf(0.5 * p.L))
-    C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * t.varphi_half_prime) * pair
+    varphi_p_h = _varphi_half_prime(p, p.K * t._a[0])
+    C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * varphi_p_h) * pair
 
     x = xf[:M:8]
     varphi_x, dpsi_x = varphi_f[:M:8], dpsi_f[:M:8]

@@ -260,18 +260,6 @@ def _sine_coordinates(f: np.ndarray) -> np.ndarray:
     return -np.sqrt(2.0 / N) * np.fft.rfft(f).imag[..., 1:(N - 1) // 2 + 1]
 
 
-def _grid_function(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """C a + S b on the N-point grid, a and b the coefficients of the modes 1..m along axis 0.
-
-    For real a and b that is sqrt(N/2) irfft(a - i b); the real and imaginary
-    parts of complex coefficients ride along a last axis of the one irfft.
-    """
-    X = np.zeros((N // 2 + 1,) + a.shape[1:] + (2,), dtype=complex)
-    X[1:a.shape[0] + 1] = np.stack([a.real - 1j * b.real, a.imag - 1j * b.imag], axis=-1)
-    g = np.sqrt(N / 2.0) * np.fft.irfft(X, N, axis=0)
-    return g[..., 0] + 1j * g[..., 1]
-
-
 def _multiplication_blocks(f: np.ndarray):
     """(C^T diag(f) C, S^T diag(f) S) for an even grid function f, from one FFT.
 
@@ -497,33 +485,6 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
         params=p, N=N, eigenvalues=eigs, margin=margin, kernel_residual=residual,
         n_Lplus=n_Lplus, n_H=n_Lplus,
         kernel_overlap_Lplus=overlaps[0], kernel_overlap_H=overlaps[1])
-
-
-def imaginary_eigenmode(p: WaveParams, N: int = 256):
-    """(mu, U, V) for the smallest imaginary eigenvalue i mu, mu > 0, of dHcal.
-
-    Used by the simulation cross-check: the seeded deviation oscillates at
-    frequency mu in the co-moving frame. mu is the smallest singular value
-    of X, with X v = mu u and X^T u = mu v. The skew matrix R Kc^-1 R^T is
-    [[0, -X], [X^T, 0]], so (u, -i v) is its eigenvector for +i mu; R^-1, Q
-    and one irfft map it back to the grid. (U, V) has unit norm.
-    """
-    k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
-    m = k.size
-    X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k, p.c)
-    try:
-        U_x, sigma, Vt_x = np.linalg.svd(X)
-        x_e = np.linalg.solve(L_e.T, U_x[:, -1])
-        x_o = -1j * np.linalg.solve(L_o.T, Vt_x[-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
-    coef = []
-    for x, g in ((x_e, g_e), (x_o, g_o)):   # Q x = (I - 2 g g^T) (0, x)
-        q = np.concatenate([[0.0], x])
-        coef.append((q - 2.0 * g * (g @ q)).reshape(2, m).T)
-    w = _grid_function(coef[0], coef[1], N)   # columns U, V
-    w /= np.linalg.norm(w)
-    return float(sigma[-1]), w[:, 0], w[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ class TestThetaTable:
         _, cols, rows = read_csv(out)
         assert cols is not None and rows == []
 
+    @pytest.mark.parametrize("item", ["2", "2:0.3:1"])
+    def test_malformed_pair_exits_2_naming_the_item(self, tmp_path, capsys, item):
+        out = tmp_path / "bad.csv"
+        assert main(["theta-table", "--pairs", f"2:0.3,{item}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --pairs item {item!r} is not of the form L:kappa\n")
+        assert not out.exists()
+
     def test_failed_row_is_reported_and_fails_the_command(self, tmp_path):
         out = tmp_path / "bad.csv"
         assert main(["theta-table", "--pairs", "2:0.3,2:1.5", "--out", str(out)]) == 1
@@ -133,6 +141,13 @@ class TestDMatrixSweep:
             assert float(row["det"]) < 0
             assert int(row["n_D"]) == 1
             assert float(row["A2"]) < 0
+
+    def test_empty_modulus_list(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "", "--out", str(out)]) == 0
+        header, cols, rows = read_csv(out)
+        assert header_value(header, "kappas") == "0"
+        assert cols is not None and rows == []
 
     @pytest.mark.parametrize("grid", [["--kappa-step", "0"], ["--kappa-step", "-0.05"],
                                       ["--kappa-min", "0.9", "--kappa-max", "0.5"]])
@@ -324,6 +339,25 @@ class TestSimulate:
                      "--T", "0.05", "--dt", "5e-5", "--out-prefix", prefix]) == 0
         header, _, _ = read_csv(tmp_path / "wave_conservation.csv")
         assert float(header_value(header, "max_rel_drift")) < 1e-9
+
+    def test_wave_without_period_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "w"
+        assert main(["simulate", "--wave", "--kappa", "0.3", "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == "error: --wave requires --L\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_perturbation_without_wave_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "p"
+        assert main(["simulate", "--zero", "--perturb", "1e-6", "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == "error: --perturb requires --wave\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_modulus_and_speed_together_exit_2(self, tmp_path, capsys):
+        prefix = tmp_path / "b"
+        assert main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--c", "9.9",
+                     "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == "error: give one of --kappa or --c, not both\n"
+        assert not list(tmp_path.iterdir())
 
     def test_growth_experiment_reports_stable_spectrum(self, tmp_path, capsys):
         code = main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "128",

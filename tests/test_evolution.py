@@ -3,9 +3,8 @@ import pytest
 
 from dswlab.evolution import (_CHECK_EVERY, BlowUpError, WindowTooShortError,
                               _etd_coefficients, fit_growth_rate, growth_rate_experiment,
-                              make_state, preprocess, simulate, state_fields, step,
-                              undo_preprocess)
-from dswlab.spectra import NoUnstableModeError, imaginary_eigenmode
+                              preprocess, simulate, state_fields, undo_preprocess)
+from dswlab.spectra import NoUnstableModeError, _nonzero_spectrum, assemble_operator
 from dswlab.waves import GridFunction, eval_profile, profile_grid
 
 
@@ -53,25 +52,16 @@ class TestBasics:
         x = np.arange(N) * L / N
         u0 = GridFunction(L, 1e-9 * np.cos(x))
         v0 = GridFunction(L, np.zeros(N))
-        state = make_state(u0, v0, frame_speed=0.0)
         T, dt = 1.0, 1e-3
         traj = simulate(u0, v0, T=T, dt=dt, frame_speed=0.0)
-        u_hat0 = state.u_hat
+        u_hat0 = traj.states[0].u_hat
         u_hatT = traj.states[-1].u_hat
         for k in (1, N - 1):  # modes +1 and -1
             kk = 2 * np.pi * np.fft.fftfreq(N, d=L / N)[k]
             expected = np.exp(1j * kk**3 * T) * u_hat0[k]
             assert abs(u_hatT[k] - expected) < 1e-10 * abs(u_hat0[k])
 
-    def test_step_matches_simulate(self):
-        u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=1, norm=0.5)
-        s = make_state(u0, v0, 0.0)
-        for _ in range(10):
-            s = step(s, 1e-3)
-        traj = simulate(u0, v0, T=10e-3, dt=1e-3, sample_every=10)
-        assert np.max(np.abs(s.u_hat - traj.states[-1].u_hat)) < 1e-12 * 64
-
-    def test_repeated_steps_build_the_weights_once(self, monkeypatch):
+    def test_repeated_simulate_calls_build_the_weights_once(self, monkeypatch):
         from dswlab import evolution
 
         builds = []
@@ -83,9 +73,8 @@ class TestBasics:
         monkeypatch.setattr(evolution, "_etd_coefficients", counted)
         evolution._stepper.cache_clear()
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=5)
-        s = make_state(u0, v0, 0.0)
-        for _ in range(10):
-            s = step(s, 1e-3)
+        for _ in range(3):
+            simulate(u0, v0, T=10e-3, dt=1e-3)
         evolution._stepper.cache_clear()
         assert builds == [1e-3]
 
@@ -103,7 +92,7 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate(u0, v0, T=-1.0, dt=1e-3)
         with pytest.raises(ValueError):
-            step(make_state(u0, v0), dt=0.0)
+            simulate(u0, v0, T=1.0, dt=0.0)
 
     def test_run_ends_at_T_with_a_step_no_larger_than_requested(self):
         # 0.05 / 4e-3 = 12.5: thirteen steps of 0.05 / 13, not twelve of 4e-3
@@ -205,10 +194,8 @@ class TestWaveEquilibrium:
     def test_blowup_between_samples_reports_last_finite_check(self, wave_2_03):
         u0, v0 = profile_grid(wave_2_03, 256)
         dt = 5e-2
-        s = make_state(u0, v0)
         with pytest.raises(BlowUpError) as by_step:
-            for _ in range(100):
-                s = step(s, dt)
+            simulate(u0, v0, T=5.0, dt=dt, sample_every=1)   # checks every step
         t_bad = by_step.value.t_last + dt   # first step that fails the check
         with pytest.raises(BlowUpError) as err:
             simulate(u0, v0, T=5.0, dt=dt, sample_every=1000)
@@ -358,9 +345,14 @@ class TestGrowthExperiment:
         # imaginary eigenmode.
         p = wave_2_03
         N = 64
-        mu, U, V = imaginary_eigenmode(p, N)
         x = np.arange(N) * p.L / N
         psi, phi = eval_profile(p, x)
+        # the seed: the smallest positive frequency of the dense eig oracle
+        eigvals, eigvecs, keep, _ = _nonzero_spectrum(
+            assemble_operator("dHcal", p.L, p.c, psi).matrix)
+        seed = min((i for i in keep if eigvals[i].imag > 0), key=lambda i: eigvals[i].imag)
+        mu = eigvals[seed].imag
+        U, V = eigvecs[:N, seed], eigvecs[N:, seed]
         znorm = np.sqrt(p.L / N * (np.sum(np.abs(U) ** 2) + np.sum(np.abs(V) ** 2)))
         eps = 1e-4
         u0 = GridFunction(p.L, psi + eps * np.concatenate([U]).real / znorm)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dswlab.hill import (DegenerateThetaError, FloquetConstant, HillSolution,
-                         IntegrationFailureError, floquet_constant, integrate_hill_ivp,
-                         inertial_index_from_theta, p_eigenfunction, p_eigenfunction_prime)
+                         IntegrationFailureError, _p_and_prime, floquet_constant,
+                         integrate_hill_ivp, inertial_index_from_theta)
 from dswlab.waves import params_from_kappa
 
 # The reference table at its printed labels, (L, kappa) -> (c, p'(0), q'(L), theta).
@@ -34,13 +34,13 @@ TABLE_ROWS = [
 class TestPEigenfunction:
     def test_zero_at_origin_and_half_period(self, wave_2_03):
         p = wave_2_03
-        assert p_eigenfunction(p, 0.0) == 0.0
-        assert abs(p_eigenfunction(p, p.L / 2)) < 1e-14
+        assert _p_and_prime(p, 0.0)[0] == 0.0
+        assert abs(_p_and_prime(p, p.L / 2)[0]) < 1e-14
 
     def test_two_zeros_per_period(self, wave_2_03):
         p = wave_2_03
         xi = np.linspace(0.0, p.L, 4097, endpoint=False)
-        vals = p_eigenfunction(p, xi)
+        vals, _ = _p_and_prime(p, xi)
         signs = np.sign(vals[np.abs(vals) > 1e-12])
         cyc = np.append(signs, signs[0])  # count crossings of the periodic extension
         crossings = int(np.sum(cyc[1:] != cyc[:-1]))
@@ -48,7 +48,7 @@ class TestPEigenfunction:
 
     def test_derivative_at_origin_is_alpha(self, wave_2_03):
         p = wave_2_03
-        assert p_eigenfunction_prime(p, 0.0) == pytest.approx(p.alpha, rel=1e-13)
+        assert _p_and_prime(p, 0.0)[1] == pytest.approx(p.alpha, rel=1e-13)
         assert p.alpha == pytest.approx(2 * p.K / p.L, rel=1e-15)
 
     def test_spectral_kernel_residual(self, wave_2_03):
@@ -58,7 +58,7 @@ class TestPEigenfunction:
         p = wave_2_03
         op = assemble("Lplus", p, 512)
         x = np.arange(512) * p.L / 512
-        pe = p_eigenfunction(p, x)
+        pe, _ = _p_and_prime(p, x)
         assert np.max(np.abs(op.matrix @ pe)) < 1e-8
 
 
@@ -102,7 +102,7 @@ class TestHillIVP:
                          rtol=1e-12, atol=1e-14, dense_output=True)
         theta = integrate_hill_ivp(p).theta
         ss = np.linspace(0.0, p.L, 9)
-        resid = [abs(sol2.sol(s + p.L)[0] - sol2.sol(s)[0] - theta * p_eigenfunction(p, s))
+        resid = [abs(sol2.sol(s + p.L)[0] - sol2.sol(s)[0] - theta * _p_and_prime(p, s)[0])
                  for s in ss]
         assert max(resid) < 1e-9
 

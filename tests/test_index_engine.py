@@ -318,12 +318,13 @@ class TestHalfPeriodData:
         assert psi_pp_h == pytest.approx(p.c * psi_h + p.F1 - psi_h**3 / (2 * p.c), rel=1e-12)
         fd = (t.varphi_at(p.L / 2 + h) - t.varphi_at(p.L / 2 - h)) / (2 * h)
         assert varphi_p_h == pytest.approx(fd, abs=1e-7 * max(1.0, abs(varphi_p_h)))
-        assert varphi_p_h == pytest.approx(t.varphi_half_prime, rel=1e-10)
+        assert varphi_p_h == pytest.approx(t.varphi_prime_at(p.L / 2), rel=1e-10)
+        assert t.varphi_0 == float(t.varphi_at(0.0))
 
 
 class TestLinvApply:
     def test_runs_no_quadrature(self, wave_1_05, varphi_1_05, monkeypatch):
-        # varphi'(L/2) comes from the table, psi''(L/2) from its closed form
+        # varphi'(L/2) comes from the slope of the table's series, psi''(L/2) from its closed form
         import dswlab.index_engine as ie
 
         def refuse(*args, **kwargs):

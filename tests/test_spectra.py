@@ -7,12 +7,11 @@ from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError, _certify,
                             _cosine_coordinates, _fourier_diff_matrices, _grid,
-                            _grid_function, _kc_inverse_t, _morse_counts,
-                            _multiplication_blocks, _nonzero_spectrum, _parity_blocks,
-                            _reflected, _sine_coordinates, assemble, assemble_operator,
-                            dmatrix_via_collocation, imaginary_eigenmode, kernel_alignment,
-                            morse_index, pseudo_inverse_apply, unstable_eigenmode,
-                            unstable_modes)
+                            _kc_inverse_t, _morse_counts, _multiplication_blocks,
+                            _nonzero_spectrum, _parity_blocks, _reflected,
+                            _sine_coordinates, assemble, assemble_operator,
+                            dmatrix_via_collocation, kernel_alignment, morse_index,
+                            pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
 
 
@@ -261,7 +260,7 @@ class TestSpectrumReport:
         # the smallest imaginary frequency stands in for it
         mu = {}
         for N in (512, 1024):
-            mu[N], _, _ = imaginary_eigenmode(wave_2_03, N)
+            mu[N] = unstable_modes(wave_2_03, N).eigenvalues[0].imag
         assert abs(mu[512] - mu[1024]) < 1e-6 * mu[1024]
 
     def test_generalized_pairing_matches_quadrature(self, wave_1_05):
@@ -377,7 +376,7 @@ class TestCertificate:
         assert (info.value.block, info.value.inertia) == ("even", (2, 0, 123))
         assert "inertia (n-, n0, n+) = (2, 0, 123)" in str(info.value)
 
-    @pytest.mark.parametrize("certified", [unstable_modes, imaginary_eigenmode])
+    @pytest.mark.parametrize("certified", [unstable_modes])
     def test_profile_off_its_speed_has_no_certificate(self, wave_2_03, certified):
         # at 0.5 c both Cholesky factors exist, but (psi', phi') is not the kernel
         # of H (n(H) = (3, 0)), so the +-i omega would not be the spectrum of dH
@@ -393,22 +392,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_grid_without_a_mode_in_range_j_refused(self, wave_2_03, N):
-        for certified in (unstable_modes, imaginary_eigenmode):
-            with pytest.raises(ValueError, match=f"N must be >= 3 \\(got {N}\\)"):
-                certified(wave_2_03, N)
-
-    @pytest.mark.parametrize("N", [64, 255])
-    def test_imaginary_eigenmode_is_the_oracle_eigenpair(self, wave_2_03, N):
-        # the smallest frequency of the dense eigensolve, and its eigenvector
-        p = wave_2_03
-        mu, U, V = imaginary_eigenmode(p, N)
-        dH = assemble_operator("dHcal", p.L, p.c, eval_profile(p, np.arange(N) * (p.L / N))[0])
-        eigvals, _, keep, _ = _nonzero_spectrum(dH.matrix)
-        eigs = eigvals[keep]
-        assert mu == pytest.approx(np.min(eigs.imag[eigs.imag > 0]), rel=1e-9)
-        w = np.concatenate([U, V])
-        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(dH.matrix @ w - 1j * mu * w) < 1e-8 * mu
+        with pytest.raises(ValueError, match=f"N must be >= 3 \\(got {N}\\)"):
+            unstable_modes(wave_2_03, N)
 
 
 class TestSchurComplement:
@@ -465,15 +450,12 @@ class TestSchurComplement:
 
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_trig_basis_is_the_direct_evaluation(self, N):
-        # the rfft coordinates and the irfft back to the grid are the products with the bases
+        # the rfft coordinates are the products with the bases
         rng = np.random.default_rng(N)
         C, S = trig_basis(N)
         f = rng.standard_normal((2, N))
         assert relative(_cosine_coordinates(f), f @ C) <= 1e-14
         assert relative(_sine_coordinates(f), f @ S) <= 1e-14
-        m = S.shape[1]
-        a, b = (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)) for _ in range(2))
-        assert relative(_grid_function(a, b, N), C[:, 1:m + 1] @ a + S @ b) <= 1e-14
 
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_fft_assembly_is_the_direct_product(self, wave_2_03, N):
