@@ -121,7 +121,8 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_dmatrix_sweep(args) -> int:
-    from .index_engine import DegenerateDMatrixError, assemble_dmatrix, hamiltonian_index
+    from .index_engine import (DegenerateDMatrixError, a_integrals, assemble_dmatrix,
+                               hamiltonian_index)
 
     kappas = _sweep_values(args)
     header = _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas))
@@ -129,15 +130,17 @@ def cmd_dmatrix_sweep(args) -> int:
             "A1", "A2", "A3", "A4", "A5", "A6", "status"]
 
     def run(kappa):
-        d = assemble_dmatrix(params_from_kappa(args.L, kappa))
+        p = params_from_kappa(args.L, kappa)
+        d = assemble_dmatrix(p)
+        A = a_integrals(p)  # read from the quadrature record assemble_dmatrix filled
         try:
             k_ham, n_d = hamiltonian_index(d)
         except DegenerateDMatrixError:
             nan = float("nan")
-            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *d.A, "degenerate")
+            return (kappa, nan, nan, nan, nan, nan, nan, nan, -1, -1, *A, "degenerate")
         e = d.entries
         return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
-                d.det, n_d, k_ham, *d.A, "ok")
+                d.det, n_d, k_ham, *A, "ok")
 
     _write_csv(args.out, header, cols, [run(kappa) for kappa in kappas])
     return 0
@@ -178,8 +181,11 @@ def cmd_simulate(args) -> int:
                             state_fields)
     from .spectra import NoUnstableModeError
 
-    if args.perturb and not args.wave:
-        raise ValueError("--perturb requires --wave")
+    if not args.wave:  # refuse the wave flags a run without a wave would ignore
+        for flag, value in (("--perturb", args.perturb), ("--kappa", args.kappa),
+                            ("--c", args.c), ("--frame", args.frame)):
+            if value is not None:
+                raise ValueError(f"{flag} requires --wave")
     if args.wave and args.L is None:
         raise ValueError("--wave requires --L")
     rng = np.random.default_rng(args.seed)
@@ -191,7 +197,7 @@ def cmd_simulate(args) -> int:
     elif args.wave:
         p = _resolve_wave(args)
         u0, v0 = profile_grid(p, args.N)
-        frame = p.c if args.frame == "comoving" else 0.0
+        frame = 0.0 if args.frame == "lab" else p.c
     else:
         L = args.L or 2.0 * np.pi
         x = np.arange(args.N) * (L / args.N)
@@ -344,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=128)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--dt", type=float, default=1e-4)
-    sp.add_argument("--frame", choices=["lab", "comoving"], default="comoving")
+    sp.add_argument("--frame", choices=["lab", "comoving"], default=None,
+                    help="frame of a --wave run (default comoving)")
     sp.add_argument("--perturb", type=float, default=None,
                     help="seed amplitude for the growth experiment")
     sp.add_argument("--seed", type=int, default=0)

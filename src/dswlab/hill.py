@@ -8,7 +8,9 @@ theta != 0 makes the zero eigenvalue simple.
 
 q and the second kernel element varphi of the quadrature pipeline are both
 even solutions of L+ y = 0, which gives theta in closed form, theta = -L A2/K
-(`floquet_constant`); this is the production route. `integrate_hill_ivp`
+(`floquet_constant`); this is the production route, and A2 is read from
+index_engine's quadrature record of the modulus, so theta at a modulus
+already seen costs no quadrature at any L. `integrate_hill_ivp`
 integrates the companion IVP over half a period instead and is kept as the
 independent oracle: it carries sn, cn, dn along as solutions of their own
 ODEs, so no stage of the integration evaluates an elliptic function.
@@ -63,7 +65,7 @@ class FloquetConstant(NamedTuple):
 
 
 def floquet_constant(p: WaveParams) -> FloquetConstant:
-    """theta = -L A2 / K(kappa), with A2 from the cosine sampler of a_integrals.
+    """theta = -L A2 / K(kappa), with A2 from a_integrals' record of the modulus.
 
     The sampler stops when the series of A2's integrand reaches rounding, so
     there is no tolerance to set. Against 30-digit mpmath theta is accurate

@@ -10,11 +10,11 @@ Every quadrature here is over one quarter period [0, K] of an even,
 2K-periodic integrand analytic in a strip, so one rule serves them all: the
 cosine series of equispaced samples (_cosine_series), whose trapezoid mean
 converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014) and
-stops when its tail reaches rounding. The A-integrals and the psi moments are
-K times the mean a_0 of their stacked rows, one pass each with one Jacobi
-evaluation per level, so one D costs two passes. varphi carries the
-antiderivative G of A2's integrand, the same series integrated term by term
-and evaluated by Clenshaw; its slope a_0 is A2 / K exactly.
+stops when its tail reaches rounding. The integrands depend on kappa alone
+(NOTES.md, the scaling symmetry), so one cached pass per modulus samples them
+all, one Jacobi evaluation per level (_quarter_period_record). The A-integrals
+and psi moments are K times the mean a_0 of their rows; varphi carries the
+antiderivative G of A2's row by Clenshaw, so its slope a_0 is A2 / K exactly.
 
 Conventions that matter (they are easy to get wrong):
 
@@ -29,7 +29,7 @@ Conventions that matter (they are easy to get wrong):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +126,35 @@ def _cosine_series(f, K: float) -> list:
         vals, n = finer, 2 * n
 
 
+_RECORDS: dict = {}  # bounded like elliptic's records
+_RECORDS_MAX = 1024
+
+
+def _quarter_period_record(p: WaveParams) -> tuple:
+    """Cosine series on [0, K] of the integrands of A1, A2 (M), A3, A4, A6 and
+    dn^{2m} / B^m, m = 1..4, B = 1 + beta^2 sn^2: one sampler pass per modulus.
+
+    Cached by the (kappa, beta^2, K) the rows read; the shared arrays are read-only.
+    """
+    key = (p.kappa, p.beta_sq, p.K)
+    if key not in _RECORDS:
+        def integrands(u):
+            sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+            B = 1.0 + p.beta_sq * sn * sn
+            w = 1.0 - 2.0 * sn * sn
+            f = 3.0 * (p.kappa**2 + p.beta_sq) + 5.0 * p.beta_sq * dn * dn
+            return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
+                    B * w, B * f * w, *(dn ** (2 * m) / B**m for m in (1, 2, 3, 4)))
+
+        record = tuple(_cosine_series(integrands, p.K))
+        for a in record:
+            a.flags.writeable = False
+        if len(_RECORDS) >= _RECORDS_MAX:
+            _RECORDS.clear()
+        _RECORDS[key] = record
+    return _RECORDS[key]
+
+
 # ---------------------------------------------------------------------------
 # varphi: the even, non-periodic second kernel element of L+
 
@@ -214,18 +243,10 @@ class VarphiTable:
 
 
 def build_varphi(p: WaveParams) -> VarphiTable:
-    """Expand varphi's inner integrand once in its cosine series.
-
-    The slope a_0 of G is the mean of the integrand over [0, K]: the A2 row
-    of a_integrals is the same series, so A2 = K a_0 exactly. The sample
-    counts per kappa are in NOTES.md.
+    """varphi of p, with its inner integrand's series, the A2 row of the record:
+    A2 = K a_0 exactly. The sample counts per kappa are in NOTES.md.
     """
-    def samples(u):
-        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-        return _inner_integrand(p, sn, dn)
-
-    a, = _cosine_series(samples, p.K)
-    return VarphiTable(params=p, varphi_0=_c0(p), _a=a)
+    return VarphiTable(params=p, varphi_0=_c0(p), _a=_quarter_period_record(p)[1])
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -249,24 +270,11 @@ class AIntegrals(NamedTuple):
 def a_integrals(p: WaveParams) -> AIntegrals:
     """The six quadratures over [0, K(kappa)] entering the pairing closed forms.
 
-    One pass of the cosine sampler over the stacked integrands of A1, A2, A3,
-    A4 and A6, with one Jacobi evaluation per level; each A is K a_0 of its
-    row. A2's integrand is varphi's inner integrand, _inner_integrand; A5 is
-    the same integral. A4 carries a single power of (1 + beta^2 sn^2); see the
-    A4 note in NOTES.md.
+    Each A is K a_0 of its row of the quarter-period record; A2's row is
+    varphi's inner integrand and A5 the same integral. A4 carries a single
+    power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
     """
-    b2 = p.beta_sq
-    k2b2 = p.kappa**2 + b2
-
-    def integrands(u):
-        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-        B = 1.0 + b2 * sn * sn
-        w = 1.0 - 2.0 * sn * sn
-        f = 3.0 * k2b2 + 5.0 * b2 * dn * dn
-        return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
-                B * w, B * f * w)
-
-    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in _cosine_series(integrands, p.K))
+    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in _quarter_period_record(p)[:5])
     return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
 
 
@@ -336,6 +344,9 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     if f.L != p.L:
         raise ValueError("grid period does not match the wave period")
+    if t.params.kappa != p.kappa:
+        raise ValueError(f"varphi table of modulus {t.params.kappa} given for a wave of "
+                         f"modulus {p.kappa}")
     vals = f.samples
     reflected = np.roll(vals[::-1], 1)  # f(-x_j) on the same grid
     scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -388,32 +399,20 @@ def psi_moments(p: WaveParams):
     """(int psi, int psi^2, int psi^3, int psi^4) over one period.
 
     Closed elliptic forms: int psi^m = eta4^m L <dn^{2m} / B^m>, with <.> the
-    mean over [0, K], the a_0 of the four rows stacked in one sampler pass.
+    mean over [0, K], a_0 of the last four rows of the quarter-period record.
     """
-    b2 = p.beta_sq
-    powers = (1, 2, 3, 4)
-
-    def integrands(u):
-        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-        return [dn ** (2 * m) / (1.0 + b2 * sn * sn) ** m for m in powers]
-
-    means = (a[0] for a in _cosine_series(integrands, p.K))
-    return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip(powers, means))
+    means = (a[0] for a in _quarter_period_record(p)[5:])
+    return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip((1, 2, 3, 4), means))
 
 
 @dataclass(frozen=True, eq=False)
 class DMatrix:
     """Symmetric 3x3 matrix of pairings <H e_i, e_j> with derived quantities.
-
-    A holds the quadratures the matrix was assembled from (None for a matrix
-    given by its entries). A D that is numerically singular is still
-    returned; hamiltonian_index refuses it.
-    """
+    A numerically singular D is still returned; hamiltonian_index refuses it."""
 
     entries: np.ndarray
     det: float
     n_negative: int
-    A: AIntegrals | None = None
 
 
 def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
@@ -458,7 +457,7 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
     D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
     D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
-    return replace(dmatrix_from_entries(D), A=A)
+    return dmatrix_from_entries(D)
 
 
 def hamiltonian_index(d: DMatrix):

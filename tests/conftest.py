@@ -32,6 +32,15 @@ def spectrum_2_03(wave_2_03):
     return unstable_modes(wave_2_03, N=256)
 
 
+@pytest.fixture
+def fresh_records(monkeypatch):
+    """An empty quadrature record for one test, so every modulus it meets is sampled."""
+    import dswlab.index_engine as ie
+
+    monkeypatch.setattr(ie, "_RECORDS", {})
+    return ie._RECORDS
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)

@@ -157,17 +157,19 @@ class TestDMatrixSweep:
         assert "needs --kappa-step > 0 and --kappa-min <= --kappa-max" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.usefixtures("fresh_records")
     def test_quadratures_computed_once_per_row(self, tmp_path, monkeypatch):
+        # one sampler pass a row: its D and its A columns read one record
         from dswlab import index_engine
 
-        calls = []
-        a_integrals = index_engine.a_integrals
-        monkeypatch.setattr(index_engine, "a_integrals",
-                            lambda *a, **k: calls.append(a) or a_integrals(*a, **k))
+        passes = []
+        sampler = index_engine._cosine_series
+        monkeypatch.setattr(index_engine, "_cosine_series",
+                            lambda f, K: passes.append(K) or sampler(f, K))
         out = tmp_path / "d.csv"
         assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.3,0.6",
                      "--out", str(out)]) == 0
-        assert len(calls) == 2
+        assert len(passes) == 2
 
     def test_degenerate_row_keeps_its_quadratures(self, tmp_path, monkeypatch):
         from dswlab import index_engine, params_from_kappa
@@ -350,6 +352,16 @@ class TestSimulate:
         prefix = tmp_path / "p"
         assert main(["simulate", "--zero", "--perturb", "1e-6", "--out-prefix", str(prefix)]) == 2
         assert capsys.readouterr().err == "error: --perturb requires --wave\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--kappa", "0.3"], ["--c", "9.9"], ["--frame", "lab"]],
+                             ids=["kappa", "c", "frame"])
+    def test_wave_flag_without_wave_exits_2(self, tmp_path, capsys, flag):
+        # zero data at L = 2 pi would ignore the flag
+        prefix = tmp_path / "z"
+        assert main(["simulate", "--zero", *flag, "--N", "32", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == f"error: {flag[0]} requires --wave\n"
         assert not list(tmp_path.iterdir())
 
     def test_modulus_and_speed_together_exit_2(self, tmp_path, capsys):

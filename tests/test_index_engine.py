@@ -132,6 +132,7 @@ class TestVarphiSeries:
             ref = quad(M, 0.0, u, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
             assert ie._antiderivative(t._a, p.K, u) == pytest.approx(ref, abs=1e-12 * scale)
 
+    @pytest.mark.usefixtures("fresh_records")
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.95, 0.999])
     def test_series_samples_few_points(self, kappa, monkeypatch):
         import dswlab.index_engine as ie
@@ -152,6 +153,7 @@ class TestVarphiSeries:
         linv_apply(wave_1_05, varphi_1_05, GridFunction(wave_1_05.L, np.ones(256)))
         assert calls == [8 * 256 + 1]
 
+    @pytest.mark.usefixtures("fresh_records")
     def test_kinked_integrand_raises(self, wave_1_05, monkeypatch):
         # a kink leaves coefficients decaying like m**-2, far above rounding at the cap
         import dswlab.index_engine as ie
@@ -230,7 +232,8 @@ class TestAIntegrals:
 
         assert psi_moments(p) == tuple(moment(m) for m in (1, 2, 3, 4))
 
-    def test_dmatrix_takes_two_passes_of_one_jacobi_call_per_level(self, wave_1_05, monkeypatch):
+    @pytest.mark.usefixtures("fresh_records")
+    def test_dmatrix_takes_one_pass_of_one_jacobi_call_per_level(self, wave_1_05, monkeypatch):
         import dswlab.index_engine as ie
 
         passes, levels, jacobi = [], [], []
@@ -244,20 +247,36 @@ class TestAIntegrals:
         monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
                             lambda u, k: jacobi.append(np.size(u)) or jacobi_once(u, k))
         assemble_dmatrix(wave_1_05)
-        assert len(passes) == 2
+        assert len(passes) == 1
         assert jacobi == levels
 
+    @pytest.mark.usefixtures("fresh_records")
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.7, 50.0])
+    def test_a_modulus_seen_is_sampled_at_no_period(self, wave_1_05, L, monkeypatch):
+        # every consumer of the quadratures reads the record of kappa, whatever L
+        import dswlab.index_engine as ie
+        from dswlab.hill import floquet_constant
+
+        assemble_dmatrix(wave_1_05)
+        jacobi, jacobi_once = [], ie.jacobi_sn_cn_dn
+        monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
+                            lambda u, k: jacobi.append(np.size(u)) or jacobi_once(u, k))
+        p = params_from_kappa(L, wave_1_05.kappa)
+        a_integrals(p), psi_moments(p), build_varphi(p), floquet_constant(p)
+        assert jacobi == []
+
+    @pytest.mark.usefixtures("fresh_records")
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.95, 0.999])
     def test_dmatrix_samples_few_points(self, kappa, monkeypatch):
-        # two passes of 33 points up to kappa = 0.7, 194 in all at 0.999;
-        # 16-point Gauss-Legendre on 4 then 8 panels took 384
+        # one pass of 33 points up to kappa = 0.9, 129 at 0.999; 16-point
+        # Gauss-Legendre on 4 then 8 panels took 384
         import dswlab.index_engine as ie
 
         points, jacobi_once = [], ie.jacobi_sn_cn_dn
         monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
                             lambda u, k: points.append(np.size(u)) or jacobi_once(u, k))
         assemble_dmatrix(params_from_kappa(2.0, kappa))
-        assert sum(points) <= 2 * (33 + 32 + 64)
+        assert sum(points) <= 33 + 32 + 64
 
     def test_against_adaptive_quadrature(self, wave_1_05):
         from dswlab.elliptic import jacobi_sn_cn_dn
@@ -386,6 +405,20 @@ class TestLinvApply:
         with pytest.raises(ValueError):
             linv_apply(wave_1_05, varphi_1_05, GridFunction(2 * wave_1_05.L, np.ones(2048)))
 
+    def test_table_of_another_modulus_refused(self, wave_1_05):
+        # with the kappa = 0.3 table, L+ of the output missed psi by 9.1 relative
+        psi_g, _ = profile_grid(wave_1_05, 256)
+        with pytest.raises(ValueError, match="modulus 0.3 given for a wave of modulus 0.5"):
+            linv_apply(wave_1_05, build_varphi(params_from_kappa(1.0, 0.3)), psi_g)
+
+    def test_table_of_the_modulus_serves_every_period(self):
+        # varphi's series depends on kappa alone: a table built at L = 1 is the one at L = 3
+        p = params_from_kappa(3.0, 0.5)
+        psi_g, _ = profile_grid(p, 256)
+        own = linv_apply(p, build_varphi(p), psi_g).samples
+        other = linv_apply(p, build_varphi(params_from_kappa(1.0, 0.5)), psi_g).samples
+        assert np.array_equal(own, other)
+
     @settings(max_examples=10, deadline=None)
     @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
     def test_linearity(self, wave_1_05, varphi_1_05, a, b):
@@ -466,11 +499,9 @@ class TestDMatrix:
             hamiltonian_index(dmatrix_from_entries(np.zeros((3, 3))))
 
     def test_degenerate_wave_returns_its_matrix(self):
-        # det = -4.07e-5 against the threshold 1e-12 |D|^3 = 4.65e-5: the matrix and
-        # its quadratures come back, and the index alone is refused
-        p = params_from_kappa(0.5, 0.999)
-        d = assemble_dmatrix(p)
-        assert d.A == a_integrals(p)
+        # det = -4.07e-5 against the threshold 1e-12 |D|^3 = 4.65e-5: the matrix
+        # comes back, and the index alone is refused
+        d = assemble_dmatrix(params_from_kappa(0.5, 0.999))
         assert abs(d.det) <= 1e-12 * np.linalg.norm(d.entries) ** 3
         with pytest.raises(DegenerateDMatrixError, match="below degeneracy threshold"):
             hamiltonian_index(d)
@@ -490,9 +521,29 @@ class TestHamiltonianIndex:
             assert d.det < 0.0
             assert hamiltonian_index(d) == (1, 1)
 
-    def test_period_only_scales_entries(self):
-        # sign data of D is L-independent; record the empirical det scaling
-        d1 = assemble_dmatrix(params_from_kappa(1.0, 0.5))
-        d2 = assemble_dmatrix(params_from_kappa(2.0, 0.5))
-        assert d1.n_negative == d2.n_negative == 1
-        assert np.sign(d1.det) == np.sign(d2.det)
+
+@pytest.mark.parametrize("L", [0.5, 2.7, 50.0])
+@pytest.mark.parametrize("kappa", [0.05, 0.5, 0.99])
+class TestScalingSymmetry:
+    """The wave (L, kappa) is the wave (1, kappa) rescaled (NOTES.md, the
+    scaling symmetry): exact exponents, each against L = 1."""
+
+    def test_quadratures_depend_on_kappa_only(self, kappa, L, fresh_records):
+        p, p1 = params_from_kappa(L, kappa), params_from_kappa(1.0, kappa)
+        A, a = a_integrals(p), build_varphi(p)._a
+        fresh_records.clear()  # sample L = 1 anew, so the record hides no L
+        assert a_integrals(p1) == A
+        assert np.array_equal(build_varphi(p1)._a, a)
+
+    def test_theta_scales_as_the_period(self, kappa, L):
+        from dswlab.hill import floquet_constant
+
+        theta, theta_1 = (floquet_constant(params_from_kappa(x, kappa)).theta for x in (L, 1.0))
+        assert abs(theta - L * theta_1) <= 4 * np.finfo(float).eps * abs(theta)
+
+    def test_dmatrix_is_congruent_to_the_unit_period(self, kappa, L):
+        # D = S D_1 S: the same n(D), k_Ham and sign of det D at every L
+        S = np.diag([L**1.5, L**1.5, L**-0.5])
+        scaled = S @ assemble_dmatrix(params_from_kappa(1.0, kappa)).entries @ S
+        d = assemble_dmatrix(params_from_kappa(L, kappa)).entries
+        assert np.max(np.abs(d - scaled) / np.abs(scaled)) <= 1e-11

@@ -1,6 +1,7 @@
 """Every name a dswlab module exports is read somewhere, outside the tests
 unless TEST_ONLY says why not, and every default of an exported function is
-overridden somewhere.
+overridden somewhere. A module exports the names in its ``__all__`` and every
+top-level function and class whose name has no leading underscore.
 
 The checks parse src/, tests/, scripts/ and perfbench/. The first two count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
@@ -32,11 +33,15 @@ TEST_ONLY = {
 
 
 def _exports(tree):
+    names = set()
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return ast.literal_eval(node.value)
-    return []
+            names.update(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            names.add(node.name)
+    return names
 
 
 def _loads(tree):
@@ -57,7 +62,7 @@ def _scan(tops):
             loaded.update(_loads(tree))
             if path.parent == PACKAGE:
                 exported.update((path.stem, name) for name in _exports(tree))
-    assert exported, f"no __all__ found under {PACKAGE}"
+    assert exported, f"no export found under {PACKAGE}"
     return loaded, exported
 
 
