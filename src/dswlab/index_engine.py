@@ -337,11 +337,17 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     hence in the domain of L+.
 
     Inputs are symmetrized; an asymmetry above 1e-8 (relative sup norm) is a
-    hard error. sn, cn, dn are evaluated once, on the fine grid xf that the
-    antiderivatives integrate over, whose every 8th point is a grid point.
-    """
-    from scipy.interpolate import CubicSpline
+    hard error. The output is even, so it is computed on [0, L/2] and mirrored
+    (out[N - j] == out[j] bit for bit). sn, cn, dn are evaluated once, on the
+    4N + 1 points of spacing L/(8N) there; both antiderivatives are cumulative
+    sums of the closed 5-point Newton-Cotes (Boole) rule on panels of 4 of
+    those steps, two panels to a grid cell.
 
+    For small kappa the output carries a rounding floor of the formula itself:
+    varphi ~ kappa^-2 and psi' ~ kappa^2, so its terms cancel. The roundtrip
+    max |L+ out - psi| / max |psi| at L = 1, N = 256 is 2.5e-8 at kappa = 0.01
+    and 3.2e-6 at 0.001, and the rule does not move it (NOTES.md has the table).
+    """
     if f.L != p.L:
         raise ValueError("grid period does not match the wave period")
     if t.params.kappa != p.kappa:
@@ -357,31 +363,32 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     N = f.N
     M = 8 * N
-    xf = np.linspace(0.0, p.L, M + 1)
-    # trigonometric resampling of f onto the fine grid (exact for band-limited data)
+    # trigonometric resampling of f onto the fine half-period grid (exact for
+    # band-limited data)
     coeff = np.fft.rfft(sym)
     pad = np.zeros(M // 2 + 1, dtype=complex)
     pad[: coeff.size] = coeff
     pad[N // 2] *= 0.5  # split the shared Nyquist coefficient (N is a power of two)
-    f_fine = np.fft.irfft(pad, M) * (M / N)
-    f_fine = np.append(f_fine, f_fine[0])
+    f_fine = np.fft.irfft(pad, M)[: M // 2 + 1] * (M / N)
 
-    sn, cn, dn, G = _branch(p, t._a, xf)
+    sn, cn, dn, G = _branch(p, t._a, np.linspace(0.0, 0.5 * p.L, M // 2 + 1))
     varphi_f = _varphi_value(p, sn, cn, dn, G)
     _, dpsi_f, _ = _profile_derivatives(p, sn, cn, dn)
 
-    F_vf = CubicSpline(xf, varphi_f * f_fine).antiderivative()
-    F_pf = CubicSpline(xf, dpsi_f * f_fine).antiderivative()
+    # Boole panels of 4 steps h = L/(8N): (2h/45)(7, 32, 12, 32, 7). Entry i of the
+    # cumulative sum from 0 is the integral to i L/(2N): x_j is entry 2j, L/2 the last
+    g = np.stack([varphi_f * f_fine, dpsi_f * f_fine])
+    panels = (7.0 * (g[:, :-1:4] + g[:, 4::4]) + 32.0 * (g[:, 1::4] + g[:, 3::4])
+              + 12.0 * g[:, 2::4]) * (p.L / (180.0 * N))
+    F_vf, F_pf = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)[:, ::2]
 
     _, psi_pp_h = _psi_half(p)
-    pair = 2.0 * float(F_vf(0.5 * p.L))
     varphi_p_h = _varphi_half_prime(p, p.K * t._a[0])
-    C_f = float(F_pf(0.5 * p.L)) - psi_pp_h / (2.0 * varphi_p_h) * pair
+    C_f = float(F_pf[-1]) - psi_pp_h / varphi_p_h * float(F_vf[-1])
 
-    x = xf[:M:8]
-    varphi_x, dpsi_x = varphi_f[:M:8], dpsi_f[:M:8]
-    out = dpsi_x * F_vf(x) - varphi_x * F_pf(x) + C_f * varphi_x
-    return GridFunction(p.L, out)
+    varphi_x, dpsi_x = varphi_f[::8], dpsi_f[::8]
+    half = dpsi_x * F_vf - varphi_x * F_pf + C_f * varphi_x
+    return GridFunction(p.L, np.concatenate([half, half[N // 2 - 1: 0: -1]]))
 
 
 def lplus_apply(p: WaveParams, g: GridFunction) -> np.ndarray:

@@ -151,7 +151,7 @@ class TestVarphiSeries:
         monkeypatch.setattr(ie, "jacobi_sn_cn_dn",
                             lambda u, k: calls.append(np.size(u)) or jacobi_once(u, k))
         linv_apply(wave_1_05, varphi_1_05, GridFunction(wave_1_05.L, np.ones(256)))
-        assert calls == [8 * 256 + 1]
+        assert calls == [4 * 256 + 1]  # one half period
 
     @pytest.mark.usefixtures("fresh_records")
     def test_kinked_integrand_raises(self, wave_1_05, monkeypatch):
@@ -393,6 +393,36 @@ class TestLinvApply:
         assert np.max(tail) < 1e-7  # a jump in value or slope would pollute high modes
         deriv = np.fft.ifft(1j * np.where(np.abs(k) == np.max(np.abs(k)), 0, k) * coeffs).real
         assert np.isfinite(deriv).all()
+
+    def test_output_is_exactly_even(self):
+        # computed on [0, L/2] and mirrored
+        p = params_from_kappa(1.0, 0.99)
+        out = linv_apply(p, build_varphi(p), profile_grid(p, 2048)[0]).samples
+        assert np.array_equal(out[1:], out[:0:-1])
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.3, 0.9, 0.99, 0.999])
+    def test_roundtrip_across_the_family(self, kappa):
+        p = params_from_kappa(1.0, kappa)
+        psi_g, _ = profile_grid(p, 256)
+        out = linv_apply(p, build_varphi(p), psi_g)
+        back = lplus_apply(p, out)
+        assert np.max(np.abs(back - psi_g.samples)) <= 1e-7 * np.max(np.abs(psi_g.samples))
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_grid_resolves_the_integrals(self, N):
+        # against the same function resampled to 8N points, 64 steps a cell of the N-grid
+        p = params_from_kappa(1.0, 0.9)
+        t = build_varphi(p)
+        psi, _ = profile_grid(p, N)
+        f = psi.samples**3 + 0.3 * np.cos(2 * np.pi * psi.x / p.L)
+        coeff = np.fft.rfft(f)
+        pad = np.zeros(4 * N + 1, dtype=complex)
+        pad[: coeff.size] = coeff
+        pad[N // 2] *= 0.5
+        fine = np.fft.irfft(pad, 8 * N) * 8.0
+        out = linv_apply(p, t, GridFunction(p.L, f)).samples
+        ref = linv_apply(p, t, GridFunction(p.L, fine)).samples[::8]
+        assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_even_symmetry_enforced(self, wave_1_05, varphi_1_05):
         p, t = wave_1_05, varphi_1_05

@@ -27,11 +27,12 @@ for info in pkgutil.iter_modules(dswlab.__path__):
     importlib.import_module("dswlab." + info.name)
 assert not scipy_modules(), ("import", scipy_modules())
 
-from dswlab.index_engine import build_varphi
-from dswlab.waves import params_from_kappa
+from dswlab.index_engine import build_varphi, linv_apply
+from dswlab.waves import params_from_kappa, profile_grid
 
-build_varphi(params_from_kappa(2.0, 0.3))
-assert not scipy_modules(), ("build_varphi", scipy_modules())
+p = params_from_kappa(2.0, 0.3)
+linv_apply(p, build_varphi(p), profile_grid(p, 256)[0])
+assert not scipy_modules(), ("build_varphi + linv_apply", scipy_modules())
 
 from dswlab.cli import main
 
