@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .waves import (GridFunction, SpeedBelowThresholdError, kappa_from_c,
+from .waves import (GridFunction, SpeedBelowThresholdError, grid_points, kappa_from_c,
                     params_from_kappa, profile_grid, profile_residual)
 
 __all__ = ["main", "build_parser"]
@@ -74,7 +74,7 @@ def _resolve_wave(args):
 
 def cmd_wave(args) -> int:
     p = _resolve_wave(args)
-    r1, r2 = profile_residual(p, max(args.N, 64))
+    r1, r2 = profile_residual(p, args.N)
     psi, phi = profile_grid(p, args.N)
     header = _provenance("wave", L=p.L, kappa=p.kappa, c=p.c, N=args.N)
     header += [
@@ -188,26 +188,24 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"{flag} requires --wave")
     if args.wave and args.L is None:
         raise ValueError("--wave requires --L")
-    rng = np.random.default_rng(args.seed)
-    if args.zero:
-        L = args.L or 2.0 * np.pi
-        u0 = GridFunction(L, np.zeros(args.N))
-        v0 = GridFunction(L, np.zeros(args.N))
-        frame = 0.0
-    elif args.wave:
+    if args.wave:
         p = _resolve_wave(args)
         u0, v0 = profile_grid(p, args.N)
         frame = 0.0 if args.frame == "lab" else p.c
     else:
         L = args.L or 2.0 * np.pi
-        x = np.arange(args.N) * (L / args.N)
+        x = grid_points(L, args.N)
         u = np.zeros(args.N)
         v = np.zeros(args.N)
-        for m in range(1, 5):
-            u += rng.normal() * np.cos(2 * np.pi * m * x / L) + rng.normal() * np.sin(2 * np.pi * m * x / L)
-            v += rng.normal() * np.cos(2 * np.pi * m * x / L) + rng.normal() * np.sin(2 * np.pi * m * x / L)
-        norm = np.sqrt(L * np.mean(u**2 + v**2))
-        u0, v0 = GridFunction(L, u / norm), GridFunction(L, v / norm)
+        if not args.zero:
+            rng = np.random.default_rng(args.seed)
+            for m in range(1, 5):
+                cos, sin = np.cos(2 * np.pi * m * x / L), np.sin(2 * np.pi * m * x / L)
+                u += rng.normal() * cos + rng.normal() * sin
+                v += rng.normal() * cos + rng.normal() * sin
+            norm = np.sqrt(L * np.mean(u**2 + v**2))
+            u, v = u / norm, v / norm
+        u0, v0 = GridFunction(L, u), GridFunction(L, v)
         frame = 0.0
 
     header = _provenance("simulate", L=u0.L, N=args.N, T=args.T, dt=args.dt,

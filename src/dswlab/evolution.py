@@ -10,8 +10,10 @@ i(k^3 + s k) for u and i s k for v enter exactly through e^z, e^{z/2} and the
 phi-function weights of z = i dt omega, which are means over 32 points on a
 unit circle around each z (Kassam & Trefethen, SISC 2005), free of the
 cancellation of their closed forms at small |z|. The quadratic terms are
-evaluated pseudospectrally with 2/3-rule dealiasing (products truncated to
-|k| <= N/3, state kept in the same band).
+evaluated pseudospectrally and always dealiased by the 2/3 rule (products
+truncated to |k| <= N/3, state kept in the same band), a Galerkin truncation
+that conserves l2 exactly; an even N's Nyquist mode lies outside that band
+and stays 0.
 
 ETD keeps equilibria exactly, so the co-moving traveling wave is a fixed
 point; in the lab frame the wave (2, 0.3) at N = 128 is accurate to ~1e-7 at
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, WaveParams, eval_profile, profile_grid
+from .waves import GridFunction, WaveParams, eval_profile, grid_points, profile_grid
 
 __all__ = [
     "SimState",
@@ -84,14 +86,6 @@ class SimState:
 def _dealias_mask(N: int) -> np.ndarray:
     """rfft-length mask of the modes |k| <= N/3 kept by the 2/3 rule."""
     return np.arange(N // 2 + 1) <= N // 3
-
-
-def _spectrum(u: GridFunction, v: GridFunction, dealias: bool) -> np.ndarray:
-    """The (2, N//2+1) rfft state of (u, v), masked to the dealiased band."""
-    if u.N != v.N or u.L != v.L:
-        raise ValueError("u and v must share the same grid")
-    X = np.fft.rfft(np.stack([u.samples, v.samples]))
-    return X * _dealias_mask(u.N) if dealias else X
 
 
 def state_fields(s: SimState):
@@ -153,23 +147,22 @@ def _etd_coefficients(z: np.ndarray, h: float):
 
 
 class _Stepper:
-    """ETDRK4 weights for fixed (N, L, dt, frame speeds, dealias) on the rfft state.
+    """ETDRK4 weights for fixed (N, L, dt, frame speeds) on the rfft state.
 
     v may ride in its own frame: the mean-zero preconditioning transports v at
     g0 while u keeps its lab form, and the extra g0 dv/dx joins v's symbol.
     """
 
     def __init__(self, N: int, L: float, dt: float, frame_speed: float,
-                 frame_speed_v: float | None, dealias: bool):
+                 frame_speed_v: float | None):
         k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
-        k[N // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
         sv = frame_speed if frame_speed_v is None else frame_speed_v
         z = 1j * dt * np.stack([k**3 + frame_speed * k, sv * k])
         self.N = N
         self.E, self.E2, self.Q, self.f1, f2, self.f3 = _etd_coefficients(z, dt)
         self.f2 = 2.0 * f2  # weighs both middle stages
         # rows act on rfft(v u) and rfft(u u): -ik (uv) for u, -ik (u^2 / 2) for v
-        self.g = -1j * np.array([[1.0], [0.5]]) * k * (_dealias_mask(N) if dealias else 1.0)
+        self.g = -1j * np.array([[1.0], [0.5]]) * k * _dealias_mask(N)
 
     def nonlinear(self, X):
         w = np.fft.irfft(X, self.N)
@@ -191,14 +184,14 @@ class _Stepper:
 
 
 @lru_cache(maxsize=8)
-def _stepper(N: int, L: float, dt: float, frame_speed: float, frame_speed_v: float | None,
-             dealias: bool) -> _Stepper:
-    """Memo of _Stepper: repeated simulate calls with the same grid, step, frame speeds and
-    dealias flag build the ETDRK4 weights once.
+def _stepper(N: int, L: float, dt: float, frame_speed: float,
+             frame_speed_v: float | None) -> _Stepper:
+    """Memo of _Stepper: repeated simulate calls with the same grid, step and frame speeds
+    build the ETDRK4 weights once.
 
     Every caller shares the returned weights, so they are made read-only.
     """
-    stepper = _Stepper(N, L, dt, frame_speed, frame_speed_v, dealias)
+    stepper = _Stepper(N, L, dt, frame_speed, frame_speed_v)
     for weights in vars(stepper).values():
         if isinstance(weights, np.ndarray):
             weights.flags.writeable = False
@@ -222,23 +215,24 @@ class Trajectory:
 
 
 def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
-             frame_speed: float = 0.0, sample_every: int | None = None,
-             dealias: bool = True, frame_speed_v: float | None = None) -> Trajectory:
-    """Evolve (u0, v0) to time T, logging the four conserved quantities.
+             frame_speed: float = 0.0, frame_speed_v: float | None = None) -> Trajectory:
+    """Evolve (u0, v0) to time T, always dealiased, logging the four conserved quantities.
 
     Takes n = ceil(T/dt) equal steps of T/n <= dt and ends at T exactly.
-    frame_speed_v overrides the v-component frame (see _Stepper). Samples are
-    taken every sample_every steps (default: ~64 samples total). The state is
-    checked every _CHECK_EVERY steps and at every sample; BlowUpError carries
-    the time of the last finite check and the partial trajectory.
+    frame_speed_v overrides the v-component frame (see _Stepper). About 64 samples:
+    one every max(1, n // 64) steps and one at T. The state is checked every
+    _CHECK_EVERY steps and at every sample; BlowUpError carries the time of the
+    last finite check and the partial trajectory.
     """
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
+    if u0.N != v0.N or u0.L != v0.L:
+        raise ValueError("u0 and v0 must share the same grid")
     n_steps = int(np.ceil(T / dt * (1.0 - 1e-12)))  # a whole T/dt with rounding stays whole
     h = T / n_steps
-    sample_every = sample_every or max(1, n_steps // 64)
-    X = _spectrum(u0, v0, dealias)
-    stepper = _stepper(u0.N, u0.L, h, frame_speed, frame_speed_v, dealias)
+    sample_every = max(1, n_steps // 64)
+    X = np.fft.rfft(np.stack([u0.samples, v0.samples])) * _dealias_mask(u0.N)
+    stepper = _stepper(u0.N, u0.L, h, frame_speed, frame_speed_v)
 
     times, states, logs = [], [], []
     t_ok = 0.0
@@ -326,7 +320,7 @@ def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams, eps: flo
     The window keeps samples after a 10% warmup and below 1e-2 times the wave
     norm; fewer than five qualifying samples is an error.
     """
-    wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, np.linspace(0, p.L, 256))[0] ** 2))
+    wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, grid_points(p.L, 256))[0] ** 2))
     ok = (times >= 0.1 * times[-1]) & (devs < 1e-2 * wave_norm) & (devs > 0)
     if int(np.sum(ok)) < 5:
         raise WindowTooShortError(

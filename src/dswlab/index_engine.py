@@ -338,10 +338,10 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
     Inputs are symmetrized; an asymmetry above 1e-8 (relative sup norm) is a
     hard error. The output is even, so it is computed on [0, L/2] and mirrored
-    (out[N - j] == out[j] bit for bit). sn, cn, dn are evaluated once, on the
-    4N + 1 points of spacing L/(8N) there; both antiderivatives are cumulative
-    sums of the closed 5-point Newton-Cotes (Boole) rule on panels of 4 of
-    those steps, two panels to a grid cell.
+    (out[N - j] == out[j] bit for bit), which needs an even N. sn, cn, dn are
+    evaluated once, on the 4N + 1 points of spacing L/(8N) there; both
+    antiderivatives are cumulative sums of the closed 5-point Newton-Cotes
+    (Boole) rule on panels of 4 of those steps, two panels to a grid cell.
 
     For small kappa the output carries a rounding floor of the formula itself:
     varphi ~ kappa^-2 and psi' ~ kappa^2, so its terms cancel. The roundtrip
@@ -353,6 +353,9 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
     if t.params.kappa != p.kappa:
         raise ValueError(f"varphi table of modulus {t.params.kappa} given for a wave of "
                          f"modulus {p.kappa}")
+    N = f.N
+    if N % 2:
+        raise ValueError(f"the mirror about L/2 needs an even grid size (got N = {N})")
     vals = f.samples
     reflected = np.roll(vals[::-1], 1)  # f(-x_j) on the same grid
     scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -361,14 +364,13 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
         raise EvenSymmetryError(f"input asymmetry {asym:.3e} exceeds 1.0e-08")
     sym = 0.5 * (vals + reflected)
 
-    N = f.N
     M = 8 * N
     # trigonometric resampling of f onto the fine half-period grid (exact for
     # band-limited data)
     coeff = np.fft.rfft(sym)
     pad = np.zeros(M // 2 + 1, dtype=complex)
     pad[: coeff.size] = coeff
-    pad[N // 2] *= 0.5  # split the shared Nyquist coefficient (N is a power of two)
+    pad[N // 2] *= 0.5  # split the shared Nyquist coefficient (N is even)
     f_fine = np.fft.irfft(pad, M)[: M // 2 + 1] * (M / N)
 
     sn, cn, dn, G = _branch(p, t._a, np.linspace(0.0, 0.5 * p.L, M // 2 + 1))

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .waves import WaveParams, eval_profile_derivatives
+from .waves import WaveParams, eval_profile_derivatives, grid_points
 
 __all__ = [
     "OperatorMatrix",
@@ -152,8 +152,10 @@ def _operator(kind: str, D1: np.ndarray, D2: np.ndarray, c: float, psi: np.ndarr
 
 
 def _grid(p: WaveParams, N: int):
-    """(psi, psi') of the wave p on the N-point grid x_j = j L / N."""
-    psi, dpsi, _ = eval_profile_derivatives(p, np.arange(N) * (p.L / N))
+    """(psi, psi') of the wave p on the N-point grid; N < 3 leaves range(J) empty: ValueError."""
+    if N < 3:
+        raise ValueError(f"N must be >= 3 (got {N})")
+    psi, dpsi, _ = eval_profile_derivatives(p, grid_points(p.L, N))
     return psi, dpsi
 
 
@@ -168,8 +170,6 @@ def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> Operato
 
 def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     """Collocation matrix for the wave profile of p on an N-point grid."""
-    if N < 128:
-        raise ValueError(f"N must be >= 128 (got {N})")
     return assemble_operator(kind, p.L, p.c, _grid(p, N)[0])
 
 
@@ -228,11 +228,8 @@ def _parity_grid(p: WaveParams, N: int):
     """(psi, psi', k) of the wave p on the N-point grid, k = 2 pi (0..N//2) / L.
 
     k holds the wavenumbers of the cosine block; the sine block has k[1:m + 1],
-    m = (N - 1) // 2, the modes of range(J). N < 3 leaves no mode in range(J):
-    ValueError.
+    m = (N - 1) // 2, the modes of range(J).
     """
-    if N < 3:
-        raise ValueError(f"N must be >= 3 (got {N})")
     psi, dpsi = _grid(p, N)
     return psi, dpsi, (2 * np.pi / p.L) * np.arange(N // 2 + 1)
 

@@ -20,6 +20,7 @@ from .elliptic import KAPPA_MAX, ellip_k, jacobi_sn_cn_dn
 __all__ = [
     "WaveParams",
     "GridFunction",
+    "grid_points",
     "SpeedBelowThresholdError",
     "WaveInvariantError",
     "params_from_kappa",
@@ -178,9 +179,20 @@ def _scd(p: WaveParams, xi):
     return jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa)
 
 
+def _check_grid_size(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"a grid needs N >= 1 points (got N = {N})")
+
+
+def grid_points(L: float, N: int) -> np.ndarray:
+    """The uniform grid x_j = j L / N, j = 0..N-1, of any size N >= 1."""
+    _check_grid_size(N)
+    return np.arange(N) * (L / N)
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real L-periodic function sampled at x_j = j L / N, j = 0..N-1."""
+    """Real L-periodic function sampled on grid_points(L, N)."""
 
     L: float
     samples: np.ndarray
@@ -188,9 +200,7 @@ class GridFunction:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        n = samples.size
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16 (got {n})")
+        _check_grid_size(samples.size)
         if not np.all(np.isfinite(samples)):
             raise ValueError("grid samples must be finite")
 
@@ -200,21 +210,20 @@ class GridFunction:
 
     @property
     def x(self) -> np.ndarray:
-        return np.arange(self.N) * (self.L / self.N)
+        return grid_points(self.L, self.N)
 
 
 def profile_grid(p: WaveParams, N: int = 256):
     """Sample (psi, phi) on the uniform N-point grid as GridFunctions."""
-    x = np.arange(N) * (p.L / N)
-    psi, phi = eval_profile(p, x)
+    psi, phi = eval_profile(p, grid_points(p.L, N))
     return GridFunction(p.L, psi), GridFunction(p.L, phi)
 
 
 def spectral_derivative(g: GridFunction, order: int = 1) -> np.ndarray:
     """Derivative by Fourier multiplier (ik)^order on the rfft half-spectrum.
 
-    irfft drops the imaginary Nyquist coefficient, so an odd order maps the
-    mode (-1)^j to 0 and an even order keeps its real (ik)^order.
+    At even N, irfft drops the imaginary coefficient of the Nyquist mode (-1)^j, so an
+    odd order maps it to 0 and an even order keeps its real (ik)^order; odd N has none.
     """
     ik = 2j * np.pi * np.fft.rfftfreq(g.N, d=g.L / g.N)
     return np.fft.irfft(ik**order * np.fft.rfft(g.samples), g.N)
@@ -227,8 +236,6 @@ def profile_residual(p: WaveParams, N: int = 256):
     differentiation; r2 checks (psi')^2/2 + U(psi) = 0 with
     U(psi) = psi (psi^3 - 4 c^2 psi - 8 c F1) / (8 c).
     """
-    if N < 64 or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be a power of two >= 64 (got {N})")
     psi_g, _ = profile_grid(p, N)
     psi = psi_g.samples
     ddpsi = spectral_derivative(psi_g, 2)

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dswlab.cli import THETA_TABLE_DEFAULT_PAIRS, main
+from dswlab.waves import params_from_kappa, profile_residual
 
 
 def read_csv(path):
@@ -42,6 +45,21 @@ class TestWaveCommand:
         ra = np.array(read_csv(a)[2], dtype=float)
         rb = np.array(read_csv(b)[2], dtype=float)
         assert np.max(np.abs(ra - rb)) < 1e-9
+
+    def test_residual_is_that_of_the_printed_grid(self, tmp_path):
+        # 16 points under-resolve the wave (2.5, 0.8): 7.2e-3 there, 1.7e-11 at 64
+        out = tmp_path / "wave.csv"
+        assert main(["wave", "--L", "2.5", "--kappa", "0.8", "--N", "16", "--out", str(out)]) == 0
+        header, _, rows = read_csv(out)
+        r1, r2 = profile_residual(params_from_kappa(2.5, 0.8), 16)
+        assert header_value(header, "residual_ode") == repr(r1)
+        assert header_value(header, "residual_energy") == repr(r2)
+        assert len(rows) == 16
+
+    def test_any_grid_size(self, tmp_path):
+        out = tmp_path / "wave.csv"
+        assert main(["wave", "--L", "2", "--kappa", "0.3", "--N", "100", "--out", str(out)]) == 0
+        assert len(read_csv(out)[2]) == 100
 
     def test_invalid_modulus_exits_nonzero(self, capsys):
         assert main(["wave", "--L", "2", "--kappa", "1.5"]) == 2
@@ -342,6 +360,15 @@ class TestSimulate:
         header, _, _ = read_csv(tmp_path / "wave_conservation.csv")
         assert float(header_value(header, "max_rel_drift")) < 1e-9
 
+    def test_any_grid_size(self, tmp_path):
+        # 10 steps, 11 samples of the 96 grid points each
+        prefix = str(tmp_path / "r")
+        assert main(["simulate", "--N", "96", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", prefix]) == 0
+        _, _, rows = read_csv(tmp_path / "r_trajectory.csv")
+        per_sample = Counter(row[0] for row in rows)
+        assert len(per_sample) == 11 and set(per_sample.values()) == {96}
+
     def test_wave_without_period_exits_2(self, tmp_path, capsys):
         prefix = tmp_path / "w"
         assert main(["simulate", "--wave", "--kappa", "0.3", "--out-prefix", str(prefix)]) == 2
@@ -377,6 +404,22 @@ class TestSimulate:
                      "--out-prefix", str(tmp_path / "g")])
         assert code == 1
         assert "spectrum is stable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wave", "--L", "2", "--kappa", "0.3", "--N", "0"],
+    ["wave", "--L", "2", "--kappa", "0.3", "--N", "-5"],
+    ["simulate", "--N", "0"],
+    ["simulate", "--zero", "--N", "-5"],
+    ["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "0"],
+], ids=["wave-0", "wave-negative", "simulate-0", "simulate-zero-negative", "simulate-wave-0"])
+def test_nonpositive_grid_exits_2_naming_N(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "w.csv")] if argv[0] == "wave" else [
+        "--out-prefix", str(tmp_path / "s")]
+    assert main(argv + out) == 2
+    N = argv[argv.index("--N") + 1]
+    assert capsys.readouterr().err == f"error: a grid needs N >= 1 points (got N = {N})\n"
+    assert not list(tmp_path.iterdir())
 
 
 class TestNormalFormCheck:

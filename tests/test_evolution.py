@@ -5,7 +5,7 @@ from dswlab.evolution import (_CHECK_EVERY, BlowUpError, WindowTooShortError,
                               _etd_coefficients, fit_growth_rate, growth_rate_experiment,
                               preprocess, simulate, state_fields, undo_preprocess)
 from dswlab.spectra import NoUnstableModeError, _nonzero_spectrum, assemble_operator
-from dswlab.waves import GridFunction, eval_profile, profile_grid
+from dswlab.waves import GridFunction, eval_profile, params_from_kappa, profile_grid
 
 
 def random_smooth_fields(L, N, max_mode, seed, norm=1.0):
@@ -82,10 +82,9 @@ class TestBasics:
         # the half-spectrum X is Hermitian by construction except at the modes
         # 0 and N/2, which must stay real for X to stand for real fields
         u0, v0 = random_smooth_fields(2 * np.pi, 128, 5, seed=2)
-        for dealias in (True, False):
-            for s in simulate(u0, v0, T=0.5, dt=1e-3, dealias=dealias).states:
-                unpaired = s.X[:, [0, s.N // 2]]
-                assert np.max(np.abs(unpaired.imag)) < 1e-12 * max(1.0, np.max(np.abs(s.X)))
+        for s in simulate(u0, v0, T=0.5, dt=1e-3).states:
+            unpaired = s.X[:, [0, s.N // 2]]
+            assert np.max(np.abs(unpaired.imag)) < 1e-12 * max(1.0, np.max(np.abs(s.X)))
 
     def test_invalid_steps_rejected(self):
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=3)
@@ -97,7 +96,7 @@ class TestBasics:
     def test_run_ends_at_T_with_a_step_no_larger_than_requested(self):
         # 0.05 / 4e-3 = 12.5: thirteen steps of 0.05 / 13, not twelve of 4e-3
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=4)
-        traj = simulate(u0, v0, T=0.05, dt=4e-3, sample_every=1)
+        traj = simulate(u0, v0, T=0.05, dt=4e-3)  # 13 steps: one sample per step
         assert traj.times[-1] == 0.05
         assert traj.states[-1].t == 0.05
         assert len(traj.times) == 14
@@ -137,7 +136,7 @@ class TestWaveEquilibrium:
         p = wave_2_03
         N = 64
         u0, v0 = profile_grid(p, N)
-        traj = simulate(u0, v0, T=5.0, dt=5e-5, frame_speed=p.c, sample_every=20000)
+        traj = simulate(u0, v0, T=5.0, dt=5e-5, frame_speed=p.c)
         psi_m, _ = masked_profile(p, N)
         u, _ = state_fields(traj.states[-1])
         assert np.max(np.abs(u.samples - psi_m)) < 1e-6
@@ -149,8 +148,8 @@ class TestWaveEquilibrium:
         N = 64
         u0, v0 = profile_grid(p, N)
         T, dt = 0.3, 1e-4
-        lab = simulate(u0, v0, T=T, dt=dt, frame_speed=0.0, sample_every=3000)
-        com = simulate(u0, v0, T=T, dt=dt, frame_speed=p.c, sample_every=3000)
+        lab = simulate(u0, v0, T=T, dt=dt, frame_speed=0.0)
+        com = simulate(u0, v0, T=T, dt=dt, frame_speed=p.c)
         k = 2 * np.pi * np.fft.fftfreq(N, d=p.L / N)
         shift = np.exp(-1j * k * p.c * T)  # u_com(x) = u_lab(x + cT)
         u_lab_shifted = np.fft.ifft(lab.states[-1].u_hat * np.conj(shift)).real
@@ -159,14 +158,16 @@ class TestWaveEquilibrium:
 
     def test_lab_frame_wave_matches_exact_translate(self, wave_2_03):
         # the wave travels at c: u(T) = psi(x - cT) at a step ten times the
-        # one the integrating-factor scheme needed here
+        # one the integrating-factor scheme needed here, on any grid: 96 is no
+        # power of two, and 127 has no Nyquist mode
         p = wave_2_03
-        u0, v0 = profile_grid(p, 128)
-        traj = simulate(u0, v0, T=0.5, dt=1e-3)
-        u, v = state_fields(traj.states[-1])
-        psi, phi = eval_profile(p, u0.x - p.c * 0.5)
-        assert np.max(np.abs(u.samples - psi)) / np.max(np.abs(psi)) < 1e-6
-        assert np.max(np.abs(v.samples - phi)) / np.max(np.abs(phi)) < 1e-6
+        for N in (96, 127, 128):
+            u0, v0 = profile_grid(p, N)
+            traj = simulate(u0, v0, T=0.5, dt=1e-3)
+            u, v = state_fields(traj.states[-1])
+            psi, phi = eval_profile(p, u0.x - p.c * 0.5)
+            assert np.max(np.abs(u.samples - psi)) / np.max(np.abs(psi)) < 1e-6, N
+            assert np.max(np.abs(v.samples - phi)) / np.max(np.abs(phi)) < 1e-6, N
 
     def test_comoving_wave_is_fixed_point_at_acceptance_scale(self, wave_2_03):
         # N = 256, dt = 1e-3 blew up under the integrating-factor scheme; the
@@ -195,10 +196,10 @@ class TestWaveEquilibrium:
         u0, v0 = profile_grid(wave_2_03, 256)
         dt = 5e-2
         with pytest.raises(BlowUpError) as by_step:
-            simulate(u0, v0, T=5.0, dt=dt, sample_every=1)   # checks every step
+            simulate(u0, v0, T=5.0, dt=dt)   # 100 steps: a sample, so a check, every step
         t_bad = by_step.value.t_last + dt   # first step that fails the check
         with pytest.raises(BlowUpError) as err:
-            simulate(u0, v0, T=5.0, dt=dt, sample_every=1000)
+            simulate(u0, v0, T=64.0, dt=dt)   # 1280 steps: a sample every 20
         assert len(err.value.trajectory.times) == 1   # only t = 0 was sampled
         assert t_bad - _CHECK_EVERY * dt - 1e-9 <= err.value.t_last < t_bad
 
@@ -227,8 +228,7 @@ class TestConservation:
 
     def test_wave_conservation_in_envelope(self, wave_2_03):
         u0, v0 = profile_grid(wave_2_03, 64)
-        traj = simulate(u0, v0, T=1.0, dt=5e-5, frame_speed=wave_2_03.c,
-                        sample_every=4000)
+        traj = simulate(u0, v0, T=1.0, dt=5e-5, frame_speed=wave_2_03.c)
         assert traj.max_rel_drift < 1e-9
 
     def test_h1_stays_bounded(self):
@@ -249,9 +249,9 @@ class TestConservation:
     def test_dealiasing_reduces_quadratic_drift(self):
         # The dealiased semi-discrete system is a Galerkin truncation and
         # conserves the quadratic invariant l2 exactly, so its drift is time
-        # error alone and goes to 0 with dt at the scheme's order. The aliased
-        # products break that conservation: its drift stays at a floor. Data
-        # filling the whole band make aliasing act from t = 0.
+        # error alone and goes to 0 with dt at the scheme's order. Data
+        # filling the whole band would alias from t = 0 without the 2/3 rule
+        # (NOTES.md has the aliased floor this rule removes).
         rng = np.random.default_rng(11)
         L, N = 2 * np.pi, 32
         x = np.arange(N) * L / N
@@ -264,18 +264,13 @@ class TestConservation:
         norm = np.sqrt(L * np.mean(u**2 + v**2))
         u0, v0 = GridFunction(L, u / norm), GridFunction(L, v / norm)
 
-        def l2_drift(dt, dealias):
-            l2 = simulate(u0, v0, T=0.2, dt=dt, dealias=dealias).conserved[:, 4]
+        def l2_drift(dt):
+            l2 = simulate(u0, v0, T=0.2, dt=dt).conserved[:, 4]
             return np.max(np.abs(l2 - l2[0])) / l2[0]
 
-        ladder = (4e-4, 2e-4, 1e-4)
-        dealiased = np.array([l2_drift(dt, True) for dt in ladder])
-        aliased = np.array([l2_drift(dt, False) for dt in ladder])
+        drift = np.array([l2_drift(dt) for dt in (4e-4, 2e-4, 1e-4)])
         # fourth order: each halving of dt divides the drift by ~16
-        assert np.all(dealiased[1:] < dealiased[:-1] / 8)
-        # no convergence in dt: the aliasing floor
-        assert aliased[-1] > 0.5 * aliased[0]
-        assert np.all(aliased > 1e3 * dealiased)
+        assert np.all(drift[1:] < drift[:-1] / 8)
 
 
 class TestPreprocess:
@@ -338,6 +333,15 @@ class TestGrowthExperiment:
         with pytest.raises(WindowTooShortError):
             fit_growth_rate(np.linspace(0, 1, 20), np.full(20, 1e3), wave_2_03, 1e-6)
 
+    def test_window_bound_is_the_periodic_wave_norm(self):
+        # 1e-2 of the wave's L2 norm on the periodic grid; sampling both ends of the
+        # period counts psi(0) twice and raised the bound by 0.56% at (1, 0.9)
+        p = params_from_kappa(1.0, 0.9)
+        bound = 1e-2 * np.sqrt(p.L * np.mean(profile_grid(p, 256)[0].samples ** 2))
+        times = np.linspace(0.0, 1.0, 11)
+        devs = np.where(times <= 0.5, 0.5 * bound * np.exp(times), 1.003 * bound)
+        assert fit_growth_rate(times, devs, p, 1e-6) == pytest.approx(1.0, rel=1e-12)
+
     def test_seeded_imaginary_mode_oscillates_at_eigenfrequency(self, wave_2_03):
         # companion check for the criterion-7 intent: the linearized dynamics
         # of the simulator agree with the eigensolve. With a stable spectrum
@@ -358,8 +362,7 @@ class TestGrowthExperiment:
         u0 = GridFunction(p.L, psi + eps * np.concatenate([U]).real / znorm)
         v0 = GridFunction(p.L, phi + eps * np.concatenate([V]).real / znorm)
         T = 3 * 2 * np.pi / mu
-        traj = simulate(u0, v0, T=T, dt=5e-5, frame_speed=p.c,
-                        sample_every=max(1, int(round(T / 5e-5)) // 200))
+        traj = simulate(u0, v0, T=T, dt=5e-5, frame_speed=p.c)
 
         # project the deviation onto the invariant plane span{Re w, Im w}
         psi_m, phi_m = masked_profile(p, N)

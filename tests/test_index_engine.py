@@ -408,6 +408,19 @@ class TestLinvApply:
         back = lplus_apply(p, out)
         assert np.max(np.abs(back - psi_g.samples)) <= 1e-7 * np.max(np.abs(psi_g.samples))
 
+    def test_any_even_grid_size(self, wave_2_03):
+        # N = 100 is no power of two; L+ of the output gives psi back to 5.2e-12
+        psi_g, _ = profile_grid(wave_2_03, 100)
+        out = linv_apply(wave_2_03, build_varphi(wave_2_03), psi_g)
+        back = lplus_apply(wave_2_03, out)
+        assert np.max(np.abs(back - psi_g.samples)) <= 1e-10 * np.max(np.abs(psi_g.samples))
+
+    def test_odd_grid_size_refused(self, wave_1_05, varphi_1_05):
+        # the output is mirrored about L/2, which an odd grid does not contain
+        psi_g, _ = profile_grid(wave_1_05, 127)
+        with pytest.raises(ValueError, match="N = 127"):
+            linv_apply(wave_1_05, varphi_1_05, psi_g)
+
     @pytest.mark.parametrize("N", [64, 128, 256])
     def test_grid_resolves_the_integrals(self, N):
         # against the same function resampled to 8N points, 64 steps a cell of the N-grid

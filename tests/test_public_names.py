@@ -1,15 +1,17 @@
 """Every name a dswlab module exports is read somewhere, outside the tests
 unless TEST_ONLY says why not, and every default of an exported function is
-overridden somewhere. A module exports the names in its ``__all__`` and every
-top-level function and class whose name has no leading underscore.
+overridden somewhere, outside the tests unless TEST_SET says why not. A
+module exports the names in its ``__all__`` and every top-level function and
+class whose name has no leading underscore.
 
-The checks parse src/, tests/, scripts/ and perfbench/. The first two count
+The checks parse src/, tests/, scripts/ and perfbench/. The name checks count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
 ``class name``, ``name = ...``) and the string in ``__all__`` are not loads,
-so a public name that only its own module defines fails. The third matches
-calls by the called name (``f(...)`` or ``obj.f(...)``): a defaulted
+so a public name that only its own module defines fails. The default checks
+match calls by the called name (``f(...)`` or ``obj.f(...)``): a defaulted
 parameter that no call sets, by position or by keyword, is a knob nothing
-turns, and fails. A ``*args`` or ``**kwargs`` in a call may set anything.
+turns, and fails; one that only the tests set is a knob the product never
+turns. A ``*args`` or ``**kwargs`` in a call may set anything.
 """
 
 import ast
@@ -29,6 +31,13 @@ TEST_ONLY = {
     "index_engine.non_periodicity_gap": "oracle: varphi'(L-) - varphi'(0+), nonzero with A2",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
+}
+
+# the defaults that only the tests set, each with the reason the knob stays
+TEST_SET = {
+    "evolution.simulate(frame_speed_v)": "the mean-zero reduction of v (ROADMAP item 7)",
+    "hill.integrate_hill_ivp(tol)": "oracle: the Hill IVP's DOP853 tolerance, which the tests vary",
+    "spectra.assemble(N)": "oracle: the grid of the full collocation matrix (criterion 5)",
 }
 
 
@@ -103,9 +112,11 @@ def _sets(call, parameter, position):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_default_of_an_exported_function_is_set_somewhere():
+def _unset_defaults(tops):
+    """The module.function(parameter) defaults of exported functions that no call under
+    tops sets."""
     calls, defaults = [], []
-    for top in SCANNED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
@@ -117,7 +128,19 @@ def test_every_default_of_an_exported_function_is_set_somewhere():
         func = call.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
         by_name.setdefault(name, []).append(call)
-    dead = sorted(f"{module}.{function}({parameter})"
-                  for module, function, parameter, position in defaults
-                  if not any(_sets(call, parameter, position) for call in by_name.get(function, [])))
+    return {f"{module}.{function}({parameter})"
+            for module, function, parameter, position in defaults
+            if not any(_sets(call, parameter, position) for call in by_name.get(function, []))}
+
+
+def test_every_default_of_an_exported_function_is_set_somewhere():
+    dead = sorted(_unset_defaults(SCANNED))
     assert not dead, f"defaulted but never set: {dead}"
+
+
+def test_every_default_of_an_exported_function_is_set_outside_the_tests():
+    unset = _unset_defaults(PRODUCTION)
+    test_set = sorted(unset - set(TEST_SET))
+    assert not test_set, f"defaulted but set only by tests: {test_set}"
+    stale = sorted(set(TEST_SET) - unset)
+    assert not stale, f"TEST_SET lists defaults set outside the tests or not defaults: {stale}"

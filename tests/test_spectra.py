@@ -83,9 +83,10 @@ class TestAssemble:
     def test_kind_and_size_validated(self, wave_2_03):
         with pytest.raises(ValueError):
             assemble("bogus", wave_2_03, 128)
-        with pytest.raises(ValueError):
-            assemble("Lplus", wave_2_03, 100)
-        # an odd N is a size like any other: no Nyquist mode, the same Morse index
+        with pytest.raises(ValueError, match="got 2"):
+            assemble("Lplus", wave_2_03, 2)   # range(J) is empty
+        # any N >= 3 is a size like any other, an odd one with no Nyquist mode
+        assert morse_index(assemble("Lplus", wave_2_03, 100)) == (1, 1)
         assert morse_index(assemble("Lplus", wave_2_03, 255)) == (1, 1)
 
     @pytest.mark.parametrize("N", [128, 129, 255])

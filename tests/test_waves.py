@@ -13,8 +13,9 @@ import dswlab
 from dswlab.elliptic import ellip_k, jacobi_sn_cn_dn
 from dswlab.waves import (GridFunction, SpeedBelowThresholdError, WaveInvariantError,
                           _check_invariants, conserved_quantities, eval_profile,
-                          eval_profile_derivatives, kappa_from_c, params_from_kappa,
-                          profile_grid, profile_residual, spectral_derivative)
+                          eval_profile_derivatives, grid_points, kappa_from_c,
+                          params_from_kappa, profile_grid, profile_residual,
+                          spectral_derivative)
 
 KAPPA_GRID = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 L_GRID = [1.0, 2.0, 4.0, 10.0]
@@ -208,8 +209,10 @@ class TestProfileResidual:
         assert r1 > 1e-3  # an invalid profile is loudly non-stationary
 
     def test_grid_size_validated(self, wave_2_03):
-        with pytest.raises(ValueError):
-            profile_residual(wave_2_03, 48)
+        # any N >= 1 is a grid; 48 resolves this wave to 1e-8
+        assert max(profile_residual(wave_2_03, 48)) < 1e-8
+        with pytest.raises(ValueError, match="N = 0"):
+            profile_residual(wave_2_03, 0)
 
 
 class TestConservedQuantities:
@@ -270,12 +273,17 @@ class TestSpectralDerivative:
 
 
 def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(1.0, np.zeros(8))       # too small
-    with pytest.raises(ValueError):
-        GridFunction(1.0, np.zeros(48))      # not a power of two
+    assert GridFunction(1.0, np.zeros(48)).N == 48   # any size N >= 1
+    with pytest.raises(ValueError, match="N = 0"):
+        GridFunction(1.0, np.zeros(0))
     with pytest.raises(ValueError):
         GridFunction(1.0, np.full(32, np.nan))
+
+
+def test_grid_points():
+    assert np.array_equal(grid_points(2.0, 4), [0.0, 0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=r"got N = -5\)"):
+        grid_points(2.0, -5)
 
 
 def test_profile_closed_form_uses_dn_over_b(wave_2_03):
