@@ -11,7 +11,7 @@ phi-function weights of z = i dt omega, which are means over 32 points on a
 unit circle around each z (Kassam & Trefethen, SISC 2005), free of the
 cancellation of their closed forms at small |z|. The quadratic terms are
 evaluated pseudospectrally and always dealiased by the 2/3 rule (products
-truncated to |k| <= N/3, state kept in the same band), a Galerkin truncation
+truncated to |k| < N/3, state kept in the same band), a Galerkin truncation
 that conserves l2 exactly; an even N's Nyquist mode lies outside that band
 and stays 0.
 
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, WaveParams, eval_profile, grid_points, profile_grid
+from .waves import GridFunction, WaveParams, eval_profile, profile_grid
 
 __all__ = [
     "SimState",
@@ -84,8 +84,9 @@ class SimState:
 
 
 def _dealias_mask(N: int) -> np.ndarray:
-    """rfft-length mask of the modes |k| <= N/3 kept by the 2/3 rule."""
-    return np.arange(N // 2 + 1) <= N // 3
+    """rfft-length mask of the modes 3|k| < N kept by the 2/3 rule; strict, as
+    at N divisible by 3 the product mode 2N/3 aliases to -N/3."""
+    return np.arange(N // 2 + 1) * 3 < N
 
 
 def state_fields(s: SimState):
@@ -320,7 +321,7 @@ def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams, eps: flo
     The window keeps samples after a 10% warmup and below 1e-2 times the wave
     norm; fewer than five qualifying samples is an error.
     """
-    wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, grid_points(p.L, 256))[0] ** 2))
+    wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, np.linspace(0, p.L, 256))[0] ** 2))
     ok = (times >= 0.1 * times[-1]) & (devs < 1e-2 * wave_norm) & (devs > 0)
     if int(np.sum(ok)) < 5:
         raise WindowTooShortError(
