@@ -2,7 +2,7 @@
 
 One command per artifact: `wave` (profile + residuals), `theta-table`
 (the Floquet table, theta = -L A2/K by quadrature), `dmatrix-sweep` (index
-quadratures over a modulus grid), `spectrum` (collocation eigenvalues and
+quadratures over a list of moduli), `spectrum` (collocation eigenvalues and
 counts), `simulate` (time evolution and conservation logs),
 `normalform-check` (multiplier identity trials).
 
@@ -33,6 +33,12 @@ THETA_TABLE_DEFAULT_PAIRS = [
     (10, 0.1), (10, 0.2), (10, 0.4),
     (50, 0.1),
 ]
+
+# the moduli of the D-matrix table, at their printed labels 0.05, 0.1, ..., 0.95
+DMATRIX_SWEEP_DEFAULT_KAPPAS = [round(0.05 * i, 2) for i in range(1, 20)]
+
+# normalform-check's random modes |k| <= 32 and its pass mark
+NORMALFORM_MAX_SUPPORT, NORMALFORM_TOL = 32, 1e-13
 
 
 def _fmt(x) -> str:
@@ -103,8 +109,8 @@ def _theta_row(pair):
 
 
 def cmd_theta_table(args) -> int:
-    pairs = (_parse_pairs(args.pairs) if args.pairs is not None
-             else list(THETA_TABLE_DEFAULT_PAIRS))
+    pairs = (_parse_list(args.pairs, "--pairs", _pair, "of the form L:kappa")
+             if args.pairs is not None else list(THETA_TABLE_DEFAULT_PAIRS))
     header = _provenance("theta-table", rows=len(pairs))
     results = []
     failures = 0
@@ -124,7 +130,8 @@ def cmd_dmatrix_sweep(args) -> int:
     from .index_engine import (DegenerateDMatrixError, a_integrals, assemble_dmatrix,
                                hamiltonian_index)
 
-    kappas = _sweep_values(args)
+    kappas = (_parse_list(args.kappas, "--kappas", float, "a number")
+              if args.kappas is not None else list(DMATRIX_SWEEP_DEFAULT_KAPPAS))
     header = _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas))
     cols = ["kappa", "D11", "D12", "D13", "D22", "D23", "D33", "det", "n_D", "k_ham",
             "A1", "A2", "A3", "A4", "A5", "A6", "status"]
@@ -181,22 +188,21 @@ def cmd_simulate(args) -> int:
                             state_fields)
     from .spectra import NoUnstableModeError
 
-    if not args.wave:  # refuse the wave flags a run without a wave would ignore
-        for flag, value in (("--perturb", args.perturb), ("--kappa", args.kappa),
-                            ("--c", args.c), ("--frame", args.frame)):
-            if value is not None:
-                raise ValueError(f"{flag} requires --wave")
-    if args.wave and args.L is None:
-        raise ValueError("--wave requires --L")
     if args.wave:
+        if args.L is None:
+            raise ValueError("--wave requires --L")
         p = _resolve_wave(args)
         u0, v0 = profile_grid(p, args.N)
         frame = 0.0 if args.frame == "lab" else p.c
     else:
-        L = args.L or 2.0 * np.pi
+        # refuse the wave flags a run without a wave would ignore
+        for flag, value in (("--perturb", args.perturb), ("--kappa", args.kappa),
+                            ("--c", args.c), ("--frame", args.frame)):
+            if value is not None:
+                raise ValueError(f"{flag} requires --wave")
+        L = 2.0 * np.pi if args.L is None else args.L
         x = grid_points(L, args.N)
-        u = np.zeros(args.N)
-        v = np.zeros(args.N)
+        u, v = np.zeros((2, args.N))
         if not args.zero:
             rng = np.random.default_rng(args.seed)
             for m in range(1, 5):
@@ -249,29 +255,29 @@ def cmd_normalform_check(args) -> int:
     from .normal_form import (TimePolynomial, TrigPolynomial, smoothing_decay,
                               verify_identity)
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1 (got {args.trials})")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
     rows = []
     for trial in range(args.trials):
         f_terms, g_terms = [], []
         for _ in range(3):
-            kf = int(rng.integers(-args.max_support, args.max_support + 1))
-            kg = int(rng.integers(1, args.max_support + 1)) * int(rng.choice([-1, 1]))
+            kf = int(rng.integers(-NORMALFORM_MAX_SUPPORT, NORMALFORM_MAX_SUPPORT + 1))
+            kg = int(rng.integers(1, NORMALFORM_MAX_SUPPORT + 1)) * int(rng.choice([-1, 1]))
             cf = complex(rng.normal(), rng.normal())
             cg = complex(rng.normal(), rng.normal())
             f_terms.append((float(rng.normal()), TrigPolynomial.mode(kf, cf)))
             g_terms.append((float(rng.normal()), TrigPolynomial.mode(kg, cg)))
         res = verify_identity(TimePolynomial.of(*f_terms), TimePolynomial.of(*g_terms),
                               t=float(rng.uniform(0, 1)))
-        worst = max(worst, res)
         rows.append((trial, res))
+    worst = max(res for _, res in rows)
 
     decay = smoothing_decay(1, [8, 16, 32, 64])
     ratios = [decay[i] / decay[i + 1] for i in range(len(decay) - 1)]
-    decay_ok = all(1.0 <= r <= 4.0 for r in ratios)
-    ok = worst < args.tol and decay_ok
+    ok = worst < NORMALFORM_TOL and all(1.0 <= r <= 4.0 for r in ratios)
     header = _provenance("normalform-check", trials=args.trials, seed=args.seed,
-                         max_support=args.max_support, tol=args.tol)
+                         max_support=NORMALFORM_MAX_SUPPORT, tol=NORMALFORM_TOL)
     header += [f"worst_residual={_fmt(worst)} decay_ratios={[round(r, 3) for r in ratios]} "
                f"passed={ok}"]
     _write_csv(args.out, header, ["trial", "residual"], rows)
@@ -281,25 +287,20 @@ def cmd_normalform_check(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_pairs(text: str):
-    pairs = []
+def _parse_list(text: str, flag: str, parse_item, form: str):
+    """The items of a comma list; '' is the empty list, and a bad item is named."""
+    items = []
     for item in text.split(",") if text.strip() else []:
         try:
-            L_str, k_str = item.split(":")
-            pairs.append((float(L_str), float(k_str)))
+            items.append(parse_item(item))
         except ValueError:
-            raise ValueError(f"--pairs item {item!r} is not of the form L:kappa") from None
-    return pairs
+            raise ValueError(f"{flag} item {item!r} is not {form}") from None
+    return items
 
 
-def _sweep_values(args):
-    if args.kappas is not None:
-        return [float(s) for s in args.kappas.split(",")] if args.kappas.strip() else []
-    if not (args.kappa_step > 0 and args.kappa_min <= args.kappa_max):
-        raise ValueError(f"the kappa grid needs --kappa-step > 0 and --kappa-min <= --kappa-max "
-                         f"(got step {args.kappa_step}, min {args.kappa_min}, max {args.kappa_max})")
-    n = int(round((args.kappa_max - args.kappa_min) / args.kappa_step)) + 1
-    return [args.kappa_min + i * args.kappa_step for i in range(n)]
+def _pair(item: str):
+    L, kappa = item.split(":")
+    return float(L), float(kappa)
 
 
 def _add_wave_args(sp, require=True):
@@ -325,12 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_theta_table)
 
-    sp = sub.add_parser("dmatrix-sweep", help="D matrix and index over a kappa grid")
+    sp = sub.add_parser("dmatrix-sweep", help="D matrix and index over a list of moduli")
     sp.add_argument("--L", type=float, required=True)
-    sp.add_argument("--kappa-min", type=float, default=0.05)
-    sp.add_argument("--kappa-max", type=float, default=0.95)
-    sp.add_argument("--kappa-step", type=float, default=0.05)
-    sp.add_argument("--kappas", default=None, help="explicit comma list overriding the grid")
+    sp.add_argument("--kappas", default=None,
+                    help="comma list of moduli (default 0.05, 0.1, ..., 0.95)")
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_dmatrix_sweep)
 
@@ -359,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("normalform-check", help="multiplier identity trials")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-support", type=int, default=32)
-    sp.add_argument("--tol", type=float, default=1e-13)
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_normalform_check)
     return ap

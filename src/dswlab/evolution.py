@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, WaveParams, eval_profile, profile_grid
+from .waves import GridFunction, WaveParams, conserved_quantities, profile_grid
 
 __all__ = [
     "SimState",
@@ -200,10 +200,7 @@ def _stepper(N: int, L: float, dt: float, frame_speed: float,
 
 
 def conserved_of_state(s: SimState):
-    from .waves import conserved_quantities
-
-    u, v = state_fields(s)
-    return conserved_quantities(u, v)
+    return conserved_quantities(*state_fields(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +222,9 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     _CHECK_EVERY steps and at every sample; BlowUpError carries the time of the
     last finite check and the partial trajectory.
     """
-    if not (T > 0.0 and dt > 0.0):
-        raise ValueError("T and dt must be positive")
+    for name, value in (("T", T), ("dt", dt)):
+        if not (0.0 < value < np.inf):
+            raise ValueError(f"{name} must be positive and finite (got {value!r})")
     if u0.N != v0.N or u0.L != v0.L:
         raise ValueError("u0 and v0 must share the same grid")
     n_steps = int(np.ceil(T / dt * (1.0 - 1e-12)))  # a whole T/dt with rounding stays whole
@@ -280,8 +278,8 @@ def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int = 256,
 
     Requires an unstable mode from the collocation eigensolve; for this wave
     family the computed spectrum is purely imaginary, so the seed step raises
-    NoUnstableModeError (see NOTES.md). The fitting machinery itself is
-    exercised by the oscillation-frequency cross-check in the tests.
+    NoUnstableModeError (see NOTES.md). The tests' oscillation cross-check runs
+    deviation_series and fit_growth_rate on a seeded imaginary mode, fitting ~0.
     """
     from .spectra import unstable_eigenmode
 
@@ -305,23 +303,22 @@ def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int = 256,
 
 def deviation_series(traj: Trajectory, p: WaveParams):
     """L2 norm of (u - psi, v - phi) at each sampled state (co-moving frame)."""
+    psi, phi = profile_grid(p, traj.states[0].N)
     devs = []
     for s in traj.states:
         u, v = state_fields(s)
-        psi, phi = eval_profile(p, u.x)
-        w = p.L / u.N
-        devs.append(np.sqrt(w * (np.sum((u.samples - psi) ** 2)
-                                 + np.sum((v.samples - phi) ** 2))))
+        devs.append(np.sqrt(p.L / u.N * (np.sum((u.samples - psi.samples) ** 2)
+                                         + np.sum((v.samples - phi.samples) ** 2))))
     return traj.times, np.asarray(devs)
 
 
 def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams, eps: float) -> float:
     """Least-squares slope of log(deviation) over the exponential window.
 
-    The window keeps samples after a 10% warmup and below 1e-2 times the wave
-    norm; fewer than five qualifying samples is an error.
+    The window keeps samples after a 10% warmup and below 1e-2 times psi's L2
+    norm on the 256-point grid; fewer than five qualifying samples is an error.
     """
-    wave_norm = np.sqrt(p.L * np.mean(eval_profile(p, np.linspace(0, p.L, 256))[0] ** 2))
+    wave_norm = np.sqrt(p.L * np.mean(profile_grid(p, 256)[0].samples ** 2))
     ok = (times >= 0.1 * times[-1]) & (devs < 1e-2 * wave_norm) & (devs > 0)
     if int(np.sum(ok)) < 5:
         raise WindowTooShortError(

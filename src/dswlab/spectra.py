@@ -173,10 +173,12 @@ def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     return assemble_operator(kind, p.L, p.c, _grid(p, N)[0])
 
 
-def _eigh(A: np.ndarray):
+def _eigh(m: OperatorMatrix):
     """(eigenvalues, eigenvectors) of a symmetric operator matrix: its one decomposition."""
+    if m.kind not in SYMMETRIC_KINDS:
+        raise ValueError(f"eigh requires a symmetric operator kind, got {m.kind!r}")
     try:
-        return np.linalg.eigh(A)
+        return np.linalg.eigh(m.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
 
@@ -210,14 +212,12 @@ def morse_index(m: OperatorMatrix):
     fraction of c separates the two at small kappa, and near kappa = 1e-3
     not even the rounding floor does.
     """
-    if m.kind not in SYMMETRIC_KINDS:
-        raise ValueError(f"morse_index requires a symmetric kind, got {m.kind!r}")
-    return _morse_counts(_eigh(m.matrix)[0])
+    return _morse_counts(_eigh(m)[0])
 
 
 def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
     """|cos angle| between the near-kernel eigenvector and a reference vector."""
-    lam, vec = _eigh(m.matrix)
+    lam, vec = _eigh(m)
     return _cosine(vec[:, int(np.argmin(np.abs(lam)))], np.asarray(reference, dtype=float))
 
 
@@ -297,7 +297,7 @@ def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     The smallest-|eigenvalue| direction is dropped; for even right-hand sides
     this reproduces the even periodic inverse exactly (the kernel is odd).
     """
-    lam, vec = _eigh(m.matrix)
+    lam, vec = _eigh(m)
     inv = 1.0 / lam
     inv[int(np.argmin(np.abs(lam)))] = 0.0
     return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))

@@ -62,12 +62,18 @@ class WaveParams:
     D1_const: float = 0.0
 
 
-def params_from_kappa(L: float, kappa: float) -> WaveParams:
-    """Build WaveParams from the period L and the modulus kappa in (0, 1)."""
+def _check_period(L) -> float:
+    """The period L as a float: the one rule for a period, positive and finite."""
     L = float(L)
-    kappa = float(kappa)
     if not (0.0 < L < np.inf):
         raise ValueError(f"period L must be positive and finite (got {L!r})")
+    return L
+
+
+def params_from_kappa(L: float, kappa: float) -> WaveParams:
+    """Build WaveParams from the period L and the modulus kappa in (0, 1)."""
+    L = _check_period(L)
+    kappa = float(kappa)
     if not (0.0 < kappa < 1.0) or kappa > KAPPA_MAX:
         raise ValueError(f"modulus must lie in (0, {KAPPA_MAX}] (got {kappa!r})")
 
@@ -120,10 +126,8 @@ def kappa_from_c(L: float, c: float) -> float:
     """Invert the strictly increasing speed map: the unique kappa with c(kappa) = c."""
     from scipy.optimize import brentq
 
-    L = float(L)
+    L = _check_period(L)
     c = float(c)
-    if not (0.0 < L < np.inf):
-        raise ValueError(f"period L must be positive and finite (got {L!r})")
     threshold = 4.0 * np.pi**2 / L**2
     if c <= threshold:
         raise SpeedBelowThresholdError(
@@ -179,15 +183,16 @@ def _scd(p: WaveParams, xi):
     return jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa)
 
 
-def _check_grid_size(N: int) -> None:
+def _check_grid(L, N: int) -> float:
+    """The period of an N-point grid as a float; N >= 1 and a valid period."""
     if N < 1:
         raise ValueError(f"a grid needs N >= 1 points (got N = {N})")
+    return _check_period(L)
 
 
 def grid_points(L: float, N: int) -> np.ndarray:
     """The uniform grid x_j = j L / N, j = 0..N-1, of any size N >= 1."""
-    _check_grid_size(N)
-    return np.arange(N) * (L / N)
+    return np.arange(N) * (_check_grid(L, N) / N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +205,7 @@ class GridFunction:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        _check_grid_size(samples.size)
+        _check_grid(self.L, samples.size)
         if not np.all(np.isfinite(samples)):
             raise ValueError("grid samples must be finite")
 

@@ -1,9 +1,11 @@
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dswlab.cli import THETA_TABLE_DEFAULT_PAIRS, main
+from dswlab.cli import DMATRIX_SWEEP_DEFAULT_KAPPAS, THETA_TABLE_DEFAULT_PAIRS, build_parser, main
 from dswlab.waves import params_from_kappa, profile_residual
 
 
@@ -150,8 +152,7 @@ class TestDMatrixSweep:
 
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        main(["dmatrix-sweep", "--L", "1", "--kappa-min", "0.2", "--kappa-max", "0.8",
-              "--kappa-step", "0.2", "--out", str(out)])
+        main(["dmatrix-sweep", "--L", "1", "--kappas", "0.2,0.4,0.6,0.8", "--out", str(out)])
         _, cols, rows = read_csv(out)
         assert len(rows) == 4
         for r in rows:
@@ -167,12 +168,26 @@ class TestDMatrixSweep:
         assert header_value(header, "kappas") == "0"
         assert cols is not None and rows == []
 
-    @pytest.mark.parametrize("grid", [["--kappa-step", "0"], ["--kappa-step", "-0.05"],
-                                      ["--kappa-min", "0.9", "--kappa-max", "0.5"]])
-    def test_invalid_grid_exits_2(self, tmp_path, capsys, grid):
+    def test_default_rows_are_the_labelled_moduli(self, tmp_path):
+        # each default row sits at its printed label 0.05, 0.10, ..., 0.95, as a
+        # typed --kappas list gives it (a 0.05 step would print 0.15000000000000002)
+        labels = ",".join(f"{0.05 * i:.2f}" for i in range(1, 20))
+        assert DMATRIX_SWEEP_DEFAULT_KAPPAS == [float(s) for s in labels.split(",")]
+        default, typed = tmp_path / "default.csv", tmp_path / "typed.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--out", str(default)]) == 0
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", labels, "--out", str(typed)]) == 0
+        assert default.read_bytes() == typed.read_bytes()
+        _, cols, rows = read_csv(default)
+        assert [r[0] for r in rows] == [repr(k) for k in DMATRIX_SWEEP_DEFAULT_KAPPAS]
+        assert all(dict(zip(cols, r))["status"] == "ok" and dict(zip(cols, r))["n_D"] == "1"
+                   for r in rows)
+
+    @pytest.mark.parametrize("item", ["x", "0.3:0.4", " "])
+    def test_malformed_modulus_exits_2_naming_the_item(self, tmp_path, capsys, item):
         out = tmp_path / "sweep.csv"
-        assert main(["dmatrix-sweep", "--L", "1", *grid, "--out", str(out)]) == 2
-        assert "needs --kappa-step > 0 and --kappa-min <= --kappa-max" in capsys.readouterr().err
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", f"0.3,{item}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --kappas item {item!r} is not a number\n"
         assert not out.exists()
 
     @pytest.mark.usefixtures("fresh_records")
@@ -398,6 +413,28 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: give one of --kappa or --c, not both\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("data", [["--zero", "--L", "0"], ["--zero", "--L", "-1"],
+                                      ["--seed", "1", "--L", "-2"]],
+                             ids=["zero-0", "zero-negative", "random-negative"])
+    def test_invalid_period_exits_2(self, tmp_path, capsys, data):
+        # zero data used to run at L = 2 pi for --L 0 and at the negative period
+        # for --L -1; random data failed with "grid samples must be finite"
+        assert main(["simulate", *data, "--N", "32", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: period L must be positive and finite (got {float(data[-1])!r})\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name,run", [("T", ["--T", "inf", "--dt", "1e-3"]),
+                                          ("dt", ["--T", "0.01", "--dt", "inf"])],
+                             ids=["T", "dt"])
+    def test_infinite_run_length_exits_2(self, tmp_path, capsys, name, run):
+        # inf used to end in an OverflowError (T) or a ZeroDivisionError (dt)
+        assert main(["simulate", "--zero", "--N", "32", *run,
+                     "--out-prefix", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite (got inf)\n"
+        assert not list(tmp_path.iterdir())
+
     def test_growth_experiment_reports_stable_spectrum(self, tmp_path, capsys):
         code = main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "128",
                      "--T", "0.5", "--dt", "1e-4", "--perturb", "1e-6",
@@ -428,4 +465,25 @@ class TestNormalFormCheck:
         assert main(["normalform-check", "--trials", "20", "--out", str(out)]) == 0
         header, _, rows = read_csv(out)
         assert "passed=True" in "\n".join(header)
+        assert header[1] == "# trials=20 seed=0 max_support=32 tol=1e-13"
         assert len(rows) == 20
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, tmp_path, capsys, trials):
+        # a gate over zero trials used to pass
+        out = tmp_path / "nf.csv"
+        assert main(["normalform-check", "--trials", trials, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --trials must be >= 1 (got {trials})\n"
+        assert not out.exists()
+
+
+def test_every_option_is_documented():
+    # each option of each command is named in README's "Command line" section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in build_parser()._actions if a.choices).choices
+    missing = [f"{name} {opt}" for name, sp in commands.items() for action in sp._actions
+               for opt in action.option_strings
+               if opt not in ("-h", "--help") and not re.search(re.escape(opt) + r"(?![\w-])",
+                                                                 section)]
+    assert missing == []

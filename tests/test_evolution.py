@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dswlab.evolution import (_CHECK_EVERY, BlowUpError, WindowTooShortError,
-                              _etd_coefficients, fit_growth_rate, growth_rate_experiment,
-                              preprocess, simulate, state_fields, undo_preprocess)
+                              _etd_coefficients, deviation_series, fit_growth_rate,
+                              growth_rate_experiment, preprocess, simulate, state_fields,
+                              undo_preprocess)
 from dswlab.spectra import NoUnstableModeError, _nonzero_spectrum, assemble_operator
 from dswlab.waves import GridFunction, eval_profile, params_from_kappa, profile_grid
 
@@ -336,6 +337,20 @@ class TestGrowthExperiment:
         with pytest.raises(WindowTooShortError):
             fit_growth_rate(np.linspace(0, 1, 20), np.full(20, 1e3), wave_2_03, 1e-6)
 
+    def test_window_bound_is_the_periodic_grid_norm(self):
+        # the bound is 1e-2 times the L2 norm of psi on the 256-point periodic grid;
+        # a linspace that counted psi(0) twice put it 0.56% higher at (1, 0.9)
+        p = params_from_kappa(1.0, 0.9)
+        bound = 1e-2 * np.sqrt(p.L * np.mean(profile_grid(p, 256)[0].samples ** 2))
+        times = np.linspace(0.0, 1.0, 10)
+        devs = np.full(10, 1e3)
+        devs[1:5] = 1e-6 * np.exp(times[1:5])  # four samples inside the window
+        devs[5] = 0.997 * bound
+        assert np.isfinite(fit_growth_rate(times, devs, p, 1e-6))
+        devs[5] = 1.003 * bound
+        with pytest.raises(WindowTooShortError, match="only 4 samples"):
+            fit_growth_rate(times, devs, p, 1e-6)
+
     def test_seeded_imaginary_mode_oscillates_at_eigenfrequency(self, wave_2_03):
         # companion check for the criterion-7 intent: the linearized dynamics
         # of the simulator agree with the eigensolve. With a stable spectrum
@@ -371,3 +386,8 @@ class TestGrowthExperiment:
         phase = np.unwrap(np.asarray(phases))
         slope = np.polyfit(traj.times, phase, 1)[0]
         assert abs(abs(slope) - mu) < 0.01 * mu
+
+        # the growth fit on the same trajectory: a neutral mode grows at rate 0
+        # (measured 5.4e-9 at mu = 39.78)
+        times, devs = deviation_series(traj, p)
+        assert abs(fit_growth_rate(times, devs, p, eps)) <= 1e-6 * mu

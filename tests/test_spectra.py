@@ -14,6 +14,8 @@ from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
                             pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
 
+# the one refusal of every eigh oracle given the non-symmetric dHcal
+NONSYMMETRIC_KIND = "^eigh requires a symmetric operator kind, got 'dHcal'$"
 
 def trig_basis(N):
     """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
@@ -158,7 +160,7 @@ class TestMorseIndex:
         assert np.max(np.abs(vals[256] - vals[512])) < 1e-8 * max(1, abs(vals[256][0]))
 
     def test_requires_symmetric_kind(self, wave_2_03):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NONSYMMETRIC_KIND):
             morse_index(assemble("dHcal", wave_2_03, 128))
 
 
@@ -196,6 +198,13 @@ class TestPseudoInverse:
         spectral = pseudo_inverse_apply(op, f)
         quadrature = linv_apply(p, varphi_1_05, GridFunction(p.L, f)).samples
         assert np.max(np.abs(spectral - quadrature)) < 1e-6 * max(1, np.max(np.abs(spectral)))
+
+
+@pytest.mark.parametrize("oracle", [kernel_alignment, pseudo_inverse_apply])
+def test_eigh_oracles_refuse_a_nonsymmetric_kind(wave_2_03, oracle):
+    # eigh reads one triangle: on dHcal kernel_alignment used to return 5.3e-5 silently
+    with pytest.raises(ValueError, match=NONSYMMETRIC_KIND):
+        oracle(assemble("dHcal", wave_2_03, 64), np.ones(2 * 64))
 
 
 class TestSpectrumReport:

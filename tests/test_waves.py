@@ -108,13 +108,27 @@ def test_invalid_modulus_rejected():
         params_from_kappa(-1.0, 0.5)
 
 
+# every route that takes a period, all refusing a bad one with the same message
+PERIOD_ROUTES = [lambda L: params_from_kappa(L, 0.3), lambda L: kappa_from_c(L, 5.0),
+                 lambda L: grid_points(L, 8), lambda L: GridFunction(L, np.zeros(8))]
+
+
 @pytest.mark.parametrize("L", [np.inf, -np.inf, np.nan])
 def test_non_finite_period_rejected(L):
     # inf used to pass the L > 0 guard and fail the root invariants instead
-    with pytest.raises(ValueError, match="period L must be positive and finite"):
-        params_from_kappa(L, 0.3)
-    with pytest.raises(ValueError, match="period L must be positive and finite"):
-        kappa_from_c(L, 5.0)
+    for route in PERIOD_ROUTES:
+        with pytest.raises(ValueError, match=re.escape(
+                f"period L must be positive and finite (got {L!r})")):
+            route(L)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0])
+def test_nonpositive_period_rejected(L):
+    # grid_points and GridFunction used to take a zero or negative period
+    for route in PERIOD_ROUTES:
+        with pytest.raises(ValueError, match=re.escape(
+                f"period L must be positive and finite (got {L!r})")):
+            route(L)
 
 
 class TestKappaFromC:
