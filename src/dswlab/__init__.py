@@ -9,6 +9,6 @@ normal_form (the bilinear multiplier), cli (command-line front end).
 
 __version__ = "0.1.0"
 
-from .waves import (GridFunction, SpeedBelowThresholdError, WaveParams,  # noqa: F401
+from .waves import (GridFunction, RefusalError, SpeedBelowThresholdError, WaveParams,  # noqa: F401
                     conserved_quantities, eval_profile, kappa_from_c,
                     params_from_kappa, profile_grid, profile_residual)

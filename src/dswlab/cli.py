@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .waves import (GridFunction, SpeedBelowThresholdError, grid_points, kappa_from_c,
-                    params_from_kappa, profile_grid, profile_residual)
+from .waves import (GridFunction, RefusalError, grid_points, kappa_from_c, params_from_kappa,
+                    profile_grid, profile_residual)
 
 __all__ = ["main", "build_parser"]
 
@@ -117,7 +117,7 @@ def cmd_theta_table(args) -> int:
     for pair in pairs:
         try:
             results.append(_theta_row(pair))
-        except Exception as exc:  # noqa: BLE001 - per-row isolation is the contract
+        except (RefusalError, ValueError) as exc:  # one failed row does not stop the table
             failures += 1
             header.append(f"row {pair} failed: {exc}")
     _write_csv(args.out, header,
@@ -155,14 +155,10 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import EigensolveError, unstable_modes
+    from .spectra import unstable_modes
 
     p = _resolve_wave(args)
-    try:
-        rep = unstable_modes(p, N=args.N)
-    except EigensolveError as exc:
-        print(f"spectrum failed: {exc}", file=sys.stderr)
-        return 1
+    rep = unstable_modes(p, N=args.N)
     k_ham, n_d = hamiltonian_index(assemble_dmatrix(p))
     identity_formula = rep.count_identity_lhs() == k_ham
     identity_measured = rep.count_identity_lhs() == rep.n_H[0] - n_d
@@ -184,10 +180,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .evolution import (BlowUpError, growth_rate_experiment, simulate,
-                            state_fields)
-    from .spectra import NoUnstableModeError
+    from .evolution import growth_rate_experiment, simulate, state_fields
 
+    random_data = not (args.wave or args.zero)
+    # refuse the flags a run would ignore
+    for flag, value, used, needs in (("--perturb", args.perturb, args.wave, "--wave"),
+                                     ("--kappa", args.kappa, args.wave, "--wave"),
+                                     ("--c", args.c, args.wave, "--wave"),
+                                     ("--frame", args.frame, args.wave, "--wave"),
+                                     ("--seed", args.seed, random_data,
+                                      "random data, neither --wave nor --zero")):
+        if value is not None and not used:
+            raise ValueError(f"{flag} requires {needs}")
+    # a random-data run names its seed in the header
+    seed = {"seed": 0 if args.seed is None else args.seed} if random_data else {}
     if args.wave:
         if args.L is None:
             raise ValueError("--wave requires --L")
@@ -195,16 +201,11 @@ def cmd_simulate(args) -> int:
         u0, v0 = profile_grid(p, args.N)
         frame = 0.0 if args.frame == "lab" else p.c
     else:
-        # refuse the wave flags a run without a wave would ignore
-        for flag, value in (("--perturb", args.perturb), ("--kappa", args.kappa),
-                            ("--c", args.c), ("--frame", args.frame)):
-            if value is not None:
-                raise ValueError(f"{flag} requires --wave")
         L = 2.0 * np.pi if args.L is None else args.L
         x = grid_points(L, args.N)
         u, v = np.zeros((2, args.N))
-        if not args.zero:
-            rng = np.random.default_rng(args.seed)
+        if random_data:
+            rng = np.random.default_rng(seed["seed"])
             for m in range(1, 5):
                 cos, sin = np.cos(2 * np.pi * m * x / L), np.sin(2 * np.pi * m * x / L)
                 u += rng.normal() * cos + rng.normal() * sin
@@ -215,25 +216,17 @@ def cmd_simulate(args) -> int:
         frame = 0.0
 
     header = _provenance("simulate", L=u0.L, N=args.N, T=args.T, dt=args.dt,
-                         frame_speed=frame, perturb=args.perturb or 0.0)
+                         frame_speed=frame, perturb=args.perturb or 0.0, **seed)
 
     if args.perturb:
-        try:
-            res = growth_rate_experiment(p, args.perturb, args.T, N=args.N, dt=args.dt)
-        except NoUnstableModeError as exc:
-            print(f"growth experiment aborted: {exc}", file=sys.stderr)
-            return 1
+        res = growth_rate_experiment(p, args.perturb, args.T, N=args.N, dt=args.dt)
         header.append(f"lambda_fit={_fmt(res.lambda_fit)} lambda_lin={_fmt(res.lambda_lin)} "
                       f"rel_err={_fmt(res.rel_err)}")
         rows = list(zip(res.times, res.deviations))
         _write_csv(args.out_prefix + "_growth.csv", header, ["t", "deviation"], rows)
         return 0
 
-    try:
-        traj = simulate(u0, v0, args.T, args.dt, frame_speed=frame)
-    except BlowUpError as exc:
-        print(f"blow-up after t = {exc.t_last}", file=sys.stderr)
-        return 1
+    traj = simulate(u0, v0, args.T, args.dt, frame_speed=frame)
     if abs(traj.dt - args.dt) > 1e-12 * args.dt:  # T/dt is not a whole number of steps
         header.append(f"dt_used={_fmt(traj.dt)}")
 
@@ -351,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="frame of a --wave run (default comoving)")
     sp.add_argument("--perturb", type=float, default=None,
                     help="seed amplitude for the growth experiment")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="seed of the random data (default 0)")
     sp.add_argument("--out-prefix", default="dsw_run")
     sp.set_defaults(func=cmd_simulate)
 
@@ -364,12 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: an input error exits 2 and a refusal exits 1, each with one
+    line on stderr; every other exception is a bug and propagates."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SpeedBelowThresholdError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RefusalError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

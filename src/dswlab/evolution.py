@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, WaveParams, conserved_quantities, profile_grid
+from .waves import GridFunction, RefusalError, WaveParams, conserved_quantities, profile_grid
 
 __all__ = [
     "SimState",
@@ -46,7 +46,7 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(RefusalError):
     """A coefficient left the finite range; carries the last finite time."""
 
     def __init__(self, message: str, t_last: float, trajectory=None):
@@ -55,7 +55,7 @@ class BlowUpError(RuntimeError):
         self.trajectory = trajectory
 
 
-class WindowTooShortError(ValueError):
+class WindowTooShortError(RefusalError):
     """The deviation left the linear regime before the fit window closed."""
 
 
@@ -227,6 +227,8 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
             raise ValueError(f"{name} must be positive and finite (got {value!r})")
     if u0.N != v0.N or u0.L != v0.L:
         raise ValueError("u0 and v0 must share the same grid")
+    if not 0.0 < T / dt < np.inf:
+        raise ValueError(f"T/dt must be positive and finite (got {T / dt!r})")
     n_steps = int(np.ceil(T / dt * (1.0 - 1e-12)))  # a whole T/dt with rounding stays whole
     h = T / n_steps
     sample_every = max(1, n_steps // 64)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .index_engine import _kernel_factor, a_integrals
-from .waves import WaveParams
+from .waves import RefusalError, WaveParams
 
 __all__ = [
     "HillSolution",
@@ -39,11 +39,11 @@ __all__ = [
 THETA_DEGENERACY_THRESHOLD = 1e-10
 
 
-class IntegrationFailureError(RuntimeError):
+class IntegrationFailureError(RefusalError):
     """The adaptive integrator failed (step-size underflow or non-finite state)."""
 
 
-class DegenerateThetaError(ValueError):
+class DegenerateThetaError(RefusalError):
     """|theta| below the degeneracy threshold: the zero eigenvalue cannot be classified."""
 
 

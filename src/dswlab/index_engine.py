@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import jacobi_sn_cn_dn
-from .waves import GridFunction, WaveParams, _profile_derivatives, eval_profile
+from .waves import GridFunction, RefusalError, WaveParams, _profile_derivatives, eval_profile
 
 __all__ = [
     "VarphiTable",
@@ -61,15 +61,15 @@ class EvenSymmetryError(ValueError):
     """Input to the even inverse is not even about 0 within tolerance."""
 
 
-class DegenerateDMatrixError(ArithmeticError):
+class DegenerateDMatrixError(RefusalError):
     """det(D) is numerically zero: the index is undefined."""
 
 
-class InconsistentIndexError(ArithmeticError):
+class InconsistentIndexError(RefusalError):
     """The count formula produced a negative k_Ham, violating k_Ham >= 0."""
 
 
-class QuadratureNotConvergedError(ArithmeticError):
+class QuadratureNotConvergedError(RefusalError):
     """The cosine series of some integrand row had not reached rounding at the
     sampler's cap of _SERIES_MAX intervals."""
 

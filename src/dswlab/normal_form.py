@@ -50,12 +50,6 @@ class TrigPolynomial:
     def mode(k: int, coefficient: complex = 1.0) -> "TrigPolynomial":
         return TrigPolynomial({int(k): complex(coefficient)})
 
-    @staticmethod
-    def real_mode(k: int, coefficient: complex = 1.0) -> "TrigPolynomial":
-        """Hermitian pair representing a real field."""
-        c = complex(coefficient)
-        return TrigPolynomial({int(k): c, -int(k): np.conj(c)})
-
     def __getitem__(self, k: int) -> complex:
         return self.coeffs.get(int(k), 0.0 + 0.0j)
 
@@ -71,14 +65,8 @@ class TrigPolynomial:
     def has_mean(self) -> bool:
         return abs(self.coeffs.get(0, 0.0)) > MEAN_ZERO_TOL
 
-    def drop_mean(self) -> "TrigPolynomial":
-        return TrigPolynomial({k: c for k, c in self.coeffs.items() if k != 0})
-
     def dx(self, order: int = 1) -> "TrigPolynomial":
         return TrigPolynomial({k: (1j * k) ** order * c for k, c in self.coeffs.items()})
-
-    def is_hermitian(self, tol: float = 1e-14) -> bool:
-        return all(abs(c - np.conj(self[-k])) <= tol for k, c in self.coeffs.items())
 
     def product(self, other: "TrigPolynomial") -> "TrigPolynomial":
         out: dict = {}

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .waves import WaveParams, eval_profile_derivatives, grid_points
+from .waves import RefusalError, WaveParams, eval_profile_derivatives, grid_points
 
 __all__ = [
     "OperatorMatrix",
@@ -86,7 +86,7 @@ CLASS_TOL = 1e-7
 KERNEL_RESIDUAL_BOUND = 1e-8
 
 
-class EigensolveError(RuntimeError):
+class EigensolveError(RefusalError):
     """A dense factorization failed, or its result fails a structural check."""
 
 
@@ -515,7 +515,7 @@ def _nonzero_spectrum(dH: np.ndarray):
     return eigvals, eigvecs, keep, cluster
 
 
-class NoUnstableModeError(RuntimeError):
+class NoUnstableModeError(RefusalError):
     """The discretized spectrum has no eigenvalue with positive real part."""
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "WaveParams",
     "GridFunction",
     "grid_points",
+    "RefusalError",
     "SpeedBelowThresholdError",
     "WaveInvariantError",
     "params_from_kappa",
@@ -34,11 +35,15 @@ __all__ = [
 ]
 
 
+class RefusalError(Exception):
+    """A computation refuses to give a number: a check on its own result failed."""
+
+
 class SpeedBelowThresholdError(ValueError):
     """No L-periodic wave exists: the requested speed is at or below 4 pi^2 / L^2."""
 
 
-class WaveInvariantError(ArithmeticError):
+class WaveInvariantError(RefusalError):
     """The built parameters violate an identity of the construction."""
 
 
@@ -70,6 +75,8 @@ def _check_period(L) -> float:
     return L
 
 
+# at an extreme L, c ~ 1/L^2 leaves the float range: _check_invariants raises, without warnings
+@np.errstate(all="ignore")
 def params_from_kappa(L: float, kappa: float) -> WaveParams:
     """Build WaveParams from the period L and the modulus kappa in (0, 1)."""
     L = _check_period(L)
@@ -128,7 +135,8 @@ def kappa_from_c(L: float, c: float) -> float:
 
     L = _check_period(L)
     c = float(c)
-    threshold = 4.0 * np.pi**2 / L**2
+    with np.errstate(over="ignore", divide="ignore"):  # inf at a tiny L, 0 at a huge one
+        threshold = float(4.0 * np.pi**2 / np.float64(L) ** 2)
     if c <= threshold:
         raise SpeedBelowThresholdError(
             f"speed {c} is at or below 4 pi^2/L^2 = {threshold}; no periodic wave of period {L}"

@@ -79,6 +79,17 @@ class TestWaveCommand:
         assert main(["wave", "--L", "2", "--c", "1.0"]) == 2
         assert "4 pi^2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("L,message", [
+        ("1e-200", "speed 5.0 is at or below 4 pi^2/L^2 = inf; no periodic wave of period 1e-200"),
+        ("1e200", "speed 5.0 exceeds the separatrix limit c(kappa=0.999999999) for L=1e+200"),
+    ], ids=["tiny", "huge"])
+    def test_speed_at_an_extreme_period_exits_2(self, tmp_path, capsys, L, message):
+        # L**2 used to underflow to a ZeroDivisionError (tiny) or overflow (huge)
+        out = tmp_path / "wave.csv"
+        assert main(["wave", "--L", L, "--c", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -135,6 +146,15 @@ class TestThetaTable:
         header, _, rows = read_csv(out)
         assert [row[:2] for row in rows] == [["2.0", "0.3"]]
         assert "row (2.0, 1.5) failed: modulus must lie in" in "\n".join(header)
+
+    def test_refused_row_is_reported_without_warnings(self, tmp_path, capsys):
+        # the wave (1e200, 0.3) fails its invariants; numpy used to warn on the way
+        out = tmp_path / "bad.csv"
+        assert main(["theta-table", "--pairs", "2:0.3,1e200:0.3", "--out", str(out)]) == 1
+        header, _, rows = read_csv(out)
+        assert [row[:2] for row in rows] == [["2.0", "0.3"]]
+        assert header[-1] == "# row (1e+200, 0.3) failed: root ordering violated"
+        assert capsys.readouterr().err == ""
 
 
 class TestDMatrixSweep:
@@ -426,21 +446,51 @@ class TestSimulate:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("name,run", [("T", ["--T", "inf", "--dt", "1e-3"]),
-                                          ("dt", ["--T", "0.01", "--dt", "inf"])],
-                             ids=["T", "dt"])
+                                          ("dt", ["--T", "0.01", "--dt", "inf"]),
+                                          ("T/dt", ["--T", "1e300", "--dt", "1e-300"])],
+                             ids=["T", "dt", "T-over-dt"])
     def test_infinite_run_length_exits_2(self, tmp_path, capsys, name, run):
-        # inf used to end in an OverflowError (T) or a ZeroDivisionError (dt)
+        # inf used to end in an OverflowError (T and T/dt) or a ZeroDivisionError (dt)
         assert main(["simulate", "--zero", "--N", "32", *run,
                      "--out-prefix", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == f"error: {name} must be positive and finite (got inf)\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("data", [["--zero"], ["--wave", "--L", "2", "--kappa", "0.3"]],
+                             ids=["zero", "wave"])
+    def test_seed_without_random_data_exits_2(self, tmp_path, capsys, data):
+        # the run would ignore the seed; it used to, without a word
+        assert main(["simulate", *data, "--seed", "5", "--N", "32", "--T", "0.01",
+                     "--dt", "1e-3", "--out-prefix", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed requires random data, neither --wave nor --zero\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["default", "7"])
+    def test_random_data_names_its_seed(self, tmp_path, seed):
+        assert main(["simulate", *seed, "--N", "16", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", str(tmp_path / "r")]) == 0
+        for name in ("r_conservation.csv", "r_trajectory.csv"):
+            header, _, _ = read_csv(tmp_path / name)
+            assert header_value(header, "seed") == (seed[1] if seed else "0")
 
     def test_growth_experiment_reports_stable_spectrum(self, tmp_path, capsys):
         code = main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "128",
                      "--T", "0.5", "--dt", "1e-4", "--perturb", "1e-6",
                      "--out-prefix", str(tmp_path / "g")])
         assert code == 1
-        assert "spectrum is stable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("simulate failed: max Re lambda = ")
+        assert err.endswith(": spectrum is stable\n") and err.count("\n") == 1
+
+    def test_blow_up_exits_1_naming_the_interval(self, tmp_path, capsys):
+        # the lab-frame wave (2, 0.3) at N = 256, dt = 0.05 is outside the step envelope
+        assert main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--frame", "lab",
+                     "--N", "256", "--T", "5", "--dt", "5e-2",
+                     "--out-prefix", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == (
+            "simulate failed: solution blew up between t = 0.85 and 0.9\n")
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,6 +507,21 @@ def test_nonpositive_grid_exits_2_naming_N(tmp_path, capsys, argv):
     N = argv[argv.index("--N") + 1]
     assert capsys.readouterr().err == f"error: a grid needs N >= 1 points (got N = {N})\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["wave", "--L", "1e200", "--kappa", "0.3"], "root ordering violated"),
+    (["wave", "--L", "1e-170", "--kappa", "0.3"], "root sum eta1+eta3+eta4 != 0"),
+    (["spectrum", "--L", "1e200", "--kappa", "0.3", "--N", "16"], "root ordering violated"),
+    (["dmatrix-sweep", "--L", "1e200", "--kappas", "0.3"], "root ordering violated"),
+], ids=["wave-huge", "wave-tiny", "spectrum-huge", "dmatrix-sweep-huge"])
+def test_extreme_period_is_refused_in_one_line(tmp_path, capsys, argv, message):
+    # c ~ 1/L^2 leaves the float range and the wave fails its invariants;
+    # each of these used to end in a traceback
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{argv[0]} failed: {message}\n"
+    assert not out.exists()
 
 
 class TestNormalFormCheck:

@@ -1,8 +1,10 @@
-"""Every name a dswlab module exports is read somewhere, outside the tests
-unless TEST_ONLY says why not, and every default of an exported function is
-overridden somewhere, outside the tests unless TEST_SET says why not. A
-module exports the names in its ``__all__`` and every top-level function and
-class whose name has no leading underscore.
+"""Every name a dswlab module exports, and every public method and property of
+an exported class, is read somewhere, outside the tests unless TEST_ONLY says
+why not, and every default of an exported function is overridden somewhere,
+outside the tests unless TEST_SET says why not. A module exports the names in
+its ``__all__`` and every top-level function and class whose name has no
+leading underscore. Every exception class of dswlab is either an input error
+(a ValueError) or a refusal (a RefusalError), never both.
 
 The checks parse src/, tests/, scripts/ and perfbench/. The name checks count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
@@ -15,7 +17,11 @@ turns. A ``*args`` or ``**kwargs`` in a call may set anything.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+from dswlab.waves import RefusalError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dswlab"
@@ -29,6 +35,8 @@ TEST_ONLY = {
     "spectra.kernel_alignment": "oracle: the full matrix's kernel against psi' (criterion 5)",
     "spectra.pseudo_inverse_apply": "oracle: the even inverse of L+ by eigh, against linv_apply",
     "index_engine.non_periodicity_gap": "oracle: varphi'(L-) - varphi'(0+), nonzero with A2",
+    "index_engine.VarphiTable.varphi_at": "oracle: varphi itself, for its ODE residual, "
+                                          "Wronskian and A-integral checks",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
 }
@@ -61,29 +69,41 @@ def _loads(tree):
             yield node.attr
 
 
+def _public(module, tree):
+    """{module.name or module.Class.member: the name a read of it loads} for the exports
+    of a dswlab module and the public methods and properties of its exported classes."""
+    exported = _exports(tree)
+    public = {f"{module}.{name}": name for name in exported}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            public.update((f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return public
+
+
 def _scan(tops):
-    """(names loaded under tops, (module, name) exported by a dswlab module)."""
+    """(names loaded under tops, the public names of the dswlab modules, as _public)."""
     loaded = set()
-    exported = set()
+    public = {}
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             loaded.update(_loads(tree))
             if path.parent == PACKAGE:
-                exported.update((path.stem, name) for name in _exports(tree))
-    assert exported, f"no export found under {PACKAGE}"
-    return loaded, exported
+                public.update(_public(path.stem, tree))
+    assert public, f"no export found under {PACKAGE}"
+    return loaded, public
 
 
 def test_every_exported_name_is_read_somewhere():
-    loaded, exported = _scan(SCANNED)
-    dead = sorted(f"{module}.{name}" for module, name in exported if name not in loaded)
+    loaded, public = _scan(SCANNED)
+    dead = sorted(key for key, name in public.items() if name not in loaded)
     assert not dead, f"exported but never read: {dead}"
 
 
 def test_every_exported_name_is_read_outside_the_tests():
-    loaded, exported = _scan(PRODUCTION)
-    unread = {f"{module}.{name}" for module, name in exported if name not in loaded}
+    loaded, public = _scan(PRODUCTION)
+    unread = {key for key, name in public.items() if name not in loaded}
     test_only = sorted(unread - set(TEST_ONLY))
     assert not test_only, f"exported but read only by tests: {test_only}"
     stale = sorted(set(TEST_ONLY) - unread)
@@ -144,3 +164,14 @@ def test_every_default_of_an_exported_function_is_set_outside_the_tests():
     assert not test_set, f"defaulted but set only by tests: {test_set}"
     stale = sorted(set(TEST_SET) - unset)
     assert not stale, f"TEST_SET lists defaults set outside the tests or not defaults: {stale}"
+
+
+def test_every_exception_is_an_input_error_or_a_refusal():
+    classes = {cls for path in PACKAGE.glob("*.py")
+               for _, cls in inspect.getmembers(importlib.import_module(f"dswlab.{path.stem}"),
+                                                inspect.isclass)
+               if issubclass(cls, BaseException) and cls.__module__.startswith("dswlab")}
+    assert RefusalError in classes
+    wrong = sorted(cls.__qualname__ for cls in classes
+                   if issubclass(cls, ValueError) == issubclass(cls, RefusalError))
+    assert wrong == [], f"neither or both of ValueError and RefusalError: {wrong}"
