@@ -169,7 +169,8 @@ def cmd_spectrum(args) -> int:
         f"n_Lplus={rep.n_Lplus} n_H={rep.n_H} n_D={n_d} k_ham_formula={k_ham}",
         f"count_identity_vs_formula={identity_formula} count_identity_vs_measured_nH={identity_measured}",
         f"lambda_max_real=0.0 symmetry_residual={_fmt(rep.symmetry_residual)}",
-        f"margin={_fmt(rep.margin)} kernel_residual={_fmt(rep.kernel_residual)}",
+        f"margin={_fmt(rep.margin)} core_N={rep.core_N} "
+        f"kernel_residual={_fmt(rep.kernel_residual)}",
     ]
     # the certified spectrum: pairs +i omega, -i omega by ascending omega, with
     # no real part, Krein sign +1 on the upper member and -lambda next to lambda

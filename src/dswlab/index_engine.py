@@ -43,6 +43,7 @@ __all__ = [
     "AIntegrals",
     "EvenSymmetryError",
     "DegenerateDMatrixError",
+    "NonFiniteDMatrixError",
     "InconsistentIndexError",
     "QuadratureNotConvergedError",
     "build_varphi",
@@ -57,12 +58,20 @@ __all__ = [
 ]
 
 
+# |det(D / |D|)| at or below which D counts as singular and hamiltonian_index refuses it
+DEGENERATE_DET = 1e-12
+
+
 class EvenSymmetryError(ValueError):
     """Input to the even inverse is not even about 0 within tolerance."""
 
 
 class DegenerateDMatrixError(RefusalError):
     """det(D) is numerically zero: the index is undefined."""
+
+
+class NonFiniteDMatrixError(RefusalError):
+    """An entry of D is not finite: the pairings overflowed at an extreme period."""
 
 
 class InconsistentIndexError(RefusalError):
@@ -426,6 +435,10 @@ class DMatrix:
 
 def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
     entries = np.asarray(entries, dtype=float)
+    if not np.all(np.isfinite(entries)):
+        bad = ", ".join(f"D{i + 1}{j + 1} = {float(entries[i, j])!r}"
+                        for i, j in zip(*np.nonzero(~np.isfinite(entries))) if i <= j)
+        raise NonFiniteDMatrixError(f"D is not finite: {bad}")
     return DMatrix(entries=entries, det=float(np.linalg.det(entries)),
                    n_negative=int(np.sum(np.linalg.eigvalsh(entries) < 0.0)))
 
@@ -441,30 +454,32 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
     psi_h, psi_pp_h, varphi_p_h = half_period_data(p, A)
     mu = psi_pp_h / (2.0 * varphi_p_h)
     c, F1, L = p.c, p.F1, p.L
-
-    # <psi^2, varphi> and <psi^3, varphi> (integration by parts against L+ varphi = 0)
-    pair_psi2 = -(4.0 * c / 3.0) * varphi_p_h + (2.0 * c * c / 3.0) * s1
-    pair_psi3 = -2.0 * c * psi_h * varphi_p_h - c * F1 * s1
-
-    # the three base pairings of the even inverse
-    inv11 = -2.0 * spsi + (2.0 * psi_h - mu * s1) * s1
-    inv_psi1 = -1.5 * pair_psi2 + 0.5 * psi_h**2 * s1 + (psi_h - mu * s1) * spsi
-    inv_psipsi = -pair_psi3 + (psi_h**2 - mu * spsi) * spsi
-
     m1, m2, _, m4 = psi_moments(p)
 
-    # psi^3 reductions via L+^{-1} psi^3 = -c psi - c F1 L+^{-1} 1
-    inv_c1 = -c * m1 - c * F1 * inv11
-    inv_cpsi = -c * m2 - c * F1 * inv_psi1
-    inv_cc = -c * m4 - c * F1 * inv_c1
+    # at an extreme period an entry leaves the float range: dmatrix_from_entries
+    # refuses it, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # <psi^2, varphi> and <psi^3, varphi> (integration by parts against L+ varphi = 0)
+        pair_psi2 = -(4.0 * c / 3.0) * varphi_p_h + (2.0 * c * c / 3.0) * s1
+        pair_psi3 = -2.0 * c * psi_h * varphi_p_h - c * F1 * s1
 
-    D = np.empty((3, 3))
-    D[0, 0] = inv11
-    D[0, 1] = D[1, 0] = inv_psi1 / c
-    D[0, 2] = D[2, 0] = inv_psi1 + inv_c1 / (2.0 * c * c)
-    D[1, 1] = L / c + inv_psipsi / c**2
-    D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
-    D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
+        # the three base pairings of the even inverse
+        inv11 = -2.0 * spsi + (2.0 * psi_h - mu * s1) * s1
+        inv_psi1 = -1.5 * pair_psi2 + 0.5 * psi_h**2 * s1 + (psi_h - mu * s1) * spsi
+        inv_psipsi = -pair_psi3 + (psi_h**2 - mu * spsi) * spsi
+
+        # psi^3 reductions via L+^{-1} psi^3 = -c psi - c F1 L+^{-1} 1
+        inv_c1 = -c * m1 - c * F1 * inv11
+        inv_cpsi = -c * m2 - c * F1 * inv_psi1
+        inv_cc = -c * m4 - c * F1 * inv_c1
+
+        D = np.empty((3, 3))
+        D[0, 0] = inv11
+        D[0, 1] = D[1, 0] = inv_psi1 / c
+        D[0, 2] = D[2, 0] = inv_psi1 + inv_c1 / (2.0 * c * c)
+        D[1, 1] = L / c + inv_psipsi / c**2
+        D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
+        D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
     return dmatrix_from_entries(D)
 
@@ -478,10 +493,12 @@ def hamiltonian_index(d: DMatrix):
     is implemented as specified; consumers can rebuild the count with the
     measured n(H) via k_r + 2 k_c + 2 k_i^- = n(H) - n(D).
     """
-    threshold = 1e-12 * float(np.linalg.norm(d.entries)) ** 3
-    if abs(d.det) <= threshold:
+    # det(D / |D|) = det D / |D|^3, without the cube that overflows at a large period
+    norm = float(np.linalg.norm(d.entries))
+    scaled = float(np.linalg.det(d.entries / norm)) if norm > 0.0 else 0.0
+    if abs(scaled) <= DEGENERATE_DET:
         raise DegenerateDMatrixError(
-            f"det D = {d.det:.3e} below degeneracy threshold {threshold:.3e}")
+            f"det(D/|D|) = {scaled:.3e} below degeneracy threshold {DEGENERATE_DET:.0e}")
     k_ham = 2 - d.n_negative
     if k_ham < 0:
         raise InconsistentIndexError(

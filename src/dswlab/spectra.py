@@ -29,12 +29,22 @@ The parities make it block off-diagonal, so the omega are the singular
 values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. Q_e^T K_EO Q_o is
 the trailing block of P_e K_EO P_o, with P_e, P_o the reflectors, and the
 inverse P_o K_EO^-1 P_e of that product is diagonal plus rank two, so
-bordering applies the inverse of its trailing block in O(N^2). The margin
-lambda_min(Hc) says by how much the certificate holds; no threshold on
-Re lambda enters. If Hc has no Cholesky factor, IndefiniteHessianError
-names the inertia of the failing block. The certificate rests on e1 being
-the kernel of the collocation H; KernelResidualError says when it is not,
-for a profile that does not solve its equation or a grid too coarse for it.
+bordering applies the inverse of its trailing block in O(N^2). If Hc has
+no Cholesky factor, IndefiniteHessianError names the inertia of the failing
+block. The certificate rests on e1 being the kernel of the collocation H;
+KernelResidualError says when it is not, for a profile that does not solve
+its equation or a grid too coarse for it. No symmetric eigensolve runs at
+N but the one that names that inertia.
+
+The margin lambda_min(Hc) says by how much the certificate holds; no
+threshold on Re lambda enters. It, n(L+) = n(H) and the kernel overlaps
+are properties of the wave, fixed once the grid resolves psi, so they come
+from the same blocks on a core grid sized by the wave, not by N: psi's
+rfft is chopped where it falls to rounding, at mode m* (at least 2), and
+the core has min(N, 4 m* + 1) points (9 for kappa <= 1e-3, 37 at
+(2, 0.3); a wave whose coefficients never reach rounding keeps N). A
+non-positive lambda_min on the core raises IndefiniteHessianError too: it
+is never reported as a margin.
 
 The dense `eig` of dH remains only in `unstable_eigenmode` and, through
 _nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
@@ -84,6 +94,19 @@ CLASS_TOL = 1e-7
 # for kappa in [1e-3, 0.999] (1e-10 at N = 2048: rounding grows like N^2);
 # grids that do not resolve the wave give 3e-8 (kappa = 0.99, N = 64) and more.
 KERNEL_RESIDUAL_BOUND = 1e-8
+
+# The margin, the counts and the kernel overlaps are computed on the core grid
+# of CORE_FACTOR m* + 1 points, m* the last rfft mode of psi above CHOP_TOL of
+# the largest (cf. Aurentz & Trefethen, "Chopping a Chebyshev series", ACM
+# TOMS 2017): the products psi^2 in H reach mode 2 m*, and the factor 4 keeps
+# them clear of aliasing. A factor 2 is too small: at (1, 1e-3) it gives
+# 5 points, where the margin is off by 4.6e-7 relative. m* counts as at least
+# CHOP_MIN: below kappa ~ 3e-4 psi chops at mode 1, and 5 points put the
+# margin off by 1.2 |psi_1 / psi_0| (4.6e-9 at kappa = 1e-4, where 7 or more
+# points are within 2e-15); a wave constant to rounding would get 1 point.
+CORE_FACTOR = 4
+CHOP_TOL = np.finfo(float).eps
+CHOP_MIN = 2
 
 
 class EigensolveError(RefusalError):
@@ -277,15 +300,20 @@ def _multiplication_blocks(f: np.ndarray):
             (toeplitz[sines, sines] - hankel[sines, sines]) / N)
 
 
-def _project(c: float, m1: np.ndarray, m2: np.ndarray, k: np.ndarray):
-    """(L+, H) on one parity block with wavenumbers k.
+def _project(c: float, m1: np.ndarray, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """H on one parity block with wavenumbers k.
 
     -d^2/dxi^2 is diag(k^2) there, and m1, m2 are the blocks of multiplication
     by psi and psi^2; H is ordered (u coefficients, v coefficients).
     """
     lap = np.diag(k * k + c)
-    H = np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
-    return lap - (1.5 / c) * m2, H
+    return np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
+
+
+def _lplus(H: np.ndarray, c: float) -> np.ndarray:
+    """L+ on the parity block of H: the Schur complement Lm - M1 M1 / c of c I in H."""
+    n = H.shape[0] // 2
+    return H[:n, :n] - (H[:n, n:] @ H[n:, :n]) / c
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +373,8 @@ class SpectrumReport:
     params: WaveParams
     N: int
     eigenvalues: np.ndarray          # nonzero spectrum: pairs +i omega, -i omega, omega ascending
-    margin: float                    # min lambda_min(Hc) over the even and odd blocks
+    core_N: int                      # the grid of margin, counts and overlaps
+    margin: float                    # min lambda_min(Hc) over the even and odd blocks, at core_N
     kernel_residual: float           # |H (psi', phi')| / (c |(psi', phi')|)
     n_Lplus: tuple
     n_H: tuple
@@ -359,18 +388,28 @@ class SpectrumReport:
         return self.k_r + 2 * self.k_c + 2 * self.krein_negative
 
 
+def _core_size(psi: np.ndarray) -> int:
+    """min(N, CORE_FACTOR m* + 1), m* >= CHOP_MIN the last rfft mode of psi above
+    CHOP_TOL of the largest."""
+    a = np.abs(np.fft.rfft(psi))
+    chop = max(int(np.flatnonzero(a > CHOP_TOL * np.max(a))[-1]), CHOP_MIN)
+    return min(psi.size, CORE_FACTOR * chop + 1)
+
+
 def _parity_blocks(p: WaveParams, N: int):
-    """(k, (L+, H) even, (L+, H) odd, kernel) for the wave p on the N-point grid.
+    """(k, H even, H odd, kernel, core_N) for the wave p on the N-point grid.
 
     k = 2 pi (1..m) / L, m = (N - 1) // 2, are the wavenumbers of the sine
     block and of range(J); kernel is the analytic kernel (psi', phi') of H in
-    sine coordinates. N < 3 leaves no mode in range(J): ValueError.
+    sine coordinates, and core_N the grid size that resolves psi
+    (_core_size). N < 3 leaves no mode in range(J): ValueError.
     """
     psi, dpsi, k = _parity_grid(p, N)
     (m1_e, m1_o), (m2_e, m2_o) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
     k_odd = k[1:(N - 1) // 2 + 1]
     kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / p.c])).ravel()
-    return k_odd, _project(p.c, m1_e, m2_e, k), _project(p.c, m1_o, m2_o, k_odd), kernel
+    return (k_odd, _project(p.c, m1_e, m2_e, k), _project(p.c, m1_o, m2_o, k_odd), kernel,
+            _core_size(psi))
 
 
 def _reflector(a: np.ndarray) -> np.ndarray:
@@ -387,14 +426,18 @@ def _reflected(A: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
             + 4.0 * (g @ Ah) * np.outer(g, h))[1:, 1:]
 
 
-def _factor(Hc: np.ndarray, block: str):
-    """(L, lambda_min(Hc)) with Hc = L L^T; IndefiniteHessianError when L does not exist."""
-    lam = np.linalg.eigvalsh(Hc)
+def _inertia(lam: np.ndarray) -> tuple:
+    """(n_negative, n_zero, n_positive) from the eigenvalues of a symmetric matrix."""
+    neg, zero = _morse_counts(lam)
+    return neg, zero, lam.size - neg - zero
+
+
+def _factor(Hc: np.ndarray, block: str) -> np.ndarray:
+    """L with Hc = L L^T; IndefiniteHessianError, with Hc's inertia, when L does not exist."""
     try:
-        return np.linalg.cholesky(Hc), float(lam[0])
+        return np.linalg.cholesky(Hc)
     except np.linalg.LinAlgError:
-        neg, zero = _morse_counts(lam)
-        raise IndefiniteHessianError(block, (neg, zero, lam.size - neg - zero)) from None
+        raise IndefiniteHessianError(block, _inertia(np.linalg.eigvalsh(Hc))) from None
 
 
 def _kc_inverse_t(K: np.ndarray, g_e: np.ndarray, g_o: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -414,14 +457,14 @@ def _kc_inverse_t(K: np.ndarray, g_e: np.ndarray, g_o: np.ndarray, B: np.ndarray
     return Z[1:, 1:] - np.outer(Z[1:, 0], Z[0, 1:]) / Z[0, 0]
 
 
-def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.ndarray, c: float):
-    """(X, (L_e, L_o), (g_e, g_o), margin, kernel_residual): the certificate on range(J).
+def _constrained_hessians(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
+                          k: np.ndarray):
+    """((Hc_e, Hc_o), (g_e, g_o), K_eo): the constrained Hessians on range(J).
 
     k holds the wavenumbers of range(J), 2 pi (1..m) / L, the even block's
     modes less the constants and the Nyquist mode. g_e and g_o are the
-    reflectors whose complements are Q_e and Q_o, and L_e, L_o the lower
-    Cholesky factors of Hc on each, so R = L^T. Raises KernelResidualError
-    when the premise, H kernel = 0, fails.
+    reflectors whose complements are Q_e and Q_o, and K_eo the diagonal of
+    K = J^-1 from the odd to the even coordinates.
     """
     m, n = k.size, H_even.shape[0] // 2
     kk = np.concatenate([k, k])
@@ -431,15 +474,57 @@ def _certify(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray, k: np.nd
         H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
         Ke1 = K_eo * kernel
         g_e, g_o = _reflector(Ke1), _reflector(np.linalg.solve(H_ee, Ke1) / kk)
-        L_e, margin_e = _factor(_reflected(H_ee, g_e, g_e), "even")
-        L_o, margin_o = _factor(_reflected(H_odd, g_o, g_o), "odd")
-        residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
-        if residual > KERNEL_RESIDUAL_BOUND:
-            raise KernelResidualError(residual)
-        X = L_e.T @ _kc_inverse_t(K_eo, g_e, g_o, L_o)   # Kc = Q_e^T K_EO Q_o
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
-    return X, (L_e, L_o), (g_e, g_o), min(margin_e, margin_o), residual
+    return (_reflected(H_ee, g_e, g_e), _reflected(H_odd, g_o, g_o)), (g_e, g_o), K_eo
+
+
+def _certify(hessians, reflectors, K_eo: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
+             c: float):
+    """(X, kernel_residual): the certificate on range(J).
+
+    hessians, reflectors and K_eo are those of _constrained_hessians, and
+    X = L_e^T Kc^-T L_o with L_e, L_o the lower Cholesky factors of Hc on
+    each parity, so R = L^T. Raises IndefiniteHessianError when a factor
+    does not exist and then KernelResidualError when the premise,
+    H kernel = 0, fails.
+    """
+    L_e, L_o = _factor(hessians[0], "even"), _factor(hessians[1], "odd")
+    residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
+    if residual > KERNEL_RESIDUAL_BOUND:
+        raise KernelResidualError(residual)
+    X = L_e.T @ _kc_inverse_t(K_eo, *reflectors, L_o)   # Kc = Q_e^T K_EO Q_o
+    return X, residual
+
+
+def _core_figures(hessians, H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
+                  c: float):
+    """(margin, n(L+), kernel overlaps of L+ and H) from the parity blocks of the core.
+
+    The margin is min lambda_min(Hc) over both parities; a block whose
+    lambda_min is not positive raises IndefiniteHessianError with its inertia.
+    One eigendecomposition per L+ block gives the counts and kernel
+    alignments of both L+ and H (module docstring).
+    """
+    m = kernel.size // 2
+    try:
+        lam_hc = [np.linalg.eigvalsh(Hc) for Hc in hessians]
+        lam_even, (lam_odd, vec_odd) = (np.linalg.eigvalsh(_lplus(H_even, c)),
+                                        np.linalg.eigh(_lplus(H_odd, c)))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolveError(str(exc)) from exc
+    for block, lam in zip(("even", "odd"), lam_hc):
+        if lam[0] <= 0.0:
+            raise IndefiniteHessianError(block, _inertia(lam))
+    overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
+    if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
+        u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
+        # the odd block H = [[Lm, -M1], [-M1, c I]] maps the lift (u, M1 u / c) to (L+ u, 0)
+        lift = np.concatenate([u, -H_odd[m:, :m] @ u / c])
+        # kernel[:m] is psi' in sine coordinates, the kernel of L+
+        overlaps = (_cosine(u, kernel[:m]), _cosine(lift, kernel))
+    margin = min(float(lam[0]) for lam in lam_hc)
+    return margin, _morse_counts(np.concatenate([lam_even, lam_odd])), overlaps
 
 
 def _classify(eigs: np.ndarray) -> np.ndarray:
@@ -452,35 +537,36 @@ def _classify(eigs: np.ndarray) -> np.ndarray:
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
-    The spectrum is +-i omega with omega the singular values of X (module
-    docstring); it leaves out the zero cluster of the dense eigensolve.
-    The eigendecompositions of the two L+ blocks give the counts and kernel
-    alignments of both L+ and H (module docstring). Raises
-    IndefiniteHessianError when a constrained Hessian has no Cholesky
-    factor, and KernelResidualError when (psi', phi') is not the kernel of
-    H, so no spectrum is reported without its certificate.
+    At N: the spectrum, +-i omega with omega the singular values of X, and
+    its certificate, the Cholesky factors of both constrained Hessians and
+    the kernel residual (module docstring); it leaves out the zero cluster of
+    the dense eigensolve. No symmetric eigensolve runs at N unless a
+    Cholesky factor fails, to name its inertia. At the core, the
+    core_N = min(N, CORE_FACTOR m* + 1) points that resolve psi (m* the last
+    rfft mode of psi above CHOP_TOL of the largest, at least CHOP_MIN): the
+    margin, n(L+) = n(H) and both kernel alignments, which the wave fixes
+    once psi is resolved. At core_N = N the core reuses the blocks of N. Raises
+    IndefiniteHessianError when a constrained Hessian has no Cholesky factor
+    at N or a non-positive lambda_min at the core, and KernelResidualError
+    when (psi', phi') is not the kernel of H at N, so no spectrum is
+    reported without its certificate.
     """
-    k, (lp_even, h_even), (lp_odd, h_odd), kernel = _parity_blocks(p, N)
-    m = k.size
-    X, _, _, margin, residual = _certify(h_even, h_odd, kernel, k, p.c)
+    k, h_even, h_odd, kernel, core_N = _parity_blocks(p, N)
+    hessians, reflectors, K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
+    X, residual = _certify(hessians, reflectors, K_eo, h_odd, kernel, p.c)
     try:
         omega = np.linalg.svd(X, compute_uv=False)[::-1]
-        lam_even, (lam_odd, vec_odd) = np.linalg.eigvalsh(lp_even), np.linalg.eigh(lp_odd)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveError(str(exc)) from exc
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
-    n_Lplus = _morse_counts(np.concatenate([lam_even, lam_odd]))
-    overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
-    if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
-        u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
-        # the odd block H = [[Lm, -M1], [-M1, c I]] maps the lift (u, M1 u / c) to (L+ u, 0)
-        lift = np.concatenate([u, -h_odd[m:, :m] @ u / p.c])
-        # kernel[:m] is psi' in sine coordinates, the kernel of L+
-        overlaps = (_cosine(u, kernel[:m]), _cosine(lift, kernel))
+    if core_N < N:
+        k, h_even, h_odd, kernel, _ = _parity_blocks(p, core_N)
+        hessians = _constrained_hessians(h_even, h_odd, kernel, k)[0]
+    margin, n_Lplus, overlaps = _core_figures(hessians, h_even, h_odd, kernel, p.c)
     return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, margin=margin, kernel_residual=residual,
-        n_Lplus=n_Lplus, n_H=n_Lplus,
+        params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin,
+        kernel_residual=residual, n_Lplus=n_Lplus, n_H=n_Lplus,
         kernel_overlap_Lplus=overlaps[0], kernel_overlap_H=overlaps[1])
 
 

@@ -135,6 +135,8 @@ def kappa_from_c(L: float, c: float) -> float:
 
     L = _check_period(L)
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"speed c must be finite (got {c!r})")
     with np.errstate(over="ignore", divide="ignore"):  # inf at a tiny L, 0 at a huge one
         threshold = float(4.0 * np.pi**2 / np.float64(L) ** 2)
     if c <= threshold:

@@ -90,6 +90,14 @@ class TestWaveCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_speed_exits_2_naming_it(self, tmp_path, capsys, c):
+        # nan used to end in scipy's "The function value at x=1e-09 is NaN"
+        out = tmp_path / "wave.csv"
+        assert main(["wave", "--L", "2", "--c", c, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: speed c must be finite (got {c})\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -241,6 +249,25 @@ class TestDMatrixSweep:
         A = index_engine.a_integrals(params_from_kappa(1.0, 0.5))
         assert [row[f"A{i}"] for i in range(1, 7)] == [repr(float(a)) for a in A]
 
+    def test_huge_period_gives_a_row(self, tmp_path, capsys):
+        # |D|^3 used to overflow into an OverflowError traceback. D scales as
+        # diag(L^1.5, L^1.5, L^-0.5) D_1 diag(...), and det(D/|D|) is not invariant
+        # under that scaling, so from L ~ 100 on the row reads degenerate
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1e40", "--kappas", "0.3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, cols, rows = read_csv(out)
+        assert [dict(zip(cols, r))["status"] for r in rows] == ["degenerate"]
+
+    def test_overflowed_matrix_exits_1(self, tmp_path, capsys):
+        # D33 overflows to -inf: it used to pass as a degenerate row of nan, exit 0
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1e-36", "--kappas", "0.3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "dmatrix-sweep failed: D is not finite: D33 = -inf\n"
+        assert not out.exists()
+
 
 class TestSpectrum:
     def test_summary_counts(self, tmp_path):
@@ -285,8 +312,8 @@ class TestSpectrum:
         assert not out.exists()
 
     def test_header_reports_the_certificate(self, tmp_path):
-        # the margin and the kernel residual sit on the line after the
-        # symmetry residual; the lines before it keep their place
+        # the margin, its core grid and the kernel residual sit on the line
+        # after the symmetry residual; the lines before it keep their place
         out, again = tmp_path / "spectrum.csv", tmp_path / "again.csv"
         for path in (out, again):
             assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "256",
@@ -295,8 +322,9 @@ class TestSpectrum:
         header, cols, rows = read_csv(out)
         assert header[5] == "# lambda_max_real=0.0 symmetry_residual=0.0"
         fields = dict(item.split("=") for item in header[6][2:].split())
-        assert list(fields) == ["margin", "kernel_residual"]
+        assert list(fields) == ["margin", "core_N", "kernel_residual"]
         assert float(fields["margin"]) == pytest.approx(6.3323282281, rel=1e-10)
+        assert fields["core_N"] == "37"
         assert float(fields["kernel_residual"]) < 1e-10
         assert all(dict(zip(cols, r))["re"] == "0.0" for r in rows)
 
@@ -317,6 +345,15 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "spectrum failed: the constrained Hessian of the even block" in err
         assert "inertia (n-, n0, n+) = (2, 0, 123)" in err
+        assert not out.exists()
+
+    def test_huge_period_exits_1_with_one_line(self, tmp_path, capsys):
+        # the index's |D|^3 used to overflow into an OverflowError traceback
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "1e40", "--kappa", "0.3", "--N", "16",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spectrum failed: det(D/|D|) = ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_odd_grid_gives_the_even_grid_counts(self, tmp_path):

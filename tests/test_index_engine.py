@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, EvenSymmetryError,
-                                 InconsistentIndexError, QuadratureNotConvergedError,
+                                 InconsistentIndexError, NonFiniteDMatrixError,
+                                 QuadratureNotConvergedError,
                                  _cosine_series, a_integrals, assemble_dmatrix,
                                  build_varphi, dmatrix_from_entries, half_period_data,
                                  hamiltonian_index, linv_apply, lplus_apply,
@@ -553,6 +554,19 @@ class TestDMatrix:
 class TestHamiltonianIndex:
     def test_identity_matrix(self):
         assert hamiltonian_index(dmatrix_from_entries(np.eye(3))) == (2, 0)
+
+    def test_matrix_beyond_the_cube_is_refused_by_type(self):
+        # the diagonal of D at L = 1e40: 1e-12 |D|^3 overflowed into an OverflowError
+        d = dmatrix_from_entries(np.diag([1e118, 1e118, -1e-39]))
+        with pytest.raises(DegenerateDMatrixError, match="below degeneracy threshold 1e-12$"):
+            hamiltonian_index(d)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_refused(self, bad):
+        entries = np.eye(3)
+        entries[1, 2] = entries[2, 1] = bad
+        with pytest.raises(NonFiniteDMatrixError, match=f"^D is not finite: D23 = {bad!r}$"):
+            dmatrix_from_entries(entries)
 
     def test_negative_identity_flagged(self):
         with pytest.raises(InconsistentIndexError):

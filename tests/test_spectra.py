@@ -6,12 +6,13 @@ import pytest
 from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError, _certify,
-                            _cosine_coordinates, _fourier_diff_matrices, _grid,
-                            _kc_inverse_t, _morse_counts, _multiplication_blocks,
-                            _nonzero_spectrum, _parity_blocks, _reflected,
-                            _sine_coordinates, assemble, assemble_operator,
-                            dmatrix_via_collocation, kernel_alignment, morse_index,
-                            pseudo_inverse_apply, unstable_eigenmode, unstable_modes)
+                            _constrained_hessians, _core_figures, _cosine_coordinates,
+                            _fourier_diff_matrices, _grid, _kc_inverse_t, _lplus,
+                            _morse_counts, _multiplication_blocks, _nonzero_spectrum,
+                            _parity_blocks, _reflected, _sine_coordinates, assemble,
+                            assemble_operator, dmatrix_via_collocation, kernel_alignment,
+                            morse_index, pseudo_inverse_apply, unstable_eigenmode,
+                            unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
 
 # the one refusal of every eigh oracle given the non-symmetric dHcal
@@ -406,6 +407,43 @@ class TestCertificate:
             unstable_modes(wave_2_03, N)
 
 
+class TestCore:
+    def test_core_figures_do_not_depend_on_n(self, wave_2_03):
+        # psi at (2, 0.3) chops at mode 9: every N computes them on the same 37 points
+        reps = [unstable_modes(wave_2_03, N) for N in (128, 255, 384)]
+        assert {rep.core_N for rep in reps} == {37}
+        figures = {(rep.margin, rep.n_Lplus, rep.n_H, rep.kernel_overlap_Lplus,
+                    rep.kernel_overlap_H) for rep in reps}
+        assert len(figures) == 1
+
+    @pytest.mark.parametrize("kappa", [1e-3, 1e-4, 1e-8])
+    def test_small_modulus_core_reaches_the_limit(self, kappa):
+        # psi = const + O(kappa^2) cos + O(kappa^4) cos 2x chops at mode 2 at
+        # kappa = 1e-3, at mode 1 at 1e-4 (5 points: 4.6e-9 off) and at mode 0 at
+        # 1e-8 (1 point): 9 points each, and margin/c within 1.6e-14 of its
+        # kappa -> 0 limit (3.3e-12 at kappa = 1e-3 and N = 255 on the full grid)
+        p = params_from_kappa(1.0, kappa)
+        rep = unstable_modes(p, 255)
+        assert rep.core_N == 9
+        assert abs(rep.margin / p.c - (8.0 - np.sqrt(37.0)) / 3.0) <= 1e-12
+
+    def test_unchopped_wave_keeps_n(self):
+        # near the separatrix psi's coefficients are above rounding up to N / 2
+        rep = unstable_modes(params_from_kappa(1.0, 1.0 - 1e-6), 384)
+        assert rep.core_N == 384
+        assert rep.n_Lplus == rep.n_H == (1, 1)
+
+    def test_core_never_reports_a_nonpositive_margin(self, wave_2_03):
+        k, h_even, h_odd, kernel, _ = _parity_blocks(wave_2_03, 37)
+        (hc_e, hc_o), _, _ = _constrained_hessians(h_even, h_odd, kernel, k)
+        lam = np.linalg.eigvalsh(hc_o)
+        shift = 0.5 * (lam[1] + lam[2])   # between the second and third eigenvalues
+        with pytest.raises(IndefiniteHessianError) as info:
+            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), h_even, h_odd,
+                          kernel, wave_2_03.c)
+        assert (info.value.block, info.value.inertia) == ("odd", (2, 0, hc_o.shape[0] - 2))
+
+
 class TestSchurComplement:
     @pytest.mark.parametrize("L", [1.0, 2.7])
     @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.3, 0.55, 0.9, 0.999])
@@ -417,7 +455,7 @@ class TestSchurComplement:
         for N in (127, 128, 255, 384):
             rep = unstable_modes(p, N)
             C, S = trig_basis(N)
-            _, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, N)
+            _, h_even, h_odd, kernel, _ = _parity_blocks(p, N)
             psi, _ = _grid(p, N)
             for basis in (C, S):
                 m1 = basis.T @ (psi[:, None] * basis)
@@ -448,10 +486,12 @@ class TestSchurComplement:
             return _solve(A, b)
 
         monkeypatch.setattr(np.linalg, "solve", record_solve)
-        unstable_modes(wave_2_03, N)
-        m = (N - 1) // 2   # the sine modes; the cosine ones are N // 2 + 1
-        assert sorted(sizes) == sorted([N // 2 + 1, m, 2 * m - 1, 2 * m - 1])
-        assert not {2 * (N // 2 + 1), 2 * m} & set(sizes)   # no H block
+        rep = unstable_modes(wave_2_03, N)
+        # every eigensolve runs on the core: psi at (2, 0.3) chops at mode 9, so
+        # the core has 37 points, 19 cosine and 18 sine modes; none runs at N
+        assert rep.core_N == 37
+        assert sorted(sizes) == [18, 19, 35, 35]   # L+ odd, L+ even, Hc_e, Hc_o
+        m = (N - 1) // 2   # the sine modes of N
         # Kc^-T is applied in closed form: no solve with a matrix of right-hand sides
         assert solves and (2 * m - 1, 2 * m - 1) not in [shape for _, shape in solves]
         solves.clear()
@@ -473,18 +513,20 @@ class TestSchurComplement:
         # L+ and H blocks of both parities follow (worst measured: 5.9e-16)
         p = wave_2_03
         psi, dpsi = _grid(p, N)
-        k_odd, even, odd, kernel = _parity_blocks(p, N)
+        k_odd, h_even, h_odd, kernel, _ = _parity_blocks(p, N)
         k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
         blocks = (_multiplication_blocks(psi), _multiplication_blocks(psi * psi))
-        for parity, (basis, kb, got) in enumerate(zip(trig_basis(N), (k, k_odd), (even, odd))):
+        for parity, (basis, kb, got) in enumerate(zip(trig_basis(N), (k, k_odd), (h_even, h_odd))):
             m1 = basis.T @ (psi[:, None] * basis)
             m2 = basis.T @ ((psi * psi)[:, None] * basis)
             assert relative(blocks[0][parity], m1) <= 1e-14
             assert relative(blocks[1][parity], m2) <= 1e-14
             lap = np.diag(kb * kb + p.c)
             H = np.block([[lap - (0.5 / p.c) * m2, -m1], [-m1, p.c * np.eye(kb.size)]])
-            assert relative(got[0], lap - (1.5 / p.c) * m2) <= 1e-14
-            assert relative(got[1], H) <= 1e-14
+            # the Schur complement cancels: at N = 4 the odd L+ is 0.12 of terms near 20
+            lplus = lap - (1.5 / p.c) * m2
+            assert np.linalg.norm(_lplus(got, p.c) - lplus) <= 1e-14 * np.linalg.norm(lap)
+            assert relative(got, H) <= 1e-14
         S = trig_basis(N)[1]
         assert relative(kernel, np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])) <= 1e-14
 
@@ -492,9 +534,11 @@ class TestSchurComplement:
     def test_closed_form_kc_inverse_is_the_lu_solve(self, kappa):
         # worst measured: 8.2e-17
         p = params_from_kappa(2.0, kappa)
-        k, (_, h_even), (_, h_odd), kernel = _parity_blocks(p, 255)
-        X, (L_e, L_o), (g_e, g_o), _, _ = _certify(h_even, h_odd, kernel, k, p.c)
-        K_eo = -1.0 / np.concatenate([k, k])
+        k, h_even, h_odd, kernel, _ = _parity_blocks(p, 255)
+        hessians, (g_e, g_o), K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
+        X, _ = _certify(hessians, (g_e, g_o), K_eo, h_odd, kernel, p.c)
+        L_e, L_o = (np.linalg.cholesky(Hc) for Hc in hessians)
+        assert np.array_equal(K_eo, -1.0 / np.concatenate([k, k]))
         Kc = _reflected(np.diag(K_eo), g_e, g_o)
         closed = _kc_inverse_t(K_eo, g_e, g_o, L_o)
         assert relative(closed, np.linalg.solve(Kc.T, L_o)) <= 1e-13

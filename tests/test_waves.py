@@ -166,6 +166,12 @@ class TestKappaFromC:
         with pytest.raises(ValueError, match="separatrix"):
             kappa_from_c(2.0, 1e6)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_speed_rejected(self, c):
+        # nan used to reach brentq, whose refusal does not name the speed
+        with pytest.raises(ValueError, match=f"^speed c must be finite \\(got {c!r}\\)$"):
+            kappa_from_c(2.0, c)
+
 
 def test_gamma_map_monotone():
     # eta4 is strictly increasing in c at fixed L
