@@ -22,6 +22,8 @@ relative.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["ellip_k", "jacobi_sn_cn_dn", "KAPPA_MAX"]
@@ -34,11 +36,6 @@ KAPPA_MAX = 1.0 - 1e-9
 # or two, so a tighter test could never be met and would run to the cap.
 _AGM_TOL = 4.0 * np.finfo(float).eps
 _AGM_MAX_ITER = 64
-
-# Records by modulus. Each is a pure function of kappa, so threads that race
-# to build the same one store equal values; the bound only caps memory.
-_RECORDS: dict = {}
-_RECORDS_MAX = 1024
 
 # sign of sn and cn on the quarter periods q = 0..3 of [0, 4K)
 _SN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -87,20 +84,15 @@ def _agm_scheme(kappa: float):
     return np.asarray(a), np.asarray(c)
 
 
+@lru_cache(maxsize=1024)
 def _modulus_record(kappa: float):
     """(K, k', 2^N a_N, (c_N/a_N, ..., c_1/a_1)) of a checked modulus, cached."""
-    record = _RECORDS.get(kappa)
-    if record is None:
-        a, c = _agm_scheme(kappa)
-        n_last = len(a) - 1
-        record = (float(np.pi / (2.0 * a[n_last])),
-                  float(np.sqrt((1.0 - kappa) * (1.0 + kappa))),
-                  float(2.0**n_last * a[n_last]),
-                  tuple(float(c[n] / a[n]) for n in range(n_last, 0, -1)))
-        if len(_RECORDS) >= _RECORDS_MAX:
-            _RECORDS.clear()
-        _RECORDS[kappa] = record
-    return record
+    a, c = _agm_scheme(kappa)
+    n_last = len(a) - 1
+    return (float(np.pi / (2.0 * a[n_last])),
+            float(np.sqrt((1.0 - kappa) * (1.0 + kappa))),
+            float(2.0**n_last * a[n_last]),
+            tuple(float(c[n] / a[n]) for n in range(n_last, 0, -1)))
 
 
 def _scd_core(w: np.ndarray, scale: float, ratios):

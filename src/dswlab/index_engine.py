@@ -29,13 +29,16 @@ Conventions that matter (they are easy to get wrong):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elliptic import jacobi_sn_cn_dn
-from .waves import GridFunction, RefusalError, WaveParams, _profile_derivatives, eval_profile
+from .waves import (GridFunction, RefusalError, WaveParams, _profile_derivatives, eval_profile,
+                    params_from_kappa)
 
 __all__ = [
     "VarphiTable",
@@ -58,7 +61,7 @@ __all__ = [
 ]
 
 
-# |det(D / |D|)| at or below which D counts as singular and hamiltonian_index refuses it
+# |det D| / prod |D_ii| at or below which D counts as singular and hamiltonian_index refuses it
 DEGENERATE_DET = 1e-12
 
 
@@ -135,33 +138,32 @@ def _cosine_series(f, K: float) -> list:
         vals, n = finer, 2 * n
 
 
-_RECORDS: dict = {}  # bounded like elliptic's records
-_RECORDS_MAX = 1024
+# what the quarter-period integrands and _inner_integrand read of a wave: the same at
+# every period
+_Modulus = namedtuple("_Modulus", "kappa beta_sq K")
 
 
-def _quarter_period_record(p: WaveParams) -> tuple:
+@lru_cache(maxsize=1024)
+def _quarter_period_record(kappa: float, beta_sq: float, K: float) -> tuple:
     """Cosine series on [0, K] of the integrands of A1, A2 (M), A3, A4, A6 and
     dn^{2m} / B^m, m = 1..4, B = 1 + beta^2 sn^2: one sampler pass per modulus.
 
     Cached by the (kappa, beta^2, K) the rows read; the shared arrays are read-only.
     """
-    key = (p.kappa, p.beta_sq, p.K)
-    if key not in _RECORDS:
-        def integrands(u):
-            sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-            B = 1.0 + p.beta_sq * sn * sn
-            w = 1.0 - 2.0 * sn * sn
-            f = 3.0 * (p.kappa**2 + p.beta_sq) + 5.0 * p.beta_sq * dn * dn
-            return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
-                    B * w, B * f * w, *(dn ** (2 * m) / B**m for m in (1, 2, 3, 4)))
+    p = _Modulus(kappa, beta_sq, K)
 
-        record = tuple(_cosine_series(integrands, p.K))
-        for a in record:
-            a.flags.writeable = False
-        if len(_RECORDS) >= _RECORDS_MAX:
-            _RECORDS.clear()
-        _RECORDS[key] = record
-    return _RECORDS[key]
+    def integrands(u):
+        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
+        B = 1.0 + p.beta_sq * sn * sn
+        w = 1.0 - 2.0 * sn * sn
+        f = 3.0 * (p.kappa**2 + p.beta_sq) + 5.0 * p.beta_sq * dn * dn
+        return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
+                B * w, B * f * w, *(dn ** (2 * m) / B**m for m in (1, 2, 3, 4)))
+
+    record = tuple(_cosine_series(integrands, p.K))
+    for a in record:
+        a.flags.writeable = False
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,8 @@ def build_varphi(p: WaveParams) -> VarphiTable:
     """varphi of p, with its inner integrand's series, the A2 row of the record:
     A2 = K a_0 exactly. The sample counts per kappa are in NOTES.md.
     """
-    return VarphiTable(params=p, varphi_0=_c0(p), _a=_quarter_period_record(p)[1])
+    return VarphiTable(params=p, varphi_0=_c0(p),
+                       _a=_quarter_period_record(p.kappa, p.beta_sq, p.K)[1])
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -283,7 +286,8 @@ def a_integrals(p: WaveParams) -> AIntegrals:
     varphi's inner integrand and A5 the same integral. A4 carries a single
     power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
     """
-    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in _quarter_period_record(p)[:5])
+    record = _quarter_period_record(p.kappa, p.beta_sq, p.K)
+    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in record[:5])
     return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
 
 
@@ -419,7 +423,7 @@ def psi_moments(p: WaveParams):
     Closed elliptic forms: int psi^m = eta4^m L <dn^{2m} / B^m>, with <.> the
     mean over [0, K], a_0 of the last four rows of the quarter-period record.
     """
-    means = (a[0] for a in _quarter_period_record(p)[5:])
+    means = (a[0] for a in _quarter_period_record(p.kappa, p.beta_sq, p.K)[5:])
     return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip((1, 2, 3, 4), means))
 
 
@@ -433,6 +437,14 @@ class DMatrix:
     n_negative: int
 
 
+def _equilibrated(entries: np.ndarray) -> np.ndarray:
+    """D_ij / sqrt(|D_ii D_jj|), a zero D_ii taken as 1: D's inertia and sign of det, and
+    the same matrix for D and S D S, S positive and diagonal, so at every period."""
+    s = np.sqrt(np.abs(np.diag(entries)))
+    s[s == 0.0] = 1.0
+    return entries / np.outer(s, s)
+
+
 def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
     entries = np.asarray(entries, dtype=float)
     if not np.all(np.isfinite(entries)):
@@ -440,48 +452,50 @@ def dmatrix_from_entries(entries: np.ndarray) -> DMatrix:
                         for i, j in zip(*np.nonzero(~np.isfinite(entries))) if i <= j)
         raise NonFiniteDMatrixError(f"D is not finite: {bad}")
     return DMatrix(entries=entries, det=float(np.linalg.det(entries)),
-                   n_negative=int(np.sum(np.linalg.eigvalsh(entries) < 0.0)))
+                   n_negative=int(np.sum(np.linalg.eigvalsh(_equilibrated(entries)) < 0.0)))
 
 
 def assemble_dmatrix(p: WaveParams) -> DMatrix:
     """All six D entries through the closed-form quadrature pipeline.
 
     Chain: A-integrals -> pairings <varphi,1>, <varphi,psi> -> boundary data at
-    L/2 -> the three <L+^{-1} ., .> pairings -> the psi^3 reductions -> D.
+    L/2 -> the three <L+^{-1} ., .> pairings -> the psi^3 reductions -> D_1,
+    all for the wave of period 1 and modulus kappa. D = S D_1 S with
+    S = diag(L^3/2, L^3/2, L^-1/2) (NOTES.md, the scaling symmetry), so no
+    step leaves the float range at an extreme period.
     """
-    A = a_integrals(p)
-    s1, spsi = varphi_pairings(p, A)
-    psi_h, psi_pp_h, varphi_p_h = half_period_data(p, A)
+    p1 = params_from_kappa(1.0, p.kappa)
+    A = a_integrals(p1)
+    s1, spsi = varphi_pairings(p1, A)
+    psi_h, psi_pp_h, varphi_p_h = half_period_data(p1, A)
     mu = psi_pp_h / (2.0 * varphi_p_h)
-    c, F1, L = p.c, p.F1, p.L
-    m1, m2, _, m4 = psi_moments(p)
+    c, F1 = p1.c, p1.F1
+    m1, m2, _, m4 = psi_moments(p1)
 
-    # at an extreme period an entry leaves the float range: dmatrix_from_entries
-    # refuses it, without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        # <psi^2, varphi> and <psi^3, varphi> (integration by parts against L+ varphi = 0)
-        pair_psi2 = -(4.0 * c / 3.0) * varphi_p_h + (2.0 * c * c / 3.0) * s1
-        pair_psi3 = -2.0 * c * psi_h * varphi_p_h - c * F1 * s1
+    # <psi^2, varphi> and <psi^3, varphi> (integration by parts against L+ varphi = 0)
+    pair_psi2 = -(4.0 * c / 3.0) * varphi_p_h + (2.0 * c * c / 3.0) * s1
+    pair_psi3 = -2.0 * c * psi_h * varphi_p_h - c * F1 * s1
 
-        # the three base pairings of the even inverse
-        inv11 = -2.0 * spsi + (2.0 * psi_h - mu * s1) * s1
-        inv_psi1 = -1.5 * pair_psi2 + 0.5 * psi_h**2 * s1 + (psi_h - mu * s1) * spsi
-        inv_psipsi = -pair_psi3 + (psi_h**2 - mu * spsi) * spsi
+    # the three base pairings of the even inverse
+    inv11 = -2.0 * spsi + (2.0 * psi_h - mu * s1) * s1
+    inv_psi1 = -1.5 * pair_psi2 + 0.5 * psi_h**2 * s1 + (psi_h - mu * s1) * spsi
+    inv_psipsi = -pair_psi3 + (psi_h**2 - mu * spsi) * spsi
 
-        # psi^3 reductions via L+^{-1} psi^3 = -c psi - c F1 L+^{-1} 1
-        inv_c1 = -c * m1 - c * F1 * inv11
-        inv_cpsi = -c * m2 - c * F1 * inv_psi1
-        inv_cc = -c * m4 - c * F1 * inv_c1
+    # psi^3 reductions via L+^{-1} psi^3 = -c psi - c F1 L+^{-1} 1
+    inv_c1 = -c * m1 - c * F1 * inv11
+    inv_cpsi = -c * m2 - c * F1 * inv_psi1
+    inv_cc = -c * m4 - c * F1 * inv_c1
 
-        D = np.empty((3, 3))
-        D[0, 0] = inv11
-        D[0, 1] = D[1, 0] = inv_psi1 / c
-        D[0, 2] = D[2, 0] = inv_psi1 + inv_c1 / (2.0 * c * c)
-        D[1, 1] = L / c + inv_psipsi / c**2
-        D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
-        D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
+    D = np.empty((3, 3))
+    D[0, 0] = inv11
+    D[0, 1] = D[1, 0] = inv_psi1 / c
+    D[0, 2] = D[2, 0] = inv_psi1 + inv_c1 / (2.0 * c * c)
+    D[1, 1] = 1.0 / c + inv_psipsi / c**2
+    D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
+    D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
-    return dmatrix_from_entries(D)
+    s = np.array([p.L**1.5, p.L**1.5, p.L**-0.5])
+    return dmatrix_from_entries(np.outer(s, s) * D)
 
 
 def hamiltonian_index(d: DMatrix):
@@ -493,12 +507,11 @@ def hamiltonian_index(d: DMatrix):
     is implemented as specified; consumers can rebuild the count with the
     measured n(H) via k_r + 2 k_c + 2 k_i^- = n(H) - n(D).
     """
-    # det(D / |D|) = det D / |D|^3, without the cube that overflows at a large period
-    norm = float(np.linalg.norm(d.entries))
-    scaled = float(np.linalg.det(d.entries / norm)) if norm > 0.0 else 0.0
-    if abs(scaled) <= DEGENERATE_DET:
+    # det D / prod |D_ii|: the same at every period, as n(D) is
+    ratio = float(np.linalg.det(_equilibrated(d.entries)))
+    if abs(ratio) <= DEGENERATE_DET:
         raise DegenerateDMatrixError(
-            f"det(D/|D|) = {scaled:.3e} below degeneracy threshold {DEGENERATE_DET:.0e}")
+            f"det D / prod |D_ii| = {ratio:.3e} below degeneracy threshold {DEGENERATE_DET:.0e}")
     k_ham = 2 - d.n_negative
     if k_ham < 0:
         raise InconsistentIndexError(

@@ -9,7 +9,8 @@ blocks, and the spectrum of dH comes with a certificate. No basis is formed:
 in cosine (sine) coordinates multiplication by an even grid function f is
 half a Toeplitz plus (minus) a Hankel matrix of the DFT of f, so one FFT of
 psi and one of psi^2 assemble every block in O(N^2), and the coordinates of
-a grid function are its rfft coefficients, scaled. One decomposition
+a grid function are its rfft coefficients, scaled. Each L+ block is
+diag(k^2 + c) - (3 / 2c) M2, with M2 the block of psi^2. One decomposition
 per L+ block serves L+ and H: multiplication by the even psi keeps parity,
 so on each block M1 M1 = M2 and the Schur complement of c I in
 H = [[Lm, -M1], [-M1, c I]] is Lm - M1^2 / c = L+. Haynsworth's inertia
@@ -41,10 +42,10 @@ threshold on Re lambda enters. It, n(L+) = n(H) and the kernel overlaps
 are properties of the wave, fixed once the grid resolves psi, so they come
 from the same blocks on a core grid sized by the wave, not by N: psi's
 rfft is chopped where it falls to rounding, at mode m* (at least 2), and
-the core has min(N, 4 m* + 1) points (9 for kappa <= 1e-3, 37 at
-(2, 0.3); a wave whose coefficients never reach rounding keeps N). A
-non-positive lambda_min on the core raises IndefiniteHessianError too: it
-is never reported as a margin.
+the core has min(N, 4 m* + 1) points (NOTES.md, point 5 of the stability
+finding, has the sizes). A non-positive lambda_min on the core raises
+IndefiniteHessianError too: it is never reported as a margin. A LAPACK
+failure is an EigensolveError.
 
 The dense `eig` of dH remains only in `unstable_eigenmode` and, through
 _nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
@@ -99,11 +100,9 @@ KERNEL_RESIDUAL_BOUND = 1e-8
 # of CORE_FACTOR m* + 1 points, m* the last rfft mode of psi above CHOP_TOL of
 # the largest (cf. Aurentz & Trefethen, "Chopping a Chebyshev series", ACM
 # TOMS 2017): the products psi^2 in H reach mode 2 m*, and the factor 4 keeps
-# them clear of aliasing. A factor 2 is too small: at (1, 1e-3) it gives
-# 5 points, where the margin is off by 4.6e-7 relative. m* counts as at least
-# CHOP_MIN: below kappa ~ 3e-4 psi chops at mode 1, and 5 points put the
-# margin off by 1.2 |psi_1 / psi_0| (4.6e-9 at kappa = 1e-4, where 7 or more
-# points are within 2e-15); a wave constant to rounding would get 1 point.
+# them clear of aliasing. m* counts as at least CHOP_MIN, since below
+# kappa ~ 3e-4 psi chops at mode 1 and a wave constant to rounding at mode 0.
+# NOTES.md, point 5 of the stability finding, measures both choices.
 CORE_FACTOR = 4
 CHOP_TOL = np.finfo(float).eps
 CHOP_MIN = 2
@@ -196,14 +195,22 @@ def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
     return assemble_operator(kind, p.L, p.c, _grid(p, N)[0])
 
 
+def _lapack(routine, *args, **kwargs):
+    """routine(*args, **kwargs), a numpy.linalg call; a LAPACK failure is an EigensolveError.
+
+    LinAlgError is a ValueError, which the command line reports as an input error.
+    """
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError(str(exc)) from exc
+
+
 def _eigh(m: OperatorMatrix):
     """(eigenvalues, eigenvectors) of a symmetric operator matrix: its one decomposition."""
     if m.kind not in SYMMETRIC_KINDS:
         raise ValueError(f"eigh requires a symmetric operator kind, got {m.kind!r}")
-    try:
-        return np.linalg.eigh(m.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
+    return _lapack(np.linalg.eigh, m.matrix)
 
 
 def _morse_counts(lam: np.ndarray):
@@ -246,16 +253,6 @@ def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # the parity blocks, from the DFT of the profile
-
-def _parity_grid(p: WaveParams, N: int):
-    """(psi, psi', k) of the wave p on the N-point grid, k = 2 pi (0..N//2) / L.
-
-    k holds the wavenumbers of the cosine block; the sine block has k[1:m + 1],
-    m = (N - 1) // 2, the modes of range(J).
-    """
-    psi, dpsi = _grid(p, N)
-    return psi, dpsi, (2 * np.pi / p.L) * np.arange(N // 2 + 1)
-
 
 def _cosine_weights(N: int) -> np.ndarray:
     """Norms that make the grid cosines cos(2 pi j k / N), k = 0..N//2, orthonormal.
@@ -310,10 +307,9 @@ def _project(c: float, m1: np.ndarray, m2: np.ndarray, k: np.ndarray) -> np.ndar
     return np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
 
 
-def _lplus(H: np.ndarray, c: float) -> np.ndarray:
-    """L+ on the parity block of H: the Schur complement Lm - M1 M1 / c of c I in H."""
-    n = H.shape[0] // 2
-    return H[:n, :n] - (H[:n, n:] @ H[n:, :n]) / c
+def _lplus_block(c: float, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """L+ on one parity block with wavenumbers k, m2 the block of multiplication by psi^2."""
+    return np.diag(k * k + c) - (1.5 / c) * m2
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +340,15 @@ def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
     shares nothing with the quadrature pipeline except the wave profile
     itself. N < 3 is refused as by the certificate.
     """
-    psi, _, k = _parity_grid(p, N)
+    psi, _ = _grid(p, N)
+    k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
     phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
     (m1, _), (m2, _) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
     one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(N), psi, phi]))
     zero = np.zeros_like(one)
     A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
     B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
-    x = np.linalg.solve(np.diag(k * k + p.c) - (1.5 / p.c) * m2, A + (m1 @ B) / p.c)
+    x = _lapack(np.linalg.solve, _lplus_block(p.c, m2, k), A + (m1 @ B) / p.c)
     y = (B + m1 @ x) / p.c
     D = (p.L / N) * (A.T @ x + B.T @ y)
     return 0.5 * (D + D.T)
@@ -397,19 +394,21 @@ def _core_size(psi: np.ndarray) -> int:
 
 
 def _parity_blocks(p: WaveParams, N: int):
-    """(k, H even, H odd, kernel, core_N) for the wave p on the N-point grid.
+    """(k, H even, H odd, M2, kernel, core_N) for the wave p on the N-point grid.
 
-    k = 2 pi (1..m) / L, m = (N - 1) // 2, are the wavenumbers of the sine
-    block and of range(J); kernel is the analytic kernel (psi', phi') of H in
-    sine coordinates, and core_N the grid size that resolves psi
-    (_core_size). N < 3 leaves no mode in range(J): ValueError.
+    k = 2 pi (0..N//2) / L are the wavenumbers of the cosine block; the sine
+    block has k[1:m + 1], m = (N - 1) // 2, the modes of range(J). M2 is the
+    pair (even, odd) of blocks of psi^2, from which the core forms L+
+    (_lplus_block). kernel is the analytic kernel (psi', phi') of H in sine
+    coordinates, and core_N the grid size that resolves psi (_core_size).
+    N < 3 leaves no mode in range(J): ValueError.
     """
-    psi, dpsi, k = _parity_grid(p, N)
-    (m1_e, m1_o), (m2_e, m2_o) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
-    k_odd = k[1:(N - 1) // 2 + 1]
+    psi, dpsi = _grid(p, N)
+    k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+    (m1_e, m1_o), m2 = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
     kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / p.c])).ravel()
-    return (k_odd, _project(p.c, m1_e, m2_e, k), _project(p.c, m1_o, m2_o, k_odd), kernel,
-            _core_size(psi))
+    return (k, _project(p.c, m1_e, m2[0], k), _project(p.c, m1_o, m2[1], k[1:(N - 1) // 2 + 1]),
+            m2, kernel, _core_size(psi))
 
 
 def _reflector(a: np.ndarray) -> np.ndarray:
@@ -437,7 +436,7 @@ def _factor(Hc: np.ndarray, block: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(Hc)
     except np.linalg.LinAlgError:
-        raise IndefiniteHessianError(block, _inertia(np.linalg.eigvalsh(Hc))) from None
+        raise IndefiniteHessianError(block, _inertia(_lapack(np.linalg.eigvalsh, Hc))) from None
 
 
 def _kc_inverse_t(K: np.ndarray, g_e: np.ndarray, g_o: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -461,21 +460,19 @@ def _constrained_hessians(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndar
                           k: np.ndarray):
     """((Hc_e, Hc_o), (g_e, g_o), K_eo): the constrained Hessians on range(J).
 
-    k holds the wavenumbers of range(J), 2 pi (1..m) / L, the even block's
-    modes less the constants and the Nyquist mode. g_e and g_o are the
-    reflectors whose complements are Q_e and Q_o, and K_eo the diagonal of
-    K = J^-1 from the odd to the even coordinates.
+    k holds the wavenumbers of the cosine block (_parity_blocks); range(J)
+    has k[1:m + 1], the even block's modes less the constants and the
+    Nyquist mode. g_e and g_o are the reflectors whose complements are Q_e
+    and Q_o, and K_eo the diagonal of K = J^-1 from the odd to the even
+    coordinates.
     """
-    m, n = k.size, H_even.shape[0] // 2
-    kk = np.concatenate([k, k])
+    m, n = kernel.size // 2, H_even.shape[0] // 2
+    kk = np.concatenate([k[1:m + 1], k[1:m + 1]])
     keep = np.r_[1:m + 1, n + 1:n + m + 1]
     K_eo = -1.0 / kk   # K = J^-1 takes sin_k to -cos_k / k and cos_k to sin_k / k
-    try:
-        H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
-        Ke1 = K_eo * kernel
-        g_e, g_o = _reflector(Ke1), _reflector(np.linalg.solve(H_ee, Ke1) / kk)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
+    H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
+    Ke1 = K_eo * kernel
+    g_e, g_o = _reflector(Ke1), _reflector(_lapack(np.linalg.solve, H_ee, Ke1) / kk)
     return (_reflected(H_ee, g_e, g_e), _reflected(H_odd, g_o, g_o)), (g_e, g_o), K_eo
 
 
@@ -487,35 +484,35 @@ def _certify(hessians, reflectors, K_eo: np.ndarray, H_odd: np.ndarray, kernel: 
     X = L_e^T Kc^-T L_o with L_e, L_o the lower Cholesky factors of Hc on
     each parity, so R = L^T. Raises IndefiniteHessianError when a factor
     does not exist and then KernelResidualError when the premise,
-    H kernel = 0, fails.
+    H kernel = 0, fails. The residual scales the kernel by a power of two to
+    a largest entry in [1/2, 1): exact, and clear of overflow at any period.
     """
     L_e, L_o = _factor(hessians[0], "even"), _factor(hessians[1], "odd")
-    residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
+    unit = np.ldexp(kernel, -np.frexp(np.max(np.abs(kernel)))[1])
+    residual = float(np.linalg.norm(H_odd @ unit) / (c * np.linalg.norm(unit)))
     if residual > KERNEL_RESIDUAL_BOUND:
         raise KernelResidualError(residual)
     X = L_e.T @ _kc_inverse_t(K_eo, *reflectors, L_o)   # Kc = Q_e^T K_EO Q_o
     return X, residual
 
 
-def _core_figures(hessians, H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
+def _core_figures(hessians, H_odd: np.ndarray, m2, k: np.ndarray, kernel: np.ndarray,
                   c: float):
     """(margin, n(L+), kernel overlaps of L+ and H) from the parity blocks of the core.
 
     The margin is min lambda_min(Hc) over both parities; a block whose
     lambda_min is not positive raises IndefiniteHessianError with its inertia.
-    One eigendecomposition per L+ block gives the counts and kernel
+    One eigendecomposition per L+ block, formed from the blocks m2 of psi^2
+    and the wavenumbers k of _parity_blocks, gives the counts and kernel
     alignments of both L+ and H (module docstring).
     """
     m = kernel.size // 2
-    try:
-        lam_hc = [np.linalg.eigvalsh(Hc) for Hc in hessians]
-        lam_even, (lam_odd, vec_odd) = (np.linalg.eigvalsh(_lplus(H_even, c)),
-                                        np.linalg.eigh(_lplus(H_odd, c)))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
+    lam_hc = [_lapack(np.linalg.eigvalsh, Hc) for Hc in hessians]
     for block, lam in zip(("even", "odd"), lam_hc):
         if lam[0] <= 0.0:
             raise IndefiniteHessianError(block, _inertia(lam))
+    lam_even = _lapack(np.linalg.eigvalsh, _lplus_block(c, m2[0], k))
+    lam_odd, vec_odd = _lapack(np.linalg.eigh, _lplus_block(c, m2[1], k[1:m + 1]))
     overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
     if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
         u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
@@ -551,19 +548,16 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     when (psi', phi') is not the kernel of H at N, so no spectrum is
     reported without its certificate.
     """
-    k, h_even, h_odd, kernel, core_N = _parity_blocks(p, N)
+    k, h_even, h_odd, m2, kernel, core_N = _parity_blocks(p, N)
     hessians, reflectors, K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
     X, residual = _certify(hessians, reflectors, K_eo, h_odd, kernel, p.c)
-    try:
-        omega = np.linalg.svd(X, compute_uv=False)[::-1]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
+    omega = _lapack(np.linalg.svd, X, compute_uv=False)[::-1]
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
     if core_N < N:
-        k, h_even, h_odd, kernel, _ = _parity_blocks(p, core_N)
+        k, h_even, h_odd, m2, kernel, _ = _parity_blocks(p, core_N)
         hessians = _constrained_hessians(h_even, h_odd, kernel, k)[0]
-    margin, n_Lplus, overlaps = _core_figures(hessians, h_even, h_odd, kernel, p.c)
+    margin, n_Lplus, overlaps = _core_figures(hessians, h_odd, m2, k, kernel, p.c)
     return SpectrumReport(
         params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin,
         kernel_residual=residual, n_Lplus=n_Lplus, n_H=n_Lplus,
@@ -584,10 +578,7 @@ def _nonzero_spectrum(dH: np.ndarray):
     EigensolveError when LAPACK fails or the cluster is not separated from the
     spectrum by a factor 10.
     """
-    try:
-        eigvals, eigvecs = np.linalg.eig(dH)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolveError(str(exc)) from exc
+    eigvals, eigvecs = _lapack(np.linalg.eig, dH)
     size = 4 if (dH.shape[0] // 2) % 2 else 6
     order = np.argsort(np.abs(eigvals))
     cluster, keep = eigvals[order[:size]], order[size:]

@@ -33,12 +33,12 @@ def spectrum_2_03(wave_2_03):
 
 
 @pytest.fixture
-def fresh_records(monkeypatch):
+def fresh_records():
     """An empty quadrature record for one test, so every modulus it meets is sampled."""
     import dswlab.index_engine as ie
 
-    monkeypatch.setattr(ie, "_RECORDS", {})
-    return ie._RECORDS
+    ie._quarter_period_record.cache_clear()
+    return ie._quarter_period_record
 
 
 @pytest.fixture(scope="session")

@@ -249,24 +249,29 @@ class TestDMatrixSweep:
         A = index_engine.a_integrals(params_from_kappa(1.0, 0.5))
         assert [row[f"A{i}"] for i in range(1, 7)] == [repr(float(a)) for a in A]
 
-    def test_huge_period_gives_a_row(self, tmp_path, capsys):
-        # |D|^3 used to overflow into an OverflowError traceback. D scales as
-        # diag(L^1.5, L^1.5, L^-0.5) D_1 diag(...), and det(D/|D|) is not invariant
-        # under that scaling, so from L ~ 100 on the row reads degenerate
+    @staticmethod
+    def assert_row_of_the_unit_period(tmp_path, capsys, L):
+        """D = S D_1 S with S = diag(L^1.5, L^1.5, L^-0.5): the verdict is D_1's, and
+        D33 is D_1's over L."""
+        from dswlab.index_engine import assemble_dmatrix
+
         out = tmp_path / "d.csv"
-        assert main(["dmatrix-sweep", "--L", "1e40", "--kappas", "0.3",
+        assert main(["dmatrix-sweep", "--L", repr(L), "--kappas", "0.3",
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         _, cols, rows = read_csv(out)
-        assert [dict(zip(cols, r))["status"] for r in rows] == ["degenerate"]
+        row = dict(zip(cols, rows[0]))
+        assert (row["status"], row["n_D"], row["k_ham"]) == ("ok", "1", "1")
+        d33 = assemble_dmatrix(params_from_kappa(1.0, 0.3)).entries[2, 2] / L
+        assert float(row["D33"]) == pytest.approx(d33, rel=1e-14)
 
-    def test_overflowed_matrix_exits_1(self, tmp_path, capsys):
-        # D33 overflows to -inf: it used to pass as a degenerate row of nan, exit 0
-        out = tmp_path / "d.csv"
-        assert main(["dmatrix-sweep", "--L", "1e-36", "--kappas", "0.3",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "dmatrix-sweep failed: D is not finite: D33 = -inf\n"
-        assert not out.exists()
+    def test_huge_period_gives_a_row(self, tmp_path, capsys):
+        # det(D/|D|) used to call this row degenerate, and c**4 at L lost 32% of D33
+        self.assert_row_of_the_unit_period(tmp_path, capsys, 1e40)
+
+    def test_tiny_period_gives_a_row(self, tmp_path, capsys):
+        # D33 used to overflow to -inf here and exit 1
+        self.assert_row_of_the_unit_period(tmp_path, capsys, 1e-37)
 
 
 class TestSpectrum:
@@ -347,13 +352,28 @@ class TestSpectrum:
         assert "inertia (n-, n0, n+) = (2, 0, 123)" in err
         assert not out.exists()
 
-    def test_huge_period_exits_1_with_one_line(self, tmp_path, capsys):
-        # the index's |D|^3 used to overflow into an OverflowError traceback
+    @pytest.mark.parametrize("L", ["1e40", "1e-37"])
+    def test_extreme_period_gives_the_counts(self, tmp_path, capsys, L):
+        # at 1e40 det(D/|D|) used to refuse the index; at 1e-37 the kernel residual
+        # overflowed (psi ~ 1e74) and D33 was -inf
         out = tmp_path / "spectrum.csv"
-        assert main(["spectrum", "--L", "1e40", "--kappa", "0.3", "--N", "16",
+        assert main(["spectrum", "--L", L, "--kappa", "0.3", "--N", "64",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, _, _ = read_csv(out)
+        assert "# n_Lplus=(1, 1) n_H=(1, 1) n_D=1 k_ham_formula=1" in header
+        assert float(header_value(header, "kernel_residual")) < 1e-10
+
+    def test_lapack_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError: unguarded, it would exit 2 as an input error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "64",
                      "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("spectrum failed: det(D/|D|) = ") and err.count("\n") == 1
+        assert capsys.readouterr().err == "spectrum failed: SVD did not converge\n"
         assert not out.exists()
 
     def test_odd_grid_gives_the_even_grid_counts(self, tmp_path):

@@ -159,7 +159,7 @@ def test_interleaved_moduli_match_fresh_evaluation():
 
     fresh = {}
     for kappa in kappas:
-        elliptic._RECORDS.clear()
+        elliptic._modulus_record.cache_clear()
         fresh[kappa] = evaluate(kappa)
     for kappa in kappas + kappas[::-1] + kappas:
         K, arrays, scalars = evaluate(kappa)

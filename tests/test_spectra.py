@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dswlab.index_engine import assemble_dmatrix
-from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, IndefiniteHessianError,
+from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError, _certify,
                             _constrained_hessians, _core_figures, _cosine_coordinates,
-                            _fourier_diff_matrices, _grid, _kc_inverse_t, _lplus,
+                            _fourier_diff_matrices, _grid, _kc_inverse_t, _lplus_block,
                             _morse_counts, _multiplication_blocks, _nonzero_spectrum,
                             _parity_blocks, _reflected, _sine_coordinates, assemble,
                             assemble_operator, dmatrix_via_collocation, kernel_alignment,
@@ -434,14 +434,47 @@ class TestCore:
         assert rep.n_Lplus == rep.n_H == (1, 1)
 
     def test_core_never_reports_a_nonpositive_margin(self, wave_2_03):
-        k, h_even, h_odd, kernel, _ = _parity_blocks(wave_2_03, 37)
+        k, h_even, h_odd, m2, kernel, _ = _parity_blocks(wave_2_03, 37)
         (hc_e, hc_o), _, _ = _constrained_hessians(h_even, h_odd, kernel, k)
         lam = np.linalg.eigvalsh(hc_o)
         shift = 0.5 * (lam[1] + lam[2])   # between the second and third eigenvalues
         with pytest.raises(IndefiniteHessianError) as info:
-            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), h_even, h_odd,
+            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), h_odd, m2, k,
                           kernel, wave_2_03.c)
         assert (info.value.block, info.value.inertia) == ("odd", (2, 0, hc_o.shape[0] - 2))
+
+
+
+class TestLapackFailure:
+    """Every LAPACK call in spectra reports a failure as an EigensolveError.
+
+    LinAlgError is a ValueError, so unguarded it would read as an input error.
+    """
+
+    CALLS = {
+        "certificate-svd": (("svd",), lambda p: unstable_modes(p, 64)),
+        "certificate-solve": (("solve",), lambda p: unstable_modes(p, 64)),
+        "margin-eigvalsh": (("eigvalsh",), lambda p: unstable_modes(p, 64)),
+        "core-lplus-eigh": (("eigh",), lambda p: unstable_modes(p, 64)),
+        "failed-factor-eigvalsh": (("cholesky", "eigvalsh"),
+                                        lambda p: unstable_modes(p, 64)),
+        "d-oracle-solve": (("solve",), lambda p: dmatrix_via_collocation(p, 64)),
+        "morse-index-eigh": (("eigh",), lambda p: morse_index(assemble("Lplus", p, 64))),
+        "eigenmode-eig": (("eig",), lambda p: unstable_eigenmode(p, 64)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_failure_is_an_eigensolve_error(self, wave_2_03, call, monkeypatch):
+        routines, run = self.CALLS[call]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        for name in routines:
+            monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(EigensolveError, match="^did not converge$") as info:
+            run(wave_2_03)
+        assert type(info.value) is EigensolveError
 
 
 class TestSchurComplement:
@@ -455,7 +488,7 @@ class TestSchurComplement:
         for N in (127, 128, 255, 384):
             rep = unstable_modes(p, N)
             C, S = trig_basis(N)
-            _, h_even, h_odd, kernel, _ = _parity_blocks(p, N)
+            _, h_even, h_odd, _, kernel, _ = _parity_blocks(p, N)
             psi, _ = _grid(p, N)
             for basis in (C, S):
                 m1 = basis.T @ (psi[:, None] * basis)
@@ -510,11 +543,13 @@ class TestSchurComplement:
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_fft_assembly_is_the_direct_product(self, wave_2_03, N):
         # the Toeplitz-plus-Hankel blocks are B^T diag(f) B of the direct bases, and the
-        # L+ and H blocks of both parities follow (worst measured: 5.9e-16)
+        # L+ and H blocks of both parities follow (worst measured: 2.4e-15, on L+)
         p = wave_2_03
         psi, dpsi = _grid(p, N)
-        k_odd, h_even, h_odd, kernel, _ = _parity_blocks(p, N)
+        k_got, h_even, h_odd, m2_got, kernel, _ = _parity_blocks(p, N)
         k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+        assert np.array_equal(k_got, k)
+        k_odd = k[1:(N - 1) // 2 + 1]
         blocks = (_multiplication_blocks(psi), _multiplication_blocks(psi * psi))
         for parity, (basis, kb, got) in enumerate(zip(trig_basis(N), (k, k_odd), (h_even, h_odd))):
             m1 = basis.T @ (psi[:, None] * basis)
@@ -523,9 +558,8 @@ class TestSchurComplement:
             assert relative(blocks[1][parity], m2) <= 1e-14
             lap = np.diag(kb * kb + p.c)
             H = np.block([[lap - (0.5 / p.c) * m2, -m1], [-m1, p.c * np.eye(kb.size)]])
-            # the Schur complement cancels: at N = 4 the odd L+ is 0.12 of terms near 20
             lplus = lap - (1.5 / p.c) * m2
-            assert np.linalg.norm(_lplus(got, p.c) - lplus) <= 1e-14 * np.linalg.norm(lap)
+            assert relative(_lplus_block(p.c, m2_got[parity], kb), lplus) <= 1e-14
             assert relative(got, H) <= 1e-14
         S = trig_basis(N)[1]
         assert relative(kernel, np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])) <= 1e-14
@@ -534,11 +568,11 @@ class TestSchurComplement:
     def test_closed_form_kc_inverse_is_the_lu_solve(self, kappa):
         # worst measured: 8.2e-17
         p = params_from_kappa(2.0, kappa)
-        k, h_even, h_odd, kernel, _ = _parity_blocks(p, 255)
+        k, h_even, h_odd, _, kernel, _ = _parity_blocks(p, 255)
         hessians, (g_e, g_o), K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
         X, _ = _certify(hessians, (g_e, g_o), K_eo, h_odd, kernel, p.c)
         L_e, L_o = (np.linalg.cholesky(Hc) for Hc in hessians)
-        assert np.array_equal(K_eo, -1.0 / np.concatenate([k, k]))
+        assert np.array_equal(K_eo, -1.0 / np.concatenate([k[1:128], k[1:128]]))
         Kc = _reflected(np.diag(K_eo), g_e, g_o)
         closed = _kc_inverse_t(K_eo, g_e, g_o, L_o)
         assert relative(closed, np.linalg.solve(Kc.T, L_o)) <= 1e-13
