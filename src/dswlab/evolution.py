@@ -7,17 +7,20 @@ in the lab frame or a frame moving at constant speed. The state is one
 forward real FFT per stage serve both fields. Time stepping is exponential
 time differencing RK4 (Cox & Matthews, JCP 2002): the linear symbols
 i(k^3 + s k) for u and i s k for v enter exactly through e^z, e^{z/2} and the
-phi-function weights of z = i dt omega, which are means over 32 points on a
+phi-function weights of z = i dt omega, which are means over 32 points w on a
 unit circle around each z (Kassam & Trefethen, SISC 2005), free of the
-cancellation of their closed forms at small |z|. The quadratic terms are
+cancellation of their closed forms at small |z|, and polynomials in 1/w, so
+no power of w overflows at large |z|. The quadratic terms are
 evaluated pseudospectrally and always dealiased by the 2/3 rule (products
 truncated to |k| < N/3, state kept in the same band), a Galerkin truncation
 that conserves l2 exactly; an even N's Nyquist mode lies outside that band
 and stays 0.
 
 ETD keeps equilibria exactly, so the co-moving traveling wave is a fixed
-point; in the lab frame the wave (2, 0.3) at N = 128 is accurate to ~1e-7 at
-dt = 1e-3. The measured step envelope is in NOTES.md.
+point at any step and period; in the lab frame the wave (2, 0.3) at N = 128
+is accurate to ~1e-7 at dt = 1e-3. The measured step envelope is in NOTES.md.
+A run blows up when max|X| passes BLOWUP_LIMIT times its start, a bound that
+reads the same at every scale.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .waves import GridFunction, RefusalError, WaveParams, conserved_quantities,
 
 __all__ = [
     "SimState",
-    "PreprocessRecord",
     "Trajectory",
     "BlowUpError",
     "WindowTooShortError",
@@ -43,11 +45,12 @@ __all__ = [
     "conserved_of_state",
 ]
 
+# max|X| / max|X(0)| above which a run has blown up: the semi-discrete l2 is conserved
 BLOWUP_LIMIT = 1e12
 
 
 class BlowUpError(RefusalError):
-    """A coefficient left the finite range; carries the last finite time."""
+    """max|X| passed BLOWUP_LIMIT times its start; carries the last time that passed the check."""
 
     def __init__(self, message: str, t_last: float, trajectory=None):
         super().__init__(message)
@@ -98,33 +101,27 @@ def state_fields(s: SimState):
 # ---------------------------------------------------------------------------
 # mean-zero preconditioning of v
 
-@dataclass(frozen=True)
-class PreprocessRecord:
-    g0: float
-
-
 def preprocess(u0: GridFunction, v0: GridFunction):
-    """Remove the mean of v0; evolution then runs with mean-zero v.
+    """(u0, v0 - g0, g0): remove the mean g0 of v0; evolution then runs with mean-zero v.
 
     The removed mean g0 turns into the spatial shift x -> x + g0 t that
     undo_preprocess applies when mapping states back to the lab frame. In the
     shifted frame the u equation keeps its lab form while v is transported at
     speed g0, so the downstream evolution is
-    simulate(u0', v0', ..., frame_speed=0.0, frame_speed_v=rec.g0).
+    simulate(u0', v0', ..., frame_speed=0.0, frame_speed_v=g0).
     """
     if u0.N != v0.N or u0.L != v0.L:
         raise ValueError("u0 and v0 must share the same grid")
     g0 = float(np.mean(v0.samples))
-    v_shifted = GridFunction(v0.L, v0.samples - g0)
-    return u0, v_shifted, PreprocessRecord(g0=g0)
+    return u0, GridFunction(v0.L, v0.samples - g0), g0
 
 
-def undo_preprocess(rec: PreprocessRecord, u: GridFunction, v: GridFunction, t: float):
-    """Map a preprocessed state at time t back to a lab-frame solution."""
+def undo_preprocess(g0: float, u: GridFunction, v: GridFunction, t: float):
+    """Map a preprocessed state at time t, of removed mean g0, back to a lab-frame solution."""
     k = 2.0 * np.pi * np.fft.rfftfreq(u.N, d=u.L / u.N)
-    shifted = np.fft.rfft(np.stack([u.samples, v.samples])) * np.exp(-1j * k * (rec.g0 * t))
+    shifted = np.fft.rfft(np.stack([u.samples, v.samples])) * np.exp(-1j * k * (g0 * t))
     u_lab, v_lab = np.fft.irfft(shifted, u.N)
-    return GridFunction(u.L, u_lab), GridFunction(v.L, v_lab + rec.g0)
+    return GridFunction(u.L, u_lab), GridFunction(v.L, v_lab + g0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +132,18 @@ _CHECK_EVERY = 8  # steps between blow-up checks; every sample is checked too
 
 def _etd_coefficients(z: np.ndarray, h: float):
     """ETDRK4 weights of z = h * symbol: e^z, e^{z/2} and (Q, f1, f2, f3) = h * phi-type
-    functions, means over 32 points on the unit circle around z; (h/2, h/6, h/6, h/6) at 0."""
+    functions, means over 32 points w = z + r on the unit circle around z; (h/2, h/6, h/6, h/6)
+    at 0. Each is a polynomial in 1/w: no power of w is formed, so no |z| overflows."""
     E, E2 = np.exp(z), np.exp(z / 2.0)
     sums = np.zeros((4,) + z.shape, dtype=complex)
     for r in np.exp(1j * np.pi * np.arange(1, 64, 2) / 32):
-        w = z + r
-        ew, w2 = E * np.exp(r), w * w
-        iw3 = 1.0 / (w2 * w)
-        sums += ((E2 * np.exp(r / 2.0) - 1.0) / w, (-4.0 - w + ew * (4.0 - 3.0 * w + w2)) * iw3,
-                 (2.0 + w + ew * (w - 2.0)) * iw3, (-4.0 - 3.0 * w - w2 + ew * (4.0 - w)) * iw3)
+        iw = 1.0 / (z + r)
+        ew, iw2 = E * np.exp(r), iw * iw
+        iw3 = iw2 * iw
+        sums += ((E2 * np.exp(r / 2.0) - 1.0) * iw,
+                 -4.0 * iw3 - iw2 + ew * (4.0 * iw3 - 3.0 * iw2 + iw),
+                 2.0 * iw3 + iw2 + ew * (iw2 - 2.0 * iw3),
+                 -4.0 * iw3 - 3.0 * iw2 - iw + ew * (4.0 * iw3 - iw2))
     return (E, E2, *(h / 32.0 * sums))
 
 
@@ -180,9 +180,6 @@ class _Stepper:
             nc = self.nonlinear(self.E2 * a + self.Q * (2.0 * nb - nx))
             return self.E * X + self.f1 * nx + self.f2 * (na + nb) + self.f3 * nc
 
-    def blown_up(self, X) -> bool:
-        return not np.max(np.abs(X)) <= BLOWUP_LIMIT * self.N  # a nan fails it too
-
 
 @lru_cache(maxsize=8)
 def _stepper(N: int, L: float, dt: float, frame_speed: float,
@@ -218,9 +215,9 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
 
     Takes n = ceil(T/dt) equal steps of T/n <= dt and ends at T exactly.
     frame_speed_v overrides the v-component frame (see _Stepper). About 64 samples:
-    one every max(1, n // 64) steps and one at T. The state is checked every
-    _CHECK_EVERY steps and at every sample; BlowUpError carries the time of the
-    last finite check and the partial trajectory.
+    one every max(1, n // 64) steps and one at T. The state is checked against
+    BLOWUP_LIMIT times its start every _CHECK_EVERY steps and at every sample;
+    BlowUpError carries the time of the last check passed and the partial trajectory.
     """
     for name, value in (("T", T), ("dt", dt)):
         if not (0.0 < value < np.inf):
@@ -233,6 +230,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     h = T / n_steps
     sample_every = max(1, n_steps // 64)
     X = np.fft.rfft(np.stack([u0.samples, v0.samples])) * _dealias_mask(u0.N)
+    limit = BLOWUP_LIMIT * np.max(np.abs(X))
     stepper = _stepper(u0.N, u0.L, h, frame_speed, frame_speed_v)
 
     times, states, logs = [], [], []
@@ -243,7 +241,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
         t = T if n == n_steps else n * h
         sampled = n % sample_every == 0 or n == n_steps
         if sampled or n % _CHECK_EVERY == 0:
-            if stepper.blown_up(X):
+            if not np.max(np.abs(X)) <= limit:   # a nan fails it too
                 partial = Trajectory(np.asarray(times), states, np.asarray(logs), np.nan, h)
                 raise BlowUpError(f"solution blew up between t = {t_ok:.6g} and {t:.6g}",
                                   t_last=t_ok, trajectory=partial)

@@ -49,7 +49,6 @@ class DegenerateThetaError(RefusalError):
 
 @dataclass(frozen=True)
 class HillSolution:
-    params: WaveParams
     q_prime_final: float
     p_prime_0: float
     theta: float
@@ -132,7 +131,7 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     drift = float(np.max(np.abs(sol.y[0] * p_prime_xs - sol.y[1] * p_xs - 1.0)))
 
     q_prime_final = float(2.0 * alpha * sol.y[0, -1] * sol.y[1, -1])
-    return HillSolution(params=p, q_prime_final=q_prime_final, p_prime_0=p_prime_0,
+    return HillSolution(q_prime_final=q_prime_final, p_prime_0=p_prime_0,
                         theta=q_prime_final / p_prime_0, wronskian_drift=drift)
 
 

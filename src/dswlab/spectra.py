@@ -47,13 +47,17 @@ finding, has the sizes). A non-positive lambda_min on the core raises
 IndefiniteHessianError too: it is never reported as a margin. A LAPACK
 failure is an EigensolveError.
 
-The dense `eig` of dH remains only in `unstable_eigenmode` and, through
-_nonzero_spectrum, as the oracle of the tests: its zero cluster has 4
-members at odd N and 6 at even N, and the certified spectrum has as many
-eigenvalues as it leaves, 2N - 4 or 2N - 6. The independent oracle for the
-quadrature pipeline pairs the solutions of H e = rhs. The right-hand sides
-are even and the kernel odd, so the even block of H finds them all, and
-through its Schur complement that is one solve with L+'s even block.
+`assemble` returns the full collocation matrix of L+, H or dH as a plain
+array, for the oracles of the tests and `unstable_eigenmode`; the eigh
+oracles refuse a matrix that is not exactly symmetric. The dense `eig` of dH
+remains only in `unstable_eigenmode` and, through _nonzero_spectrum, as the
+oracle of the tests: its zero cluster has 4 members at odd N and 6 at even
+N, and the certified spectrum has as many eigenvalues as it leaves, 2N - 4
+or 2N - 6.
+The independent oracle for the quadrature pipeline pairs the solutions of
+H e = rhs. The right-hand sides are even and the kernel odd, so the even
+block of H finds them all, and through its Schur complement that is one
+solve with L+'s even block.
 """
 
 from __future__ import annotations
@@ -66,13 +70,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .waves import RefusalError, WaveParams, eval_profile_derivatives, grid_points
 
 __all__ = [
-    "OperatorMatrix",
     "SpectrumReport",
     "EigensolveError",
     "IndefiniteHessianError",
     "KernelResidualError",
     "assemble",
-    "assemble_operator",
     "morse_index",
     "kernel_alignment",
     "unstable_modes",
@@ -81,12 +83,9 @@ __all__ = [
     "dmatrix_via_collocation",
 ]
 
-OPERATOR_KINDS = ("Lplus", "Hcal", "dHcal")
-SYMMETRIC_KINDS = ("Lplus", "Hcal")
-
 # In the dense eigensolve of unstable_eigenmode, an eigenvalue is unstable
-# when its real part exceeds RE_TOL. It is real (imaginary) when its
-# imaginary (real) part is at most CLASS_TOL * max(1, |lambda|).
+# when its real part exceeds RE_TOL. It is real when its imaginary part is at
+# most CLASS_TOL * max(1, |lambda|).
 RE_TOL = 1e-6
 CLASS_TOL = 1e-7
 
@@ -139,12 +138,6 @@ class KernelResidualError(EigensolveError):
         self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    kind: str
-    matrix: np.ndarray
-
-
 def _fourier_diff_matrices(N: int, L: float):
     """Dense spectral derivative matrices D1 and D2, columns irfft((ik)^m rfft(e_j)).
 
@@ -162,9 +155,12 @@ def _schrodinger(D2: np.ndarray, c: float, potential: np.ndarray) -> np.ndarray:
 
 
 def _operator(kind: str, D1: np.ndarray, D2: np.ndarray, c: float, psi: np.ndarray) -> np.ndarray:
-    """Collocation matrix of one operator kind from the derivative matrices."""
+    """Collocation matrix of L+ ("Lplus"), H ("Hcal") or dH ("dHcal") from the derivative
+    matrices; L+ and H come out exactly symmetric. Any other kind is a ValueError."""
     if kind == "Lplus":
         return _schrodinger(D2, c, 1.5 * psi**2 / c)
+    if kind not in ("Hcal", "dHcal"):
+        raise ValueError(f"unknown operator kind {kind!r}")
     Lm = _schrodinger(D2, c, 0.5 * psi**2 / c)
     if kind == "Hcal":
         return np.block([[Lm, -np.diag(psi)], [-np.diag(psi), c * np.eye(psi.size)]])
@@ -181,18 +177,9 @@ def _grid(p: WaveParams, N: int):
     return psi, dpsi
 
 
-def assemble_operator(kind: str, L: float, c: float, psi: np.ndarray) -> OperatorMatrix:
-    """Collocation matrix of the requested operator from raw profile samples."""
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    psi = np.asarray(psi, dtype=float)
-    A = _operator(kind, *_fourier_diff_matrices(psi.size, L), c, psi)
-    return OperatorMatrix(kind=kind, matrix=A)
-
-
-def assemble(kind: str, p: WaveParams, N: int = 256) -> OperatorMatrix:
-    """Collocation matrix for the wave profile of p on an N-point grid."""
-    return assemble_operator(kind, p.L, p.c, _grid(p, N)[0])
+def assemble(kind: str, p: WaveParams, N: int) -> np.ndarray:
+    """Collocation matrix of one operator kind (_operator) for the wave p on an N-point grid."""
+    return _operator(kind, *_fourier_diff_matrices(N, p.L), p.c, _grid(p, N)[0])
 
 
 def _lapack(routine, *args, **kwargs):
@@ -206,11 +193,14 @@ def _lapack(routine, *args, **kwargs):
         raise EigensolveError(str(exc)) from exc
 
 
-def _eigh(m: OperatorMatrix):
-    """(eigenvalues, eigenvectors) of a symmetric operator matrix: its one decomposition."""
-    if m.kind not in SYMMETRIC_KINDS:
-        raise ValueError(f"eigh requires a symmetric operator kind, got {m.kind!r}")
-    return _lapack(np.linalg.eigh, m.matrix)
+def _eigh(A: np.ndarray):
+    """(eigenvalues, eigenvectors) of a symmetric matrix: its one decomposition.
+
+    eigh reads one triangle, so a matrix that is not exactly symmetric is a ValueError.
+    """
+    if not np.array_equal(A, A.T):
+        raise ValueError("eigh requires an exactly symmetric matrix")
+    return _lapack(np.linalg.eigh, A)
 
 
 def _morse_counts(lam: np.ndarray):
@@ -233,8 +223,8 @@ def _cosine(v: np.ndarray, r: np.ndarray) -> float:
     return float(abs(v @ r) / (np.linalg.norm(v) * np.linalg.norm(r)))
 
 
-def morse_index(m: OperatorMatrix):
-    """(n_negative, n_zero) of a symmetric operator matrix, counted by _morse_counts.
+def morse_index(A: np.ndarray):
+    """(n_negative, n_zero) of a symmetric matrix, counted by _morse_counts.
 
     The kernel eigenvalue sits at the eigensolver's rounding floor, and the
     eigenvalue next to it is positive but scales like kappa^4 (2.0e-5 at
@@ -242,12 +232,12 @@ def morse_index(m: OperatorMatrix):
     fraction of c separates the two at small kappa, and near kappa = 1e-3
     not even the rounding floor does.
     """
-    return _morse_counts(_eigh(m)[0])
+    return _morse_counts(_eigh(A)[0])
 
 
-def kernel_alignment(m: OperatorMatrix, reference: np.ndarray) -> float:
-    """|cos angle| between the near-kernel eigenvector and a reference vector."""
-    lam, vec = _eigh(m)
+def kernel_alignment(A: np.ndarray, reference: np.ndarray) -> float:
+    """|cos angle| between the near-kernel eigenvector of a symmetric matrix and a reference."""
+    lam, vec = _eigh(A)
     return _cosine(vec[:, int(np.argmin(np.abs(lam)))], np.asarray(reference, dtype=float))
 
 
@@ -315,13 +305,13 @@ def _lplus_block(c: float, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the oracle for the quadrature pipeline
 
-def pseudo_inverse_apply(m: OperatorMatrix, f: np.ndarray) -> np.ndarray:
-    """Solve m x = f on the orthogonal complement of the near-kernel mode.
+def pseudo_inverse_apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solve A x = f, A symmetric, on the orthogonal complement of the near-kernel mode.
 
     The smallest-|eigenvalue| direction is dropped; for even right-hand sides
     this reproduces the even periodic inverse exactly (the kernel is odd).
     """
-    lam, vec = _eigh(m)
+    lam, vec = _eigh(A)
     inv = 1.0 / lam
     inv[int(np.argmin(np.abs(lam)))] = 0.0
     return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
@@ -524,13 +514,6 @@ def _core_figures(hessians, H_odd: np.ndarray, m2, k: np.ndarray, kernel: np.nda
     return margin, _morse_counts(np.concatenate([lam_even, lam_odd])), overlaps
 
 
-def _classify(eigs: np.ndarray) -> np.ndarray:
-    """The class of each eigenvalue: "real", "imaginary" or "quadruplet"."""
-    tol = CLASS_TOL * np.maximum(1.0, np.abs(eigs))
-    return np.where(np.abs(eigs.imag) <= tol, "real",
-                    np.where(np.abs(eigs.real) <= tol, "imaginary", "quadruplet"))
-
-
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
@@ -603,9 +586,7 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
     no eigenvalue with real part above RE_TOL -- which is the measured state
     of affairs for this wave family; see NOTES.md.
     """
-    psi, _ = _grid(p, N)
-    eigvals, eigvecs, keep, _ = _nonzero_spectrum(
-        _operator("dHcal", *_fourier_diff_matrices(N, p.L), p.c, psi))
+    eigvals, eigvecs, keep, _ = _nonzero_spectrum(assemble("dHcal", p, N))
     eigs = eigvals[keep]
     idx = int(np.argmax(eigs.real))
     if eigs.real[idx] <= RE_TOL:
@@ -614,7 +595,7 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
         )
     lam = eigs[idx]
     v = eigvecs[:, keep[idx]]
-    if _classify(eigs)[idx] == "real":
+    if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):   # a real eigenvalue
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
     return lam, v[:N], v[N:]

@@ -540,6 +540,19 @@ class TestSimulate:
         assert err.startswith("simulate failed: max Re lambda = ")
         assert err.endswith(": spectrum is stable\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("L, T, dt", [("1e-36", "1e-3", "1e-4"), ("1e-6", "1e-3", "1e-4"),
+                                          ("1", "1e105", "1e104")],
+                             ids=["L1e-36", "L1e-6", "huge-step"])
+    def test_comoving_wave_stays_put_at_any_scale(self, tmp_path, capsys, L, T, dt):
+        # the co-moving wave is an ETD fixed point at any step and period: its coefficients
+        # of size ~L^-2 pass the blow-up check, which is relative to the run's start, and
+        # z = dt k^3 of size 1e105 to 1e112 leaves every ETD weight finite
+        assert main(["simulate", "--wave", "--L", L, "--kappa", "0.3", "--N", "16",
+                     "--T", T, "--dt", dt, "--out-prefix", str(tmp_path / "w")]) == 0
+        assert capsys.readouterr().err == ""
+        header, _, _ = read_csv(tmp_path / "w_conservation.csv")
+        assert float(header_value(header, "max_rel_drift")) < 1e-12
+
     def test_blow_up_exits_1_naming_the_interval(self, tmp_path, capsys):
         # the lab-frame wave (2, 0.3) at N = 256, dt = 0.05 is outside the step envelope
         assert main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--frame", "lab",

@@ -5,7 +5,8 @@ from dswlab.evolution import (_CHECK_EVERY, BlowUpError, WindowTooShortError,
                               _etd_coefficients, deviation_series, fit_growth_rate,
                               growth_rate_experiment, preprocess, simulate, state_fields,
                               undo_preprocess)
-from dswlab.spectra import NoUnstableModeError, _nonzero_spectrum, assemble_operator
+from dswlab.spectra import (NoUnstableModeError, _fourier_diff_matrices, _nonzero_spectrum,
+                            _operator)
 from dswlab.waves import GridFunction, eval_profile, params_from_kappa, profile_grid
 
 
@@ -129,6 +130,17 @@ class TestEtdCoefficients:
         for w, exact in zip(weights, self.closed_form(z)):
             assert np.max(np.abs(w / exact - 1.0)) < 1e-13
 
+    def test_leading_terms_where_the_cube_of_z_overflows(self):
+        # |z|^3 leaves the float range: each weight keeps its leading term in 1/z,
+        # h (E2 - 1) / z, h E / z, O(h / z^2) and -h / z, with no overflow
+        z = np.array([1e105j, -1e105j, 1e200j])
+        E, E2, Q, f1, f2, f3 = _etd_coefficients(z, self.H)
+        h = self.H
+        assert np.max(np.abs(Q / (h * (E2 - 1) / z) - 1.0)) < 1e-13
+        assert np.max(np.abs(f1 / (h * E / z) - 1.0)) < 1e-13
+        assert np.max(np.abs(f3 / (-h / z) - 1.0)) < 1e-13
+        assert np.all(np.abs(f2 * z) <= 3 * h / np.abs(z))
+
 
 class TestWaveEquilibrium:
     def test_stationary_in_comoving_frame(self, wave_2_03):
@@ -182,7 +194,6 @@ class TestWaveEquilibrium:
         assert np.max(np.abs(u.samples - psi_m)) < 1e-8
         assert np.max(np.abs(v.samples - phi_m)) < 1e-8
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected_outside_envelope(self, wave_2_03):
         # the lab-frame wave at this (N, dt) pair sits outside the stepper's
         # stability region; the solver reports the blow-up cleanly
@@ -192,7 +203,6 @@ class TestWaveEquilibrium:
         assert 0.0 < err.value.t_last < 1.0
         assert err.value.trajectory is not None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_between_samples_reports_last_finite_check(self, wave_2_03):
         u0, v0 = profile_grid(wave_2_03, 256)
         dt = 5e-2
@@ -281,26 +291,26 @@ class TestPreprocess:
     def test_zero_mean_is_identity(self):
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=5)
         v0 = GridFunction(v0.L, v0.samples - np.mean(v0.samples))
-        u1, v1, rec = preprocess(u0, v0)
-        assert rec.g0 == pytest.approx(0.0, abs=1e-15)
+        u1, v1, g0 = preprocess(u0, v0)
+        assert g0 == pytest.approx(0.0, abs=1e-15)
         assert np.max(np.abs(v1.samples - v0.samples)) < 1e-15
 
     def test_constant_mean_removed(self):
         L, N = 2 * np.pi, 64
         v0 = GridFunction(L, np.full(N, 3.0))
         u0 = GridFunction(L, np.zeros(N))
-        _, v1, rec = preprocess(u0, v0)
-        assert rec.g0 == 3.0
+        _, v1, g0 = preprocess(u0, v0)
+        assert g0 == 3.0
         assert np.max(np.abs(v1.samples)) == 0.0
 
     def test_constants_evolve_exactly(self):
         L, N = 2 * np.pi, 64
         u0 = GridFunction(L, np.full(N, 0.4))
         v0 = GridFunction(L, np.full(N, 1.3))
-        u1, v1, rec = preprocess(u0, v0)
+        u1, v1, g0 = preprocess(u0, v0)
         traj = simulate(u1, v1, T=0.5, dt=1e-3)
         u, v = state_fields(traj.states[-1])
-        ub, vb = undo_preprocess(rec, u, v, 0.5)
+        ub, vb = undo_preprocess(g0, u, v, 0.5)
         assert np.max(np.abs(ub.samples - 0.4)) < 1e-13
         assert np.max(np.abs(vb.samples - 1.3)) < 1e-13
 
@@ -314,10 +324,10 @@ class TestPreprocess:
         direct = simulate(u0, v0, T=T, dt=dt)
         u_d, v_d = state_fields(direct.states[-1])
 
-        u1, v1, rec = preprocess(u0, v0)
-        pre = simulate(u1, v1, T=T, dt=dt, frame_speed=0.0, frame_speed_v=rec.g0)
+        u1, v1, g0 = preprocess(u0, v0)
+        pre = simulate(u1, v1, T=T, dt=dt, frame_speed=0.0, frame_speed_v=g0)
         u_p, v_p = state_fields(pre.states[-1])
-        u_b, v_b = undo_preprocess(rec, u_p, v_p, T)
+        u_b, v_b = undo_preprocess(g0, u_p, v_p, T)
 
         assert np.max(np.abs(u_b.samples - u_d.samples)) < 1e-8
         assert np.max(np.abs(v_b.samples - v_d.samples)) < 1e-8
@@ -362,7 +372,7 @@ class TestGrowthExperiment:
         psi, phi = eval_profile(p, x)
         # the seed: the smallest positive frequency of the dense eig oracle
         eigvals, eigvecs, keep, _ = _nonzero_spectrum(
-            assemble_operator("dHcal", p.L, p.c, psi).matrix)
+            _operator("dHcal", *_fourier_diff_matrices(N, p.L), p.c, psi))
         seed = min((i for i in keep if eigvals[i].imag > 0), key=lambda i: eigvals[i].imag)
         mu = eigvals[seed].imag
         U, V = eigvecs[:N, seed], eigvecs[N:, seed]

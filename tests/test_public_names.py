@@ -9,7 +9,8 @@ leading underscore. Every exception class of dswlab is either an input error
 The checks parse src/, tests/, scripts/ and perfbench/. The name checks count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
 ``class name``, ``name = ...``) and the string in ``__all__`` are not loads,
-so a public name that only its own module defines fails. The default checks
+so a public name that only its own module defines fails. A load inside a
+TEST_ONLY function or method is test code, so the production check skips it. The default checks
 match calls by the called name (``f(...)`` or ``obj.f(...)``): a defaulted
 parameter that no call sets, by position or by keyword, is a knob nothing
 turns, and fails; one that only the tests set is a knob the product never
@@ -30,13 +31,14 @@ PRODUCTION = ("src", "scripts", "perfbench")
 
 # the exported names that only the tests read, each with the reason it stays public
 TEST_ONLY = {
-    "spectra.assemble": "oracle: the full collocation matrix of a wave (criterion 5)",
     "spectra.morse_index": "oracle: n(L+) and n(H) by eigh of the full matrix (criterion 5)",
     "spectra.kernel_alignment": "oracle: the full matrix's kernel against psi' (criterion 5)",
     "spectra.pseudo_inverse_apply": "oracle: the even inverse of L+ by eigh, against linv_apply",
     "index_engine.non_periodicity_gap": "oracle: varphi'(L-) - varphi'(0+), nonzero with A2",
     "index_engine.VarphiTable.varphi_at": "oracle: varphi itself, for its ODE residual, "
                                           "Wronskian and A-integral checks",
+    "index_engine.VarphiTable.varphi_prime_at": "oracle: varphi', for the Wronskian and "
+                                                "finite-difference checks and criterion 3's gap",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
 }
@@ -45,7 +47,6 @@ TEST_ONLY = {
 TEST_SET = {
     "evolution.simulate(frame_speed_v)": "the mean-zero reduction of v (ROADMAP item 7)",
     "hill.integrate_hill_ivp(tol)": "oracle: the Hill IVP's DOP853 tolerance, which the tests vary",
-    "spectra.assemble(N)": "oracle: the grid of the full collocation matrix (criterion 5)",
 }
 
 
@@ -61,12 +62,28 @@ def _exports(tree):
     return names
 
 
-def _loads(tree):
-    for node in ast.walk(tree):
+def _test_only_definitions(module, tree):
+    """The def nodes of the TEST_ONLY functions and methods of a dswlab module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and f"{module}.{node.name}" in TEST_ONLY:
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and f"{module}.{node.name}.{item.name}" in TEST_ONLY)
+
+
+def _loads(tree, skipped=()):
+    """The names loaded in tree, outside the subtrees in skipped."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skipped:
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _public(module, tree):
@@ -81,15 +98,21 @@ def _public(module, tree):
     return public
 
 
-def _scan(tops):
-    """(names loaded under tops, the public names of the dswlab modules, as _public)."""
+def _scan(tops, skip_test_only=False):
+    """(names loaded under tops, the public names of the dswlab modules, as _public).
+
+    With skip_test_only, the bodies of the TEST_ONLY functions and methods load nothing.
+    """
     loaded = set()
     public = {}
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            loaded.update(_loads(tree))
-            if path.parent == PACKAGE:
+            in_package = path.parent == PACKAGE
+            skipped = (set(_test_only_definitions(path.stem, tree))
+                       if skip_test_only and in_package else ())
+            loaded.update(_loads(tree, skipped))
+            if in_package:
                 public.update(_public(path.stem, tree))
     assert public, f"no export found under {PACKAGE}"
     return loaded, public
@@ -102,7 +125,7 @@ def test_every_exported_name_is_read_somewhere():
 
 
 def test_every_exported_name_is_read_outside_the_tests():
-    loaded, public = _scan(PRODUCTION)
+    loaded, public = _scan(PRODUCTION, skip_test_only=True)
     unread = {key for key, name in public.items() if name not in loaded}
     test_only = sorted(unread - set(TEST_ONLY))
     assert not test_only, f"exported but read only by tests: {test_only}"

@@ -9,14 +9,14 @@ from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHe
                             _constrained_hessians, _core_figures, _cosine_coordinates,
                             _fourier_diff_matrices, _grid, _kc_inverse_t, _lplus_block,
                             _morse_counts, _multiplication_blocks, _nonzero_spectrum,
-                            _parity_blocks, _reflected, _sine_coordinates, assemble,
-                            assemble_operator, dmatrix_via_collocation, kernel_alignment,
+                            _operator, _parity_blocks, _reflected, _sine_coordinates,
+                            assemble, dmatrix_via_collocation, kernel_alignment,
                             morse_index, pseudo_inverse_apply, unstable_eigenmode,
                             unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
 
-# the one refusal of every eigh oracle given the non-symmetric dHcal
-NONSYMMETRIC_KIND = "^eigh requires a symmetric operator kind, got 'dHcal'$"
+# the one refusal of every eigh oracle given a matrix that is not exactly symmetric
+NONSYMMETRIC = "^eigh requires an exactly symmetric matrix$"
 
 def trig_basis(N):
     """Orthonormal grid cosine (k = 0..N//2) and sine (k = 1..(N-1)//2) bases, as columns.
@@ -56,8 +56,8 @@ class TestAssemble:
     def test_constant_coefficient_diagonalization(self):
         # psi = 0: L+ has eigenvalues c + (2 pi k / L)^2, each nonzero twice
         L, c, N = 2.0, 3.0, 128
-        op = assemble_operator("Lplus", L, c, np.zeros(N))
-        lam = np.sort(np.linalg.eigvalsh(op.matrix))
+        A = _operator("Lplus", *_fourier_diff_matrices(N, L), c, np.zeros(N))
+        lam = np.sort(np.linalg.eigvalsh(A))
         expected = np.sort([c + (2 * np.pi * k / L) ** 2
                             for k in range(-N // 2, N // 2)])
         assert np.max(np.abs(lam - expected)) < 1e-8 * np.max(expected)
@@ -67,7 +67,7 @@ class TestAssemble:
         op = assemble("Lplus", p, 512)
         x = np.arange(512) * p.L / 512
         dpsi = eval_profile_derivatives(p, x)[1]
-        assert np.max(np.abs(op.matrix @ dpsi)) < 1e-8 * np.max(np.abs(dpsi))
+        assert np.max(np.abs(op @ dpsi)) < 1e-8 * np.max(np.abs(dpsi))
 
     def test_kernel_of_hcal_is_profile_gradient(self, wave_2_03):
         p = wave_2_03
@@ -76,15 +76,16 @@ class TestAssemble:
         psi, dpsi, _ = eval_profile_derivatives(p, x)
         dphi = psi * dpsi / p.c
         vec = np.concatenate([dpsi, dphi])
-        assert np.max(np.abs(op.matrix @ vec)) < 1e-8 * np.max(np.abs(vec))
+        assert np.max(np.abs(op @ vec)) < 1e-8 * np.max(np.abs(vec))
 
     def test_symmetry_of_symmetric_kinds(self, wave_2_03):
+        # the eigh oracles read the entries, not a kind label
         for kind in ("Lplus", "Hcal"):
-            A = assemble(kind, wave_2_03, 128).matrix
-            assert np.max(np.abs(A - A.T)) < 1e-10 * np.max(np.abs(A))
+            A = assemble(kind, wave_2_03, 128)
+            assert np.array_equal(A, A.T)
 
     def test_kind_and_size_validated(self, wave_2_03):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown operator kind 'bogus'$"):
             assemble("bogus", wave_2_03, 128)
         with pytest.raises(ValueError, match="got 2"):
             assemble("Lplus", wave_2_03, 2)   # range(J) is empty
@@ -120,8 +121,8 @@ class TestMorseIndex:
         assert morse_index(assemble("Hcal", wave_2_03, 256)) == (1, 1)
 
     def test_free_operator_positive(self):
-        op = assemble_operator("Lplus", 2.0, 3.0, np.zeros(128))
-        assert morse_index(op) == (0, 0)
+        A = _operator("Lplus", *_fourier_diff_matrices(128, 2.0), 3.0, np.zeros(128))
+        assert morse_index(A) == (0, 0)
 
     def test_counts_stable_under_refinement(self, wave_2_03):
         for kind in ("Lplus", "Hcal"):
@@ -154,14 +155,14 @@ class TestMorseIndex:
         # adjacent to the kernel is strictly positive and N-converged
         vals = {}
         for N in (256, 512):
-            lam = np.sort(np.linalg.eigvalsh(assemble("Lplus", wave_2_03, N).matrix))
+            lam = np.sort(np.linalg.eigvalsh(assemble("Lplus", wave_2_03, N)))
             vals[N] = lam[:3]
         assert vals[256][0] < 0 < vals[256][2]
         assert abs(vals[256][1]) < 1e-6
         assert np.max(np.abs(vals[256] - vals[512])) < 1e-8 * max(1, abs(vals[256][0]))
 
     def test_requires_symmetric_kind(self, wave_2_03):
-        with pytest.raises(ValueError, match=NONSYMMETRIC_KIND):
+        with pytest.raises(ValueError, match=NONSYMMETRIC):
             morse_index(assemble("dHcal", wave_2_03, 128))
 
 
@@ -186,7 +187,7 @@ class TestPseudoInverse:
         op = assemble("Lplus", p, 256)
         f = np.ones(256)
         x = pseudo_inverse_apply(op, f)
-        assert np.max(np.abs(op.matrix @ x - f)) < 1e-7
+        assert np.max(np.abs(op @ x - f)) < 1e-7
 
     def test_matches_quadrature_inverse(self, wave_1_05, varphi_1_05):
         from dswlab.index_engine import linv_apply
@@ -204,8 +205,17 @@ class TestPseudoInverse:
 @pytest.mark.parametrize("oracle", [kernel_alignment, pseudo_inverse_apply])
 def test_eigh_oracles_refuse_a_nonsymmetric_kind(wave_2_03, oracle):
     # eigh reads one triangle: on dHcal kernel_alignment used to return 5.3e-5 silently
-    with pytest.raises(ValueError, match=NONSYMMETRIC_KIND):
+    with pytest.raises(ValueError, match=NONSYMMETRIC):
         oracle(assemble("dHcal", wave_2_03, 64), np.ones(2 * 64))
+
+
+def test_eigh_refuses_a_one_ulp_asymmetry(wave_2_03):
+    # the check reads the entries: L+ is exactly symmetric until one entry moves one ulp
+    A = assemble("Lplus", wave_2_03, 64)
+    assert morse_index(A) == (1, 1)
+    A[3, 5] = np.nextafter(A[3, 5], np.inf)
+    with pytest.raises(ValueError, match=NONSYMMETRIC):
+        morse_index(A)
 
 
 class TestSpectrumReport:
@@ -231,7 +241,7 @@ class TestSpectrumReport:
         low = even.eigenvalues[np.abs(even.eigenvalues) < 1000]
         for N in (255, 257):
             rep = unstable_modes(p, N=N)
-            cluster = _nonzero_spectrum(assemble("dHcal", p, N).matrix)[3]
+            cluster = _nonzero_spectrum(assemble("dHcal", p, N))[3]
             assert cluster.size == 4
             assert np.max(np.abs(cluster)) < 0.1 * np.min(np.abs(rep.eigenvalues))
             assert (rep.k_r, rep.k_c, rep.krein_negative, rep.n_Lplus, rep.n_H) == (
@@ -243,7 +253,7 @@ class TestSpectrumReport:
 
     def test_zero_cluster_separated(self, spectrum_2_03, wave_2_03):
         # the dense eigensolve leaves out as many eigenvalues as the certificate does
-        eigvals, _, keep, cluster = _nonzero_spectrum(assemble("dHcal", wave_2_03, 256).matrix)
+        eigvals, _, keep, cluster = _nonzero_spectrum(assemble("dHcal", wave_2_03, 256))
         assert cluster.size == zero_cluster_size(256) == 6
         assert keep.size == spectrum_2_03.eigenvalues.size == 2 * 256 - 6
         assert np.max(np.abs(cluster)) < 0.1 * np.min(np.abs(spectrum_2_03.eigenvalues))
@@ -297,8 +307,8 @@ def per_pair_reference(p, N):
     """Krein signs and partner gaps of the dense eig of dH by one loop per eigenvalue, the
     oracle of the certified spectrum: the 2x2 form of H on span(Re v, Im v) through
     eigvalsh, and a min per row."""
-    H = assemble("Hcal", p, N).matrix
-    eigvals, eigvecs = np.linalg.eig(assemble("dHcal", p, N).matrix)
+    H = assemble("Hcal", p, N)
+    eigvals, eigvecs = np.linalg.eig(assemble("dHcal", p, N))
     keep = np.argsort(np.abs(eigvals))[zero_cluster_size(N):]
     eigs, vecs = eigvals[keep], eigvecs[:, keep]
     scale = np.maximum(1.0, np.abs(eigs))
