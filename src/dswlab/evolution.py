@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import GridFunction, RefusalError, WaveParams, conserved_quantities, profile_grid
+from .waves import (GridFunction, RefusalError, WaveParams, conserved_quantities, profile_grid,
+                    spectral_derivative)
 
 __all__ = [
     "SimState",
@@ -200,12 +201,29 @@ def conserved_of_state(s: SimState):
     return conserved_quantities(*state_fields(s))
 
 
+def _drift_scales(s: SimState, q0: np.ndarray) -> np.ndarray:
+    """|q0| for each of (m_u, m_v, e_mixed, l2) at the state s of t = 0 or, where q0 is
+    zero to rounding, the quantity's natural size: sqrt(L l2) for the masses and
+    int u_x^2 + int |u^2 v| for e_mixed.
+
+    A natural size bounds |q0|, and the trapezoid sum of N terms behind q0 rounds by
+    up to N eps of it: at or below that, q0 counts as zero. All-zero data has size 0.
+    """
+    u, v = state_fields(s)
+    ux = spectral_derivative(u, 1)
+    l2 = q0[3]
+    mass = np.sqrt(s.L * l2)
+    energy = (s.L / s.N) * float(np.sum(ux**2 + np.abs(u.samples**2 * v.samples)))
+    natural = np.array([mass, mass, energy, l2])
+    return np.where(np.abs(q0) > s.N * np.finfo(float).eps * natural, np.abs(q0), natural)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray
     states: list
     conserved: np.ndarray       # rows: (t, m_u, m_v, e_mixed, l2)
-    max_rel_drift: float
+    max_rel_drift: float        # max over samples of |q - q0| / _drift_scales
     dt: float                   # the step actually taken: T / ceil(T / dt_requested)
 
 
@@ -254,8 +272,9 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
 
     logs = np.asarray(logs)
     q0 = logs[0, 1:]
-    scale = np.maximum(np.abs(q0), 1.0)
-    drift = float(np.max(np.abs(logs[:, 1:] - q0) / scale))
+    scale = _drift_scales(states[0], q0)
+    drift = float(np.max(np.divide(np.abs(logs[:, 1:] - q0), scale, where=scale > 0.0,
+                                   out=np.zeros_like(logs[:, 1:]))))
     return Trajectory(times=np.asarray(times), states=states, conserved=logs,
                       max_rel_drift=drift, dt=h)
 

@@ -36,7 +36,9 @@ __all__ = [
     "inertial_index_from_theta",
 ]
 
-THETA_DEGENERACY_THRESHOLD = 1e-10
+# |q'(L)| at or below which the zero eigenvalue is not classified. q'(L) = theta p'(0)
+# = -2 A2 is the same at every period, where theta = L theta_1(kappa) is not.
+DEGENERACY_THRESHOLD = 1e-10
 
 
 class IntegrationFailureError(RefusalError):
@@ -44,7 +46,8 @@ class IntegrationFailureError(RefusalError):
 
 
 class DegenerateThetaError(RefusalError):
-    """|theta| below the degeneracy threshold: the zero eigenvalue cannot be classified."""
+    """|q'(L)| = |theta p'(0)| below the degeneracy threshold: the zero eigenvalue cannot
+    be classified."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,9 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
 def inertial_index_from_theta(h: HillSolution | FloquetConstant):
     """Inertial index (n_minus, n_zero) of L+ from the sign of h.theta.
 
-    h is any record with a theta field: a HillSolution or a FloquetConstant.
+    h is any record with theta and q_prime_final fields: a HillSolution or a
+    FloquetConstant. Degeneracy is read on q'(L), which, unlike theta, does
+    not move with L.
 
     p has two zeros per period, so the zero eigenvalue is one of the second
     eigenvalue pair. With the normalization Wr(q, p) = +1 used here,
@@ -148,9 +153,9 @@ def inertial_index_from_theta(h: HillSolution | FloquetConstant):
     orientation slip; direct eigensolves of the discretized operator settle it
     this way, see the spectra module tests and the README stability note.)
     """
-    if abs(h.theta) <= THETA_DEGENERACY_THRESHOLD:
+    if abs(h.q_prime_final) <= DEGENERACY_THRESHOLD:
         raise DegenerateThetaError(
-            f"|theta| = {abs(h.theta)} <= {THETA_DEGENERACY_THRESHOLD}: "
+            f"|q'(L)| = {abs(h.q_prime_final)} <= {DEGENERACY_THRESHOLD}: "
             "double zero eigenvalue suspected"
         )
     return (1, 1) if h.theta > 0 else (2, 1)

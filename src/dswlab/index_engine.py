@@ -11,10 +11,11 @@ Every quadrature here is over one quarter period [0, K] of an even,
 cosine series of equispaced samples (_cosine_series), whose trapezoid mean
 converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014) and
 stops when its tail reaches rounding. The integrands depend on kappa alone
-(NOTES.md, the scaling symmetry), so one cached pass per modulus samples them
-all, one Jacobi evaluation per level (_quarter_period_record). The A-integrals
-and psi moments are K times the mean a_0 of their rows; varphi carries the
-antiderivative G of A2's row by Clenshaw, so its slope a_0 is A2 / K exactly.
+(NOTES.md, the scaling symmetry): one pass on the wave of period 1, cached by
+kappa, samples them all, one Jacobi evaluation per level
+(_quarter_period_record). The A-integrals and psi moments are K times the
+mean a_0 of their rows; varphi carries the antiderivative G of A2's row by
+Clenshaw, so its slope a_0 is A2 / K exactly.
 
 Conventions that matter (they are easy to get wrong):
 
@@ -29,7 +30,6 @@ Conventions that matter (they are easy to get wrong):
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -138,32 +138,28 @@ def _cosine_series(f, K: float) -> list:
         vals, n = finer, 2 * n
 
 
-# what the quarter-period integrands and _inner_integrand read of a wave: the same at
-# every period
-_Modulus = namedtuple("_Modulus", "kappa beta_sq K")
-
-
 @lru_cache(maxsize=1024)
-def _quarter_period_record(kappa: float, beta_sq: float, K: float) -> tuple:
-    """Cosine series on [0, K] of the integrands of A1, A2 (M), A3, A4, A6 and
-    dn^{2m} / B^m, m = 1..4, B = 1 + beta^2 sn^2: one sampler pass per modulus.
+def _quarter_period_record(kappa: float) -> tuple:
+    """(p1, rows): the wave of period 1 and modulus kappa, and the cosine series on [0, K]
+    of the integrands of A1, A2 (M), A3, A4, A6 and dn^{2m} / B^m, m = 1..4,
+    B = 1 + beta^2 sn^2, which read kappa, beta^2 and K, the same at every period.
 
-    Cached by the (kappa, beta^2, K) the rows read; the shared arrays are read-only.
+    One sampler pass per modulus; the shared arrays are read-only.
     """
-    p = _Modulus(kappa, beta_sq, K)
+    p1 = params_from_kappa(1.0, kappa)
 
     def integrands(u):
-        sn, _, dn = jacobi_sn_cn_dn(u, p.kappa)
-        B = 1.0 + p.beta_sq * sn * sn
+        sn, _, dn = jacobi_sn_cn_dn(u, kappa)
+        B = 1.0 + p1.beta_sq * sn * sn
         w = 1.0 - 2.0 * sn * sn
-        f = 3.0 * (p.kappa**2 + p.beta_sq) + 5.0 * p.beta_sq * dn * dn
-        return (B * B * w / dn**2, _inner_integrand(p, sn, dn), B * B * f * w / dn**2,
+        f = 3.0 * (kappa**2 + p1.beta_sq) + 5.0 * p1.beta_sq * dn * dn
+        return (B * B * w / dn**2, _inner_integrand(p1, sn, dn), B * B * f * w / dn**2,
                 B * w, B * f * w, *(dn ** (2 * m) / B**m for m in (1, 2, 3, 4)))
 
-    record = tuple(_cosine_series(integrands, p.K))
-    for a in record:
+    rows = tuple(_cosine_series(integrands, p1.K))
+    for a in rows:
         a.flags.writeable = False
-    return record
+    return p1, rows
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ def build_varphi(p: WaveParams) -> VarphiTable:
     A2 = K a_0 exactly. The sample counts per kappa are in NOTES.md.
     """
     return VarphiTable(params=p, varphi_0=_c0(p),
-                       _a=_quarter_period_record(p.kappa, p.beta_sq, p.K)[1])
+                       _a=_quarter_period_record(p.kappa)[1][1])
 
 
 def non_periodicity_gap(t: VarphiTable) -> float:
@@ -286,8 +282,8 @@ def a_integrals(p: WaveParams) -> AIntegrals:
     varphi's inner integrand and A5 the same integral. A4 carries a single
     power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
     """
-    record = _quarter_period_record(p.kappa, p.beta_sq, p.K)
-    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in record[:5])
+    rows = _quarter_period_record(p.kappa)[1]
+    A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in rows[:5])
     return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
 
 
@@ -423,7 +419,7 @@ def psi_moments(p: WaveParams):
     Closed elliptic forms: int psi^m = eta4^m L <dn^{2m} / B^m>, with <.> the
     mean over [0, K], a_0 of the last four rows of the quarter-period record.
     """
-    means = (a[0] for a in _quarter_period_record(p.kappa, p.beta_sq, p.K)[5:])
+    means = (a[0] for a in _quarter_period_record(p.kappa)[1][5:])
     return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip((1, 2, 3, 4), means))
 
 
@@ -460,11 +456,11 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
 
     Chain: A-integrals -> pairings <varphi,1>, <varphi,psi> -> boundary data at
     L/2 -> the three <L+^{-1} ., .> pairings -> the psi^3 reductions -> D_1,
-    all for the wave of period 1 and modulus kappa. D = S D_1 S with
-    S = diag(L^3/2, L^3/2, L^-1/2) (NOTES.md, the scaling symmetry), so no
-    step leaves the float range at an extreme period.
+    all for the wave of period 1 and modulus kappa that the quadrature record
+    holds. D = S D_1 S with S = diag(L^3/2, L^3/2, L^-1/2) (NOTES.md, the
+    scaling symmetry), so no step leaves the float range at an extreme period.
     """
-    p1 = params_from_kappa(1.0, p.kappa)
+    p1 = _quarter_period_record(p.kappa)[0]
     A = a_integrals(p1)
     s1, spsi = varphi_pairings(p1, A)
     psi_h, psi_pp_h, varphi_p_h = half_period_data(p1, A)

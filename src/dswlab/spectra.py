@@ -54,10 +54,9 @@ remains only in `unstable_eigenmode` and, through _nonzero_spectrum, as the
 oracle of the tests: its zero cluster has 4 members at odd N and 6 at even
 N, and the certified spectrum has as many eigenvalues as it leaves, 2N - 4
 or 2N - 6.
-The independent oracle for the quadrature pipeline pairs the solutions of
-H e = rhs. The right-hand sides are even and the kernel odd, so the even
-block of H finds them all, and through its Schur complement that is one
-solve with L+'s even block.
+The independent oracle for the quadrature pipeline's D solves H e = rhs on
+the same core: the right-hand sides are even and the kernel odd, so through
+the Schur complement of c I that is one solve with L+'s even block.
 """
 
 from __future__ import annotations
@@ -84,10 +83,14 @@ __all__ = [
 ]
 
 # In the dense eigensolve of unstable_eigenmode, an eigenvalue is unstable
-# when its real part exceeds RE_TOL. It is real when its imaginary part is at
-# most CLASS_TOL * max(1, |lambda|).
+# when its real part exceeds RE_TOL and the eig's rounding, EIG_ROUNDING eps
+# max|lambda|: lambda scales as L^-3, and the rounding on Re lambda of an
+# imaginary spectrum measures 0.3-2.0 eps max|lambda| for kappa in
+# [0.0015, 0.99], L in [1e-6, 1e6], N in 64..512. It is real when its
+# imaginary part is at most CLASS_TOL |lambda| or that rounding.
 RE_TOL = 1e-6
 CLASS_TOL = 1e-7
+EIG_ROUNDING = 16
 
 # |H (psi', phi')| / (c |(psi', phi')|) above which the certificate has no
 # premise. Waves from params_from_kappa give 3e-14 to 4e-12 at N = 128..384
@@ -317,30 +320,31 @@ def pseudo_inverse_apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
     return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
 
 
-def dmatrix_via_collocation(p: WaveParams, N: int = 512) -> np.ndarray:
-    """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the grid.
+def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
+    """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the core grid.
 
-    The right-hand sides (1, 0), (0, 1) and (psi, phi) are even and the
-    kernel (psi', phi') of H is odd, so the off-kernel solutions are those of
-    the even block: D = (L/N) R^T H_even^-1 R, with R = (A, B) the cosine
-    coordinates of the right-hand sides. The Schur complement of c I in
-    H_even is L+'s even block (module docstring), so H_even (x, y) = (A, B)
-    is L+ x = A + M1 B / c with y = (B + M1 x) / c: one solve of size
-    N//2 + 1. Uses only the collocation operators and trapezoid quadrature;
-    shares nothing with the quadrature pipeline except the wave profile
-    itself. N < 3 is refused as by the certificate.
+    The wave sets the grid, as for the margin of unstable_modes: the
+    n = min(N, CORE_FACTOR m* + 1) points of _core_size. The right-hand sides
+    (1, 0), (0, 1) and (psi, phi) are even and the kernel (psi', phi') of H
+    is odd, so the off-kernel solutions are those of the even block:
+    D = (L/n) R^T H_even^-1 R, with R = (A, B) the cosine coordinates of the
+    right-hand sides. H_even (x, y) = (A, B) is L+ x = A + M1 B / c with
+    y = (B + M1 x) / c (module docstring): one solve of size n//2 + 1. Shares
+    nothing with the quadrature pipeline but the wave profile. N < 3 is
+    refused as by the certificate.
     """
-    psi, _ = _grid(p, N)
-    k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+    n = _core_size(_grid(p, N)[0])
+    psi, _ = _grid(p, n)
+    k = (2 * np.pi / p.L) * np.arange(n // 2 + 1)
     phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
     (m1, _), (m2, _) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
-    one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(N), psi, phi]))
+    one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(n), psi, phi]))
     zero = np.zeros_like(one)
     A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
     B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
     x = _lapack(np.linalg.solve, _lplus_block(p.c, m2, k), A + (m1 @ B) / p.c)
     y = (B + m1 @ x) / p.c
-    D = (p.L / N) * (A.T @ x + B.T @ y)
+    D = (p.L / n) * (A.T @ x + B.T @ y)
     return 0.5 * (D + D.T)
 
 
@@ -583,19 +587,22 @@ def unstable_eigenmode(p: WaveParams, N: int = 256):
     """(lambda, U, V) for the most unstable mode, if one exists.
 
     Raises NoUnstableModeError when the spectrum (zero cluster excluded) has
-    no eigenvalue with real part above RE_TOL -- which is the measured state
-    of affairs for this wave family; see NOTES.md.
+    no eigenvalue with real part above max(RE_TOL, EIG_ROUNDING eps max|lambda|)
+    -- which is the measured state of affairs for this wave family at every
+    period; see NOTES.md.
     """
     eigvals, eigvecs, keep, _ = _nonzero_spectrum(assemble("dHcal", p, N))
+    rounding = EIG_ROUNDING * np.finfo(float).eps * float(np.max(np.abs(eigvals)))
+    tol = max(RE_TOL, rounding)
     eigs = eigvals[keep]
     idx = int(np.argmax(eigs.real))
-    if eigs.real[idx] <= RE_TOL:
+    if eigs.real[idx] <= tol:
         raise NoUnstableModeError(
-            f"max Re lambda = {eigs.real[idx]:.3e} <= {RE_TOL}: spectrum is stable"
+            f"max Re lambda = {eigs.real[idx]:.3e} <= {tol:.3g}: spectrum is stable"
         )
     lam = eigs[idx]
     v = eigvecs[:, keep[idx]]
-    if abs(lam.imag) <= CLASS_TOL * max(1.0, abs(lam)):   # a real eigenvalue
+    if abs(lam.imag) <= max(CLASS_TOL * abs(lam), rounding):   # a real eigenvalue
         v = v.real / np.linalg.norm(v.real)
         lam = complex(lam.real, 0.0)
     return lam, v[:N], v[N:]

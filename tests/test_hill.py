@@ -269,12 +269,17 @@ class TestInertialIndex:
         assert inertial_index_from_theta(fake) == (2, 1)
 
     def test_degenerate_theta_refused(self):
-        fake = HillSolution(q_prime_final=0.0, p_prime_0=1.0, theta=5e-11, wronskian_drift=0.0)
+        fake = HillSolution(q_prime_final=5e-11, p_prime_0=1.0, theta=5e-11, wronskian_drift=0.0)
         with pytest.raises(DegenerateThetaError):
             inertial_index_from_theta(fake)
         with pytest.raises(DegenerateThetaError):
-            inertial_index_from_theta(FloquetConstant(p_prime_0=1.0, q_prime_final=0.0,
+            inertial_index_from_theta(FloquetConstant(p_prime_0=1.0, q_prime_final=-5e-11,
                                                       theta=-5e-11))
+
+    def test_degeneracy_is_read_on_q_prime_not_theta(self):
+        # theta = L theta_1(kappa) is tiny at a tiny period, q'(L) = theta p'(0) is not
+        tiny_period = FloquetConstant(p_prime_0=1e20, q_prime_final=1.0, theta=1e-20)
+        assert inertial_index_from_theta(tiny_period) == (1, 1)
 
     def test_isoinertial_across_sweep(self):
         indices = set()

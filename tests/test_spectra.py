@@ -537,9 +537,20 @@ class TestSchurComplement:
         m = (N - 1) // 2   # the sine modes of N
         # Kc^-T is applied in closed form: no solve with a matrix of right-hand sides
         assert solves and (2 * m - 1, 2 * m - 1) not in [shape for _, shape in solves]
-        solves.clear()
+
+    @pytest.mark.parametrize("N", [128, 512])
+    def test_oracle_solves_once_on_the_core(self, wave_2_03, N, monkeypatch):
+        # the core of (2, 0.3) has 37 points, whatever N: one solve with L+'s even
+        # block of 19 cosine modes, not with H's
+        solves = []
+
+        def record_solve(A, b, _solve=np.linalg.solve):
+            solves.append(A.shape[0])
+            return _solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", record_solve)
         dmatrix_via_collocation(wave_2_03, N)
-        assert [size for size, _ in solves] == [N // 2 + 1]   # L+'s even block, not H's
+        assert solves == [19]
 
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_trig_basis_is_the_direct_evaluation(self, N):
@@ -592,7 +603,7 @@ class TestSchurComplement:
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
     # worst measured: 4.3e-7 at kappa = 0.1, the error of the grid pseudo-inverse
-    # itself (the even-block oracle agrees with the quadratures to 1.3e-11 at these kappa)
+    # itself (the even-block oracle agrees with the quadratures to 5.3e-11 at these kappa)
     p = params_from_kappa(1.0, kappa)
     N = 512
     x = np.arange(N) * (p.L / N)
@@ -608,7 +619,7 @@ def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
 
 @pytest.mark.parametrize("L", [1.0, 2.0, 4.0])
 def test_oracle_matches_quadrature_at_small_kappa(L):
-    # worst measured: 8.7e-12
+    # worst measured: 6.4e-10, on the 17-point core
     p = params_from_kappa(L, 0.05)
     D = assemble_dmatrix(p).entries
     oracle = dmatrix_via_collocation(p, 512)
