@@ -2,25 +2,28 @@
 
     u_t + (u v)_x + u_xxx = 0,    v_t + u u_x = 0
 
-in the lab frame or a frame moving at constant speed. The state is one
-(2, N//2+1) array of rfft coefficients of (u, v), so one inverse and one
-forward real FFT per stage serve both fields. Time stepping is exponential
-time differencing RK4 (Cox & Matthews, JCP 2002): the linear symbols
-i(k^3 + s k) for u and i s k for v enter exactly through e^z, e^{z/2} and the
-phi-function weights of z = i dt omega, which are means over 32 points w on a
-unit circle around each z (Kassam & Trefethen, SISC 2005), free of the
-cancellation of their closed forms at small |z|, and polynomials in 1/w, so
-no power of w overflows at large |z|. The quadratic terms are
-evaluated pseudospectrally and always dealiased by the 2/3 rule (products
-truncated to |k| < N/3, state kept in the same band), a Galerkin truncation
-that conserves l2 exactly; an even N's Nyquist mode lies outside that band
-and stays 0.
+in the lab frame or a frame moving at constant speed. The quadratic terms are
+evaluated pseudospectrally and always dealiased by the 2/3 rule, a Galerkin
+truncation that conserves l2 exactly. So the stepper's state is one (2, M)
+array of the rfft coefficients of (u, v) on the M = ceil(N/3) modes 3k < N,
+the band; an even N's Nyquist mode lies outside it. One inverse and one
+forward real transform per stage serve both fields: below N = _DENSE_BELOW
+they are products with a precomputed real DFT pair, since at such N a
+numpy.fft call costs more in overhead than its arithmetic; from there on they
+are numpy.fft's irfft, which zero-pads the band, and rfft cut to the band.
+Time stepping is exponential time differencing RK4 (Cox & Matthews, JCP 2002):
+the linear symbols i(k^3 + s k) for u and i s k for v enter exactly through
+e^z, e^{z/2} and the phi-function weights of z = i dt omega, which are means
+over 32 points w on a unit circle around each z (Kassam & Trefethen, SISC
+2005), free of the cancellation of their closed forms at small |z|, and
+polynomials in 1/w, so no power of w overflows at large |z|.
 
 ETD keeps equilibria exactly, so the co-moving traveling wave is a fixed
 point at any step and period; in the lab frame the wave (2, 0.3) at N = 128
-is accurate to ~1e-7 at dt = 1e-3. The measured step envelope is in NOTES.md.
-A run blows up when max|X| passes BLOWUP_LIMIT times its start, a bound that
-reads the same at every scale.
+is accurate to ~1e-7 at dt = 1e-3. The measured step envelope and the cost of
+a step on both transform paths are in NOTES.md. A run blows up when max|X|
+passes BLOWUP_LIMIT times its start, a bound that reads the same at every
+scale.
 """
 
 from __future__ import annotations
@@ -65,7 +68,10 @@ class WindowTooShortError(RefusalError):
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """Spectral state: the (2, N//2+1) rfft coefficients X of (u, v) at time t."""
+    """Spectral state: the (2, N//2+1) rfft coefficients X of (u, v) at time t.
+
+    simulate steps on the band 3k < N and pads it with zeros here, at each sample.
+    """
 
     t: float
     X: np.ndarray
@@ -87,10 +93,10 @@ class SimState:
         return self._full(1)
 
 
-def _dealias_mask(N: int) -> np.ndarray:
-    """rfft-length mask of the modes 3|k| < N kept by the 2/3 rule; strict, as
+def _band(N: int) -> int:
+    """Number M = ceil(N/3) of the modes 3k < N kept by the 2/3 rule; strict, as
     at N divisible by 3 the product mode 2N/3 aliases to -N/3."""
-    return np.arange(N // 2 + 1) * 3 < N
+    return (N + 2) // 3
 
 
 def state_fields(s: SimState):
@@ -129,6 +135,7 @@ def undo_preprocess(g0: float, u: GridFunction, v: GridFunction, t: float):
 # the ETDRK4 stepper
 
 _CHECK_EVERY = 8  # steps between blow-up checks; every sample is checked too
+_DENSE_BELOW = 256  # N below which a step's transforms are the dense pair (NOTES.md)
 
 
 def _etd_coefficients(z: np.ndarray, h: float):
@@ -148,8 +155,27 @@ def _etd_coefficients(z: np.ndarray, h: float):
     return (E, E2, *(h / 32.0 * sums))
 
 
+def _dft_pair(N: int, M: int):
+    """Real DFT matrices of the band: X.view(float) @ inv is irfft(X, N) for X of shape
+    (2, M), and (p @ fwd).view(complex) is rfft(p)[:, :M] for p of shape (2, N).
+
+    Rows and columns alternate (cos, -sin) of the angles 2 pi (k j mod N) / N, reduced
+    exactly in integers; inv carries irfft's 1/N and the factor 2 of each mode k > 0,
+    whose conjugate -k it stands for (the band never holds the Nyquist mode).
+    """
+    angle = (2.0 * np.pi / N) * (np.outer(np.arange(M), np.arange(N)) % N)
+    pair = np.empty((2 * M, N))
+    pair[0::2], pair[1::2] = np.cos(angle), -np.sin(angle)
+    weight = np.repeat(np.where(np.arange(M) > 0, 2.0, 1.0) / N, 2)
+    return weight[:, None] * pair, np.ascontiguousarray(pair.T)
+
+
 class _Stepper:
-    """ETDRK4 weights for fixed (N, L, dt, frame speeds) on the rfft state.
+    """ETDRK4 weights for fixed (N, L, dt, frame speeds) on the band of M = _band(N) modes.
+
+    The state, the weights and the nonlinear symbol g hold only the band. Below
+    N = _DENSE_BELOW, inv and fwd are the dense real DFT pair of the band; from there
+    on they are None and the transforms are numpy.fft's.
 
     v may ride in its own frame: the mean-zero preconditioning transports v at
     g0 while u keeps its lab form, and the extra g0 dv/dx joins v's symbol.
@@ -157,36 +183,46 @@ class _Stepper:
 
     def __init__(self, N: int, L: float, dt: float, frame_speed: float,
                  frame_speed_v: float | None):
-        k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
+        self.N, self.M = N, _band(N)
+        k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)[:self.M]
         sv = frame_speed if frame_speed_v is None else frame_speed_v
         z = 1j * dt * np.stack([k**3 + frame_speed * k, sv * k])
-        self.N = N
         self.E, self.E2, self.Q, self.f1, f2, self.f3 = _etd_coefficients(z, dt)
         self.f2 = 2.0 * f2  # weighs both middle stages
         # rows act on rfft(v u) and rfft(u u): -ik (uv) for u, -ik (u^2 / 2) for v
-        self.g = -1j * np.array([[1.0], [0.5]]) * k * _dealias_mask(N)
+        self.g = -1j * np.array([[1.0], [0.5]]) * k
+        self.inv, self.fwd = _dft_pair(N, self.M) if N < _DENSE_BELOW else (None, None)
 
     def nonlinear(self, X):
-        w = np.fft.irfft(X, self.N)
-        return self.g * np.fft.rfft(w[::-1] * w[0])
+        if self.inv is None:
+            w = np.fft.irfft(X, self.N)
+            return self.g * np.fft.rfft(w[::-1] * w[0])[:, :self.M]
+        w = X.view(float) @ self.inv
+        return self.g * (w[::-1] * w[0] @ self.fwd).view(complex)
 
     def advance(self, X):
-        # overflow/invalid are the blow-up detection signal, not a fault
-        with np.errstate(over="ignore", invalid="ignore"):
-            nx = self.nonlinear(X)
-            e2x = self.E2 * X
-            a = e2x + self.Q * nx
-            na = self.nonlinear(a)
-            nb = self.nonlinear(e2x + self.Q * na)
-            nc = self.nonlinear(self.E2 * a + self.Q * (2.0 * nb - nx))
-            return self.E * X + self.f1 * nx + self.f2 * (na + nb) + self.f3 * nc
+        """One step. A blow-up overflows here: simulate steps under np.errstate, so
+        its blow-up check, not a warning, reports it."""
+        nx = self.nonlinear(X)
+        e2x = self.E2 * X
+        a = e2x + self.Q * nx
+        na = self.nonlinear(a)
+        nb = self.nonlinear(e2x + self.Q * na)
+        nc = self.nonlinear(self.E2 * a + self.Q * (2.0 * nb - nx))
+        return self.E * X + self.f1 * nx + self.f2 * (na + nb) + self.f3 * nc
+
+    def padded(self, X) -> np.ndarray:
+        """The band state X as the (2, N//2+1) rfft coefficients of SimState."""
+        full = np.zeros((2, self.N // 2 + 1), dtype=complex)
+        full[:, :self.M] = X
+        return full
 
 
 @lru_cache(maxsize=8)
 def _stepper(N: int, L: float, dt: float, frame_speed: float,
              frame_speed_v: float | None) -> _Stepper:
     """Memo of _Stepper: repeated simulate calls with the same grid, step and frame speeds
-    build the ETDRK4 weights once.
+    build the ETDRK4 weights and the DFT pair once.
 
     Every caller shares the returned weights, so they are made read-only.
     """
@@ -247,28 +283,30 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     n_steps = int(np.ceil(T / dt * (1.0 - 1e-12)))  # a whole T/dt with rounding stays whole
     h = T / n_steps
     sample_every = max(1, n_steps // 64)
-    X = np.fft.rfft(np.stack([u0.samples, v0.samples])) * _dealias_mask(u0.N)
-    limit = BLOWUP_LIMIT * np.max(np.abs(X))
     stepper = _stepper(u0.N, u0.L, h, frame_speed, frame_speed_v)
+    X = np.fft.rfft(np.stack([u0.samples, v0.samples]))[:, :stepper.M]
+    limit = BLOWUP_LIMIT * np.max(np.abs(X))
 
     times, states, logs = [], [], []
     t_ok = 0.0
-    for n in range(n_steps + 1):
-        if n:
-            X = stepper.advance(X)
-        t = T if n == n_steps else n * h
-        sampled = n % sample_every == 0 or n == n_steps
-        if sampled or n % _CHECK_EVERY == 0:
-            if not np.max(np.abs(X)) <= limit:   # a nan fails it too
-                partial = Trajectory(np.asarray(times), states, np.asarray(logs), np.nan, h)
-                raise BlowUpError(f"solution blew up between t = {t_ok:.6g} and {t:.6g}",
-                                  t_last=t_ok, trajectory=partial)
-            t_ok = t
-        if sampled:
-            snap = SimState(t=t, X=X, N=u0.N, L=u0.L)
-            times.append(t)
-            states.append(snap)
-            logs.append((t, *conserved_of_state(snap)))
+    # overflow/invalid are the blow-up detection signal, not a fault
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps + 1):
+            if n:
+                X = stepper.advance(X)
+            t = T if n == n_steps else n * h
+            sampled = n % sample_every == 0 or n == n_steps
+            if sampled or n % _CHECK_EVERY == 0:
+                if not np.max(np.abs(X)) <= limit:   # a nan fails it too
+                    partial = Trajectory(np.asarray(times), states, np.asarray(logs), np.nan, h)
+                    raise BlowUpError(f"solution blew up between t = {t_ok:.6g} and {t:.6g}",
+                                      t_last=t_ok, trajectory=partial)
+                t_ok = t
+            if sampled:
+                snap = SimState(t=t, X=stepper.padded(X), N=u0.N, L=u0.L)
+                times.append(t)
+                states.append(snap)
+                logs.append((t, *conserved_of_state(snap)))
 
     logs = np.asarray(logs)
     q0 = logs[0, 1:]
