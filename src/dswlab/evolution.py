@@ -268,8 +268,8 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     """Evolve (u0, v0) to time T, always dealiased, logging the four conserved quantities.
 
     Takes n = ceil(T/dt) equal steps of T/n <= dt and ends at T exactly.
-    frame_speed_v overrides the v-component frame (see _Stepper). About 64 samples:
-    one every max(1, n // 64) steps and one at T. The state is checked against
+    frame_speed_v overrides the v-component frame (see _Stepper). Samples: one every
+    max(1, n // 64) steps and one at T, 65 to 128 for n >= 64. The state is checked against
     BLOWUP_LIMIT times its start every _CHECK_EVERY steps and at every sample;
     BlowUpError carries the time of the last check passed and the partial trajectory.
     """

@@ -4,38 +4,40 @@ Dense matrices for L+, the 2x2 block operator H on L-, and the linearized
 evolution generator dH = J H with J = diag(d/dxi, d/dxi). The wave is even,
 so on the orthonormal grid cosine and sine bases L+ and H each split into an
 even and an odd block, and J maps each parity onto the other: d/dxi takes
-cos_k to -k sin_k and sin_k to k cos_k. `unstable_modes` works on these
-blocks, and the spectrum of dH comes with a certificate. No basis is formed:
-in cosine (sine) coordinates multiplication by an even grid function f is
-half a Toeplitz plus (minus) a Hankel matrix of the DFT of f, so one FFT of
-psi and one of psi^2 assemble every block in O(N^2), and the coordinates of
-a grid function are its rfft coefficients, scaled. Each L+ block is
-diag(k^2 + c) - (3 / 2c) M2, with M2 the block of psi^2. One decomposition
-per L+ block serves L+ and H: multiplication by the even psi keeps parity,
-so on each block M1 M1 = M2 and the Schur complement of c I in
-H = [[Lm, -M1], [-M1, c I]] is Lm - M1^2 / c = L+. Haynsworth's inertia
-additivity then gives n(H) = n(L+) for c > 0, and H's kernel is the lift
+cos_k to -k sin_k and sin_k to k cos_k. No basis is formed: in cosine (sine)
+coordinates multiplication by an even grid function f is half a Toeplitz
+plus (minus) a Hankel matrix of Re fft(f), strided views, so one FFT of psi
+and one of psi^2 assemble every block in O(N^2). Each L+ block is
+diag(k^2 + c) - (3 / 2c) M2, M2 the block of psi^2. One decomposition per
+L+ block serves L+ and H: multiplication by the even psi keeps parity, so
+on each block M1 M1 = M2, the Schur complement of c I in
+H = [[Lm, -M1], [-M1, c I]] is L+, Haynsworth's inertia additivity gives
+n(H) = n(L+) for c > 0, and H's kernel is the lift
 (u, M1 u / c) of L+'s kernel u.
 
-The certificate is the finite-dimensional form of n(H) - n(D) = 0
-(Kapitula & Promislow 2013, ch. 7). On range(J), the modes 0 < k < N/2,
-K = J^-1 is explicit. An eigenvector of a nonzero eigenvalue lies in range(J)
-and is orthogonal to K e1 and K e2, where e1 = (psi', phi') spans the kernel
-of H and H e2 = K e1. K e1 is even and K e2 odd, so one Householder reflector
-per parity gives an orthonormal basis Q of that constrained space. If the
-constrained Hessian Hc = Q^T H Q has a Cholesky factor Hc = R^T R, then
-every nonzero eigenvalue of dH is imaginary, +-i omega, with Krein sign +1:
-the eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q.
+The certificate of `unstable_modes` is the finite-dimensional form of
+n(H) - n(D) = 0 (Kapitula & Promislow 2013, ch. 7). On range(J), the modes
+0 < k < N/2, K = J^-1 is explicit. An eigenvector of a nonzero eigenvalue
+lies in range(J) and is orthogonal to K e1 and K e2, where e1 = (psi', phi')
+spans the kernel of H and H e2 = K e1. So H is written once, on range(J)
+alone, into one array of both parities: there every cosine has the weight
+of a sine, and the blocks of psi and psi^2 are (T + Hk) / N (even) and
+(T - Hk) / N (odd). K e1 is even and K e2 odd; e2 solves the even block
+through the Schur complement of c I, one solve of size m = (N - 1) // 2
+with Lm - M1 M1 / c (M1 of range(J) alone, whose square is not M2). One
+Householder reflector per parity, applied as one symmetric rank-two update,
+gives the constrained Hessian Hc = Q^T H Q, Q the reflector's columns but
+the first. If Hc has a Cholesky factor Hc = R^T R, then every nonzero
+eigenvalue of dH is imaginary, +-i omega, with Krein sign +1: the
+eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q.
 The parities make it block off-diagonal, so the omega are the singular
-values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T. Q_e^T K_EO Q_o is
-the trailing block of P_e K_EO P_o, with P_e, P_o the reflectors, and the
-inverse P_o K_EO^-1 P_e of that product is diagonal plus rank two, so
-bordering applies the inverse of its trailing block in O(N^2). If Hc has
-no Cholesky factor, IndefiniteHessianError names the inertia of the failing
-block. The certificate rests on e1 being the kernel of the collocation H;
-KernelResidualError says when it is not, for a profile that does not solve
-its equation or a grid too coarse for it. No symmetric eigensolve runs at
-N but the one that names that inertia.
+values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T, whose middle factor
+has a diagonal-plus-rank-two inverse. The two Cholesky factors, X and its
+SVD are the only O(N^3) work besides the solve for e2. If Hc has no
+Cholesky factor, IndefiniteHessianError names the inertia of the failing
+block; no other symmetric eigensolve runs at N. The certificate rests on e1
+being the kernel of the collocation H; KernelResidualError says when it is
+not, for a profile that does not solve its equation or a grid too coarse.
 
 The margin lambda_min(Hc) says by how much the certificate holds; no
 threshold on Re lambda enters. It, n(L+) = n(H) and the kernel overlaps
@@ -47,16 +49,11 @@ finding, has the sizes). A non-positive lambda_min on the core raises
 IndefiniteHessianError too: it is never reported as a margin. A LAPACK
 failure is an EigensolveError.
 
-`assemble` returns the full collocation matrix of L+, H or dH as a plain
-array, for the oracles of the tests and `unstable_eigenmode`; the eigh
-oracles refuse a matrix that is not exactly symmetric. The dense `eig` of dH
-remains only in `unstable_eigenmode` and, through _nonzero_spectrum, as the
-oracle of the tests: its zero cluster has 4 members at odd N and 6 at even
-N, and the certified spectrum has as many eigenvalues as it leaves, 2N - 4
-or 2N - 6.
-The independent oracle for the quadrature pipeline's D solves H e = rhs on
-the same core: the right-hand sides are even and the kernel odd, so through
-the Schur complement of c I that is one solve with L+'s even block.
+`assemble` returns the full collocation matrix of L+, H or dH, for the
+oracles of the tests and `unstable_eigenmode`; the eigh oracles refuse a
+matrix that is not exactly symmetric. The dense `eig` of dH remains only
+there: its zero cluster has 4 members at odd N and 6 at even N, and the
+certified spectrum has as many eigenvalues as it leaves, 2N - 4 or 2N - 6.
 """
 
 from __future__ import annotations
@@ -108,6 +105,11 @@ KERNEL_RESIDUAL_BOUND = 1e-8
 CORE_FACTOR = 4
 CHOP_TOL = np.finfo(float).eps
 CHOP_MIN = 2
+
+# eps cond(L+'s even block) above which dmatrix_via_collocation refuses: the
+# error its solve may carry, held to criterion 4's agreement bound. At L = 1 it
+# reads 1.3e-5 at kappa = 3e-3 (D off by 2.8e-5) and 2.4e-7 at 1e-2 (5.0e-8).
+ORACLE_COND_BOUND = 1e-6
 
 
 class EigensolveError(RefusalError):
@@ -227,14 +229,7 @@ def _cosine(v: np.ndarray, r: np.ndarray) -> float:
 
 
 def morse_index(A: np.ndarray):
-    """(n_negative, n_zero) of a symmetric matrix, counted by _morse_counts.
-
-    The kernel eigenvalue sits at the eigensolver's rounding floor, and the
-    eigenvalue next to it is positive but scales like kappa^4 (2.0e-5 at
-    kappa = 0.02 and 1.3e-10 at 1e-3, for L = 1 where c = 39.5): no fixed
-    fraction of c separates the two at small kappa, and near kappa = 1e-3
-    not even the rounding floor does.
-    """
+    """(n_negative, n_zero) of a symmetric matrix, counted by _morse_counts."""
     return _morse_counts(_eigh(A)[0])
 
 
@@ -270,34 +265,26 @@ def _sine_coordinates(f: np.ndarray) -> np.ndarray:
     return -np.sqrt(2.0 / N) * np.fft.rfft(f).imag[..., 1:(N - 1) // 2 + 1]
 
 
+def _toeplitz_hankel(F: np.ndarray, first: int, size: int):
+    """Views (F[|k - l|], F[(k + l) mod N]) of F, k, l = first .. first + size - 1."""
+    toeplitz = sliding_window_view(np.concatenate([F[size - 1:0:-1], F[:size]]), size)[::-1]
+    return toeplitz, sliding_window_view(np.append(F, F[0])[2 * first:2 * (first + size) - 1], size)
+
+
 def _multiplication_blocks(f: np.ndarray):
     """(C^T diag(f) C, S^T diag(f) S) for an even grid function f, from one FFT.
 
     A product of two grid cosines (sines) is half the sum (difference) of the
-    cosines of the difference and the sum of their wavenumbers. With
-    F = Re fft(f), the cosine block is (w_k w_l / 2) (F[|k - l|] + F[(k + l) mod N])
-    and the sine block (F[|k - l|] - F[k + l]) / N: Toeplitz and Hankel
-    matrices, read as strided views of F.
+    cosines of the difference and the sum of their wavenumbers, so with
+    F = Re fft(f) the cosine block is (w_k w_l / 2) (F[|k - l|] + F[(k + l) mod N])
+    and the sine block (F[|k - l|] - F[k + l]) / N.
     """
     N = f.size
-    n, m = N // 2 + 1, (N - 1) // 2
-    F = np.fft.fft(f).real
-    toeplitz = sliding_window_view(np.concatenate([F[n - 1:0:-1], F[:n]]), n)[::-1]
-    hankel = sliding_window_view(np.append(F, F[0])[:2 * n - 1], n)
+    toeplitz, hankel = _toeplitz_hankel(np.fft.fft(f).real, 0, N // 2 + 1)
     w = _cosine_weights(N)
-    sines = slice(1, m + 1)
+    sines = slice(1, (N - 1) // 2 + 1)
     return (0.5 * np.outer(w, w) * (toeplitz + hankel),
             (toeplitz[sines, sines] - hankel[sines, sines]) / N)
-
-
-def _project(c: float, m1: np.ndarray, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """H on one parity block with wavenumbers k.
-
-    -d^2/dxi^2 is diag(k^2) there, and m1, m2 are the blocks of multiplication
-    by psi and psi^2; H is ordered (u coefficients, v coefficients).
-    """
-    lap = np.diag(k * k + c)
-    return np.block([[lap - (0.5 / c) * m2, -m1], [-m1, c * np.eye(k.size)]])
 
 
 def _lplus_block(c: float, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -331,7 +318,9 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     right-hand sides. H_even (x, y) = (A, B) is L+ x = A + M1 B / c with
     y = (B + M1 x) / c (module docstring): one solve of size n//2 + 1. Shares
     nothing with the quadrature pipeline but the wave profile. N < 3 is
-    refused as by the certificate.
+    refused as by the certificate, and an EigensolveError names eps cond of
+    L+'s even block when it exceeds ORACLE_COND_BOUND: below kappa ~ 7e-3,
+    where L+'s second even eigenvalue, ~3.2 c kappa^4, nears zero.
     """
     n = _core_size(_grid(p, N)[0])
     psi, _ = _grid(p, n)
@@ -342,7 +331,12 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     zero = np.zeros_like(one)
     A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
     B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
-    x = _lapack(np.linalg.solve, _lplus_block(p.c, m2, k), A + (m1 @ B) / p.c)
+    lplus = _lplus_block(p.c, m2, k)
+    rounding = np.finfo(float).eps * _lapack(np.linalg.cond, lplus)
+    if not rounding <= ORACLE_COND_BOUND:
+        raise EigensolveError(f"L+'s even block is too ill-conditioned for the D oracle: "
+                              f"eps cond = {rounding:.1e} > {ORACLE_COND_BOUND:.0e}")
+    x = _lapack(np.linalg.solve, lplus, A + (m1 @ B) / p.c)
     y = (B + m1 @ x) / p.c
     D = (p.L / n) * (A.T @ x + B.T @ y)
     return 0.5 * (D + D.T)
@@ -388,35 +382,48 @@ def _core_size(psi: np.ndarray) -> int:
 
 
 def _parity_blocks(p: WaveParams, N: int):
-    """(k, H even, H odd, M2, kernel, core_N) for the wave p on the N-point grid.
+    """(k, H, kernel, psi, core_N) for the wave p on the N-point grid.
 
-    k = 2 pi (0..N//2) / L are the wavenumbers of the cosine block; the sine
-    block has k[1:m + 1], m = (N - 1) // 2, the modes of range(J). M2 is the
-    pair (even, odd) of blocks of psi^2, from which the core forms L+
-    (_lplus_block). kernel is the analytic kernel (psi', phi') of H in sine
-    coordinates, and core_N the grid size that resolves psi (_core_size).
+    k = 2 pi (1..m) / L, m = (N - 1) // 2, are the modes of range(J) in each
+    parity, and H[0] (even) and H[1] (odd) the blocks [[Lm, -M1], [-M1, c I]]
+    of H there, ordered (u, v) (module docstring). kernel is (psi', phi') in
+    sine coordinates, and core_N the grid that resolves psi (_core_size).
     N < 3 leaves no mode in range(J): ValueError.
     """
     psi, dpsi = _grid(p, N)
-    k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
-    (m1_e, m1_o), m2 = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
-    kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / p.c])).ravel()
-    return (k, _project(p.c, m1_e, m2[0], k), _project(p.c, m1_o, m2[1], k[1:(N - 1) // 2 + 1]),
-            m2, kernel, _core_size(psi))
+    m, c = (N - 1) // 2, p.c
+    k = (2 * np.pi / p.L) * np.arange(1, m + 1)
+    H = np.zeros((2, 2 * m, 2 * m))
+    for f, rows in ((psi * psi, slice(None, m)), (psi, slice(m, None))):
+        toeplitz, hankel = _toeplitz_hankel(np.fft.fft(f).real, 1, m)
+        np.add(toeplitz, hankel, out=H[0, rows, :m])
+        np.subtract(toeplitz, hankel, out=H[1, rows, :m])
+    H[:, :m, :m] = H[:, :m, :m] / N * (-0.5 / c)
+    H[:, m:, :m] /= -N
+    H[:, :m, m:] = H[:, m:, :m]   # M1 is symmetric
+    modes = np.arange(m)
+    H[:, modes, modes] += k * k + c
+    H[:, m + modes, m + modes] = c
+    kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / c])).ravel()
+    return k, H, kernel, psi, _core_size(psi)
 
 
-def _reflector(a: np.ndarray) -> np.ndarray:
-    """Unit h with (I - 2 h h^T) a on the first axis: the other columns span a's complement."""
-    h = a.copy()
-    h[0] += np.copysign(np.linalg.norm(a), a[0])
-    return h / np.linalg.norm(h)
+def _reflected(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P A P less its first row and column, P = I - 2 g g^T, for each symmetric A[i] and
+    g[i]: the rank-two update A - g w^T - w g^T with w = 2 A g - 2 (g^T A g) g."""
+    Ag = np.matmul(A, g[..., None])[..., 0]
+    w = 2.0 * (Ag - np.sum(g * Ag, axis=-1, keepdims=True) * g)
+    B = np.matmul(np.stack([g, w], axis=-1), np.stack([w, g], axis=-2))
+    return np.subtract(A, B, out=B)[:, 1:, 1:]
 
 
-def _reflected(A: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(I - 2 g g^T) A (I - 2 h h^T) less its first row and column, by rank-one updates."""
-    Ah, gA = A @ h, g @ A
-    return (A - 2.0 * np.outer(g, gA) - 2.0 * np.outer(Ah, h)
-            + 4.0 * (g @ Ah) * np.outer(g, h))[1:, 1:]
+def _even_solve(A: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    """A^-1 b for A = [[Lm, -M1], [-M1, c I]] through the Schur complement of c I:
+    (Lm - M1 M1 / c) x = b_u + M1 b_v / c and y = (b_v + M1 x) / c."""
+    m = b.size // 2
+    V = A[m:, :m]   # -M1
+    x = _lapack(np.linalg.solve, A[:m, :m] - (V @ V) / c, b[:m] - (V @ b[m:]) / c)
+    return np.concatenate([x, (b[m:] - V @ x) / c])
 
 
 def _inertia(lam: np.ndarray) -> tuple:
@@ -436,45 +443,40 @@ def _factor(Hc: np.ndarray, block: str) -> np.ndarray:
 def _kc_inverse_t(K: np.ndarray, g_e: np.ndarray, g_o: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kc^-T B for Kc = (P_e diag(K) P_o)[1:, 1:], P = I - 2 g g^T, without a factorization.
 
-    Kc^T is the trailing block of M^T = P_o diag(K) P_e, whose inverse is
-    W = P_e diag(1/K) P_o: a diagonal plus rank two. Bordering gives
-    Kc^-T = W[1:, 1:] - W[1:, 0] W[0, 1:] / W[0, 0], so W applied to
-    (e_0, (0, B)) by two reflections and a scaling is all the work.
+    Kc^T is the trailing block of P_o diag(K) P_e, whose inverse is
+    W = P_e diag(d) P_o = diag(d) + U V^T, d = 1/K, U = (g_e, d g_o) and
+    V = (4 (g_e^T d g_o) g_o - 2 d g_e, -2 g_o). Bordering gives
+    Kc^-T = W[1:, 1:] - W[1:, 0] W[0, 1:] / W[0, 0] with W[1:, 0] = U[1:] V[0]^T:
+    diag(d[1:]) + U[1:] C V[1:]^T, C = I - V[0]^T U[0] / W[0, 0].
     """
-    Z = np.zeros((K.size, B.shape[1] + 1))
-    Z[0, 0] = 1.0
-    Z[1:, 1:] = B
-    Z -= 2.0 * np.outer(g_o, g_o @ Z)
-    Z /= K[:, None]
-    Z -= 2.0 * np.outer(g_e, g_e @ Z)
-    return Z[1:, 1:] - np.outer(Z[1:, 0], Z[0, 1:]) / Z[0, 0]
+    d = 1.0 / K
+    U = np.stack([g_e, d * g_o], axis=1)
+    V = np.stack([4.0 * (g_e @ (d * g_o)) * g_o - 2.0 * d * g_e, -2.0 * g_o], axis=1)
+    C = np.eye(2) - np.outer(V[0], U[0]) / (d[0] + U[0] @ V[0])
+    return d[1:, None] * B + U[1:] @ (C @ (V[1:].T @ B))
 
 
-def _constrained_hessians(H_even: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
-                          k: np.ndarray):
-    """((Hc_e, Hc_o), (g_e, g_o), K_eo): the constrained Hessians on range(J).
+def _constrained_hessians(H: np.ndarray, kernel: np.ndarray, k: np.ndarray, c: float):
+    """(Hc, g, K_eo): the constrained Hessians Hc[0] (even) and Hc[1] (odd) on range(J).
 
-    k holds the wavenumbers of the cosine block (_parity_blocks); range(J)
-    has k[1:m + 1], the even block's modes less the constants and the
-    Nyquist mode. g_e and g_o are the reflectors whose complements are Q_e
-    and Q_o, and K_eo the diagonal of K = J^-1 from the odd to the even
-    coordinates.
+    H, kernel and k are those of _parity_blocks. The complements of the
+    Householder reflectors g[0] and g[1] are Q_e and Q_o, and K_eo is the
+    diagonal of K = J^-1 from the odd to the even coordinates. The even
+    block is nonsingular, since the kernel of H is odd.
     """
-    m, n = kernel.size // 2, H_even.shape[0] // 2
-    kk = np.concatenate([k[1:m + 1], k[1:m + 1]])
-    keep = np.r_[1:m + 1, n + 1:n + m + 1]
-    K_eo = -1.0 / kk   # K = J^-1 takes sin_k to -cos_k / k and cos_k to sin_k / k
-    H_ee = H_even[np.ix_(keep, keep)]   # nonsingular: the kernel of H is odd
+    K_eo = -1.0 / np.concatenate([k, k])   # K takes sin_k to -cos_k / k and cos_k to sin_k / k
     Ke1 = K_eo * kernel
-    g_e, g_o = _reflector(Ke1), _reflector(_lapack(np.linalg.solve, H_ee, Ke1) / kk)
-    return (_reflected(H_ee, g_e, g_e), _reflected(H_odd, g_o, g_o)), (g_e, g_o), K_eo
+    a = np.stack([Ke1, -K_eo * _even_solve(H[0], Ke1, c)])   # K e1 and K e2
+    g = a.copy()   # unit, with (I - 2 g g^T) a on the first axis
+    g[:, 0] += np.copysign(np.linalg.norm(a, axis=1), a[:, 0])
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return _reflected(H, g), g, K_eo
 
 
-def _certify(hessians, reflectors, K_eo: np.ndarray, H_odd: np.ndarray, kernel: np.ndarray,
-             c: float):
+def _certify(hessians, g, K_eo, H_odd: np.ndarray, kernel: np.ndarray, c: float):
     """(X, kernel_residual): the certificate on range(J).
 
-    hessians, reflectors and K_eo are those of _constrained_hessians, and
+    hessians, g and K_eo are those of _constrained_hessians, and
     X = L_e^T Kc^-T L_o with L_e, L_o the lower Cholesky factors of Hc on
     each parity, so R = L^T. Raises IndefiniteHessianError when a factor
     does not exist and then KernelResidualError when the premise,
@@ -486,27 +488,28 @@ def _certify(hessians, reflectors, K_eo: np.ndarray, H_odd: np.ndarray, kernel: 
     residual = float(np.linalg.norm(H_odd @ unit) / (c * np.linalg.norm(unit)))
     if residual > KERNEL_RESIDUAL_BOUND:
         raise KernelResidualError(residual)
-    X = L_e.T @ _kc_inverse_t(K_eo, *reflectors, L_o)   # Kc = Q_e^T K_EO Q_o
+    X = L_e.T @ _kc_inverse_t(K_eo, *g, L_o)   # Kc = Q_e^T K_EO Q_o
     return X, residual
 
 
-def _core_figures(hessians, H_odd: np.ndarray, m2, k: np.ndarray, kernel: np.ndarray,
-                  c: float):
-    """(margin, n(L+), kernel overlaps of L+ and H) from the parity blocks of the core.
+def _core_figures(hessians, H_odd: np.ndarray, kernel: np.ndarray, psi: np.ndarray, p: WaveParams):
+    """(margin, n(L+), kernel overlaps of L+ and H) from the blocks of the core grid.
 
     The margin is min lambda_min(Hc) over both parities; a block whose
     lambda_min is not positive raises IndefiniteHessianError with its inertia.
-    One eigendecomposition per L+ block, formed from the blocks m2 of psi^2
-    and the wavenumbers k of _parity_blocks, gives the counts and kernel
-    alignments of both L+ and H (module docstring).
+    One eigendecomposition per L+ block, formed from the blocks of psi^2 on
+    the grid of psi, gives the counts and kernel alignments of both L+ and H
+    (module docstring). H_odd and kernel are those of _parity_blocks.
     """
-    m = kernel.size // 2
+    m, c = kernel.size // 2, p.c
     lam_hc = [_lapack(np.linalg.eigvalsh, Hc) for Hc in hessians]
     for block, lam in zip(("even", "odd"), lam_hc):
         if lam[0] <= 0.0:
             raise IndefiniteHessianError(block, _inertia(lam))
-    lam_even = _lapack(np.linalg.eigvalsh, _lplus_block(c, m2[0], k))
-    lam_odd, vec_odd = _lapack(np.linalg.eigh, _lplus_block(c, m2[1], k[1:m + 1]))
+    k = (2 * np.pi / p.L) * np.arange(psi.size // 2 + 1)
+    m2_e, m2_o = _multiplication_blocks(psi * psi)
+    lam_even = _lapack(np.linalg.eigvalsh, _lplus_block(c, m2_e, k))
+    lam_odd, vec_odd = _lapack(np.linalg.eigh, _lplus_block(c, m2_o, k[1:m + 1]))
     overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
     if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
         u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
@@ -521,30 +524,27 @@ def _core_figures(hessians, H_odd: np.ndarray, m2, k: np.ndarray, kernel: np.nda
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
-    At N: the spectrum, +-i omega with omega the singular values of X, and
-    its certificate, the Cholesky factors of both constrained Hessians and
-    the kernel residual (module docstring); it leaves out the zero cluster of
-    the dense eigensolve. No symmetric eigensolve runs at N unless a
-    Cholesky factor fails, to name its inertia. At the core, the
-    core_N = min(N, CORE_FACTOR m* + 1) points that resolve psi (m* the last
-    rfft mode of psi above CHOP_TOL of the largest, at least CHOP_MIN): the
-    margin, n(L+) = n(H) and both kernel alignments, which the wave fixes
-    once psi is resolved. At core_N = N the core reuses the blocks of N. Raises
+    At N: the spectrum, +-i omega with omega the singular values of X, less
+    the zero cluster of the dense eigensolve, and its certificate, the
+    Cholesky factors of both constrained Hessians and the kernel residual
+    (module docstring). On the core_N points of _core_size, N itself when
+    psi does not chop sooner: the margin, n(L+) = n(H) and both kernel
+    alignments, which the wave fixes once psi is resolved. Raises
     IndefiniteHessianError when a constrained Hessian has no Cholesky factor
     at N or a non-positive lambda_min at the core, and KernelResidualError
-    when (psi', phi') is not the kernel of H at N, so no spectrum is
-    reported without its certificate.
+    when (psi', phi') is not the kernel of H at N: no spectrum is reported
+    without its certificate.
     """
-    k, h_even, h_odd, m2, kernel, core_N = _parity_blocks(p, N)
-    hessians, reflectors, K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
-    X, residual = _certify(hessians, reflectors, K_eo, h_odd, kernel, p.c)
+    k, H, kernel, psi, core_N = _parity_blocks(p, N)
+    hessians, g, K_eo = _constrained_hessians(H, kernel, k, p.c)
+    X, residual = _certify(hessians, g, K_eo, H[1], kernel, p.c)
     omega = _lapack(np.linalg.svd, X, compute_uv=False)[::-1]
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
     if core_N < N:
-        k, h_even, h_odd, m2, kernel, _ = _parity_blocks(p, core_N)
-        hessians = _constrained_hessians(h_even, h_odd, kernel, k)[0]
-    margin, n_Lplus, overlaps = _core_figures(hessians, h_odd, m2, k, kernel, p.c)
+        k, H, kernel, psi, _ = _parity_blocks(p, core_N)
+        hessians = _constrained_hessians(H, kernel, k, p.c)[0]
+    margin, n_Lplus, overlaps = _core_figures(hessians, H[1], kernel, psi, p)
     return SpectrumReport(
         params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin,
         kernel_residual=residual, n_Lplus=n_Lplus, n_H=n_Lplus,

@@ -7,9 +7,9 @@ from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError, _certify,
                             _constrained_hessians, _core_figures, _cosine_coordinates,
-                            _fourier_diff_matrices, _grid, _kc_inverse_t, _lplus_block,
-                            _morse_counts, _multiplication_blocks, _nonzero_spectrum,
-                            _operator, _parity_blocks, _reflected, _sine_coordinates,
+                            _even_solve, _fourier_diff_matrices, _grid, _kc_inverse_t,
+                            _lplus_block, _morse_counts, _multiplication_blocks,
+                            _nonzero_spectrum, _operator, _parity_blocks, _sine_coordinates,
                             assemble, dmatrix_via_collocation, kernel_alignment,
                             morse_index, pseudo_inverse_apply, unstable_eigenmode,
                             unstable_modes)
@@ -36,6 +36,24 @@ def trig_basis(N):
 
 def relative(A, ref):
     return np.linalg.norm(A - ref) / np.linalg.norm(ref)
+
+
+def direct_h_blocks(p, N):
+    """(M1, M2, H) of the even and odd parity from the direct bases, H = [[Lm, -M1], [-M1, c I]].
+
+    Each block on all its modes: the even one keeps the constant and, at even N, the
+    Nyquist mode, which range(J) leaves out.
+    """
+    psi, _ = _grid(p, N)
+    blocks = []
+    for basis, modes in zip(trig_basis(N), (np.arange(N // 2 + 1), np.arange(1, (N + 1) // 2))):
+        kb = (2 * np.pi / p.L) * modes
+        m1 = basis.T @ (psi[:, None] * basis)
+        m2 = basis.T @ ((psi * psi)[:, None] * basis)
+        h = np.block([[np.diag(kb * kb + p.c) - (0.5 / p.c) * m2, -m1],
+                      [-m1, p.c * np.eye(kb.size)]])
+        blocks.append((m1, m2, h))
+    return blocks
 
 
 def zero_cluster_size(N):
@@ -444,13 +462,13 @@ class TestCore:
         assert rep.n_Lplus == rep.n_H == (1, 1)
 
     def test_core_never_reports_a_nonpositive_margin(self, wave_2_03):
-        k, h_even, h_odd, m2, kernel, _ = _parity_blocks(wave_2_03, 37)
-        (hc_e, hc_o), _, _ = _constrained_hessians(h_even, h_odd, kernel, k)
+        p = wave_2_03
+        k, H, kernel, psi, _ = _parity_blocks(p, 37)
+        (hc_e, hc_o), _, _ = _constrained_hessians(H, kernel, k, p.c)
         lam = np.linalg.eigvalsh(hc_o)
         shift = 0.5 * (lam[1] + lam[2])   # between the second and third eigenvalues
         with pytest.raises(IndefiniteHessianError) as info:
-            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), h_odd, m2, k,
-                          kernel, wave_2_03.c)
+            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), H[1], kernel, psi, p)
         assert (info.value.block, info.value.inertia) == ("odd", (2, 0, hc_o.shape[0] - 2))
 
 
@@ -469,6 +487,7 @@ class TestLapackFailure:
         "failed-factor-eigvalsh": (("cholesky", "eigvalsh"),
                                         lambda p: unstable_modes(p, 64)),
         "d-oracle-solve": (("solve",), lambda p: dmatrix_via_collocation(p, 64)),
+        "d-oracle-cond": (("cond",), lambda p: dmatrix_via_collocation(p, 64)),
         "morse-index-eigh": (("eigh",), lambda p: morse_index(assemble("Lplus", p, 64))),
         "eigenmode-eig": (("eig",), lambda p: unstable_eigenmode(p, 64)),
     }
@@ -497,15 +516,12 @@ class TestSchurComplement:
         p = params_from_kappa(L, kappa)
         for N in (127, 128, 255, 384):
             rep = unstable_modes(p, N)
-            C, S = trig_basis(N)
-            _, h_even, h_odd, _, kernel, _ = _parity_blocks(p, N)
-            psi, _ = _grid(p, N)
-            for basis in (C, S):
-                m1 = basis.T @ (psi[:, None] * basis)
-                m2 = basis.T @ ((psi * psi)[:, None] * basis)
+            kernel = _parity_blocks(p, N)[2]
+            blocks = direct_h_blocks(p, N)
+            for m1, m2, _ in blocks:
                 assert np.linalg.norm(m1 @ m1 - m2) <= 1e-14 * np.linalg.norm(m2)
-            lam_even = np.linalg.eigvalsh(h_even)
-            lam_odd, vec_odd = np.linalg.eigh(h_odd)
+            lam_even = np.linalg.eigvalsh(blocks[0][2])
+            lam_odd, vec_odd = np.linalg.eigh(blocks[1][2])
             assert rep.n_H == _morse_counts(np.concatenate([lam_even, lam_odd]))
             overlap = 0.0
             if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
@@ -537,6 +553,28 @@ class TestSchurComplement:
         m = (N - 1) // 2   # the sine modes of N
         # Kc^-T is applied in closed form: no solve with a matrix of right-hand sides
         assert solves and (2 * m - 1, 2 * m - 1) not in [shape for _, shape in solves]
+        # e2 comes from the Schur complement of c I: no solve with the 2m x 2m even block
+        assert (m, (m,)) in solves and 2 * m not in [size for size, _ in solves]
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.999])
+    @pytest.mark.parametrize("N", [127, 256])
+    def test_e2_from_the_schur_complement_is_the_full_solve(self, kappa, N):
+        # H_ee e2 = K e1 on the even block of range(J), against the LU solve of the
+        # whole 2m x 2m block. Both solve it to a backward error of rounding (worst
+        # measured 1.7e-18) and point the same way (1 - |cos| 2.2e-16), which is all
+        # the reflector reads. At kappa = 1e-3, K e1 lies along H_ee's near-kernel
+        # (eigenvalue -1.6e-11 at L = 1, eps cond 2.2 and 8.9): there the two lengths
+        # differ by 2.7e-4; at 0.3 and 0.999 the vectors agree to 2.4e-14.
+        p = params_from_kappa(1.0, kappa)
+        k, H, kernel, _, _ = _parity_blocks(p, N)
+        A, b = H[0], -kernel / np.concatenate([k, k])
+        got, full = _even_solve(A, b, p.c), np.linalg.solve(A, b)
+        for x in (got, full):
+            backward = np.linalg.norm(A @ x - b) / (np.linalg.norm(A, 2) * np.linalg.norm(x))
+            assert backward <= 1e-16
+        assert 1.0 - abs(got @ full) / (np.linalg.norm(got) * np.linalg.norm(full)) <= 1e-14
+        if kappa > 1e-3:
+            assert relative(got, full) <= 1e-12
 
     @pytest.mark.parametrize("N", [128, 512])
     def test_oracle_solves_once_on_the_core(self, wave_2_03, N, monkeypatch):
@@ -564,37 +602,38 @@ class TestSchurComplement:
     @pytest.mark.parametrize("N", [3, 4, 127, 128, 255, 512])
     def test_fft_assembly_is_the_direct_product(self, wave_2_03, N):
         # the Toeplitz-plus-Hankel blocks are B^T diag(f) B of the direct bases, and the
-        # L+ and H blocks of both parities follow (worst measured: 2.4e-15, on L+)
+        # L+ blocks of both parities and the H blocks on range(J) follow (worst
+        # measured: 2.4e-15, on L+)
         p = wave_2_03
         psi, dpsi = _grid(p, N)
-        k_got, h_even, h_odd, m2_got, kernel, _ = _parity_blocks(p, N)
+        m = (N - 1) // 2
+        k_got, H, kernel, _, _ = _parity_blocks(p, N)
         k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
-        assert np.array_equal(k_got, k)
-        k_odd = k[1:(N - 1) // 2 + 1]
+        assert np.array_equal(k_got, k[1:m + 1])
         blocks = (_multiplication_blocks(psi), _multiplication_blocks(psi * psi))
-        for parity, (basis, kb, got) in enumerate(zip(trig_basis(N), (k, k_odd), (h_even, h_odd))):
-            m1 = basis.T @ (psi[:, None] * basis)
-            m2 = basis.T @ ((psi * psi)[:, None] * basis)
+        for parity, (kb, (m1, m2, h)) in enumerate(zip((k, k[1:m + 1]), direct_h_blocks(p, N))):
             assert relative(blocks[0][parity], m1) <= 1e-14
             assert relative(blocks[1][parity], m2) <= 1e-14
-            lap = np.diag(kb * kb + p.c)
-            H = np.block([[lap - (0.5 / p.c) * m2, -m1], [-m1, p.c * np.eye(kb.size)]])
-            lplus = lap - (1.5 / p.c) * m2
-            assert relative(_lplus_block(p.c, m2_got[parity], kb), lplus) <= 1e-14
-            assert relative(got, H) <= 1e-14
+            lplus = np.diag(kb * kb + p.c) - (1.5 / p.c) * m2
+            assert relative(_lplus_block(p.c, blocks[1][parity], kb), lplus) <= 1e-14
+            if parity == 0:   # range(J): no constant and, at even N, no Nyquist mode
+                keep = np.r_[1:m + 1, kb.size + 1:kb.size + m + 1]
+                h = h[np.ix_(keep, keep)]
+            assert relative(H[parity], h) <= 1e-14
         S = trig_basis(N)[1]
         assert relative(kernel, np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])) <= 1e-14
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.999])
     def test_closed_form_kc_inverse_is_the_lu_solve(self, kappa):
-        # worst measured: 8.2e-17
+        # worst measured: 8.8e-18
         p = params_from_kappa(2.0, kappa)
-        k, h_even, h_odd, _, kernel, _ = _parity_blocks(p, 255)
-        hessians, (g_e, g_o), K_eo = _constrained_hessians(h_even, h_odd, kernel, k)
-        X, _ = _certify(hessians, (g_e, g_o), K_eo, h_odd, kernel, p.c)
+        k, H, kernel, _, _ = _parity_blocks(p, 255)
+        hessians, (g_e, g_o), K_eo = _constrained_hessians(H, kernel, k, p.c)
+        X, _ = _certify(hessians, (g_e, g_o), K_eo, H[1], kernel, p.c)
         L_e, L_o = (np.linalg.cholesky(Hc) for Hc in hessians)
-        assert np.array_equal(K_eo, -1.0 / np.concatenate([k[1:128], k[1:128]]))
-        Kc = _reflected(np.diag(K_eo), g_e, g_o)
+        assert np.array_equal(K_eo, -1.0 / np.concatenate([k, k]))
+        P_e, P_o = (np.eye(K_eo.size) - 2.0 * np.outer(g, g) for g in (g_e, g_o))
+        Kc = (P_e @ np.diag(K_eo) @ P_o)[1:, 1:]
         closed = _kc_inverse_t(K_eo, g_e, g_o, L_o)
         assert relative(closed, np.linalg.solve(Kc.T, L_o)) <= 1e-13
         assert np.array_equal(X, L_e.T @ closed)
@@ -615,6 +654,24 @@ def test_even_block_oracle_matches_eigh_pseudo_inverse(kappa):
     D = np.array([[(p.L / N) * (ri @ ej) for ej in sols] for ri in rhs])
     D = 0.5 * (D + D.T)
     assert np.max(np.abs(dmatrix_via_collocation(p, N) - D) / np.abs(D)) < 1e-6
+
+
+@pytest.mark.parametrize("L", [1.0, 2.7])
+@pytest.mark.parametrize("kappa", [1e-3, 3e-3])
+def test_oracle_refuses_an_ill_conditioned_even_block(L, kappa):
+    # eps cond of L+'s even block is 1.0e-3 at kappa = 1e-3 and 1.3e-5 at 3e-3, where
+    # the D it would give is 3.4e-3 and 2.8e-5 off the quadratures at L = 1
+    with pytest.raises(EigensolveError, match=r"eps cond = \S+ > 1e-06$"):
+        dmatrix_via_collocation(params_from_kappa(L, kappa), 512)
+
+
+@pytest.mark.parametrize("L", [1.0, 2.7])
+@pytest.mark.parametrize("kappa", [1e-2, 0.05])
+def test_oracle_answers_a_well_conditioned_even_block(L, kappa):
+    # eps cond 2.4e-7 at kappa = 1e-2 and 7.0e-10 at 0.05; worst measured 5.0e-8
+    p = params_from_kappa(L, kappa)
+    D = assemble_dmatrix(p).entries
+    assert np.max(np.abs(D - dmatrix_via_collocation(p, 512)) / np.abs(D)) <= 1e-6
 
 
 @pytest.mark.parametrize("L", [1.0, 2.0, 4.0])
