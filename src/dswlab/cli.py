@@ -127,8 +127,8 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_dmatrix_sweep(args) -> int:
-    from .index_engine import (DegenerateDMatrixError, a_integrals, assemble_dmatrix,
-                               hamiltonian_index)
+    from .index_engine import (DegenerateDMatrixError, DMatrixRoundingError, a_integrals,
+                               assemble_dmatrix, hamiltonian_index)
 
     kappas = (_parse_list(args.kappas, "--kappas", float, "a number")
               if args.kappas is not None else list(DMATRIX_SWEEP_DEFAULT_KAPPAS))
@@ -149,8 +149,14 @@ def cmd_dmatrix_sweep(args) -> int:
         return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
                 d.det, n_d, k_ham, *A, "ok")
 
-    _write_csv(args.out, header, cols, [run(kappa) for kappa in kappas])
-    return 0
+    rows = []
+    for kappa in kappas:
+        try:
+            rows.append(run(kappa))
+        except DMatrixRoundingError as exc:  # as theta-table, the table goes on without it
+            header.append(f"row {kappa!r} failed: {exc}")
+    _write_csv(args.out, header, cols, rows)
+    return 0 if len(rows) == len(kappas) else 1
 
 
 def cmd_spectrum(args) -> int:

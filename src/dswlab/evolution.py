@@ -18,12 +18,13 @@ over 32 points w on a unit circle around each z (Kassam & Trefethen, SISC
 2005), free of the cancellation of their closed forms at small |z|, and
 polynomials in 1/w, so no power of w overflows at large |z|.
 
-ETD keeps equilibria exactly, so the co-moving traveling wave is a fixed
-point at any step and period; in the lab frame the wave (2, 0.3) at N = 128
-is accurate to ~1e-7 at dt = 1e-3. The measured step envelope and the cost of
-a step on both transform paths are in NOTES.md. A run blows up when max|X|
-passes BLOWUP_LIMIT times its start, a bound that reads the same at every
-scale.
+ETD keeps equilibria, so the co-moving traveling wave is a fixed point of the
+scheme up to rounding, which the step-size resonance of NOTES.md amplifies:
+at N = 128, dt = 1e-3 the wave (2, 0.3) blows up near t = 11.6. In the lab
+frame it is accurate to ~1e-7 at dt = 1e-3 over T = 0.5. The measured step
+envelope and the cost of a step on both transform paths are in NOTES.md. A
+run blows up when max|X| passes BLOWUP_LIMIT times its start, a bound that
+reads the same at every scale.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ class WindowTooShortError(RefusalError):
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """Spectral state: the (2, N//2+1) rfft coefficients X of (u, v) at time t.
-
-    simulate steps on the band 3k < N and pads it with zeros here, at each sample.
+    """Spectral state at time t: X holds the rfft coefficients of (u, v) on the band,
+    shape (2, ceil(N/3)), the stepper's own state; every mode past the band is zero.
     """
 
     t: float
@@ -80,16 +80,16 @@ class SimState:
 
     def _full(self, row: int) -> np.ndarray:
         h = self.X[row]
-        return np.concatenate([h, np.conj(h[(self.N + 1) // 2 - 1:0:-1])])
+        return np.concatenate([h, np.zeros(self.N - 2 * h.size + 1), np.conj(h[:0:-1])])
 
     @property
     def u_hat(self) -> np.ndarray:
-        """Full-length FFT coefficients of u, expanded from X by Hermitian symmetry."""
+        """Full-length FFT coefficients of u: X, zeros, and X's mirror by Hermitian symmetry."""
         return self._full(0)
 
     @property
     def v_hat(self) -> np.ndarray:
-        """Full-length FFT coefficients of v, expanded from X by Hermitian symmetry."""
+        """Full-length FFT coefficients of v: X, zeros, and X's mirror by Hermitian symmetry."""
         return self._full(1)
 
 
@@ -211,12 +211,6 @@ class _Stepper:
         nc = self.nonlinear(self.E2 * a + self.Q * (2.0 * nb - nx))
         return self.E * X + self.f1 * nx + self.f2 * (na + nb) + self.f3 * nc
 
-    def padded(self, X) -> np.ndarray:
-        """The band state X as the (2, N//2+1) rfft coefficients of SimState."""
-        full = np.zeros((2, self.N // 2 + 1), dtype=complex)
-        full[:, :self.M] = X
-        return full
-
 
 @lru_cache(maxsize=8)
 def _stepper(N: int, L: float, dt: float, frame_speed: float,
@@ -256,11 +250,15 @@ def _drift_scales(s: SimState, q0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: np.ndarray
     states: list
-    conserved: np.ndarray       # rows: (t, m_u, m_v, e_mixed, l2)
+    conserved: np.ndarray       # rows: (t, m_u, m_v, e_mixed, l2), one per state
     max_rel_drift: float        # max over samples of |q - q0| / _drift_scales
     dt: float                   # the step actually taken: T / ceil(T / dt_requested)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times, the first column of the conservation log."""
+        return self.conserved[:, 0]
 
 
 def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
@@ -287,7 +285,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     X = np.fft.rfft(np.stack([u0.samples, v0.samples]))[:, :stepper.M]
     limit = BLOWUP_LIMIT * np.max(np.abs(X))
 
-    times, states, logs = [], [], []
+    states, logs = [], []
     t_ok = 0.0
     # overflow/invalid are the blow-up detection signal, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,13 +296,12 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
             sampled = n % sample_every == 0 or n == n_steps
             if sampled or n % _CHECK_EVERY == 0:
                 if not np.max(np.abs(X)) <= limit:   # a nan fails it too
-                    partial = Trajectory(np.asarray(times), states, np.asarray(logs), np.nan, h)
+                    partial = Trajectory(states, np.reshape(logs, (-1, 5)), np.nan, h)
                     raise BlowUpError(f"solution blew up between t = {t_ok:.6g} and {t:.6g}",
                                       t_last=t_ok, trajectory=partial)
                 t_ok = t
             if sampled:
-                snap = SimState(t=t, X=stepper.padded(X), N=u0.N, L=u0.L)
-                times.append(t)
+                snap = SimState(t=t, X=X, N=u0.N, L=u0.L)
                 states.append(snap)
                 logs.append((t, *conserved_of_state(snap)))
 
@@ -313,8 +310,7 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     scale = _drift_scales(states[0], q0)
     drift = float(np.max(np.divide(np.abs(logs[:, 1:] - q0), scale, where=scale > 0.0,
                                    out=np.zeros_like(logs[:, 1:]))))
-    return Trajectory(times=np.asarray(times), states=states, conserved=logs,
-                      max_rel_drift=drift, dt=h)
+    return Trajectory(states=states, conserved=logs, max_rel_drift=drift, dt=h)
 
 
 # ---------------------------------------------------------------------------

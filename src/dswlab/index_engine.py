@@ -46,6 +46,7 @@ __all__ = [
     "AIntegrals",
     "EvenSymmetryError",
     "DegenerateDMatrixError",
+    "DMatrixRoundingError",
     "NonFiniteDMatrixError",
     "InconsistentIndexError",
     "QuadratureNotConvergedError",
@@ -64,6 +65,10 @@ __all__ = [
 # |det D| / prod |D_ii| at or below which D counts as singular and hamiltonian_index refuses it
 DEGENERATE_DET = 1e-12
 
+# criterion 4's agreement bound on the relative error of D, which each route refuses to
+# pass: assemble_dmatrix on its quadratures' rounding, the collocation oracle on eps cond
+D_ERROR_BOUND = 1e-6
+
 
 class EvenSymmetryError(ValueError):
     """Input to the even inverse is not even about 0 within tolerance."""
@@ -71,6 +76,11 @@ class EvenSymmetryError(ValueError):
 
 class DegenerateDMatrixError(RefusalError):
     """det(D) is numerically zero: the index is undefined."""
+
+
+class DMatrixRoundingError(RefusalError):
+    """The quadrature means behind D round by more than D_ERROR_BOUND: at small kappa
+    they cancel to O(kappa^4) out of O(kappa^2) integrands, and no digit of D is sure."""
 
 
 class NonFiniteDMatrixError(RefusalError):
@@ -140,9 +150,11 @@ def _cosine_series(f, K: float) -> list:
 
 @lru_cache(maxsize=1024)
 def _quarter_period_record(kappa: float) -> tuple:
-    """(p1, rows): the wave of period 1 and modulus kappa, and the cosine series on [0, K]
-    of the integrands of A1, A2 (M), A3, A4, A6 and dn^{2m} / B^m, m = 1..4,
-    B = 1 + beta^2 sn^2, which read kappa, beta^2 and K, the same at every period.
+    """(p1, rows, rounding): the wave of period 1 and modulus kappa, the cosine series on
+    [0, K] of the integrands of A1, A2 (M), A3, A4, A6 and dn^{2m} / B^m, m = 1..4,
+    B = 1 + beta^2 sn^2, which read kappa, beta^2 and K, the same at every period, and
+    the relative rounding of the means of A1..A4 and A6: eps max|a_m| / |a_0|, the largest
+    over their rows.
 
     One sampler pass per modulus; the shared arrays are read-only.
     """
@@ -159,7 +171,8 @@ def _quarter_period_record(kappa: float) -> tuple:
     rows = tuple(_cosine_series(integrands, p1.K))
     for a in rows:
         a.flags.writeable = False
-    return p1, rows
+    rounding = max(np.finfo(float).eps * np.max(np.abs(a)) / abs(a[0]) for a in rows[:5])
+    return p1, rows, float(rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +472,13 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
     all for the wave of period 1 and modulus kappa that the quadrature record
     holds. D = S D_1 S with S = diag(L^3/2, L^3/2, L^-1/2) (NOTES.md, the
     scaling symmetry), so no step leaves the float range at an extreme period.
+    The record's rounding bounds D's relative error, the same at every L; above
+    D_ERROR_BOUND, below kappa ~ 3.7e-5, DMatrixRoundingError refuses D.
     """
-    p1 = _quarter_period_record(p.kappa)[0]
+    p1, _, rounding = _quarter_period_record(p.kappa)
+    if not rounding <= D_ERROR_BOUND:
+        raise DMatrixRoundingError(f"the quadrature means behind D round by {rounding:.1e} "
+                                   f"> {D_ERROR_BOUND:.0e} at kappa = {p.kappa!r}")
     A = a_integrals(p1)
     s1, spsi = varphi_pairings(p1, A)
     psi_h, psi_pp_h, varphi_p_h = half_period_data(p1, A)

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .index_engine import D_ERROR_BOUND
 from .waves import RefusalError, WaveParams, eval_profile_derivatives, grid_points
 
 __all__ = [
@@ -105,11 +106,6 @@ KERNEL_RESIDUAL_BOUND = 1e-8
 CORE_FACTOR = 4
 CHOP_TOL = np.finfo(float).eps
 CHOP_MIN = 2
-
-# eps cond(L+'s even block) above which dmatrix_via_collocation refuses: the
-# error its solve may carry, held to criterion 4's agreement bound. At L = 1 it
-# reads 1.3e-5 at kappa = 3e-3 (D off by 2.8e-5) and 2.4e-7 at 1e-2 (5.0e-8).
-ORACLE_COND_BOUND = 1e-6
 
 
 class EigensolveError(RefusalError):
@@ -319,8 +315,10 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     y = (B + M1 x) / c (module docstring): one solve of size n//2 + 1. Shares
     nothing with the quadrature pipeline but the wave profile. N < 3 is
     refused as by the certificate, and an EigensolveError names eps cond of
-    L+'s even block when it exceeds ORACLE_COND_BOUND: below kappa ~ 7e-3,
-    where L+'s second even eigenvalue, ~3.2 c kappa^4, nears zero.
+    L+'s even block, the error its solve may carry, when it exceeds D_ERROR_BOUND:
+    below kappa ~ 7e-3, where L+'s second even eigenvalue, ~3.2 c kappa^4, nears
+    zero. At L = 1 it reads 1.3e-5 at kappa = 3e-3 (D off by 2.8e-5) and 2.4e-7
+    at 1e-2 (5.0e-8).
     """
     n = _core_size(_grid(p, N)[0])
     psi, _ = _grid(p, n)
@@ -333,9 +331,9 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
     lplus = _lplus_block(p.c, m2, k)
     rounding = np.finfo(float).eps * _lapack(np.linalg.cond, lplus)
-    if not rounding <= ORACLE_COND_BOUND:
+    if not rounding <= D_ERROR_BOUND:
         raise EigensolveError(f"L+'s even block is too ill-conditioned for the D oracle: "
-                              f"eps cond = {rounding:.1e} > {ORACLE_COND_BOUND:.0e}")
+                              f"eps cond = {rounding:.1e} > {D_ERROR_BOUND:.0e}")
     x = _lapack(np.linalg.solve, lplus, A + (m1 @ B) / p.c)
     y = (B + m1 @ x) / p.c
     D = (p.L / n) * (A.T @ x + B.T @ y)

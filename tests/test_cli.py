@@ -265,6 +265,19 @@ class TestDMatrixSweep:
         d33 = assemble_dmatrix(params_from_kappa(1.0, 0.3)).entries[2, 2] / L
         assert float(row["D33"]) == pytest.approx(d33, rel=1e-14)
 
+    def test_a_modulus_whose_d_rounds_is_a_failed_row(self, tmp_path, capsys):
+        # the quadrature means round past criterion 4's bound below kappa ~ 3.7e-5: the
+        # header names the row, the others are written, and the command exits 1
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.3,1e-9,1e-4",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        header, cols, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["0.3", "0.0001"]
+        assert all(dict(zip(cols, r))["status"] == "ok" for r in rows)
+        assert re.fullmatch(r"# row 1e-09 failed: the quadrature means behind D round by "
+                            r"\S+ > 1e-06 at kappa = 1e-09", header[-1])
+
     def test_huge_period_gives_a_row(self, tmp_path, capsys):
         # det(D/|D|) used to call this row degenerate, and c**4 at L lost 32% of D33
         self.assert_row_of_the_unit_period(tmp_path, capsys, 1e40)
@@ -303,6 +316,16 @@ class TestSpectrum:
         assert all(r["krein_sign"] == "0" for r in rows if r not in upper)
         negative = sum(r["krein_sign"] == "-1" for r in upper)
         assert f"k_i_minus={negative}" in "\n".join(header)
+
+    @pytest.mark.parametrize("L, kappa", [("1", "1e-9"), ("2.7", "1e-6")])
+    def test_a_wave_whose_d_rounds_is_refused(self, tmp_path, capsys, L, kappa):
+        # n_D = 2 used to be printed here, from a D with no correct digit
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", L, "--kappa", kappa, "--N", "64",
+                     "--out", str(out)]) == 1
+        assert re.fullmatch(r"spectrum failed: the quadrature means behind D round by \S+ "
+                            rf"> 1e-06 at kappa = {float(kappa)!r}\n", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_eigensolve_failure_exits_with_its_message(self, tmp_path, monkeypatch, capsys):
         from dswlab import spectra

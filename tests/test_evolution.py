@@ -81,12 +81,32 @@ class TestBasics:
         assert builds == [1e-3]
 
     def test_hermitian_symmetry_preserved(self):
-        # the half-spectrum X is Hermitian by construction except at the modes
-        # 0 and N/2, which must stay real for X to stand for real fields
+        # the band X is Hermitian by construction except at mode 0, which must stay
+        # real for X to stand for real fields; the band never holds the Nyquist mode
         u0, v0 = random_smooth_fields(2 * np.pi, 128, 5, seed=2)
         for s in simulate(u0, v0, T=0.5, dt=1e-3).states:
-            unpaired = s.X[:, [0, s.N // 2]]
-            assert np.max(np.abs(unpaired.imag)) < 1e-12 * max(1.0, np.max(np.abs(s.X)))
+            assert np.max(np.abs(s.X[:, 0].imag)) < 1e-12 * max(1.0, np.max(np.abs(s.X)))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 255, 256, 4096])
+    def test_every_sample_is_the_band(self, N):
+        # each sample keeps the stepper's (2, ceil(N/3)) band; its fields and full-length
+        # coefficients are those of the half-spectrum padded with zeros past the band
+        x = np.arange(N) * 2 * np.pi / N
+        a, b, c = np.random.default_rng(N).uniform(0.0, 2 * np.pi, 3)
+        u0 = GridFunction(2 * np.pi, 0.3 + 0.1 * np.cos(x + a) + 0.05 * np.sin(3 * x + b))
+        v0 = GridFunction(2 * np.pi, -0.2 + 0.1 * np.cos(2 * x + c))
+        traj = simulate(u0, v0, T=0.02, dt=1e-3)
+        assert np.array_equal(traj.times, [s.t for s in traj.states])
+        for s in traj.states:
+            assert s.X.shape == (2, -(-N // 3))
+            padded = np.zeros((2, N // 2 + 1), dtype=complex)
+            padded[:, :s.X.shape[1]] = s.X
+            u, v = np.fft.irfft(padded, N)
+            got_u, got_v = state_fields(s)
+            assert got_u.samples.tobytes() == u.tobytes()
+            assert got_v.samples.tobytes() == v.tobytes()
+            full = np.concatenate([padded, np.conj(padded[:, (N + 1) // 2 - 1:0:-1])], axis=1)
+            assert np.array_equal(s.u_hat, full[0]) and np.array_equal(s.v_hat, full[1])
 
     def test_invalid_steps_rejected(self):
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=3)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, EvenSymmetryError,
-                                 InconsistentIndexError, NonFiniteDMatrixError,
-                                 QuadratureNotConvergedError,
+from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, DMatrixRoundingError,
+                                 EvenSymmetryError, InconsistentIndexError,
+                                 NonFiniteDMatrixError, QuadratureNotConvergedError,
                                  _cosine_series, a_integrals, assemble_dmatrix,
                                  build_varphi, dmatrix_from_entries, half_period_data,
                                  hamiltonian_index, linv_apply, lplus_apply,
@@ -541,6 +541,20 @@ class TestDMatrix:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDMatrixError):
             hamiltonian_index(dmatrix_from_entries(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("L, kappa", [(1.0, 1e-6), (2.7, 1e-6), (1.0, 1e-9), (2.0, 1e-9)])
+    def test_refused_where_the_quadrature_means_round(self, kappa, L):
+        # the means of A1..A4 and A6 cancel to O(kappa^4) out of O(kappa^2) integrands:
+        # eps max|a_m| / |a_0| reads 1.4e-3 at kappa = 1e-6, where D is off by 5e-4. The
+        # wave (2.7, 1e-9) itself is refused, its root ordering lost to rounding
+        with pytest.raises(DMatrixRoundingError, match=f"> 1e-06 at kappa = {kappa!r}$"):
+            assemble_dmatrix(params_from_kappa(L, kappa))
+
+    @pytest.mark.parametrize("L", [1.0, 2.7])
+    @pytest.mark.parametrize("kappa", [1e-4, 1.5e-3])
+    def test_answered_where_the_quadrature_means_hold(self, kappa, L):
+        # the rounding reads 1.4e-7 at kappa = 1e-4, inside criterion 4's bound 1e-6
+        assert hamiltonian_index(assemble_dmatrix(params_from_kappa(L, kappa))) == (1, 1)
 
     def test_wave_near_the_separatrix_has_its_index(self):
         # det D = -4.07e-5 is below 1e-12 |D|^3 = 4.65e-5 here, but that ratio moves
