@@ -7,9 +7,12 @@ counts), `simulate` (time evolution and conservation logs),
 `normalform-check` (multiplier identity trials).
 
 Every command prints/writes UTF-8 CSV with a '#'-prefixed provenance header;
-floats are rendered with repr (shortest round-trip), so identical flags give
-byte-identical output. Each command imports only the modules it runs; scipy
-is loaded only to invert a `--c` speed into a modulus.
+floats are rendered with repr (shortest round-trip), so the bytes are fixed
+by the flags, the BLAS build and the CPU kernel that OpenBLAS picks. The BLAS
+thread count does not move them: `spectrum`'s certificate runs on one
+OpenBLAS thread (spectra), and its header's last line names the build and the
+count. Each command imports only the modules it runs; scipy is loaded only to
+invert a `--c` speed into a modulus.
 """
 
 from __future__ import annotations
@@ -161,10 +164,11 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import unstable_modes
+    from .spectra import _openblas, unstable_modes
 
     p = _resolve_wave(args)
     rep = unstable_modes(p, N=args.N)
+    blas = _openblas()
     k_ham, n_d = hamiltonian_index(assemble_dmatrix(p))
     identity_formula = rep.count_identity_lhs() == k_ham
     identity_measured = rep.count_identity_lhs() == rep.n_H[0] - n_d
@@ -177,6 +181,10 @@ def cmd_spectrum(args) -> int:
         f"lambda_max_real=0.0 symmetry_residual={_fmt(rep.symmetry_residual)}",
         f"margin={_fmt(rep.margin)} core_N={rep.core_N} "
         f"kernel_residual={_fmt(rep.kernel_residual)}",
+        # the BLAS build and the thread count the certificate ran on, last: a byte
+        # difference between two machines starts here
+        "blas_threads=unpinned blas_config=unknown" if blas is None
+        else f"blas_threads=1 blas_config={blas.config}",
     ]
     # the certified spectrum: pairs +i omega, -i omega by ascending omega, with
     # no real part, Krein sign +1 on the upper member and -lambda next to lambda

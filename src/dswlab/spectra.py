@@ -54,10 +54,19 @@ oracles of the tests and `unstable_eigenmode`; the eigh oracles refuse a
 matrix that is not exactly symmetric. The dense `eig` of dH remains only
 there: its zero cluster has 4 members at odd N and 6 at even N, and the
 certified spectrum has as many eigenvalues as it leaves, 2N - 4 or 2N - 6.
+
+unstable_modes, dmatrix_via_collocation and unstable_eigenmode run on one
+OpenBLAS thread and give the caller's count back, so their results do not
+depend on the thread count; where numpy's BLAS has no OpenBLAS thread setter
+they run on whatever threads it has.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +203,85 @@ def _lapack(routine, *args, **kwargs):
         raise EigensolveError(str(exc)) from exc
 
 
+class _OneBlasThread:
+    """Context manager: one OpenBLAS thread while any pinned call runs, in any Python
+    thread; the count from before the first is put back when the last leaves.
+
+    OpenBLAS's thread count is process-wide, so BLAS calls of other threads run
+    on one thread meanwhile. config is the library's get_config() string.
+    """
+
+    def __init__(self, set_threads, get_threads, config: str):
+        self.set_threads, self.get_threads, self.config = set_threads, get_threads, config
+        self._lock = threading.Lock()
+        self._depth, self._saved = 0, None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get_threads()
+                self.set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set_threads(self._saved)
+
+
+_LOOKUP_LOCK = threading.Lock()
+
+
+def _openblas():
+    """The _OneBlasThread of the OpenBLAS that numpy.linalg calls, or None where none is found.
+
+    Looked up at the first call, not at import, and under a lock, so that
+    threads making their first calls at once share one pin.
+    """
+    with _LOOKUP_LOCK:
+        return _find_openblas()
+
+
+@functools.cache
+def _find_openblas():
+    """_openblas's lookup, through numpy's linalg extension: its handle searches the
+    libraries it links, so an OpenBLAS that another package loads (scipy's) is not
+    the one found."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            try:
+                setter, getter, config = [getattr(lib, f"{prefix}{name}{suffix}") for name in
+                                          ("set_num_threads", "get_num_threads", "get_config")]
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return _OneBlasThread(setter, getter, config().decode())
+    return None
+
+
+def _one_blas_thread(func):
+    """func on one OpenBLAS thread (_OneBlasThread); unchanged where none is found.
+
+    One thread fixes the bytes of every result (two threads move the last
+    digits of the omega and of the dense eig) and is the faster below
+    N ~ 512 on two cores; NOTES.md, point 5 of the stability finding, has
+    the figures.
+    """
+    @functools.wraps(func)
+    def pinned(*args, **kwargs):
+        with _openblas() or contextlib.nullcontext():
+            return func(*args, **kwargs)
+    return pinned
+
+
 def _eigh(A: np.ndarray):
     """(eigenvalues, eigenvectors) of a symmetric matrix: its one decomposition.
 
@@ -303,6 +391,7 @@ def pseudo_inverse_apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
     return vec @ (inv * (vec.T @ np.asarray(f, dtype=float)))
 
 
+@_one_blas_thread
 def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the core grid.
 
@@ -519,6 +608,7 @@ def _core_figures(hessians, H_odd: np.ndarray, kernel: np.ndarray, psi: np.ndarr
     return margin, _morse_counts(np.concatenate([lam_even, lam_odd])), overlaps
 
 
+@_one_blas_thread
 def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
@@ -581,6 +671,7 @@ class NoUnstableModeError(RefusalError):
     """The discretized spectrum has no eigenvalue with positive real part."""
 
 
+@_one_blas_thread
 def unstable_eigenmode(p: WaveParams, N: int = 256):
     """(lambda, U, V) for the most unstable mode, if one exists.
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 from dswlab.cli import DMATRIX_SWEEP_DEFAULT_KAPPAS, THETA_TABLE_DEFAULT_PAIRS, build_parser, main
+from dswlab.spectra import _openblas
 from dswlab.waves import params_from_kappa, profile_residual
 
 
@@ -441,6 +445,16 @@ class TestSpectrum:
         with pytest.raises(RuntimeError, match="a bug"):
             main(["spectrum", "--L", "2", "--kappa", "0.3", "--out", str(tmp_path / "s.csv")])
 
+    def test_header_names_the_blas_build_last(self, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "64",
+                     "--out", str(out)]) == 0
+        header, _, _ = read_csv(out)
+        blas = _openblas()
+        assert len(header) == 8
+        assert header[-1] == ("# blas_threads=unpinned blas_config=unknown" if blas is None
+                              else f"# blas_threads=1 blas_config={blas.config}")
+
 
 class TestSimulate:
     def test_zero_initial_data(self, tmp_path):
@@ -633,6 +647,47 @@ class TestNormalFormCheck:
         assert main(["normalform-check", "--trials", trials, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --trials must be >= 1 (got {trials})\n"
         assert not out.exists()
+
+
+class TestBlasThreadCount:
+    """The same flags give the same bytes whatever OPENBLAS_NUM_THREADS says.
+
+    Each run is a fresh interpreter, since OpenBLAS reads the variable when
+    numpy loads it. Before the certificate pinned one thread, spectrum's rows
+    differed between 1 and 2 threads (456 of 514 lines at this wave);
+    simulate (the dense DFT pair's GEMMs at N = 255) and dmatrix-sweep were
+    equal already, and are guards.
+    """
+
+    RUNS = {
+        "spectrum": ["spectrum", "--L", "2.5355", "--kappa", "0.8604", "--N", "256"],
+        "simulate": ["simulate", "--seed", "5", "--N", "255", "--T", "0.2", "--dt", "1e-3"],
+        "dmatrix-sweep": ["dmatrix-sweep", "--L", "2.7"],
+    }
+
+    @staticmethod
+    def outputs(tmp_path, argv, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "dswlab.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout, {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path, command):
+        if command == "spectrum" and _openblas() is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter: the certificate is unpinned")
+        one, two, unset = (self.outputs(tmp_path, self.RUNS[command], threads)
+                           for threads in ("1", "2", None))
+        assert one[0] or one[1]
+        assert one == two == unset
 
 
 def test_every_option_is_documented():

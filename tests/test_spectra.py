@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +13,10 @@ from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHe
                             _constrained_hessians, _core_figures, _cosine_coordinates,
                             _even_solve, _fourier_diff_matrices, _grid, _kc_inverse_t,
                             _lplus_block, _morse_counts, _multiplication_blocks,
-                            _nonzero_spectrum, _operator, _parity_blocks, _sine_coordinates,
-                            assemble, dmatrix_via_collocation, kernel_alignment,
-                            morse_index, pseudo_inverse_apply, unstable_eigenmode,
-                            unstable_modes)
+                            _nonzero_spectrum, _openblas, _operator, _parity_blocks,
+                            _sine_coordinates, assemble, dmatrix_via_collocation,
+                            kernel_alignment, morse_index, pseudo_inverse_apply,
+                            unstable_eigenmode, unstable_modes)
 from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
 
 # the one refusal of every eigh oracle given a matrix that is not exactly symmetric
@@ -504,6 +508,80 @@ class TestLapackFailure:
         with pytest.raises(EigensolveError, match="^did not converge$") as info:
             run(wave_2_03)
         assert type(info.value) is EigensolveError
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy's BLAS has no OpenBLAS thread setter")
+class TestOneBlasThread:
+    """Each entry that runs LAPACK at N runs it on one OpenBLAS thread and gives the
+    caller's count back, on return and on raise."""
+
+    @pytest.fixture
+    def threads(self):
+        pin = _openblas()
+        before = pin.get_threads()
+        pin.set_threads(2)
+        if pin.get_threads() != 2:
+            pin.set_threads(before)
+            pytest.skip("OpenBLAS does not take 2 threads here")
+        yield pin.get_threads
+        pin.set_threads(before)
+
+    @pytest.mark.parametrize("routine, entry", [
+        ("svd", lambda p: unstable_modes(p, 128)),
+        ("solve", lambda p: dmatrix_via_collocation(p, 128)),
+        ("eig", lambda p: unstable_eigenmode(p, 64)),   # stable: NoUnstableModeError
+    ], ids=["unstable_modes", "dmatrix_via_collocation", "unstable_eigenmode"])
+    def test_lapack_runs_on_one_thread(self, wave_2_03, threads, monkeypatch, routine, entry):
+        seen, original = [], getattr(np.linalg, routine)
+
+        def spy(*args, **kwargs):
+            seen.append(threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, routine, spy)
+        with suppress(NoUnstableModeError):
+            entry(wave_2_03)
+        assert seen and set(seen) == {1}
+        assert threads() == 2
+
+    @pytest.mark.parametrize("wave, N, error", [
+        (replace(params_from_kappa(2.0, 0.3), c=0.3 * params_from_kappa(2.0, 0.3).c), 128,
+         IndefiniteHessianError),
+        (params_from_kappa(1.0, 0.9), 8, KernelResidualError),
+    ], ids=["indefinite-hessian", "kernel-residual"])
+    def test_count_restored_after_a_refusal(self, threads, wave, N, error):
+        with pytest.raises(error):
+            unstable_modes(wave, N)
+        assert threads() == 2
+
+    def test_calls_from_many_threads_share_the_pin(self, wave_2_03, threads, monkeypatch):
+        # the count is read and set under one lock: with a save and restore per call,
+        # one thread's restore would put two threads under another's SVD
+        seen, svd = [], np.linalg.svd
+
+        def spy(*args, **kwargs):
+            time.sleep(1e-3)   # let the other threads enter and leave meanwhile
+            seen.append(threads())
+            return svd(*args, **kwargs)
+
+        def work():
+            for _ in range(5):
+                unstable_modes(wave_2_03, 64)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 30 and set(seen) == {1}
+        assert threads() == 2
 
 
 class TestSchurComplement:
