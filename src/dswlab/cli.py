@@ -164,11 +164,10 @@ def cmd_dmatrix_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .index_engine import assemble_dmatrix, hamiltonian_index
-    from .spectra import _openblas, unstable_modes
+    from .spectra import _BLAS_PIN, unstable_modes
 
     p = _resolve_wave(args)
     rep = unstable_modes(p, N=args.N)
-    blas = _openblas()
     k_ham, n_d = hamiltonian_index(assemble_dmatrix(p))
     identity_formula = rep.count_identity_lhs() == k_ham
     identity_measured = rep.count_identity_lhs() == rep.n_H[0] - n_d
@@ -183,8 +182,8 @@ def cmd_spectrum(args) -> int:
         f"kernel_residual={_fmt(rep.kernel_residual)}",
         # the BLAS build and the thread count the certificate ran on, last: a byte
         # difference between two machines starts here
-        "blas_threads=unpinned blas_config=unknown" if blas is None
-        else f"blas_threads=1 blas_config={blas.config}",
+        "blas_threads=unpinned blas_config=unknown" if _BLAS_PIN is None
+        else f"blas_threads=1 blas_config={_BLAS_PIN.config}",
     ]
     # the certified spectrum: pairs +i omega, -i omega by ascending omega, with
     # no real part, Krein sign +1 on the upper member and -lambda next to lambda

@@ -470,8 +470,8 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
     Chain: A-integrals -> pairings <varphi,1>, <varphi,psi> -> boundary data at
     L/2 -> the three <L+^{-1} ., .> pairings -> the psi^3 reductions -> D_1,
     all for the wave of period 1 and modulus kappa that the quadrature record
-    holds. D = S D_1 S with S = diag(L^3/2, L^3/2, L^-1/2) (NOTES.md, the
-    scaling symmetry), so no step leaves the float range at an extreme period.
+    holds. D = S D_1 S with S = diag(L^3/2, L^3/2, L^-1/2) (_at_period; NOTES.md,
+    the scaling symmetry), so no step leaves the float range at an extreme period.
     The record's rounding bounds D's relative error, the same at every L; above
     D_ERROR_BOUND, below kappa ~ 3.7e-5, DMatrixRoundingError refuses D.
     """
@@ -508,8 +508,13 @@ def assemble_dmatrix(p: WaveParams) -> DMatrix:
     D[1, 2] = D[2, 1] = inv_cpsi / (2.0 * c**3) + inv_psipsi / c + m2 / (2.0 * c * c)
     D[2, 2] = inv_cpsi / c**2 + inv_psipsi + inv_cc / (4.0 * c**4) + m4 / (4.0 * c**3)
 
-    s = np.array([p.L**1.5, p.L**1.5, p.L**-0.5])
-    return dmatrix_from_entries(np.outer(s, s) * D)
+    return dmatrix_from_entries(_at_period(D, p.L))
+
+
+def _at_period(D1: np.ndarray, L: float) -> np.ndarray:
+    """S D1 S, S = diag(L^3/2, L^3/2, L^-1/2): the D of period L from that of period 1."""
+    s = np.array([L**1.5, L**1.5, L**-0.5])
+    return np.outer(s, s) * D1
 
 
 def hamiltonian_index(d: DMatrix):

@@ -55,25 +55,25 @@ matrix that is not exactly symmetric. The dense `eig` of dH remains only
 there: its zero cluster has 4 members at odd N and 6 at even N, and the
 certified spectrum has as many eigenvalues as it leaves, 2N - 4 or 2N - 6.
 
-unstable_modes, dmatrix_via_collocation and unstable_eigenmode run on one
-OpenBLAS thread and give the caller's count back, so their results do not
-depend on the thread count; where numpy's BLAS has no OpenBLAS thread setter
-they run on whatever threads it has.
+unstable_modes and dmatrix_via_collocation compute on the wave moved to
+period 1 and scale their results once (NOTES.md, the scaling symmetry); the
+oracles, `assemble` and unstable_eigenmode, compute at the given period. Both
+entries and unstable_eigenmode run on one OpenBLAS thread and give the
+caller's count back, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .index_engine import D_ERROR_BOUND
-from .waves import RefusalError, WaveParams, eval_profile_derivatives, grid_points
+from .index_engine import D_ERROR_BOUND, _at_period
+from .waves import RefusalError, WaveParams, _rescaled, eval_profile_derivatives, grid_points
 
 __all__ = [
     "SpectrumReport",
@@ -203,12 +203,15 @@ def _lapack(routine, *args, **kwargs):
         raise EigensolveError(str(exc)) from exc
 
 
-class _OneBlasThread:
-    """Context manager: one OpenBLAS thread while any pinned call runs, in any Python
-    thread; the count from before the first is put back when the last leaves.
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator: one OpenBLAS thread while any pinned call runs, in
+    any Python thread; the count from before the first is put back when the last leaves.
 
     OpenBLAS's thread count is process-wide, so BLAS calls of other threads run
-    on one thread meanwhile. config is the library's get_config() string.
+    on one thread meanwhile. One thread fixes the bytes of every result (two
+    threads move the last digits of the omega and of the dense eig) and is the
+    faster below N ~ 512 on two cores; NOTES.md, point 5 of the stability
+    finding, has the figures. config is the library's get_config() string.
     """
 
     def __init__(self, set_threads, get_threads, config: str):
@@ -230,24 +233,10 @@ class _OneBlasThread:
                 self.set_threads(self._saved)
 
 
-_LOOKUP_LOCK = threading.Lock()
-
-
-def _openblas():
-    """The _OneBlasThread of the OpenBLAS that numpy.linalg calls, or None where none is found.
-
-    Looked up at the first call, not at import, and under a lock, so that
-    threads making their first calls at once share one pin.
-    """
-    with _LOOKUP_LOCK:
-        return _find_openblas()
-
-
-@functools.cache
 def _find_openblas():
-    """_openblas's lookup, through numpy's linalg extension: its handle searches the
-    libraries it links, so an OpenBLAS that another package loads (scipy's) is not
-    the one found."""
+    """The _OneBlasThread of the OpenBLAS that numpy.linalg calls, or None: found through
+    numpy's linalg extension, whose handle searches the libraries it links, so not
+    an OpenBLAS that another package loads (scipy's)."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -267,19 +256,10 @@ def _find_openblas():
     return None
 
 
-def _one_blas_thread(func):
-    """func on one OpenBLAS thread (_OneBlasThread); unchanged where none is found.
-
-    One thread fixes the bytes of every result (two threads move the last
-    digits of the omega and of the dense eig) and is the faster below
-    N ~ 512 on two cores; NOTES.md, point 5 of the stability finding, has
-    the figures.
-    """
-    @functools.wraps(func)
-    def pinned(*args, **kwargs):
-        with _openblas() or contextlib.nullcontext():
-            return func(*args, **kwargs)
-    return pinned
+# looked up once, at import, so every thread shares the one pin; where none is
+# found, the pinned entries run on whatever threads numpy's BLAS has
+_BLAS_PIN = _find_openblas()
+_one_blas_thread = _BLAS_PIN or (lambda func: func)
 
 
 def _eigh(A: np.ndarray):
@@ -399,34 +379,36 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     n = min(N, CORE_FACTOR m* + 1) points of _core_size. The right-hand sides
     (1, 0), (0, 1) and (psi, phi) are even and the kernel (psi', phi') of H
     is odd, so the off-kernel solutions are those of the even block:
-    D = (L/n) R^T H_even^-1 R, with R = (A, B) the cosine coordinates of the
-    right-hand sides. H_even (x, y) = (A, B) is L+ x = A + M1 B / c with
-    y = (B + M1 x) / c (module docstring): one solve of size n//2 + 1. Shares
-    nothing with the quadrature pipeline but the wave profile. N < 3 is
-    refused as by the certificate, and an EigensolveError names eps cond of
-    L+'s even block, the error its solve may carry, when it exceeds D_ERROR_BOUND:
-    below kappa ~ 7e-3, where L+'s second even eigenvalue, ~3.2 c kappa^4, nears
-    zero. At L = 1 it reads 1.3e-5 at kappa = 3e-3 (D off by 2.8e-5) and 2.4e-7
-    at 1e-2 (5.0e-8).
+    D_1 = (1/n) R^T H_even^-1 R for the wave moved to period 1, with R = (A, B)
+    the cosine coordinates of the right-hand sides, and D = S D_1 S at the
+    period of p (index_engine._at_period). H_even (x, y) = (A, B) is
+    L+ x = A + M1 B / c with y = (B + M1 x) / c (module docstring): one solve of
+    size n//2 + 1. Shares nothing with the quadrature pipeline but the wave
+    profile. N < 3 is refused as by the certificate, and an EigensolveError
+    names eps cond of L+'s even block, the error its solve may carry, when it
+    exceeds D_ERROR_BOUND: below kappa ~ 7e-3, where L+'s second even
+    eigenvalue, ~3.2 c kappa^4, nears zero. It reads 1.3e-5 at kappa = 3e-3
+    (D off by 2.8e-5) and 2.4e-7 at 1e-2 (5.0e-8).
     """
-    n = _core_size(_grid(p, N)[0])
-    psi, _ = _grid(p, n)
-    k = (2 * np.pi / p.L) * np.arange(n // 2 + 1)
-    phi = psi * psi / (2.0 * p.c)  # as eval_profile forms it
+    p1 = _rescaled(p, 1.0)
+    n = _core_size(_grid(p1, N)[0])
+    psi, _ = _grid(p1, n)
+    k = 2 * np.pi * np.arange(n // 2 + 1)
+    phi = psi * psi / (2.0 * p1.c)  # as eval_profile forms it
     (m1, _), (m2, _) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
     one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(n), psi, phi]))
     zero = np.zeros_like(one)
     A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
     B = np.stack([zero, one, c_phi], axis=1)   # and their v parts
-    lplus = _lplus_block(p.c, m2, k)
+    lplus = _lplus_block(p1.c, m2, k)
     rounding = np.finfo(float).eps * _lapack(np.linalg.cond, lplus)
     if not rounding <= D_ERROR_BOUND:
         raise EigensolveError(f"L+'s even block is too ill-conditioned for the D oracle: "
                               f"eps cond = {rounding:.1e} > {D_ERROR_BOUND:.0e}")
-    x = _lapack(np.linalg.solve, lplus, A + (m1 @ B) / p.c)
-    y = (B + m1 @ x) / p.c
-    D = (p.L / n) * (A.T @ x + B.T @ y)
-    return 0.5 * (D + D.T)
+    x = _lapack(np.linalg.solve, lplus, A + (m1 @ B) / p1.c)
+    y = (B + m1 @ x) / p1.c
+    D = (A.T @ x + B.T @ y) / n
+    return _at_period(0.5 * (D + D.T), p.L)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +431,12 @@ class SpectrumReport:
     margin: float                    # min lambda_min(Hc) over the even and odd blocks, at core_N
     kernel_residual: float           # |H (psi', phi')| / (c |(psi', phi')|)
     n_Lplus: tuple
-    n_H: tuple
     kernel_overlap_Lplus: float
     kernel_overlap_H: float
 
     k_r = k_c = krein_negative = 0
     symmetry_residual = 0.0
+    n_H = property(lambda self: self.n_Lplus)   # n(H) = n(L+): Haynsworth (module docstring)
 
     def count_identity_lhs(self) -> int:
         return self.k_r + 2 * self.k_c + 2 * self.krein_negative
@@ -567,12 +549,10 @@ def _certify(hessians, g, K_eo, H_odd: np.ndarray, kernel: np.ndarray, c: float)
     X = L_e^T Kc^-T L_o with L_e, L_o the lower Cholesky factors of Hc on
     each parity, so R = L^T. Raises IndefiniteHessianError when a factor
     does not exist and then KernelResidualError when the premise,
-    H kernel = 0, fails. The residual scales the kernel by a power of two to
-    a largest entry in [1/2, 1): exact, and clear of overflow at any period.
+    H kernel = 0, fails.
     """
     L_e, L_o = _factor(hessians[0], "even"), _factor(hessians[1], "odd")
-    unit = np.ldexp(kernel, -np.frexp(np.max(np.abs(kernel)))[1])
-    residual = float(np.linalg.norm(H_odd @ unit) / (c * np.linalg.norm(unit)))
+    residual = float(np.linalg.norm(H_odd @ kernel) / (c * np.linalg.norm(kernel)))
     if residual > KERNEL_RESIDUAL_BOUND:
         raise KernelResidualError(residual)
     X = L_e.T @ _kc_inverse_t(K_eo, *g, L_o)   # Kc = Q_e^T K_EO Q_o
@@ -621,21 +601,23 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     IndefiniteHessianError when a constrained Hessian has no Cholesky factor
     at N or a non-positive lambda_min at the core, and KernelResidualError
     when (psi', phi') is not the kernel of H at N: no spectrum is reported
-    without its certificate.
+    without its certificate. All is computed on p moved to period 1; at L the
+    omega scale as L^-3 and the margin as L^-2, and the rest is that of period 1.
     """
-    k, H, kernel, psi, core_N = _parity_blocks(p, N)
-    hessians, g, K_eo = _constrained_hessians(H, kernel, k, p.c)
-    X, residual = _certify(hessians, g, K_eo, H[1], kernel, p.c)
+    p1 = _rescaled(p, 1.0)
+    k, H, kernel, psi, core_N = _parity_blocks(p1, N)
+    hessians, g, K_eo = _constrained_hessians(H, kernel, k, p1.c)
+    X, residual = _certify(hessians, g, K_eo, H[1], kernel, p1.c)
     omega = _lapack(np.linalg.svd, X, compute_uv=False)[::-1]
-    eigs = np.zeros(2 * omega.size, dtype=complex)
-    eigs.imag[0::2], eigs.imag[1::2] = omega, -omega
     if core_N < N:
-        k, H, kernel, psi, _ = _parity_blocks(p, core_N)
-        hessians = _constrained_hessians(H, kernel, k, p.c)[0]
-    margin, n_Lplus, overlaps = _core_figures(hessians, H[1], kernel, psi, p)
+        k, H, kernel, psi, _ = _parity_blocks(p1, core_N)
+        hessians = _constrained_hessians(H, kernel, k, p1.c)[0]
+    margin, n_Lplus, overlaps = _core_figures(hessians, H[1], kernel, psi, p1)
+    eigs = np.zeros(2 * omega.size, dtype=complex)
+    eigs.imag[0::2], eigs.imag[1::2] = omega / p.L**3, -omega / p.L**3
     return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin,
-        kernel_residual=residual, n_Lplus=n_Lplus, n_H=n_Lplus,
+        params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin / p.L**2,
+        kernel_residual=residual, n_Lplus=n_Lplus,
         kernel_overlap_Lplus=overlaps[0], kernel_overlap_H=overlaps[1])
 
 

@@ -1,9 +1,10 @@
 """Construction of the L-periodic traveling-wave family and its profiles.
 
 The wave is psi(xi) = eta4 * dn^2(alpha*xi, kappa) / (1 + beta^2 sn^2(alpha*xi, kappa))
-with alpha = 2K(kappa)/L, and the second component is phi = psi^2/(2c). All
-parameters are generated from (L, kappa); the speed map c(kappa) is strictly
-increasing, which makes the inverse map well defined for c > 4 pi^2 / L^2.
+with alpha = 2K(kappa)/L, and the second component is phi = psi^2/(2c). The
+parameters of (1, kappa) are built and checked once; the wave (L, kappa) is
+that wave rescaled. The speed map c(kappa) is strictly increasing, which
+makes the inverse map well defined for c > 4 pi^2 / L^2.
 
 Integration constants are fixed to D1 = 0 and E = 0 throughout; they are kept
 as explicit fields so the residual checks document the convention.
@@ -11,7 +12,8 @@ as explicit fields so the residual checks document the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,38 +77,53 @@ def _check_period(L) -> float:
     return L
 
 
-# at an extreme L, c ~ 1/L^2 leaves the float range: _check_invariants raises, without warnings
-@np.errstate(all="ignore")
+@np.errstate(all="ignore")  # at an extreme L the fields leave the float range: a refusal
 def params_from_kappa(L: float, kappa: float) -> WaveParams:
-    """Build WaveParams from the period L and the modulus kappa in (0, 1)."""
+    """The wave of period L and modulus kappa in (0, KAPPA_MAX]: _unit_wave, rescaled.
+
+    Only the period identity is checked at L; its terms (c^2 eta4^2 ~ L^-8) leave
+    the float range, and refuse the wave, outside L ~ [1e-37, 1e40]."""
     L = _check_period(L)
-    kappa = float(kappa)
+    p = _rescaled(_unit_wave(float(kappa)), L)
+    _check_fundamental_period(p)
+    return p
+
+
+@lru_cache(maxsize=1024)
+def _unit_wave(kappa: float) -> WaveParams:
+    """The wave of period 1 and modulus kappa, checked by _check_invariants; cached."""
     if not (0.0 < kappa < 1.0) or kappa > KAPPA_MAX:
         raise ValueError(f"modulus must lie in (0, {KAPPA_MAX}] (got {kappa!r})")
-
     K = ellip_k(kappa)
     k2 = kappa * kappa
     h = 4.0 * np.sqrt(1.0 - k2 + k2 * k2)
-    c = 4.0 * K * K * h / (L * L)
+    c = 4.0 * K * K * h
     g_plus = h + 2.0 * (2.0 * k2 - 1.0)
     g_minus = h - 2.0 * (2.0 * k2 - 1.0)
-    eta4 = (8.0 * np.sqrt(2.0) * K * K / (np.sqrt(3.0) * L * L)) * np.sqrt(h * g_plus)
+    eta4 = (8.0 * np.sqrt(2.0) * K * K / np.sqrt(3.0)) * np.sqrt(h * g_plus)
     beta_sq = 2.0 * k2 * np.sqrt(g_plus) / (np.sqrt(g_plus) + np.sqrt(3.0) * np.sqrt(g_minus))
     F1 = -eta4 * (4.0 * c * c - eta4 * eta4) / (8.0 * c)
     root = np.sqrt(16.0 * c * c - 3.0 * eta4 * eta4)
     eta1 = -0.5 * (root + eta4)
     eta3 = 0.5 * (root - eta4)
     a = 2.0 / np.sqrt(eta4 * (eta3 - eta1))
-    alpha = 2.0 * K / L
-
-    p = WaveParams(L=L, kappa=kappa, c=c, h=h, eta1=eta1, eta3=eta3, eta4=eta4,
-                   beta_sq=beta_sq, F1=F1, a=a, alpha=alpha, K=K)
+    p = WaveParams(L=1.0, kappa=kappa, c=c, h=h, eta1=eta1, eta3=eta3, eta4=eta4,
+                   beta_sq=beta_sq, F1=F1, a=a, alpha=2.0 * K, K=K)
     _check_invariants(p)
     return p
 
 
+def _rescaled(p: WaveParams, L: float) -> WaveParams:
+    """The wave p moved to the period L (NOTES.md, the scaling symmetry): with r = L / p.L,
+    c and eta1, eta3, eta4 scale as r^-2, F1 as r^-4, a as r^2 and alpha as 1/r."""
+    r = L / p.L
+    r2 = r * r
+    return replace(p, L=L, c=p.c / r2, eta1=p.eta1 / r2, eta3=p.eta3 / r2, eta4=p.eta4 / r2,
+                   F1=p.F1 / (r2 * r2), a=p.a * r2, alpha=p.alpha / r)
+
+
 def _check_invariants(p: WaveParams) -> None:
-    """Identities of the construction; cheap, run on every build.
+    """Identities of the construction, run on every period-1 build.
 
     Raises WaveInvariantError naming the first identity that fails. The
     comparisons are written so that a nan fails them.
@@ -116,9 +133,7 @@ def _check_invariants(p: WaveParams) -> None:
         raise WaveInvariantError("root sum eta1+eta3+eta4 != 0")
     if not 0.0 < p.eta3 < 2.0 * p.c / np.sqrt(3.0) < p.eta4 < 2.0 * p.c:
         raise WaveInvariantError("root ordering violated")
-    period = 8.0 * np.sqrt(p.c) * p.K / (16.0 * p.c**2 * p.eta4**2 - 3.0 * p.eta4**4) ** 0.25
-    if not abs(period - p.L) <= 1e-10 * p.L:
-        raise WaveInvariantError("fundamental-period identity violated")
+    _check_fundamental_period(p)
     if not abs(p.beta_sq + p.kappa**2 * p.eta4 / p.eta1) <= 1e-10 * max(p.beta_sq, 1e-3):
         raise WaveInvariantError("beta^2 = -kappa^2 eta4/eta1 violated")
     # strictly negative in exact arithmetic; the margin closes like kappa^4 at
@@ -127,6 +142,13 @@ def _check_invariants(p: WaveParams) -> None:
         raise WaveInvariantError("four-real-root condition violated")
     if not abs(p.alpha - 1.0 / (2.0 * p.a * np.sqrt(p.c))) <= 1e-10 * p.alpha:
         raise WaveInvariantError("alpha = 1/(2 a sqrt(c)) violated")
+
+
+def _check_fundamental_period(p: WaveParams) -> None:
+    """8 sqrt(c) K / (16 c^2 eta4^2 - 3 eta4^4)^(1/4) = L, or WaveInvariantError."""
+    period = 8.0 * np.sqrt(p.c) * p.K / (16.0 * p.c**2 * p.eta4**2 - 3.0 * p.eta4**4) ** 0.25
+    if not abs(period - p.L) <= 1e-10 * p.L:
+        raise WaveInvariantError("fundamental-period identity violated")
 
 
 def kappa_from_c(L: float, c: float) -> float:
@@ -145,9 +167,7 @@ def kappa_from_c(L: float, c: float) -> float:
         )
 
     def speed_gap(kappa: float) -> float:
-        K = ellip_k(kappa)
-        k2 = kappa * kappa
-        return 4.0 * K * K * 4.0 * np.sqrt(1.0 - k2 + k2 * k2) / (L * L) - c
+        return _unit_wave(kappa).c / (L * L) - c
 
     lo, hi = 1e-9, KAPPA_MAX
     if speed_gap(hi) < 0.0:

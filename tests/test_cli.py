@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dswlab.cli import DMATRIX_SWEEP_DEFAULT_KAPPAS, THETA_TABLE_DEFAULT_PAIRS, build_parser, main
-from dswlab.spectra import _openblas
+from dswlab.spectra import _BLAS_PIN
 from dswlab.waves import params_from_kappa, profile_residual
 
 
@@ -165,7 +165,7 @@ class TestThetaTable:
         assert main(["theta-table", "--pairs", "2:0.3,1e200:0.3", "--out", str(out)]) == 1
         header, _, rows = read_csv(out)
         assert [row[:2] for row in rows] == [["2.0", "0.3"]]
-        assert header[-1] == "# row (1e+200, 0.3) failed: root ordering violated"
+        assert header[-1] == "# row (1e+200, 0.3) failed: fundamental-period identity violated"
         assert capsys.readouterr().err == ""
 
 
@@ -450,7 +450,7 @@ class TestSpectrum:
         assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "64",
                      "--out", str(out)]) == 0
         header, _, _ = read_csv(out)
-        blas = _openblas()
+        blas = _BLAS_PIN
         assert len(header) == 8
         assert header[-1] == ("# blas_threads=unpinned blas_config=unknown" if blas is None
                               else f"# blas_threads=1 blas_config={blas.config}")
@@ -616,11 +616,14 @@ def test_nonpositive_grid_exits_2_naming_N(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+PERIOD_IDENTITY = "fundamental-period identity violated"
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["wave", "--L", "1e200", "--kappa", "0.3"], "root ordering violated"),
-    (["wave", "--L", "1e-170", "--kappa", "0.3"], "root sum eta1+eta3+eta4 != 0"),
-    (["spectrum", "--L", "1e200", "--kappa", "0.3", "--N", "16"], "root ordering violated"),
-    (["dmatrix-sweep", "--L", "1e200", "--kappas", "0.3"], "root ordering violated"),
+    (["wave", "--L", "1e200", "--kappa", "0.3"], PERIOD_IDENTITY),
+    (["wave", "--L", "1e-170", "--kappa", "0.3"], PERIOD_IDENTITY),
+    (["spectrum", "--L", "1e200", "--kappa", "0.3", "--N", "16"], PERIOD_IDENTITY),
+    (["dmatrix-sweep", "--L", "1e200", "--kappas", "0.3"], PERIOD_IDENTITY),
 ], ids=["wave-huge", "wave-tiny", "spectrum-huge", "dmatrix-sweep-huge"])
 def test_extreme_period_is_refused_in_one_line(tmp_path, capsys, argv, message):
     # c ~ 1/L^2 leaves the float range and the wave fails its invariants;
@@ -629,6 +632,52 @@ def test_extreme_period_is_refused_in_one_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"{argv[0]} failed: {message}\n"
     assert not out.exists()
+
+
+def period_run(command, L, kappa, tmp_path):
+    """(argv, its output files) of one command at the wave (L, kappa)."""
+    wave = ["--L", L, "--kappa", kappa]
+    if command == "simulate":
+        T = float(L) ** 3 * 1e-3   # a thousandth of the time the wave takes to cross a period
+        return (["simulate", "--wave", *wave, "--N", "16", "--T", repr(T), "--dt", repr(T / 10),
+                 "--out-prefix", str(tmp_path / "s")],
+                [tmp_path / "s_conservation.csv", tmp_path / "s_trajectory.csv"])
+    argv = {"wave": ["wave", *wave, "--N", "16"],
+            "theta-table": ["theta-table", "--pairs", f"{L}:{kappa}"],
+            "dmatrix-sweep": ["dmatrix-sweep", "--L", L, "--kappas", kappa],
+            "spectrum": ["spectrum", *wave, "--N", "128"]}[command]
+    return argv + ["--out", str(tmp_path / "out.csv")], [tmp_path / "out.csv"]
+
+
+COMMANDS = ["wave", "theta-table", "dmatrix-sweep", "spectrum", "simulate"]
+
+
+@pytest.mark.parametrize("kappa", ["0.3", "0.9"])
+@pytest.mark.parametrize("L", ["1e-37", "1e40"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_answers_at_the_ends_of_the_period_range(tmp_path, capsys, command, L,
+                                                               kappa):
+    argv, outputs = period_run(command, L, kappa, tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert all(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("kappa", ["0.3", "0.9"])
+@pytest.mark.parametrize("L", ["1e-38", "1e41"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_past_the_period_range(tmp_path, capsys, command, L, kappa):
+    # the one per-period check of params_from_kappa: the period identity leaves the float
+    # range there, c^2 eta4^2 ~ L^-8
+    argv, outputs = period_run(command, L, kappa, tmp_path)
+    assert main(argv) == 1
+    if command == "theta-table":   # a failed row is reported in the table's header
+        header, _, rows = read_csv(outputs[0])
+        assert rows == [] and header[-1] == f"# row ({float(L)!r}, {kappa}) failed: {PERIOD_IDENTITY}"
+        assert capsys.readouterr().err == ""
+    else:
+        assert capsys.readouterr().err == f"{command} failed: {PERIOD_IDENTITY}\n"
+        assert not any(path.exists() for path in outputs)
 
 
 class TestNormalFormCheck:
@@ -682,7 +731,7 @@ class TestBlasThreadCount:
 
     @pytest.mark.parametrize("command", RUNS)
     def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path, command):
-        if command == "spectrum" and _openblas() is None:
+        if command == "spectrum" and _BLAS_PIN is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread setter: the certificate is unpinned")
         one, two, unset = (self.outputs(tmp_path, self.RUNS[command], threads)
                            for threads in ("1", "2", None))

@@ -9,11 +9,11 @@ import pytest
 
 from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHessianError,
-                            KernelResidualError, NoUnstableModeError, _certify,
+                            KernelResidualError, NoUnstableModeError, _BLAS_PIN, _certify,
                             _constrained_hessians, _core_figures, _cosine_coordinates,
                             _even_solve, _fourier_diff_matrices, _grid, _kc_inverse_t,
                             _lplus_block, _morse_counts, _multiplication_blocks,
-                            _nonzero_spectrum, _openblas, _operator, _parity_blocks,
+                            _nonzero_spectrum, _operator, _parity_blocks,
                             _sine_coordinates, assemble, dmatrix_via_collocation,
                             kernel_alignment, morse_index, pseudo_inverse_apply,
                             unstable_eigenmode, unstable_modes)
@@ -510,14 +510,14 @@ class TestLapackFailure:
         assert type(info.value) is EigensolveError
 
 
-@pytest.mark.skipif(_openblas() is None, reason="numpy's BLAS has no OpenBLAS thread setter")
+@pytest.mark.skipif(_BLAS_PIN is None, reason="numpy's BLAS has no OpenBLAS thread setter")
 class TestOneBlasThread:
     """Each entry that runs LAPACK at N runs it on one OpenBLAS thread and gives the
     caller's count back, on return and on raise."""
 
     @pytest.fixture
     def threads(self):
-        pin = _openblas()
+        pin = _BLAS_PIN
         before = pin.get_threads()
         pin.set_threads(2)
         if pin.get_threads() != 2:
