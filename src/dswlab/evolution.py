@@ -18,6 +18,12 @@ over 32 points w on a unit circle around each z (Kassam & Trefethen, SISC
 2005), free of the cancellation of their closed forms at small |z|, and
 polynomials in 1/w, so no power of w overflows at large |z|.
 
+Each sample logs the four invariants from its band alone (conserved_of_state):
+the masses are mode 0, which the scheme never moves, so they stay exactly
+constant; int u_x^2 and l2 come by Parseval; int u^2 v is the trapezoid sum of
+one inverse transform, exact for band data, as u^2 v has degree at most N - 1
+and so aliases nothing onto the mean.
+
 ETD keeps equilibria, so the co-moving traveling wave is a fixed point of the
 scheme up to rounding, which the step-size resonance of NOTES.md amplifies:
 at N = 128, dt = 1e-3 the wave (2, 0.3) blows up near t = 11.6. In the lab
@@ -34,8 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import (GridFunction, RefusalError, WaveParams, conserved_quantities, profile_grid,
-                    spectral_derivative)
+from .waves import GridFunction, RefusalError, WaveParams, profile_grid
 
 __all__ = [
     "SimState",
@@ -227,23 +232,47 @@ def _stepper(N: int, L: float, dt: float, frame_speed: float,
     return stepper
 
 
+def _band_integrals(s: SimState):
+    """(int u_x^2, int(u^2 + v^2)) by Parseval over the band, and (u, v) on the grid.
+
+    Each mode k > 0 stands for its conjugate -k too, so it weighs 2 and mode 0 weighs 1;
+    the band never holds the Nyquist mode. The trapezoid rule of N points is then
+    L / N^2 times the weighted sum of |X|^2.
+    """
+    sq = s.X.real**2 + s.X.imag**2
+    sq[:, 1:] *= 2.0
+    k = (2.0 * np.pi / s.L) * np.arange(s.X.shape[1])
+    w = s.L / s.N**2
+    return w * float(sq[0] @ (k * k)), w * float(np.sum(sq)), np.fft.irfft(s.X, s.N)
+
+
 def conserved_of_state(s: SimState):
-    return conserved_quantities(*state_fields(s))
+    """(int u, int v, int(u_x^2 - u^2 v), int(u^2 + v^2)) of the state, from its band alone.
+
+    The masses are L/N times mode 0, which ETDRK4 never moves (its symbol and g vanish
+    there), so they stay exactly constant over a run. int u_x^2 and l2 come by Parseval
+    over the band, and int u^2 v is the trapezoid sum of one inverse transform. Each is
+    the trapezoid rule of the grid route (waves.conserved_quantities) up to rounding, and
+    exact for band data: u^2 v has degree 3(M - 1) <= N - 1, so no product aliases onto
+    the mean.
+    """
+    ux2, l2, (u, v) = _band_integrals(s)
+    m_u, m_v = (s.L / s.N) * s.X[:, 0].real
+    return float(m_u), float(m_v), ux2 - (s.L / s.N) * float(u * u @ v), l2
 
 
 def _drift_scales(s: SimState, q0: np.ndarray) -> np.ndarray:
     """|q0| for each of (m_u, m_v, e_mixed, l2) at the state s of t = 0 or, where q0 is
     zero to rounding, the quantity's natural size: sqrt(L l2) for the masses and
-    int u_x^2 + int |u^2 v| for e_mixed.
+    int u_x^2 + int |u^2 v| for e_mixed, by Parseval and one inverse transform of the band.
 
     A natural size bounds |q0|, and the trapezoid sum of N terms behind q0 rounds by
     up to N eps of it: at or below that, q0 counts as zero. All-zero data has size 0.
     """
-    u, v = state_fields(s)
-    ux = spectral_derivative(u, 1)
+    ux2, _, (u, v) = _band_integrals(s)
     l2 = q0[3]
     mass = np.sqrt(s.L * l2)
-    energy = (s.L / s.N) * float(np.sum(ux**2 + np.abs(u.samples**2 * v.samples)))
+    energy = ux2 + (s.L / s.N) * float(np.sum(np.abs(u * u * v)))
     natural = np.array([mass, mass, energy, l2])
     return np.where(np.abs(q0) > s.N * np.finfo(float).eps * natural, np.abs(q0), natural)
 

@@ -282,7 +282,8 @@ def profile_residual(p: WaveParams, N: int = 256):
 
 
 def conserved_quantities(u: GridFunction, v: GridFunction):
-    """The four conserved integrals over one period.
+    """The four conserved integrals over one period, by the grid route: the oracle of
+    evolution.conserved_of_state, which reads them off the stepper's band.
 
     Returns (int u, int v, int(u_x^2 - u^2 v), int(u^2 + v^2)), with u_x by
     spectral differentiation and integrals by the trapezoid rule (exact mean

@@ -65,7 +65,13 @@ def test_a_tiny_modulus_builds_at_every_period(L, kappa, tmp_path):
     got, drift = verdicts(L, kappa, tmp_path)
     unit, unit_drift = verdicts(1.0, kappa, tmp_path)
     assert got == unit
-    assert unit_drift / 10 <= drift <= 10 * unit_drift
+    # such a wave is constant to rounding on 16 points, so its drift may be rounding alone:
+    # at or below _drift_scales' floor N eps, the drift at L must stay there too
+    floor = 16 * np.finfo(float).eps
+    if unit_drift > floor:
+        assert unit_drift / 10 <= drift <= 10 * unit_drift
+    else:
+        assert drift <= floor
 
 
 @pytest.mark.parametrize("L", [0.5, 2.0, 4.0])

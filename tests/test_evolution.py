@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from dswlab.evolution import (_CHECK_EVERY, _DENSE_BELOW, BlowUpError, WindowTooShortError,
-                              _band, _dft_pair, _etd_coefficients, _stepper, deviation_series,
+from dswlab.evolution import (_CHECK_EVERY, _DENSE_BELOW, BlowUpError, SimState,
+                              WindowTooShortError, _band, _dft_pair, _drift_scales,
+                              _etd_coefficients, _stepper, conserved_of_state, deviation_series,
                               fit_growth_rate, growth_rate_experiment, preprocess, simulate,
                               state_fields, undo_preprocess)
 from dswlab.spectra import (NoUnstableModeError, _fourier_diff_matrices, _nonzero_spectrum,
                             _operator)
-from dswlab.waves import GridFunction, eval_profile, params_from_kappa, profile_grid
+from dswlab.waves import (GridFunction, conserved_quantities, eval_profile, params_from_kappa,
+                          profile_grid)
 
 
 def random_smooth_fields(L, N, max_mode, seed, norm=1.0):
@@ -330,6 +332,67 @@ class TestConservation:
             drift = np.array([l2_drift(dt) for dt in (4e-4, 2e-4, 1e-4)])
             # fourth order: each halving of dt divides the drift by ~16
             assert np.all(drift[1:] < drift[:-1] / 8), (N, drift)
+
+
+def assert_band_route_is_the_grid_route(traj):
+    # each sample's invariants from its band agree with the trapezoid rule on its grid
+    # within N eps of each quantity's size, the rounding of a sum of N terms
+    for s in traj.states:
+        grid = np.array(conserved_quantities(*state_fields(s)))
+        size = _drift_scales(s, grid)
+        band = np.array(conserved_of_state(s))
+        assert np.all(np.abs(band - grid) <= s.N * np.finfo(float).eps * size)
+
+
+class TestBandInvariants:
+    @pytest.mark.parametrize("N", [127, 128, 256, 4096])
+    def test_random_smooth_data(self, N):
+        # random data filling the band, amplitudes 1/(1+k)^2; 127 and 128 step on the dense
+        # pair, 256 and 4096 on numpy.fft; at 127, 256 and 4096 the cubic term's degree
+        # 3(M - 1) is N - 1, the most the grid holds unaliased
+        assert (N < _DENSE_BELOW) == (N in (127, 128))
+        rng, M = np.random.default_rng(N), _band(N)
+        X = (rng.normal(size=(2, M)) + 1j * rng.normal(size=(2, M))) * N / (1 + np.arange(M)) ** 2
+        u0, v0 = (GridFunction(2 * np.pi, f) for f in np.fft.irfft(X, N))
+        traj = simulate(u0, v0, T=0.01, dt=1e-3)
+        assert np.all(traj.states[-1].X[:, -1] != 0.0)
+        assert len(traj.states) == 11
+        assert_band_route_is_the_grid_route(traj)
+
+    @pytest.mark.parametrize("frame", ["lab", "comoving"])
+    def test_wave_runs(self, wave_2_03, frame):
+        u0, v0 = profile_grid(wave_2_03, 128)
+        speed = wave_2_03.c if frame == "comoving" else 0.0
+        traj = simulate(u0, v0, T=0.1, dt=1e-3, frame_speed=speed)
+        assert_band_route_is_the_grid_route(traj)
+
+    def test_masses_are_exactly_constant(self, wave_2_03):
+        # ETDRK4 never moves mode 0, whose symbol and g vanish
+        u0, v0 = profile_grid(wave_2_03, 128)
+        traj = simulate(u0, v0, T=0.5, dt=1e-3)
+        assert len(traj.states) == 73
+        assert np.array_equal(traj.conserved[:, 1:3],
+                              np.broadcast_to(traj.conserved[0, 1:3], (73, 2)))
+        assert traj.conserved[0, 1] != 0.0
+
+    @pytest.mark.parametrize("N", [127, 128, 256, 4096])
+    def test_the_cubic_term_has_no_alias(self, N):
+        # u = v = cos(kx) at the band's top mode k = 2 pi (M - 1) / L: int u^2 v = 0, so
+        # e_mixed is int u_x^2 = k^2 L / 2 to rounding; on 3(M - 1) points, where the mode
+        # lies past the band, the grid aliases cos(3kx) onto the mean and int u^2 v reads L / 4
+        L, top = 3.0, _band(N) - 1
+        ux2 = (2 * np.pi * top / L) ** 2 * L / 2
+        for n, cubic in ((N, 0.0), (3 * top, L / 4)):
+            X = np.zeros((2, top + 1), dtype=complex)
+            X[:, top] = n / 2
+            _, _, e_mixed, l2 = conserved_of_state(SimState(0.0, X, n, L))
+            assert l2 == pytest.approx(L, rel=1e-15)
+            assert abs(e_mixed - (ux2 - cubic)) <= n * np.finfo(float).eps * ux2
+
+    @pytest.mark.parametrize("N", [1, 2, 127, 128])
+    def test_zero_state_gives_exact_zeros(self, N):
+        s = SimState(0.0, np.zeros((2, _band(N)), dtype=complex), N, 2.0)
+        assert conserved_of_state(s) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestPreprocess:

@@ -39,6 +39,8 @@ TEST_ONLY = {
                                           "Wronskian and A-integral checks",
     "index_engine.VarphiTable.varphi_prime_at": "oracle: varphi', for the Wronskian and "
                                                 "finite-difference checks and criterion 3's gap",
+    "waves.conserved_quantities": "oracle: the four invariants by the trapezoid rule on the grid, "
+                                  "against the band's",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
 }
