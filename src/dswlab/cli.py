@@ -2,9 +2,9 @@
 
 One command per artifact: `wave` (profile + residuals), `theta-table`
 (the Floquet table, theta = -L A2/K by quadrature), `dmatrix-sweep` (index
-quadratures over a list of moduli), `spectrum` (collocation eigenvalues and
-counts), `simulate` (time evolution and conservation logs),
-`normalform-check` (multiplier identity trials).
+quadratures over a list of moduli), `spectrum` (the certified frequencies
+omega, one per pair +-i omega, and the counts), `simulate` (time evolution
+and conservation logs), `normalform-check` (multiplier identity trials).
 
 Every command prints/writes UTF-8 CSV with a '#'-prefixed provenance header;
 floats are rendered with repr (shortest round-trip), so the bytes are fixed
@@ -177,7 +177,6 @@ def cmd_spectrum(args) -> int:
         f"k_r={rep.k_r} k_c={rep.k_c} k_i_minus={rep.krein_negative}",
         f"n_Lplus={rep.n_Lplus} n_H={rep.n_H} n_D={n_d} k_ham_formula={k_ham}",
         f"count_identity_vs_formula={identity_formula} count_identity_vs_measured_nH={identity_measured}",
-        f"lambda_max_real=0.0 symmetry_residual={_fmt(rep.symmetry_residual)}",
         f"margin={_fmt(rep.margin)} core_N={rep.core_N} "
         f"kernel_residual={_fmt(rep.kernel_residual)}",
         # the BLAS build and the thread count the certificate ran on, last: a byte
@@ -185,11 +184,9 @@ def cmd_spectrum(args) -> int:
         "blas_threads=unpinned blas_config=unknown" if _BLAS_PIN is None
         else f"blas_threads=1 blas_config={_BLAS_PIN.config}",
     ]
-    # the certified spectrum: pairs +i omega, -i omega by ascending omega, with
-    # no real part, Krein sign +1 on the upper member and -lambda next to lambda
-    rows = [(lam.real, lam.imag, "imaginary", int(lam.imag > 0), rep.symmetry_residual)
-            for lam in rep.eigenvalues]
-    _write_csv(args.out, header, ["re", "im", "class", "krein_sign", "symmetry_residual"], rows)
+    # the certified spectrum is the pairs +-i omega, each with Krein sign +1 (the
+    # header's counts): one row per omega, ascending
+    _write_csv(args.out, header, ["omega"], [(w,) for w in rep.eigenvalues.imag[0::2]])
     return 0
 
 
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_dmatrix_sweep)
 
-    sp = sub.add_parser("spectrum", help="collocation eigenvalues and index counts")
+    sp = sub.add_parser("spectrum", help="certified frequencies omega and index counts")
     _add_wave_args(sp)
     sp.add_argument("--N", type=int, default=256)
     sp.add_argument("--out", default="-")

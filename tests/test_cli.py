@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dswlab.cli import DMATRIX_SWEEP_DEFAULT_KAPPAS, THETA_TABLE_DEFAULT_PAIRS, build_parser, main
-from dswlab.spectra import _BLAS_PIN
+from dswlab.spectra import _BLAS_PIN, unstable_modes
 from dswlab.waves import params_from_kappa, profile_residual
 
 
@@ -296,30 +296,40 @@ class TestSpectrum:
         out = tmp_path / "spectrum.csv"
         assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "256",
                      "--out", str(out)]) == 0
-        header, cols, rows = read_csv(out)
+        header, _, _ = read_csv(out)
         text = "\n".join(header)
         # the reference material claims k_r = 1 here; the computed spectrum is
         # purely imaginary (NOTES.md), and the header reports both identity checks
         assert "k_r=0" in text
         assert "count_identity_vs_measured_nH=True" in text
         assert "count_identity_vs_formula=False" in text  # the 2-n(D) formula count disagrees
-        sym = [float(dict(zip(cols, r))["symmetry_residual"]) for r in rows]
-        assert max(sym) < 1e-7
 
     def test_every_upper_imaginary_row_carries_its_krein_sign(self, tmp_path):
-        # |mu| reaches 6e7 here, where numpy and Python floats round to 9 decimals
-        # differently, so a sign lookup keyed by round(mu, 9) would miss rows
+        # each row is the upper member +i omega of a pair; the header states
+        # that none has Krein sign -1. omega reaches 6e7 here
         out = tmp_path / "spectrum.csv"
         assert main(["spectrum", "--L", "1", "--kappa", "0.9", "--N", "128",
                      "--out", str(out)]) == 0
-        header, cols, rows = read_csv(out)
-        rows = [dict(zip(cols, r)) for r in rows]
-        upper = [r for r in rows if r["class"] == "imaginary" and float(r["im"]) > 1e-6]
-        assert len(upper) > 100 and max(float(r["im"]) for r in upper) > 1e6
-        assert all(r["krein_sign"] in ("1", "-1") for r in upper)
-        assert all(r["krein_sign"] == "0" for r in rows if r not in upper)
-        negative = sum(r["krein_sign"] == "-1" for r in upper)
-        assert f"k_i_minus={negative}" in "\n".join(header)
+        header, _, rows = read_csv(out)
+        omega = [float(w) for (w,) in rows]
+        assert all(w > 0 for w in omega) and max(omega) > 1e6
+        assert "k_i_minus=0" in "\n".join(header)
+
+    @pytest.mark.parametrize("L, kappa, N", [("2", "0.3", 255), ("2", "0.3", 256),
+                                             ("1", "0.9", 128)])
+    def test_one_row_per_certified_frequency(self, tmp_path, L, kappa, N):
+        # the rows are the omega of the report's +i omega, ascending, at 17 digits;
+        # the zero cluster leaves N - 2 pairs at odd N and N - 3 at even N
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", L, "--kappa", kappa, "--N", str(N),
+                     "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        assert cols == ["omega"]
+        omega = unstable_modes(params_from_kappa(float(L), float(kappa)), N).eigenvalues.imag
+        assert [w for (w,) in rows] == [repr(float(w)) for w in omega[0::2]]
+        values = [float(w) for (w,) in rows]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert len(rows) == (N - 2 if N % 2 else N - 3)
 
     @pytest.mark.parametrize("L, kappa", [("1", "1e-9"), ("2.7", "1e-6")])
     def test_a_wave_whose_d_rounds_is_refused(self, tmp_path, capsys, L, kappa):
@@ -345,20 +355,18 @@ class TestSpectrum:
 
     def test_header_reports_the_certificate(self, tmp_path):
         # the margin, its core grid and the kernel residual sit on the line
-        # after the symmetry residual; the lines before it keep their place
+        # after the count identities; the lines before it keep their place
         out, again = tmp_path / "spectrum.csv", tmp_path / "again.csv"
         for path in (out, again):
             assert main(["spectrum", "--L", "2", "--kappa", "0.3", "--N", "256",
                          "--out", str(path)]) == 0
         assert out.read_bytes() == again.read_bytes()
-        header, cols, rows = read_csv(out)
-        assert header[5] == "# lambda_max_real=0.0 symmetry_residual=0.0"
-        fields = dict(item.split("=") for item in header[6][2:].split())
+        header, _, _ = read_csv(out)
+        fields = dict(item.split("=") for item in header[5][2:].split())
         assert list(fields) == ["margin", "core_N", "kernel_residual"]
         assert float(fields["margin"]) == pytest.approx(6.3323282281, rel=1e-10)
         assert fields["core_N"] == "37"
         assert float(fields["kernel_residual"]) < 1e-10
-        assert all(dict(zip(cols, r))["re"] == "0.0" for r in rows)
 
     def test_indefinite_hessian_exits_with_the_inertia(self, tmp_path, monkeypatch, capsys):
         # a profile that does not solve its equation at the speed given: no certificate
@@ -405,7 +413,7 @@ class TestSpectrum:
 
     def test_odd_grid_gives_the_even_grid_counts(self, tmp_path):
         # odd N has no Nyquist mode: the zero cluster is the 4-member generalized
-        # kernel, and the 2N - 4 rows carry the counts of N = 256
+        # kernel, and the N - 2 rows, one per pair, carry the counts of N = 256
         runs = {}
         for N in ("255", "256"):
             out = tmp_path / f"spectrum_{N}.csv"
@@ -413,7 +421,7 @@ class TestSpectrum:
                          "--out", str(out)]) == 0
             runs[N] = read_csv(out)
         (odd_header, _, odd_rows), (even_header, _, _) = runs["255"], runs["256"]
-        assert len(odd_rows) == 2 * 255 - 4
+        assert len(odd_rows) == 255 - 2
         assert odd_header[2:5] == even_header[2:5]  # k_r..., n_Lplus..., identity checks
         assert "k_r=0 k_c=0 k_i_minus=0" in odd_header[2]
 
@@ -451,7 +459,7 @@ class TestSpectrum:
                      "--out", str(out)]) == 0
         header, _, _ = read_csv(out)
         blas = _BLAS_PIN
-        assert len(header) == 8
+        assert len(header) == 7
         assert header[-1] == ("# blas_threads=unpinned blas_config=unknown" if blas is None
                               else f"# blas_threads=1 blas_config={blas.config}")
 

@@ -60,6 +60,74 @@ def direct_h_blocks(p, N):
     return blocks
 
 
+def certificate_mpmath(kappa, N, dps=40):
+    """(kernel residual, Cholesky factors, lambda_min) of the certificate for the wave
+    (1, kappa) on N points, every step at dps digits in mpmath: the oracle of
+    unstable_modes with no numpy, LAPACK or dswlab.elliptic.
+
+    The steps of the spectra docstring, written out: the wave from mp.ellipk and
+    mp.ellipfun, the parity blocks of H on range(J) from DFTs by explicit sums,
+    e2 = H_even^-1 K e1 by an LU solve of the full even block, one Householder
+    reflector per parity, and lambda_min of each constrained Hessian from eigsy.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(dps):
+        k2 = mp.mpf(kappa) ** 2
+        K = mp.ellipk(k2)
+        h = 4 * mp.sqrt(1 - k2 + k2 * k2)
+        c = 4 * K * K * h
+        g_plus, g_minus = h + 2 * (2 * k2 - 1), h - 2 * (2 * k2 - 1)
+        eta4 = 8 * mp.sqrt(2) * K * K / mp.sqrt(3) * mp.sqrt(h * g_plus)
+        b2 = 2 * k2 * mp.sqrt(g_plus) / (mp.sqrt(g_plus) + mp.sqrt(3) * mp.sqrt(g_minus))
+        psi, dpsi = [], []
+        for j in range(N):   # psi = eta4 dn^2 / B and psi' at u = alpha x_j, alpha = 2K
+            sn, cn, dn = (mp.ellipfun(f, 2 * K * j / N, m=k2) for f in ("sn", "cn", "dn"))
+            B = 1 + b2 * sn * sn
+            psi.append(eta4 * dn * dn / B)
+            dpsi.append(-4 * K * eta4 * sn * cn * dn * (k2 * B + b2 * dn * dn) / B**2)
+        cos = [mp.cospi(mp.mpf(2 * r) / N) for r in range(N)]
+        sin = [mp.sinpi(mp.mpf(2 * r) / N) for r in range(N)]
+        m = (N - 1) // 2
+        # Re fft(f)[q], q = 0..2m, of psi and psi^2, and sine coordinates, by explicit sums
+        F1, F2 = ([mp.fsum(f[j] * cos[q * j % N] for j in range(N)) for q in range(2 * m + 1)]
+                  for f in (psi, [s * s for s in psi]))
+
+        def sine(f):
+            return [mp.sqrt(mp.mpf(2) / N) * mp.fsum(f[j] * sin[q * j % N] for j in range(N))
+                    for q in range(1, m + 1)]
+
+        kernel = mp.matrix(sine(dpsi) + sine([s * d / c for s, d in zip(psi, dpsi)]))
+        k = [2 * mp.pi * q for q in range(1, m + 1)]
+        H = []
+        for sign in (1, -1):   # the even (cosine) and the odd (sine) block, modes 1..m
+            A = mp.zeros(2 * m, 2 * m)
+            for a in range(m):
+                for b in range(m):
+                    m1 = (F1[abs(a - b)] + sign * F1[a + b + 2]) / N
+                    m2 = (F2[abs(a - b)] + sign * F2[a + b + 2]) / N
+                    A[a, b] = -m2 / (2 * c)
+                    A[a, m + b] = A[m + a, b] = -m1
+                A[a, a] += k[a] ** 2 + c
+                A[m + a, m + a] = c
+            H.append(A)
+        residual = mp.norm(H[1] * kernel) / (c * mp.norm(kernel))
+        # K = J^-1 takes sin_q to -cos_q / k_q and cos_q to sin_q / k_q
+        inv_k = [1 / kq for kq in k] * 2
+        Ke1 = mp.matrix([-w * e for w, e in zip(inv_k, kernel)])
+        Ke2 = mp.matrix([w * e for w, e in zip(inv_k, mp.lu_solve(H[0], Ke1))])
+        factors, lam_min = [], []
+        for A, a in zip(H, (Ke1, Ke2)):   # Hc = Q^T H Q, Q the complement of a
+            g = a.copy()
+            g[0] += mp.sign(a[0]) * mp.norm(a)
+            g /= mp.norm(g)
+            Ag = A * g
+            w = 2 * (Ag - (g.T * Ag)[0] * g)   # P A P = A - g w^T - w g^T, P = I - 2 g g^T
+            Hc = (A - g * w.T - w * g.T)[1:, 1:]
+            factors.append(mp.cholesky(Hc))   # a ValueError where Hc is not positive definite
+            lam_min.append(min(mp.eigsy(Hc, eigvals_only=True)))
+        return residual, factors, min(lam_min)
+
+
 def zero_cluster_size(N):
     """The generalized kernel of dH, plus the Nyquist mode (-1)^j of each component at even N."""
     return 4 if N % 2 else 6
@@ -437,6 +505,37 @@ class TestCertificate:
     def test_grid_without_a_mode_in_range_j_refused(self, wave_2_03, N):
         with pytest.raises(ValueError, match=f"N must be >= 3 \\(got {N}\\)"):
             unstable_modes(wave_2_03, N)
+
+    def test_forty_digit_certificate(self):
+        # the certificate of (1, 0.3) at N = 64 redone at 40 digits: kernel residual
+        # 5.0e-39, both factors, and lambda_min 25.32931291241354558, 3.2e-14 from
+        # the margin of the double-precision core
+        residual, factors, lam_min = certificate_mpmath(0.3, 64)
+        assert residual < 1e-30
+        assert [f.rows for f in factors] == [61, 61]
+        margin = unstable_modes(params_from_kappa(1.0, 0.3), 64).margin
+        assert abs(float(lam_min) - margin) <= 1e-12 * margin
+
+    @pytest.mark.parametrize("N", [64, 65])
+    def test_small_amplitude_limit_is_the_constant_state(self, N):
+        # at kappa -> 0 the wave is the constant psi0 = 2c / sqrt(3), whose symbol on
+        # mode k is ik S(k), S = [[k^2 + c - psi0^2 / (2c), -psi0], [-psi0, c]]: every
+        # omega is k mu, mu an eigenvalue of S, but mode 1's kernel mu ~ 0, and the
+        # margin is (8 - sqrt 37) c / 3. Measured at kappa = 1e-3: 2.0e-13 and 2.3e-14
+        p = params_from_kappa(1.0, 1e-3)
+        rep = unstable_modes(p, N)
+        c, psi0 = p.c, 2.0 * p.c / np.sqrt(3.0)
+        limit = (8.0 - np.sqrt(37.0)) / 3.0
+        assert abs(rep.margin / c - limit) <= 1e-12 * limit
+        omega = []
+        for n in range(1, (N - 1) // 2 + 1):
+            k = 2 * np.pi * n
+            mu = np.linalg.eigvalsh([[k * k + c - psi0**2 / (2 * c), -psi0], [-psi0, c]])
+            omega += list(k * (np.delete(mu, np.argmin(np.abs(mu))) if n == 1 else mu))
+        omega = np.sort(omega)
+        certified = rep.eigenvalues.imag[0::2]
+        assert certified.size == omega.size == N - 3 + N % 2
+        assert np.all(np.abs(certified - omega) <= 1e-11 * omega)
 
 
 class TestCore:
