@@ -5,6 +5,9 @@ One command per artifact: `wave` (profile + residuals), `theta-table`
 quadratures over a list of moduli), `spectrum` (the certified frequencies
 omega, one per pair +-i omega, and the counts), `simulate` (time evolution
 and conservation logs), `normalform-check` (multiplier identity trials).
+Each command computes its numbers by the production route and prints each
+fact once; the oracles that compute the same quantities another way (the
+dense eig of dH, the Hill IVP, the D oracle) are the tests'.
 
 Every command prints/writes UTF-8 CSV with a '#'-prefixed provenance header;
 floats are rendered with repr (shortest round-trip), so the bytes are fixed
@@ -90,7 +93,6 @@ def cmd_wave(args) -> int:
         f"eta1={_fmt(p.eta1)} eta3={_fmt(p.eta3)} eta4={_fmt(p.eta4)}",
         f"beta_sq={_fmt(p.beta_sq)} F1={_fmt(p.F1)} h={_fmt(p.h)}",
         f"a={_fmt(p.a)} alpha={_fmt(p.alpha)} K={_fmt(p.K)}",
-        f"E_const={_fmt(p.E_const)} D1_const={_fmt(p.D1_const)}",
         f"residual_ode={_fmt(r1)} residual_energy={_fmt(r2)}",
     ]
     rows = [(x, s, q) for x, s, q in zip(psi.x, psi.samples, phi.samples)]
@@ -137,7 +139,7 @@ def cmd_dmatrix_sweep(args) -> int:
               if args.kappas is not None else list(DMATRIX_SWEEP_DEFAULT_KAPPAS))
     header = _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas))
     cols = ["kappa", "D11", "D12", "D13", "D22", "D23", "D33", "det", "n_D", "k_ham",
-            "A1", "A2", "A3", "A4", "A5", "A6", "status"]
+            "A1", "A2", "A3", "A4", "A6", "status"]
 
     def run(kappa):
         p = params_from_kappa(args.L, kappa)
@@ -191,18 +193,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .evolution import growth_rate_experiment, simulate, state_fields
+    from .evolution import simulate, state_fields
 
     random_data = not (args.wave or args.zero)
     # refuse the flags a run would ignore
-    for flag, value, used, needs in (("--perturb", args.perturb, args.wave, "--wave"),
-                                     ("--kappa", args.kappa, args.wave, "--wave"),
+    for flag, value, used, needs in (("--kappa", args.kappa, args.wave, "--wave"),
                                      ("--c", args.c, args.wave, "--wave"),
                                      ("--frame", args.frame, args.wave, "--wave"),
                                      ("--seed", args.seed, random_data,
                                       "random data, neither --wave nor --zero")):
         if value is not None and not used:
             raise ValueError(f"{flag} requires {needs}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 (got {args.seed})")
     # a random-data run names its seed in the header
     seed = {"seed": 0 if args.seed is None else args.seed} if random_data else {}
     if args.wave:
@@ -227,16 +230,7 @@ def cmd_simulate(args) -> int:
         frame = 0.0
 
     header = _provenance("simulate", L=u0.L, N=args.N, T=args.T, dt=args.dt,
-                         frame_speed=frame, perturb=args.perturb or 0.0, **seed)
-
-    if args.perturb:
-        res = growth_rate_experiment(p, args.perturb, args.T, N=args.N, dt=args.dt)
-        header.append(f"lambda_fit={_fmt(res.lambda_fit)} lambda_lin={_fmt(res.lambda_lin)} "
-                      f"rel_err={_fmt(res.rel_err)}")
-        rows = list(zip(res.times, res.deviations))
-        _write_csv(args.out_prefix + "_growth.csv", header, ["t", "deviation"], rows)
-        return 0
-
+                         frame_speed=frame, **seed)
     traj = simulate(u0, v0, args.T, args.dt, frame_speed=frame)
     if abs(traj.dt - args.dt) > 1e-12 * args.dt:  # T/dt is not a whole number of steps
         header.append(f"dt_used={_fmt(traj.dt)}")
@@ -261,6 +255,8 @@ def cmd_normalform_check(args) -> int:
 
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1 (got {args.trials})")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 (got {args.seed})")
     rng = np.random.default_rng(args.seed)
     rows = []
     for trial in range(args.trials):
@@ -353,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=1e-4)
     sp.add_argument("--frame", choices=["lab", "comoving"], default=None,
                     help="frame of a --wave run (default comoving)")
-    sp.add_argument("--perturb", type=float, default=None,
-                    help="seed amplitude for the growth experiment")
     sp.add_argument("--seed", type=int, help="seed of the random data (default 0)")
     sp.add_argument("--out-prefix", default="dsw_run")
     sp.set_defaults(func=cmd_simulate)

@@ -284,11 +284,6 @@ class Trajectory:
     max_rel_drift: float        # max over samples of |q - q0| / _drift_scales
     dt: float                   # the step actually taken: T / ceil(T / dt_requested)
 
-    @property
-    def times(self) -> np.ndarray:
-        """The sample times, the first column of the conservation log."""
-        return self.conserved[:, 0]
-
 
 def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
              frame_speed: float = 0.0, frame_speed_v: float | None = None) -> Trajectory:
@@ -343,25 +338,26 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# growth-rate experiment
+# growth-rate experiment: criterion 7's oracle, run only by the tests
 
 @dataclass(frozen=True)
 class GrowthResult:
     lambda_fit: float
     lambda_lin: float
     rel_err: float
-    times: np.ndarray
-    deviations: np.ndarray
 
 
-def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int = 256,
-                           dt: float = 1e-3) -> GrowthResult:
+def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int,
+                           dt: float) -> GrowthResult:
     """Seed the wave with eps times the most unstable eigenmode and fit the rate.
 
-    Requires an unstable mode from the collocation eigensolve; for this wave
-    family the computed spectrum is purely imaginary, so the seed step raises
-    NoUnstableModeError (see NOTES.md). The tests' oscillation cross-check runs
-    deviation_series and fit_growth_rate on a seeded imaginary mode, fitting ~0.
+    The paper's corroboration of its instability claim, kept as criterion 7's
+    oracle; the tests are its only callers, as the certified spectrum gives the
+    stability verdict. It requires an unstable mode from the dense eig of dH;
+    for this wave family the computed spectrum is purely imaginary, so the seed
+    step raises NoUnstableModeError (see NOTES.md). The tests' oscillation
+    cross-check runs deviation_series and fit_growth_rate on a seeded imaginary
+    mode, fitting ~0.
     """
     from .spectra import unstable_eigenmode
 
@@ -379,19 +375,18 @@ def growth_rate_experiment(p: WaveParams, eps: float, T: float, N: int = 256,
     times, devs = deviation_series(traj, p)
     lam_fit = fit_growth_rate(times, devs, p, eps)
     return GrowthResult(lambda_fit=lam_fit, lambda_lin=lam_lin,
-                        rel_err=abs(lam_fit - lam_lin) / abs(lam_lin),
-                        times=times, deviations=devs)
+                        rel_err=abs(lam_fit - lam_lin) / abs(lam_lin))
 
 
 def deviation_series(traj: Trajectory, p: WaveParams):
-    """L2 norm of (u - psi, v - phi) at each sampled state (co-moving frame)."""
+    """(times, L2 norm of (u - psi, v - phi)) at each sampled state (co-moving frame)."""
     psi, phi = profile_grid(p, traj.states[0].N)
     devs = []
     for s in traj.states:
         u, v = state_fields(s)
         devs.append(np.sqrt(p.L / u.N * (np.sum((u.samples - psi.samples) ** 2)
                                          + np.sum((v.samples - phi.samples) ** 2))))
-    return traj.times, np.asarray(devs)
+    return traj.conserved[:, 0], np.asarray(devs)
 
 
 def fit_growth_rate(times: np.ndarray, devs: np.ndarray, p: WaveParams, eps: float) -> float:

@@ -1,7 +1,7 @@
 """Quadrature pipeline for the Hamiltonian instability index.
 
-Builds the non-periodic second kernel element varphi of L+, evaluates the six
-elliptic quadratures A1..A6, applies the even inverse of L+ through the
+Builds the non-periodic second kernel element varphi of L+, evaluates the
+elliptic quadratures A1..A6 (A5 = A2), applies the even inverse of L+ through the
 variation-of-parameters formula, assembles the 3x3 matrix D of pairings
 <H e_i, e_j> over the generalized kernel, and reports the index count
 k_Ham = 2 - n(D), refusing a numerically singular D.
@@ -277,27 +277,27 @@ def non_periodicity_gap(t: VarphiTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the six elliptic quadratures
+# the elliptic quadratures
 
 class AIntegrals(NamedTuple):
     A1: float
     A2: float
     A3: float
     A4: float
-    A5: float
     A6: float
 
 
 def a_integrals(p: WaveParams) -> AIntegrals:
-    """The six quadratures over [0, K(kappa)] entering the pairing closed forms.
+    """The five distinct quadratures over [0, K(kappa)] entering the pairing closed forms.
 
     Each A is K a_0 of its row of the quarter-period record; A2's row is
-    varphi's inner integrand and A5 the same integral. A4 carries a single
-    power of (1 + beta^2 sn^2); see the A4 note in NOTES.md.
+    varphi's inner integrand, which is also that of the closed forms' A5, so
+    A5 = A2 (NOTES.md). A4 carries a single power of (1 + beta^2 sn^2); see
+    the A4 note in NOTES.md.
     """
     rows = _quarter_period_record(p.kappa)[1]
     A1, A2, A3, A4, A6 = (float(p.K * a[0]) for a in rows[:5])
-    return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A5=A2, A6=A6)
+    return AIntegrals(A1=A1, A2=A2, A3=A3, A4=A4, A6=A6)
 
 
 def varphi_pairings(p: WaveParams, A: AIntegrals):
@@ -311,7 +311,7 @@ def varphi_pairings(p: WaveParams, A: AIntegrals):
     pref = p.L**3 / (8.0 * p.K**3 * k2b2)
     ip_one = (pref / p.eta4) * (A.A1 + A.A2 * (1.0 - k2) / (2.0 * k2b2 * (1.0 + b2))
                                 - A.A3 / (2.0 * k2b2))
-    ip_psi = pref * (A.A4 + A.A5 * (1.0 - k2)**2 / (4.0 * k2b2 * (1.0 + b2)**2)
+    ip_psi = pref * (A.A4 + A.A2 * (1.0 - k2)**2 / (4.0 * k2b2 * (1.0 + b2)**2)
                      - A.A6 / (4.0 * k2b2))
     return float(ip_one), float(ip_psi)
 

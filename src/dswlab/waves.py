@@ -6,8 +6,8 @@ parameters of (1, kappa) are built and checked once; the wave (L, kappa) is
 that wave rescaled. The speed map c(kappa) is strictly increasing, which
 makes the inverse map well defined for c > 4 pi^2 / L^2.
 
-Integration constants are fixed to D1 = 0 and E = 0 throughout; they are kept
-as explicit fields so the residual checks document the convention.
+The integration constants of the profile ODE are D1 = 0 and E = 0 throughout:
+profile_residual checks the equations with both set to zero.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class WaveParams:
     a: float
     alpha: float
     K: float
-    E_const: float = 0.0
-    D1_const: float = 0.0
 
 
 def _check_period(L) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dswlab import __version__
 from dswlab.cli import DMATRIX_SWEEP_DEFAULT_KAPPAS, THETA_TABLE_DEFAULT_PAIRS, build_parser, main
 from dswlab.spectra import _BLAS_PIN, unstable_modes
 from dswlab.waves import params_from_kappa, profile_residual
@@ -31,6 +32,12 @@ def header_value(header, key):
             if tok.startswith(key + "="):
                 return tok.split("=", 1)[1]
     raise KeyError(key)
+
+
+def header_keys(header):
+    """The keys of each provenance header line after the command's name line."""
+    return [[tok.split("=", 1)[0] for tok in line[2:].split() if "=" in tok]
+            for line in header[1:]]
 
 
 class TestWaveCommand:
@@ -61,6 +68,16 @@ class TestWaveCommand:
         assert header_value(header, "residual_ode") == repr(r1)
         assert header_value(header, "residual_energy") == repr(r2)
         assert len(rows) == 16
+
+    def test_header_keys(self, tmp_path):
+        # each field once: the integration constants E = D1 = 0 are not printed
+        out = tmp_path / "wave.csv"
+        assert main(["wave", "--L", "2", "--kappa", "0.3", "--N", "16", "--out", str(out)]) == 0
+        header, _, _ = read_csv(out)
+        assert header[0] == f"# dswlab {__version__} :: wave"
+        assert header_keys(header) == [["L", "kappa", "c", "N"], ["eta1", "eta3", "eta4"],
+                                       ["beta_sq", "F1", "h"], ["a", "alpha", "K"],
+                                       ["residual_ode", "residual_energy"]]
 
     def test_any_grid_size(self, tmp_path):
         out = tmp_path / "wave.csv"
@@ -182,6 +199,13 @@ class TestDMatrixSweep:
         assert int(row["k_ham"]) == 1
         assert float(row["A2"]) < 0
 
+    def test_columns(self, tmp_path):
+        # A2 once: the pairing's A5 is A2 and has no column
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.5", "--out", str(out)]) == 0
+        assert read_csv(out)[1] == ["kappa", "D11", "D12", "D13", "D22", "D23", "D33", "det",
+                                    "n_D", "k_ham", "A1", "A2", "A3", "A4", "A6", "status"]
+
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["dmatrix-sweep", "--L", "1", "--kappas", "0.2,0.4,0.6,0.8", "--out", str(out)])
@@ -251,7 +275,7 @@ class TestDMatrixSweep:
         assert row["status"] == "degenerate"
         assert (row["n_D"], row["k_ham"], row["det"]) == ("-1", "-1", "nan")
         A = index_engine.a_integrals(params_from_kappa(1.0, 0.5))
-        assert [row[f"A{i}"] for i in range(1, 7)] == [repr(float(a)) for a in A]
+        assert [row[name] for name in A._fields] == [repr(float(a)) for a in A]
 
     @staticmethod
     def assert_row_of_the_unit_period(tmp_path, capsys, L):
@@ -506,16 +530,39 @@ class TestSimulate:
         per_sample = Counter(row[0] for row in rows)
         assert len(per_sample) == 11 and set(per_sample.values()) == {96}
 
+    @pytest.mark.parametrize("data, keys", [
+        (["--wave", "--L", "2", "--kappa", "0.3"], ["L", "N", "T", "dt", "frame_speed"]),
+        (["--seed", "5"], ["L", "N", "T", "dt", "frame_speed", "seed"]),
+        (["--zero"], ["L", "N", "T", "dt", "frame_speed"]),
+    ], ids=["wave", "random", "zero"])
+    def test_header_keys(self, tmp_path, data, keys):
+        assert main(["simulate", *data, "--N", "16", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", str(tmp_path / "s")]) == 0
+        for name, tail in (("s_conservation.csv", [["max_rel_drift"]]), ("s_trajectory.csv", [])):
+            header, _, _ = read_csv(tmp_path / name)
+            assert header[0] == f"# dswlab {__version__} :: simulate"
+            assert header_keys(header) == [keys] + tail
+
+    def test_growth_experiment_is_not_an_option(self, tmp_path, capsys):
+        # the stability verdict is spectrum's certificate; the experiment is criterion 7's
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--perturb", "1e-6",
+                  "--out-prefix", str(tmp_path / "g")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --perturb 1e-6" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no flag
+        assert main(["simulate", "--seed", "-1", "--N", "16", "--T", "0.01", "--dt", "1e-3",
+                     "--out-prefix", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0 (got -1)\n"
+        assert not list(tmp_path.iterdir())
+
     def test_wave_without_period_exits_2(self, tmp_path, capsys):
         prefix = tmp_path / "w"
         assert main(["simulate", "--wave", "--kappa", "0.3", "--out-prefix", str(prefix)]) == 2
         assert capsys.readouterr().err == "error: --wave requires --L\n"
-        assert not list(tmp_path.iterdir())
-
-    def test_perturbation_without_wave_exits_2(self, tmp_path, capsys):
-        prefix = tmp_path / "p"
-        assert main(["simulate", "--zero", "--perturb", "1e-6", "--out-prefix", str(prefix)]) == 2
-        assert capsys.readouterr().err == "error: --perturb requires --wave\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", [["--kappa", "0.3"], ["--c", "9.9"], ["--frame", "lab"]],
@@ -575,15 +622,6 @@ class TestSimulate:
         for name in ("r_conservation.csv", "r_trajectory.csv"):
             header, _, _ = read_csv(tmp_path / name)
             assert header_value(header, "seed") == (seed[1] if seed else "0")
-
-    def test_growth_experiment_reports_stable_spectrum(self, tmp_path, capsys):
-        code = main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--N", "128",
-                     "--T", "0.5", "--dt", "1e-4", "--perturb", "1e-6",
-                     "--out-prefix", str(tmp_path / "g")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("simulate failed: max Re lambda = ")
-        assert err.endswith(": spectrum is stable\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("L, T, dt", [("1e-36", "1e-3", "1e-4"), ("1e-6", "1e-3", "1e-4"),
                                           ("1", "1e105", "1e104")],
@@ -703,6 +741,13 @@ class TestNormalFormCheck:
         out = tmp_path / "nf.csv"
         assert main(["normalform-check", "--trials", trials, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --trials must be >= 1 (got {trials})\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no flag
+        out = tmp_path / "nf.csv"
+        assert main(["normalform-check", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0 (got -1)\n"
         assert not out.exists()
 
 

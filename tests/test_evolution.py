@@ -98,7 +98,7 @@ class TestBasics:
         u0 = GridFunction(2 * np.pi, 0.3 + 0.1 * np.cos(x + a) + 0.05 * np.sin(3 * x + b))
         v0 = GridFunction(2 * np.pi, -0.2 + 0.1 * np.cos(2 * x + c))
         traj = simulate(u0, v0, T=0.02, dt=1e-3)
-        assert np.array_equal(traj.times, [s.t for s in traj.states])
+        assert np.array_equal(traj.conserved[:, 0], [s.t for s in traj.states])
         for s in traj.states:
             assert s.X.shape == (2, -(-N // 3))
             padded = np.zeros((2, N // 2 + 1), dtype=complex)
@@ -121,9 +121,9 @@ class TestBasics:
         # 0.05 / 4e-3 = 12.5: thirteen steps of 0.05 / 13, not twelve of 4e-3
         u0, v0 = random_smooth_fields(2 * np.pi, 64, 3, seed=4)
         traj = simulate(u0, v0, T=0.05, dt=4e-3)  # 13 steps: one sample per step
-        assert traj.times[-1] == 0.05
+        assert traj.conserved[-1, 0] == 0.05
         assert traj.states[-1].t == 0.05
-        assert len(traj.times) == 14
+        assert len(traj.conserved) == 14
         assert traj.dt == 0.05 / 13 and traj.dt <= 4e-3
         assert simulate(u0, v0, T=0.1, dt=5e-5).dt == 5e-5
 
@@ -258,7 +258,7 @@ class TestWaveEquilibrium:
         t_bad = by_step.value.t_last + dt   # first step that fails the check
         with pytest.raises(BlowUpError) as err:
             simulate(u0, v0, T=64.0, dt=dt)   # 1280 steps: a sample every 20
-        assert len(err.value.trajectory.times) == 1   # only t = 0 was sampled
+        assert len(err.value.trajectory.conserved) == 1   # only t = 0 was sampled
         assert t_bad - _CHECK_EVERY * dt - 1e-9 <= err.value.t_last < t_bad
 
 
@@ -449,7 +449,7 @@ class TestGrowthExperiment:
 
     def test_eps_validated(self, wave_2_03):
         with pytest.raises(ValueError):
-            growth_rate_experiment(wave_2_03, eps=0.5, T=1.0)
+            growth_rate_experiment(wave_2_03, eps=0.5, T=1.0, N=256, dt=1e-3)
 
     def test_window_guard(self, wave_2_03):
         with pytest.raises(WindowTooShortError):
@@ -502,7 +502,7 @@ class TestGrowthExperiment:
             coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
             phases.append(np.arctan2(-coef[1], coef[0]))
         phase = np.unwrap(np.asarray(phases))
-        slope = np.polyfit(traj.times, phase, 1)[0]
+        slope = np.polyfit(traj.conserved[:, 0], phase, 1)[0]
         assert abs(abs(slope) - mu) < 0.01 * mu
 
         # the growth fit on the same trajectory: a neutral mode grows at rate 0

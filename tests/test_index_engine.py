@@ -200,10 +200,6 @@ class TestAIntegrals:
             A = a_integrals(params_from_kappa(1.0, kappa))
             assert A.A2 < 0.0
 
-    def test_a5_equals_a2(self, wave_1_05):
-        A = a_integrals(wave_1_05)
-        assert A.A5 == A.A2
-
     @pytest.mark.parametrize("L", [0.5, 2.0, 50.0])
     @pytest.mark.parametrize("kappa", [0.01, 0.3, 0.7, 0.95, 0.999])
     def test_stacked_pass_equals_one_call_per_integrand(self, L, kappa):
@@ -223,7 +219,7 @@ class TestAIntegrals:
                 lambda B, w, f, dn: B * f * w]
         A1, A2, A3, A4, A6 = (p.K * _cosine_series(lambda u, g=g: g(*base(u)), p.K)[0][0]
                               for g in rows)
-        assert a_integrals(p) == (A1, A2, A3, A4, A2, A6)
+        assert a_integrals(p) == (A1, A2, A3, A4, A6)
 
         def moment(m):
             def f(u):

@@ -41,6 +41,17 @@ TEST_ONLY = {
                                                 "finite-difference checks and criterion 3's gap",
     "waves.conserved_quantities": "oracle: the four invariants by the trapezoid rule on the grid, "
                                   "against the band's",
+    "spectra.assemble": "oracle: the full collocation matrix of L+, H or dH, for the eigh "
+                        "oracles and the dense eig of dH",
+    "spectra.unstable_eigenmode": "oracle: the dense eig of dH, which seeds criterion 7's "
+                                  "growth experiment",
+    "spectra.NoUnstableModeError": "oracle: the refusal criterion 7 ends in",
+    "evolution.growth_rate_experiment": "oracle: the paper's growth experiment (criterion 7)",
+    "evolution.GrowthResult": "oracle: the result of criterion 7's growth experiment",
+    "evolution.deviation_series": "oracle: the wave deviation that criterion 7's growth "
+                                  "experiment fits",
+    "evolution.fit_growth_rate": "oracle: the growth fit of criterion 7's experiment",
+    "evolution.WindowTooShortError": "oracle: the refusal of criterion 7's growth fit",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
 }
