@@ -113,31 +113,33 @@ def _theta_row(pair):
     return (L, kappa, p.c, f.p_prime_0, f.q_prime_final, f.theta, n_minus, n_zero)
 
 
+def _table(path: str, header: list, columns, items, row) -> int:
+    """Write row(item) for each item: a RefusalError fails its row, named in the header, and
+    the command exits 1 once the table is written; a ValueError stops it with no file."""
+    rows, failed = [], []
+    for item in items:
+        try:
+            rows.append(row(item))
+        except RefusalError as exc:
+            failed.append(f"row {item} failed: {exc}")
+    _write_csv(path, header + failed, columns, rows)
+    return 1 if failed else 0
+
+
 def cmd_theta_table(args) -> int:
     pairs = (_parse_list(args.pairs, "--pairs", _pair, "of the form L:kappa")
              if args.pairs is not None else list(THETA_TABLE_DEFAULT_PAIRS))
-    header = _provenance("theta-table", rows=len(pairs))
-    results = []
-    failures = 0
-    for pair in pairs:
-        try:
-            results.append(_theta_row(pair))
-        except (RefusalError, ValueError) as exc:  # one failed row does not stop the table
-            failures += 1
-            header.append(f"row {pair} failed: {exc}")
-    _write_csv(args.out, header,
-               ["L", "kappa", "c", "p_prime_0", "q_prime_L", "theta", "n_minus", "n_zero"],
-               results)
-    return 1 if failures else 0
+    return _table(args.out, _provenance("theta-table", rows=len(pairs)),
+                  ["L", "kappa", "c", "p_prime_0", "q_prime_L", "theta", "n_minus", "n_zero"],
+                  pairs, _theta_row)
 
 
 def cmd_dmatrix_sweep(args) -> int:
-    from .index_engine import (DegenerateDMatrixError, DMatrixRoundingError, a_integrals,
-                               assemble_dmatrix, hamiltonian_index)
+    from .index_engine import (DegenerateDMatrixError, a_integrals, assemble_dmatrix,
+                               hamiltonian_index)
 
     kappas = (_parse_list(args.kappas, "--kappas", float, "a number")
               if args.kappas is not None else list(DMATRIX_SWEEP_DEFAULT_KAPPAS))
-    header = _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas))
     cols = ["kappa", "D11", "D12", "D13", "D22", "D23", "D33", "det", "n_D", "k_ham",
             "A1", "A2", "A3", "A4", "A6", "status"]
 
@@ -154,14 +156,8 @@ def cmd_dmatrix_sweep(args) -> int:
         return (kappa, e[0, 0], e[0, 1], e[0, 2], e[1, 1], e[1, 2], e[2, 2],
                 d.det, n_d, k_ham, *A, "ok")
 
-    rows = []
-    for kappa in kappas:
-        try:
-            rows.append(run(kappa))
-        except DMatrixRoundingError as exc:  # as theta-table, the table goes on without it
-            header.append(f"row {kappa!r} failed: {exc}")
-    _write_csv(args.out, header, cols, rows)
-    return 0 if len(rows) == len(kappas) else 1
+    return _table(args.out, _provenance("dmatrix-sweep", L=args.L, kappas=len(kappas)), cols,
+                  kappas, run)
 
 
 def cmd_spectrum(args) -> int:
@@ -309,10 +305,17 @@ def _add_wave_args(sp, require=True):
     sp.add_argument("--c", type=float, default=None, help="wave speed (> 4 pi^2/L^2)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's input errors as ValueErrors, which main reports; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dswlab",
-                                 description="Traveling-wave laboratory for the "
-                                             "dispersive-dispersionless coupled system")
+    ap = _Parser(prog="dswlab",
+                 description="Traveling-wave laboratory for the "
+                             "dispersive-dispersionless coupled system")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("wave", help="profile CSV with parameters and residuals")
@@ -362,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: an input error exits 2 and a refusal exits 1, each with one
-    line on stderr; every other exception is a bug and propagates."""
-    args = build_parser().parse_args(argv)
+    """Run one command: an input error, argparse's own included, exits 2 and a refusal
+    exits 1, each with one line on stderr; every other exception is a bug and propagates."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,39 +5,39 @@ evolution generator dH = J H with J = diag(d/dxi, d/dxi). The wave is even,
 so on the orthonormal grid cosine and sine bases L+ and H each split into an
 even and an odd block, and J maps each parity onto the other: d/dxi takes
 cos_k to -k sin_k and sin_k to k cos_k. No basis is formed: in cosine (sine)
-coordinates multiplication by an even grid function f is half a Toeplitz
-plus (minus) a Hankel matrix of Re fft(f), strided views, so one FFT of psi
-and one of psi^2 assemble every block in O(N^2). Each L+ block is
-diag(k^2 + c) - (3 / 2c) M2, M2 the block of psi^2. One decomposition per
-L+ block serves L+ and H: multiplication by the even psi keeps parity, so
-on each block M1 M1 = M2, the Schur complement of c I in
+coordinates multiplication by an even grid function f is a Toeplitz plus
+(minus) a Hankel matrix of Re fft(f) over N, strided views, the cosines'
+constant and Nyquist rows and columns scaled by sqrt(1/2), so one FFT of psi
+and one of psi^2 assemble every block of a grid in O(N^2). Each L+ block is
+diag(k^2 + c) - (3 / 2c) M2, M2 the block of psi^2. One decomposition per L+
+block serves L+ and H: multiplication by the even psi keeps parity, so on
+each block M1 M1 = M2, the Schur complement of c I in
 H = [[Lm, -M1], [-M1, c I]] is L+, Haynsworth's inertia additivity gives
-n(H) = n(L+) for c > 0, and H's kernel is the lift
-(u, M1 u / c) of L+'s kernel u.
+n(H) = n(L+) for c > 0, and H's kernel is the lift (u, M1 u / c) of L+'s
+kernel u.
 
 The certificate of `unstable_modes` is the finite-dimensional form of
 n(H) - n(D) = 0 (Kapitula & Promislow 2013, ch. 7). On range(J), the modes
 0 < k < N/2, K = J^-1 is explicit. An eigenvector of a nonzero eigenvalue
 lies in range(J) and is orthogonal to K e1 and K e2, where e1 = (psi', phi')
-spans the kernel of H and H e2 = K e1. So H is written once, on range(J)
-alone, into one array of both parities: there every cosine has the weight
-of a sine, and the blocks of psi and psi^2 are (T + Hk) / N (even) and
-(T - Hk) / N (odd). K e1 is even and K e2 odd; e2 solves the even block
-through the Schur complement of c I, one solve of size m = (N - 1) // 2
-with Lm - M1 M1 / c (M1 of range(J) alone, whose square is not M2). One
+spans the kernel of H and H e2 = K e1. So H is written once, on range(J) alone,
+into one array of both parities, cut from those blocks: range(J) leaves out
+the two scaled cosines. K e1 is even and K e2 odd; e2 solves the even block
+through the Schur complement of c I, one solve of size m = (N - 1) // 2 with
+Lm - M1 M1 / c (M1 of range(J) alone, whose square is not M2). One
 Householder reflector per parity, applied as one symmetric rank-two update,
 gives the constrained Hessian Hc = Q^T H Q, Q the reflector's columns but
 the first. If Hc has a Cholesky factor Hc = R^T R, then every nonzero
 eigenvalue of dH is imaginary, +-i omega, with Krein sign +1: the
-eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q.
-The parities make it block off-diagonal, so the omega are the singular
-values of one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T, whose middle factor
-has a diagonal-plus-rank-two inverse. The two Cholesky factors, X and its
-SVD are the only O(N^3) work besides the solve for e2. If Hc has no
-Cholesky factor, IndefiniteHessianError names the inertia of the failing
-block; no other symmetric eigensolve runs at N. The certificate rests on e1
-being the kernel of the collocation H; KernelResidualError says when it is
-not, for a profile that does not solve its equation or a grid too coarse.
+eigenvalues are those of the skew matrix R Kc^-1 R^T, with Kc = Q^T K Q. The
+parities make it block off-diagonal, so the omega are the singular values of
+one block, X = R_e (Q_e^T K_EO Q_o)^-T R_o^T, whose middle factor has a
+diagonal-plus-rank-two inverse. The two Cholesky factors, X and its SVD are
+the only O(N^3) work besides the solve for e2. If Hc has no Cholesky factor,
+IndefiniteHessianError names the inertia of the failing block; no other
+symmetric eigensolve runs at N. The certificate rests on e1 being the kernel
+of the collocation H; KernelResidualError says when it is not, for a profile
+that does not solve its equation or a grid too coarse.
 
 The margin lambda_min(Hc) says by how much the certificate holds; no
 threshold on Re lambda enters. It, n(L+) = n(H) and the kernel overlaps
@@ -55,11 +55,13 @@ matrix that is not exactly symmetric. The dense `eig` of dH remains only
 there: its zero cluster has 4 members at odd N and 6 at even N, and the
 certified spectrum has as many eigenvalues as it leaves, 2N - 4 or 2N - 6.
 
-unstable_modes and dmatrix_via_collocation compute on the wave moved to
-period 1 and scale their results once (NOTES.md, the scaling symmetry); the
-oracles, `assemble` and unstable_eigenmode, compute at the given period. Both
-entries and unstable_eigenmode run on one OpenBLAS thread and give the
-caller's count back, so their results do not depend on the thread count.
+Only unstable_modes, dmatrix_via_collocation, their sampler _grid and the
+oracles `assemble` and unstable_eigenmode read WaveParams. The two entries
+move the wave to period 1, sample (psi, psi') there and scale their results
+once (NOTES.md, the scaling symmetry); below them every function reads the
+samples and c alone. The oracles compute at the given period. Both entries
+and unstable_eigenmode run on one OpenBLAS thread and give the caller's
+count back, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -306,21 +308,14 @@ def kernel_alignment(A: np.ndarray, reference: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the parity blocks, from the DFT of the profile
 
-def _cosine_weights(N: int) -> np.ndarray:
-    """Norms that make the grid cosines cos(2 pi j k / N), k = 0..N//2, orthonormal.
-
-    The constant and, at even N, the Nyquist mode (-1)^j take 1/sqrt(N), the others sqrt(2/N).
-    """
-    w = np.full(N // 2 + 1, np.sqrt(2.0 / N))
-    w[0] = 1.0 / np.sqrt(N)
-    if N % 2 == 0:
-        w[-1] = 1.0 / np.sqrt(N)
-    return w
-
-
 def _cosine_coordinates(f: np.ndarray) -> np.ndarray:
-    """C^T f along the last axis: w_k Re rfft(f)[k], k = 0..N//2."""
-    return _cosine_weights(f.shape[-1]) * np.fft.rfft(f).real
+    """C^T f along the last axis: w_k Re rfft(f)[k], k = 0..N//2, with w_k = sqrt(2/N) the
+    norm that makes the grid cosine cos(2 pi j k / N) orthonormal, but 1/sqrt(N) at the
+    constant and, at even N, the Nyquist mode (-1)^j."""
+    N = f.shape[-1]
+    w = np.full(N // 2 + 1, np.sqrt(2.0 / N))
+    w[[0, N // 2][:2 - N % 2]] = 1.0 / np.sqrt(N)
+    return w * np.fft.rfft(f).real
 
 
 def _sine_coordinates(f: np.ndarray) -> np.ndarray:
@@ -329,10 +324,10 @@ def _sine_coordinates(f: np.ndarray) -> np.ndarray:
     return -np.sqrt(2.0 / N) * np.fft.rfft(f).imag[..., 1:(N - 1) // 2 + 1]
 
 
-def _toeplitz_hankel(F: np.ndarray, first: int, size: int):
-    """Views (F[|k - l|], F[(k + l) mod N]) of F, k, l = first .. first + size - 1."""
+def _toeplitz_hankel(F: np.ndarray, size: int):
+    """Views (F[|k - l|], F[(k + l) mod N]) of F, k, l = 0 .. size - 1."""
     toeplitz = sliding_window_view(np.concatenate([F[size - 1:0:-1], F[:size]]), size)[::-1]
-    return toeplitz, sliding_window_view(np.append(F, F[0])[2 * first:2 * (first + size) - 1], size)
+    return toeplitz, sliding_window_view(np.append(F, F[0])[:2 * size - 1], size)
 
 
 def _multiplication_blocks(f: np.ndarray):
@@ -340,15 +335,19 @@ def _multiplication_blocks(f: np.ndarray):
 
     A product of two grid cosines (sines) is half the sum (difference) of the
     cosines of the difference and the sum of their wavenumbers, so with
-    F = Re fft(f) the cosine block is (w_k w_l / 2) (F[|k - l|] + F[(k + l) mod N])
-    and the sine block (F[|k - l|] - F[k + l]) / N.
+    F = Re fft(f) both blocks are (F[|k - l|] +- F[(k + l) mod N]) / N, with
+    the cosine block's rows and columns of the constant and, at even N, of the
+    Nyquist mode scaled by sqrt(1/2), the ratio of their weights to the others'
+    (_cosine_coordinates).
     """
     N = f.size
-    toeplitz, hankel = _toeplitz_hankel(np.fft.fft(f).real, 0, N // 2 + 1)
-    w = _cosine_weights(N)
+    toeplitz, hankel = _toeplitz_hankel(np.fft.fft(f).real, N // 2 + 1)
+    cosines = (toeplitz + hankel) / N
+    edges = [0, N // 2][:2 - N % 2]
+    cosines[edges] *= np.sqrt(0.5)
+    cosines[:, edges] *= np.sqrt(0.5)
     sines = slice(1, (N - 1) // 2 + 1)
-    return (0.5 * np.outer(w, w) * (toeplitz + hankel),
-            (toeplitz[sines, sines] - hankel[sines, sines]) / N)
+    return cosines, (toeplitz[sines, sines] - hankel[sines, sines]) / N
 
 
 def _lplus_block(c: float, m2: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -395,7 +394,7 @@ def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     psi, _ = _grid(p1, n)
     k = 2 * np.pi * np.arange(n // 2 + 1)
     phi = psi * psi / (2.0 * p1.c)  # as eval_profile forms it
-    (m1, _), (m2, _) = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
+    m1, m2 = _multiplication_blocks(psi)[0], _multiplication_blocks(psi * psi)[0]
     one, c_psi, c_phi = _cosine_coordinates(np.stack([np.ones(n), psi, phi]))
     zero = np.zeros_like(one)
     A = np.stack([one, zero, c_psi], axis=1)   # the u parts of the right-hand sides
@@ -424,7 +423,6 @@ class SpectrumReport:
     the tests measures what they assert.
     """
 
-    params: WaveParams
     N: int
     eigenvalues: np.ndarray          # nonzero spectrum: pairs +i omega, -i omega, omega ascending
     core_N: int                      # the grid of margin, counts and overlaps
@@ -450,31 +448,26 @@ def _core_size(psi: np.ndarray) -> int:
     return min(psi.size, CORE_FACTOR * chop + 1)
 
 
-def _parity_blocks(p: WaveParams, N: int):
-    """(k, H, kernel, psi, core_N) for the wave p on the N-point grid.
+def _parity_blocks(c: float, psi: np.ndarray, dpsi: np.ndarray):
+    """(k, H, kernel, M2) for the profile (psi, psi') of period 1 and speed c on its grid.
 
-    k = 2 pi (1..m) / L, m = (N - 1) // 2, are the modes of range(J) in each
+    k = 2 pi (1..m), m = (N - 1) // 2, are the modes of range(J) in each
     parity, and H[0] (even) and H[1] (odd) the blocks [[Lm, -M1], [-M1, c I]]
-    of H there, ordered (u, v) (module docstring). kernel is (psi', phi') in
-    sine coordinates, and core_N the grid that resolves psi (_core_size).
-    N < 3 leaves no mode in range(J): ValueError.
+    of H there, ordered (u, v) (module docstring): the even ones cut from the
+    full cosine blocks. kernel is (psi', phi') in sine coordinates, and M2 the
+    (cosine, sine) blocks of psi^2 on all their modes.
     """
-    psi, dpsi = _grid(p, N)
-    m, c = (N - 1) // 2, p.c
-    k = (2 * np.pi / p.L) * np.arange(1, m + 1)
+    m = (psi.size - 1) // 2
+    k = 2 * np.pi * np.arange(1, m + 1)
+    (m1_e, m1_o), M2 = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
+    J = slice(1, m + 1)   # range(J) among the cosines
     H = np.zeros((2, 2 * m, 2 * m))
-    for f, rows in ((psi * psi, slice(None, m)), (psi, slice(m, None))):
-        toeplitz, hankel = _toeplitz_hankel(np.fft.fft(f).real, 1, m)
-        np.add(toeplitz, hankel, out=H[0, rows, :m])
-        np.subtract(toeplitz, hankel, out=H[1, rows, :m])
-    H[:, :m, :m] = H[:, :m, :m] / N * (-0.5 / c)
-    H[:, m:, :m] /= -N
-    H[:, :m, m:] = H[:, m:, :m]   # M1 is symmetric
-    modes = np.arange(m)
-    H[:, modes, modes] += k * k + c
-    H[:, m + modes, m + modes] = c
+    for h, m1, m2 in zip(H, (m1_e[J, J], m1_o), (M2[0][J, J], M2[1])):
+        h[:m, :m] = np.diag(k * k + c) - (0.5 / c) * m2
+        h[m:, :m] = h[:m, m:] = -m1
+        np.fill_diagonal(h[m:, m:], c)
     kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / c])).ravel()
-    return k, H, kernel, psi, _core_size(psi)
+    return k, H, kernel, M2
 
 
 def _reflected(A: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -559,24 +552,23 @@ def _certify(hessians, g, K_eo, H_odd: np.ndarray, kernel: np.ndarray, c: float)
     return X, residual
 
 
-def _core_figures(hessians, H_odd: np.ndarray, kernel: np.ndarray, psi: np.ndarray, p: WaveParams):
+def _core_figures(hessians, H_odd: np.ndarray, kernel: np.ndarray, M2, c: float):
     """(margin, n(L+), kernel overlaps of L+ and H) from the blocks of the core grid.
 
     The margin is min lambda_min(Hc) over both parities; a block whose
     lambda_min is not positive raises IndefiniteHessianError with its inertia.
-    One eigendecomposition per L+ block, formed from the blocks of psi^2 on
-    the grid of psi, gives the counts and kernel alignments of both L+ and H
-    (module docstring). H_odd and kernel are those of _parity_blocks.
+    One eigendecomposition per L+ block, formed from the blocks M2 of psi^2,
+    gives the counts and kernel alignments of both L+ and H (module
+    docstring). H_odd, kernel and M2 are those of _parity_blocks.
     """
-    m, c = kernel.size // 2, p.c
+    m = kernel.size // 2
     lam_hc = [_lapack(np.linalg.eigvalsh, Hc) for Hc in hessians]
     for block, lam in zip(("even", "odd"), lam_hc):
         if lam[0] <= 0.0:
             raise IndefiniteHessianError(block, _inertia(lam))
-    k = (2 * np.pi / p.L) * np.arange(psi.size // 2 + 1)
-    m2_e, m2_o = _multiplication_blocks(psi * psi)
-    lam_even = _lapack(np.linalg.eigvalsh, _lplus_block(c, m2_e, k))
-    lam_odd, vec_odd = _lapack(np.linalg.eigh, _lplus_block(c, m2_o, k[1:m + 1]))
+    k = 2 * np.pi * np.arange(M2[0].shape[0])
+    lam_even = _lapack(np.linalg.eigvalsh, _lplus_block(c, M2[0], k))
+    lam_odd, vec_odd = _lapack(np.linalg.eigh, _lplus_block(c, M2[1], k[1:m + 1]))
     overlaps = (0.0, 0.0)   # an even near-kernel vector is orthogonal to the odd kernel
     if np.min(np.abs(lam_odd)) <= np.min(np.abs(lam_even)):
         u = vec_odd[:, int(np.argmin(np.abs(lam_odd)))]
@@ -589,7 +581,7 @@ def _core_figures(hessians, H_odd: np.ndarray, kernel: np.ndarray, psi: np.ndarr
 
 
 @_one_blas_thread
-def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
+def unstable_modes(p: WaveParams, N: int) -> SpectrumReport:
     """The certified spectrum of dHcal, with the Morse counts and kernel alignments of L+ and H.
 
     At N: the spectrum, +-i omega with omega the singular values of X, less
@@ -605,18 +597,20 @@ def unstable_modes(p: WaveParams, N: int = 256) -> SpectrumReport:
     omega scale as L^-3 and the margin as L^-2, and the rest is that of period 1.
     """
     p1 = _rescaled(p, 1.0)
-    k, H, kernel, psi, core_N = _parity_blocks(p1, N)
+    psi, dpsi = _grid(p1, N)
+    core_N = _core_size(psi)
+    k, H, kernel, M2 = _parity_blocks(p1.c, psi, dpsi)
     hessians, g, K_eo = _constrained_hessians(H, kernel, k, p1.c)
     X, residual = _certify(hessians, g, K_eo, H[1], kernel, p1.c)
     omega = _lapack(np.linalg.svd, X, compute_uv=False)[::-1]
     if core_N < N:
-        k, H, kernel, psi, _ = _parity_blocks(p1, core_N)
+        k, H, kernel, M2 = _parity_blocks(p1.c, *_grid(p1, core_N))
         hessians = _constrained_hessians(H, kernel, k, p1.c)[0]
-    margin, n_Lplus, overlaps = _core_figures(hessians, H[1], kernel, psi, p1)
+    margin, n_Lplus, overlaps = _core_figures(hessians, H[1], kernel, M2, p1.c)
     eigs = np.zeros(2 * omega.size, dtype=complex)
     eigs.imag[0::2], eigs.imag[1::2] = omega / p.L**3, -omega / p.L**3
     return SpectrumReport(
-        params=p, N=N, eigenvalues=eigs, core_N=core_N, margin=margin / p.L**2,
+        N=N, eigenvalues=eigs, core_N=core_N, margin=margin / p.L**2,
         kernel_residual=residual, n_Lplus=n_Lplus,
         kernel_overlap_Lplus=overlaps[0], kernel_overlap_H=overlaps[1])
 
@@ -654,7 +648,7 @@ class NoUnstableModeError(RefusalError):
 
 
 @_one_blas_thread
-def unstable_eigenmode(p: WaveParams, N: int = 256):
+def unstable_eigenmode(p: WaveParams, N: int):
     """(lambda, U, V) for the most unstable mode, if one exists.
 
     Raises NoUnstableModeError when the spectrum (zero cluster excluded) has

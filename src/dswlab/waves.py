@@ -246,13 +246,13 @@ class GridFunction:
         return grid_points(self.L, self.N)
 
 
-def profile_grid(p: WaveParams, N: int = 256):
+def profile_grid(p: WaveParams, N: int):
     """Sample (psi, phi) on the uniform N-point grid as GridFunctions."""
     psi, phi = eval_profile(p, grid_points(p.L, N))
     return GridFunction(p.L, psi), GridFunction(p.L, phi)
 
 
-def spectral_derivative(g: GridFunction, order: int = 1) -> np.ndarray:
+def spectral_derivative(g: GridFunction, order: int) -> np.ndarray:
     """Derivative by Fourier multiplier (ik)^order on the rfft half-spectrum.
 
     At even N, irfft drops the imaginary coefficient of the Nyquist mode (-1)^j, so an
@@ -262,7 +262,7 @@ def spectral_derivative(g: GridFunction, order: int = 1) -> np.ndarray:
     return np.fft.irfft(ik**order * np.fft.rfft(g.samples), g.N)
 
 
-def profile_residual(p: WaveParams, N: int = 256):
+def profile_residual(p: WaveParams, N: int):
     """Sup-norm residuals of the two integrated profile equations.
 
     r1 checks psi'' + psi^3/(2c) - c psi - F1 = 0 with psi'' by spectral

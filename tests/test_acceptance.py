@@ -3,12 +3,13 @@
 Criteria 5, 6 and 7 are implemented exactly as stated and FAIL. The blocking
 analysis lives in NOTES.md; in short: the reference material's
 inertial-index classification inverts a Wronskian convention, the measured
-Morse indices are n(L+) = n(H) = 1 (triple-checked: converged collocation,
-monodromy shooting, 40-digit eigensolve), so k_Ham = n(H) - n(D) = 0 and the
-co-periodic spectrum is purely imaginary -- there is no unstable mode to
-reproduce. Criterion 8's order-fit window also fails: the invariant drift of
-the ETDRK4 stepper superconverges at order ~5 (better than the dt^4 the
-criterion expects).
+Morse indices are n(L+) = n(H) = 1 (checked twice: converged collocation
+and monodromy shooting), so k_Ham = n(H) - n(D) = 0 and the co-periodic
+spectrum is purely imaginary, as the certificate's Cholesky factors show,
+redone at 40 digits in tests/test_spectra.py (NOTES.md, point 5) -- there is
+no unstable mode to reproduce. Criterion 8's order-fit window also fails:
+the invariant drift of the ETDRK4 stepper superconverges at order ~5
+(better than the dt^4 the criterion expects).
 """
 
 import time

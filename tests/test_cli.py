@@ -169,12 +169,18 @@ class TestThetaTable:
             f"error: --pairs item {item!r} is not of the form L:kappa\n")
         assert not out.exists()
 
-    def test_failed_row_is_reported_and_fails_the_command(self, tmp_path):
+    def test_failed_row_is_reported_and_fails_the_command(self, tmp_path, capsys):
+        # a refused row is named in the header once the table is written; a modulus
+        # out of range is an input error, which stops the command with no file
         out = tmp_path / "bad.csv"
-        assert main(["theta-table", "--pairs", "2:0.3,2:1.5", "--out", str(out)]) == 1
+        assert main(["theta-table", "--pairs", "2:0.3,1e41:0.3", "--out", str(out)]) == 1
         header, _, rows = read_csv(out)
         assert [row[:2] for row in rows] == [["2.0", "0.3"]]
-        assert "row (2.0, 1.5) failed: modulus must lie in" in "\n".join(header)
+        assert header[-1] == "# row (1e+41, 0.3) failed: fundamental-period identity violated"
+        out.unlink()
+        assert main(["theta-table", "--pairs", "2:0.3,2:1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: modulus must lie in (0, 0.999999999] (got 1.5)\n"
+        assert not out.exists()
 
     def test_refused_row_is_reported_without_warnings(self, tmp_path, capsys):
         # the wave (1e200, 0.3) fails its invariants; numpy used to warn on the way
@@ -305,6 +311,13 @@ class TestDMatrixSweep:
         assert all(dict(zip(cols, r))["status"] == "ok" for r in rows)
         assert re.fullmatch(r"# row 1e-09 failed: the quadrature means behind D round by "
                             r"\S+ > 1e-06 at kappa = 1e-09", header[-1])
+
+    def test_modulus_out_of_range_exits_2_with_no_file(self, tmp_path, capsys):
+        # an input error stops the table, as in theta-table; a refusal fails one row
+        out = tmp_path / "d.csv"
+        assert main(["dmatrix-sweep", "--L", "1", "--kappas", "0.3,1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: modulus must lie in (0, 0.999999999] (got 1.5)\n"
+        assert not out.exists()
 
     def test_huge_period_gives_a_row(self, tmp_path, capsys):
         # det(D/|D|) used to call this row degenerate, and c**4 at L lost 32% of D33
@@ -545,11 +558,9 @@ class TestSimulate:
 
     def test_growth_experiment_is_not_an_option(self, tmp_path, capsys):
         # the stability verdict is spectrum's certificate; the experiment is criterion 7's
-        with pytest.raises(SystemExit) as exit_:
-            main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--perturb", "1e-6",
-                  "--out-prefix", str(tmp_path / "g")])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --perturb 1e-6" in capsys.readouterr().err
+        assert main(["simulate", "--wave", "--L", "2", "--kappa", "0.3", "--perturb", "1e-6",
+                     "--out-prefix", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --perturb 1e-6\n"
         assert not list(tmp_path.iterdir())
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
@@ -662,6 +673,29 @@ def test_nonpositive_grid_exits_2_naming_N(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wave", "--L", "2", "--kappa", "0.3", "--N", "16", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["wave", "--kappa", "0.3"], "the following arguments are required: --L"),
+    (["simulate", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+    (["simulate", "--wave", "--zero"], "argument --zero: not allowed with argument --wave"),
+], ids=["unknown-flag", "missing-flag", "bad-type", "missing-command", "exclusive-flags"])
+def test_argparse_errors_exit_2_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse's own reports are input errors like any other: one line, no usage block
+    monkeypatch.chdir(tmp_path)   # where simulate would write its files
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["wave", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dswlab wave ")
+
+
 PERIOD_IDENTITY = "fundamental-period identity violated"
 
 
@@ -676,8 +710,13 @@ def test_extreme_period_is_refused_in_one_line(tmp_path, capsys, argv, message):
     # each of these used to end in a traceback
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"{argv[0]} failed: {message}\n"
-    assert not out.exists()
+    if argv[0] == "dmatrix-sweep":   # a table names its failed row in its header
+        header, _, rows = read_csv(out)
+        assert rows == [] and header[-1] == f"# row 0.3 failed: {message}"
+        assert capsys.readouterr().err == ""
+    else:
+        assert capsys.readouterr().err == f"{argv[0]} failed: {message}\n"
+        assert not out.exists()
 
 
 def period_run(command, L, kappa, tmp_path):
@@ -717,9 +756,10 @@ def test_every_command_refuses_past_the_period_range(tmp_path, capsys, command, 
     # range there, c^2 eta4^2 ~ L^-8
     argv, outputs = period_run(command, L, kappa, tmp_path)
     assert main(argv) == 1
-    if command == "theta-table":   # a failed row is reported in the table's header
+    if command in ("theta-table", "dmatrix-sweep"):   # a table names its failed row
         header, _, rows = read_csv(outputs[0])
-        assert rows == [] and header[-1] == f"# row ({float(L)!r}, {kappa}) failed: {PERIOD_IDENTITY}"
+        label = f"({float(L)!r}, {kappa})" if command == "theta-table" else kappa
+        assert rows == [] and header[-1] == f"# row {label} failed: {PERIOD_IDENTITY}"
         assert capsys.readouterr().err == ""
     else:
         assert capsys.readouterr().err == f"{command} failed: {PERIOD_IDENTITY}\n"

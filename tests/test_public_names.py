@@ -9,12 +9,14 @@ leading underscore. Every exception class of dswlab is either an input error
 The checks parse src/, tests/, scripts/ and perfbench/. The name checks count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
 ``class name``, ``name = ...``) and the string in ``__all__`` are not loads,
-so a public name that only its own module defines fails. A load inside a
-TEST_ONLY function or method is test code, so the production check skips it. The default checks
-match calls by the called name (``f(...)`` or ``obj.f(...)``): a defaulted
-parameter that no call sets, by position or by keyword, is a knob nothing
-turns, and fails; one that only the tests set is a knob the product never
-turns. A ``*args`` or ``**kwargs`` in a call may set anything.
+so a public name that only its own module defines fails. A load or a call
+inside a TEST_ONLY function or method is test code, so the production checks
+skip it. The default checks match calls by the called name (``f(...)`` or
+``obj.f(...)``): a defaulted parameter that no call sets, by position or by
+keyword, is a knob nothing turns, and fails; one that only the tests set is
+a knob the product never turns; and one that every call sets is a value
+nothing reads, and fails too. A ``*args`` or ``**kwargs`` in a call may set
+anything.
 """
 
 import ast
@@ -85,18 +87,36 @@ def _test_only_definitions(module, tree):
                         and f"{module}.{node.name}.{item.name}" in TEST_ONLY)
 
 
-def _loads(tree, skipped=()):
-    """The names loaded in tree, outside the subtrees in skipped."""
+def _parsed(tops, skip_test_only):
+    """(module, tree, skipped) for each file under tops: module the name of a dswlab
+    module or None, and skipped, with skip_test_only, the def nodes of its TEST_ONLY
+    functions and methods, whose bodies are test code."""
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            module = path.stem if path.parent == PACKAGE else None
+            skipped = (set(_test_only_definitions(module, tree))
+                       if skip_test_only and module else ())
+            yield module, tree, skipped
+
+
+def _walk(tree, skipped):
+    """The nodes of tree outside the subtrees in skipped."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node in skipped:
-            continue
+        if node not in skipped:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _loads(tree, skipped):
+    """The names loaded in tree, outside the subtrees in skipped."""
+    for node in _walk(tree, skipped):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _public(module, tree):
@@ -118,15 +138,10 @@ def _scan(tops, skip_test_only=False):
     """
     loaded = set()
     public = {}
-    for top in tops:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            in_package = path.parent == PACKAGE
-            skipped = (set(_test_only_definitions(path.stem, tree))
-                       if skip_test_only and in_package else ())
-            loaded.update(_loads(tree, skipped))
-            if in_package:
-                public.update(_public(path.stem, tree))
+    for module, tree, skipped in _parsed(tops, skip_test_only):
+        loaded.update(_loads(tree, skipped))
+        if module:
+            public.update(_public(module, tree))
     assert public, f"no export found under {PACKAGE}"
     return loaded, public
 
@@ -168,25 +183,30 @@ def _sets(call, parameter, position):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def _unset_defaults(tops):
+def _defaults(tops, skip_test_only=False):
+    """{module.function(parameter): how each call under tops of that name treats the
+    default, True where it sets the parameter} for the exported functions' defaults.
+
+    With skip_test_only, the bodies of the TEST_ONLY functions and methods call nothing.
+    """
+    calls, defaults = {}, []
+    for module, tree, skipped in _parsed(tops, skip_test_only):
+        for node in _walk(tree, skipped):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+        if module:
+            defaults += [(module, *d) for d in _defaulted_parameters(tree, _exports(tree))]
+    assert defaults, f"no defaulted parameter found under {PACKAGE}"
+    return {f"{module}.{function}({parameter})":
+            [_sets(call, parameter, position) for call in calls.get(function, [])]
+            for module, function, parameter, position in defaults}
+
+
+def _unset_defaults(tops, skip_test_only=False):
     """The module.function(parameter) defaults of exported functions that no call under
     tops sets."""
-    calls, defaults = [], []
-    for top in tops:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-            if path.parent == PACKAGE:
-                defaults += [(path.stem, *d) for d in _defaulted_parameters(tree, _exports(tree))]
-    assert defaults, f"no defaulted parameter found under {PACKAGE}"
-    by_name = {}
-    for call in calls:
-        func = call.func
-        name = getattr(func, "id", None) or getattr(func, "attr", None)
-        by_name.setdefault(name, []).append(call)
-    return {f"{module}.{function}({parameter})"
-            for module, function, parameter, position in defaults
-            if not any(_sets(call, parameter, position) for call in by_name.get(function, []))}
+    return {key for key, sets in _defaults(tops, skip_test_only).items() if not any(sets)}
 
 
 def test_every_default_of_an_exported_function_is_set_somewhere():
@@ -194,8 +214,14 @@ def test_every_default_of_an_exported_function_is_set_somewhere():
     assert not dead, f"defaulted but never set: {dead}"
 
 
+def test_every_default_of_an_exported_function_is_left_unset_somewhere():
+    # a default that every call overrides is a value nothing reads
+    dead = sorted(key for key, sets in _defaults(SCANNED).items() if all(sets))
+    assert not dead, f"defaulted but never left to its default: {dead}"
+
+
 def test_every_default_of_an_exported_function_is_set_outside_the_tests():
-    unset = _unset_defaults(PRODUCTION)
+    unset = _unset_defaults(PRODUCTION, skip_test_only=True)
     test_set = sorted(unset - set(TEST_SET))
     assert not test_set, f"defaulted but set only by tests: {test_set}"
     stale = sorted(set(TEST_SET) - unset)

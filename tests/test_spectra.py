@@ -10,14 +10,15 @@ import pytest
 from dswlab.index_engine import assemble_dmatrix
 from dswlab.spectra import (KERNEL_RESIDUAL_BOUND, EigensolveError, IndefiniteHessianError,
                             KernelResidualError, NoUnstableModeError, _BLAS_PIN, _certify,
-                            _constrained_hessians, _core_figures, _cosine_coordinates,
+                            _constrained_hessians, _core_figures, _core_size,
+                            _cosine_coordinates,
                             _even_solve, _fourier_diff_matrices, _grid, _kc_inverse_t,
                             _lplus_block, _morse_counts, _multiplication_blocks,
                             _nonzero_spectrum, _operator, _parity_blocks,
                             _sine_coordinates, assemble, dmatrix_via_collocation,
                             kernel_alignment, morse_index, pseudo_inverse_apply,
                             unstable_eigenmode, unstable_modes)
-from dswlab.waves import eval_profile, eval_profile_derivatives, params_from_kappa
+from dswlab.waves import _rescaled, eval_profile, eval_profile_derivatives, params_from_kappa
 
 # the one refusal of every eigh oracle given a matrix that is not exactly symmetric
 NONSYMMETRIC = "^eigh requires an exactly symmetric matrix$"
@@ -40,6 +41,12 @@ def trig_basis(N):
 
 def relative(A, ref):
     return np.linalg.norm(A - ref) / np.linalg.norm(ref)
+
+
+def unit_blocks(p, N):
+    """(c, _parity_blocks) of the wave p moved to period 1, as unstable_modes forms them."""
+    p1 = _rescaled(p, 1.0)
+    return p1.c, _parity_blocks(p1.c, *_grid(p1, N))
 
 
 def direct_h_blocks(p, N):
@@ -471,8 +478,8 @@ class TestCertificate:
     @pytest.mark.parametrize("kappa", [0.1, 0.9, 0.999])
     def test_margin_over_c_depends_on_kappa_alone(self, kappa):
         # the scaling (u, v)(x, t) -> L^-2 (U, V)(x/L, t/L^3) multiplies H by L^-2, as c
-        ratios = [unstable_modes(params_from_kappa(L, kappa), N=255) for L in (1.0, 2.0)]
-        ratios = [rep.margin / rep.params.c for rep in ratios]
+        waves = [params_from_kappa(L, kappa) for L in (1.0, 2.0)]
+        ratios = [unstable_modes(p, N=255).margin / p.c for p in waves]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
         assert 0.44 < ratios[0] < 0.64
 
@@ -564,14 +571,35 @@ class TestCore:
         assert rep.core_N == 384
         assert rep.n_Lplus == rep.n_H == (1, 1)
 
+    @pytest.mark.parametrize("L, kappa, N, grids", [
+        (2.0, 0.3, 256, [256, 37]),         # the certificate's grid and the core
+        (1.0, 1.0 - 1e-6, 384, [384]),      # psi does not chop: the core is the grid
+    ], ids=["chopped", "unchopped"])
+    def test_two_ffts_per_grid(self, L, kappa, N, grids, monkeypatch):
+        # one fft of psi and one of psi^2 on each grid assemble every block there: the
+        # L+ blocks of the core reuse the psi^2 blocks of its H
+        seen, fft = [], np.fft.fft
+
+        def record(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", record)
+        p = params_from_kappa(L, kappa)
+        unstable_modes(p, N)
+        p1 = _rescaled(p, 1.0)
+        assert _core_size(_grid(p1, N)[0]) == grids[-1]
+        expected = [f for n in grids for psi in [_grid(p1, n)[0]] for f in (psi, psi * psi)]
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
     def test_core_never_reports_a_nonpositive_margin(self, wave_2_03):
-        p = wave_2_03
-        k, H, kernel, psi, _ = _parity_blocks(p, 37)
-        (hc_e, hc_o), _, _ = _constrained_hessians(H, kernel, k, p.c)
+        c, (k, H, kernel, M2) = unit_blocks(wave_2_03, 37)
+        (hc_e, hc_o), _, _ = _constrained_hessians(H, kernel, k, c)
         lam = np.linalg.eigvalsh(hc_o)
         shift = 0.5 * (lam[1] + lam[2])   # between the second and third eigenvalues
         with pytest.raises(IndefiniteHessianError) as info:
-            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), H[1], kernel, psi, p)
+            _core_figures((hc_e, hc_o - shift * np.eye(hc_o.shape[0])), H[1], kernel, M2, c)
         assert (info.value.block, info.value.inertia) == ("odd", (2, 0, hc_o.shape[0] - 2))
 
 
@@ -693,7 +721,8 @@ class TestSchurComplement:
         p = params_from_kappa(L, kappa)
         for N in (127, 128, 255, 384):
             rep = unstable_modes(p, N)
-            kernel = _parity_blocks(p, N)[2]
+            psi, dpsi = _grid(p, N)
+            kernel = _sine_coordinates(np.stack([dpsi, psi * dpsi / p.c])).ravel()
             blocks = direct_h_blocks(p, N)
             for m1, m2, _ in blocks:
                 assert np.linalg.norm(m1 @ m1 - m2) <= 1e-14 * np.linalg.norm(m2)
@@ -742,10 +771,9 @@ class TestSchurComplement:
         # the reflector reads. At kappa = 1e-3, K e1 lies along H_ee's near-kernel
         # (eigenvalue -1.6e-11 at L = 1, eps cond 2.2 and 8.9): there the two lengths
         # differ by 2.7e-4; at 0.3 and 0.999 the vectors agree to 2.4e-14.
-        p = params_from_kappa(1.0, kappa)
-        k, H, kernel, _, _ = _parity_blocks(p, N)
+        c, (k, H, kernel, _) = unit_blocks(params_from_kappa(1.0, kappa), N)
         A, b = H[0], -kernel / np.concatenate([k, k])
-        got, full = _even_solve(A, b, p.c), np.linalg.solve(A, b)
+        got, full = _even_solve(A, b, c), np.linalg.solve(A, b)
         for x in (got, full):
             backward = np.linalg.norm(A @ x - b) / (np.linalg.norm(A, 2) * np.linalg.norm(x))
             assert backward <= 1e-16
@@ -780,14 +808,15 @@ class TestSchurComplement:
     def test_fft_assembly_is_the_direct_product(self, wave_2_03, N):
         # the Toeplitz-plus-Hankel blocks are B^T diag(f) B of the direct bases, and the
         # L+ blocks of both parities and the H blocks on range(J) follow (worst
-        # measured: 2.4e-15, on L+)
-        p = wave_2_03
+        # measured: 2.4e-15, on L+), for the wave moved to period 1 as the entries move it
+        p = _rescaled(wave_2_03, 1.0)
         psi, dpsi = _grid(p, N)
         m = (N - 1) // 2
-        k_got, H, kernel, _, _ = _parity_blocks(p, N)
-        k = (2 * np.pi / p.L) * np.arange(N // 2 + 1)
+        k_got, H, kernel, M2 = _parity_blocks(p.c, psi, dpsi)
+        k = 2 * np.pi * np.arange(N // 2 + 1)
         assert np.array_equal(k_got, k[1:m + 1])
         blocks = (_multiplication_blocks(psi), _multiplication_blocks(psi * psi))
+        assert all(np.array_equal(got, block) for got, block in zip(M2, blocks[1]))
         for parity, (kb, (m1, m2, h)) in enumerate(zip((k, k[1:m + 1]), direct_h_blocks(p, N))):
             assert relative(blocks[0][parity], m1) <= 1e-14
             assert relative(blocks[1][parity], m2) <= 1e-14
@@ -800,13 +829,26 @@ class TestSchurComplement:
         S = trig_basis(N)[1]
         assert relative(kernel, np.concatenate([S.T @ dpsi, S.T @ (psi * dpsi / p.c)])) <= 1e-14
 
+    @pytest.mark.parametrize("N", [3, 4, 127, 128])
+    def test_h_is_cut_from_the_multiplication_blocks(self, wave_2_03, N):
+        # one builder: H on range(J) is [[Lm, -M1], [-M1, c I]] of the range(J) slices
+        # of the full psi and psi^2 blocks, bit for bit
+        p = _rescaled(wave_2_03, 1.0)
+        psi, dpsi = _grid(p, N)
+        k, H, _, _ = _parity_blocks(p.c, psi, dpsi)
+        m = (N - 1) // 2
+        J = slice(1, m + 1)
+        M1, M2 = _multiplication_blocks(psi), _multiplication_blocks(psi * psi)
+        for parity, (m1, m2) in enumerate([(M1[0][J, J], M2[0][J, J]), (M1[1], M2[1])]):
+            lm = np.diag(k * k + p.c) - (0.5 / p.c) * m2
+            assert np.array_equal(H[parity], np.block([[lm, -m1], [-m1, p.c * np.eye(m)]]))
+
     @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.999])
     def test_closed_form_kc_inverse_is_the_lu_solve(self, kappa):
         # worst measured: 8.8e-18
-        p = params_from_kappa(2.0, kappa)
-        k, H, kernel, _, _ = _parity_blocks(p, 255)
-        hessians, (g_e, g_o), K_eo = _constrained_hessians(H, kernel, k, p.c)
-        X, _ = _certify(hessians, (g_e, g_o), K_eo, H[1], kernel, p.c)
+        c, (k, H, kernel, _) = unit_blocks(params_from_kappa(2.0, kappa), 255)
+        hessians, (g_e, g_o), K_eo = _constrained_hessians(H, kernel, k, c)
+        X, _ = _certify(hessians, (g_e, g_o), K_eo, H[1], kernel, c)
         L_e, L_o = (np.linalg.cholesky(Hc) for Hc in hessians)
         assert np.array_equal(K_eo, -1.0 / np.concatenate([k, k]))
         P_e, P_o = (np.eye(K_eo.size) - 2.0 * np.outer(g, g) for g in (g_e, g_o))
