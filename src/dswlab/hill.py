@@ -13,12 +13,18 @@ index_engine's quadrature record of the modulus, so theta at a modulus
 already seen costs no quadrature at any L. `integrate_hill_ivp`
 integrates the companion IVP over half a period instead and is kept as the
 independent oracle: it carries sn, cn, dn along as solutions of their own
-ODEs, so no stage of the integration evaluates an elliptic function.
+ODEs, so no stage of the integration evaluates an elliptic function, and it
+runs Hairer's compiled DOP853 (scipy.integrate.ode), one integrator per
+tolerance reused across calls, one call at a time.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +48,9 @@ DEGENERACY_THRESHOLD = 1e-10
 
 
 class IntegrationFailureError(RefusalError):
-    """The adaptive integrator failed (step-size underflow or non-finite state)."""
+    """The adaptive integrator failed: DOP853 returned a negative code (-1 input
+    not consistent, -2 step budget of 500 spent, -3 step size too small, -4
+    problem probably stiff), or the state at L/2 is not finite."""
 
 
 class DegenerateThetaError(RefusalError):
@@ -91,6 +99,46 @@ def _p_and_prime(p: WaveParams, xi):
     return S, p.alpha * S_u
 
 
+# The state of the one Hill IVP in flight: its wave's coefficients (alpha,
+# kappa^2, beta^2, eta4, c), read by _rhs, and (xi, q, q') at each accepted
+# step, written by _accept. scipy 1.17's dop853 passes set_f_params' arguments
+# to the step callback as well as to the right-hand side, so the coefficients
+# cannot travel that way.
+_wave = [0.0] * 5
+_accepted = []
+_lock = threading.Lock()
+
+
+def _rhs(xi, y):
+    """d/dxi (q, q', sn, cn, dn) for the wave in _wave."""
+    alpha, k2, b2, eta4, c = _wave
+    q, dq, sn, cn, dn = y.tolist()
+    psi = eta4 * dn * dn / (1.0 + b2 * sn * sn)
+    return [dq, (c - 1.5 * psi * psi / c) * q,
+            alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
+
+
+def _accept(xi, y):
+    """Record an accepted step; y is the integrator's own buffer, so copy."""
+    _accepted.append((xi, y[0], y[1]))
+
+
+@lru_cache(maxsize=8)
+def _dop853(rtol: float, atol: float):
+    """One compiled DOP853 integrator of _rhs per tolerance pair.
+
+    scipy 1.17's compiled runner keeps a reference to the step callback, a
+    bound method of the integrator, at every run, so an integrator that has
+    run is never freed: 1.3 kB a call when each call builds its own, 64 B a
+    call (the bound method) when the integrator is reused.
+    """
+    from scipy.integrate import ode
+
+    integrator = ode(_rhs).set_integrator("dop853", rtol=rtol, atol=atol)
+    integrator.set_solout(_accept)
+    return integrator
+
+
 def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     """q'(L) of -q'' + (c - 3 psi^2/(2c)) q = 0, q(0)=1/p'(0), q'(0)=0, from [0, L/2].
 
@@ -100,40 +148,45 @@ def integrate_hill_ivp(p: WaveParams, tol: float = 1e-12) -> HillSolution:
     them through psi = eta4 dn^2 / (1 + beta^2 sn^2). A right-hand side is a
     few float operations and calls nothing of the elliptic module. The
     potential is even and L-periodic, so the even solution's monodromy gives
-    q'(L) = 2 alpha q(L/2) q'(L/2) (NOTES.md) and DOP853 runs over half a
-    period only. The Wronskian q p' - q' p equals 1 at xi = 0 and is constant
-    along the flow; its largest drift at the integrator's accepted steps,
-    against the closed-form p and p', is reported as a quality measure
-    (<= 1e-12 up to kappa = 0.9999, NOTES.md). The independent oracle for
-    floquet_constant.
+    q'(L) = 2 alpha q(L/2) q'(L/2) (NOTES.md) and Hairer's compiled DOP853
+    runs over half a period only. The Wronskian q p' - q' p equals 1 at
+    xi = 0 and is constant along the flow; its largest drift at the
+    integrator's accepted steps, against the closed-form p and p', is
+    reported as a quality measure (<= 1e-12 up to kappa = 0.9999, NOTES.md).
+    The independent oracle for floquet_constant.
 
-    tol is the absolute tolerance and the relative one, except that DOP853
-    takes no rtol below 100 eps ~ 2.2e-14: below that floor tol acts through
-    atol alone.
+    tol is the absolute tolerance and the relative one, except that rtol
+    stops at 100 eps ~ 2.2e-14: below that floor tol acts through atol
+    alone. The compiled DOP853 takes a smaller rtol; the floor is kept so
+    that a tol means the tolerances the tests' bounds and NOTES.md's tables
+    were measured at (below it theta gains at most a few-fold in accuracy
+    for 15-40% more steps, NOTES.md).
     """
-    from scipy.integrate import solve_ivp
-
     if not (1e-14 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-14, 1e-6] (got {tol!r})")
 
     p_prime_0 = p.alpha  # = 2K/L = 1/(2 a sqrt(c))
-    alpha, k2, b2, eta4, c = p.alpha, p.kappa**2, p.beta_sq, p.eta4, p.c
+    with _lock, warnings.catch_warnings():
+        # scipy reports a negative return code (step budget spent, step size
+        # underflow, stiffness) only as the UserWarning "dop853: <reason>"
+        warnings.filterwarnings("error", "dop853: ", UserWarning)
+        _wave[:] = (p.alpha, p.kappa**2, p.beta_sq, p.eta4, p.c)
+        _accepted.clear()
+        integrator = _dop853(max(tol, 100 * np.finfo(float).eps), tol)
+        integrator.set_initial_value([1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], 0.0)
+        try:
+            q_half, dq_half = integrator.integrate(p.L / 2)[:2].tolist()
+        except UserWarning as failure:
+            raise IntegrationFailureError(f"Hill IVP integration failed: {failure}") from None
+        steps = np.array(_accepted)
+    if not (math.isfinite(q_half) and math.isfinite(dq_half)):
+        raise IntegrationFailureError("Hill IVP integration failed: non-finite state at xi = L/2")
 
-    def rhs(xi, y):
-        q, dq, sn, cn, dn = y.tolist()
-        psi = eta4 * dn * dn / (1.0 + b2 * sn * sn)
-        return [dq, (c - 1.5 * psi * psi / c) * q,
-                alpha * cn * dn, -alpha * sn * dn, -alpha * k2 * sn * cn]
+    xs, qs, dqs = steps.T
+    p_xs, p_prime_xs = _p_and_prime(p, xs)
+    drift = float(np.max(np.abs(qs * p_prime_xs - dqs * p_xs - 1.0)))
 
-    sol = solve_ivp(rhs, (0.0, p.L / 2), [1.0 / p_prime_0, 0.0, 0.0, 1.0, 1.0], method="DOP853",
-                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol)
-    if not sol.success:
-        raise IntegrationFailureError(f"Hill IVP integration failed: {sol.message}")
-
-    p_xs, p_prime_xs = _p_and_prime(p, sol.t)
-    drift = float(np.max(np.abs(sol.y[0] * p_prime_xs - sol.y[1] * p_xs - 1.0)))
-
-    q_prime_final = float(2.0 * alpha * sol.y[0, -1] * sol.y[1, -1])
+    q_prime_final = 2.0 * p.alpha * q_half * dq_half
     return HillSolution(q_prime_final=q_prime_final, p_prime_0=p_prime_0,
                         theta=q_prime_final / p_prime_0, wronskian_drift=drift)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dswlab.hill import (DegenerateThetaError, FloquetConstant, HillSolution,
-                         IntegrationFailureError, _p_and_prime, floquet_constant,
+                         IntegrationFailureError, _dop853, _p_and_prime, floquet_constant,
                          integrate_hill_ivp, inertial_index_from_theta)
 from dswlab.waves import params_from_kappa
 
@@ -122,8 +122,8 @@ class TestHillIVP:
                                          (2.0, 0.9999)])
     def test_theta_near_kappa_one(self, L, kappa):
         # |q| grows toward kappa -> 1, to 444 at xi = L/2 for (2, 0.999) and
-        # 3.5e3 for (2, 0.9999); on half a period the drift stays <= 8.6e-13
-        # and theta within 1.7e-12 of the closed form
+        # 3.5e3 for (2, 0.9999); on half a period the drift stays <= 8.7e-13
+        # and theta within 1.8e-12 of the closed form
         p = params_from_kappa(L, kappa)
         sol = integrate_hill_ivp(p)
         assert sol.theta == pytest.approx(floquet_constant(p).theta, rel=1e-10)
@@ -134,35 +134,114 @@ class TestHillIVP:
     def test_half_period_identity(self, L, kappa):
         # q'(L) = 2 alpha q(L/2) q'(L/2) against y1'(L)/alpha of the full-period
         # monodromy; both at tol 1e-14, since at 1e-12 the IVP's absolute error
-        # alone is 1.4e-9 of q'(L) at kappa = 0.1 (measured worst here 1.2e-11)
+        # alone is 1.4e-9 of q'(L) at kappa = 0.1 (measured worst here 2.1e-11)
         p = params_from_kappa(L, kappa)
         full = monodromy_matrix(p, 0.0, tol=1e-14)[1, 0] / p.alpha
         assert integrate_hill_ivp(p, tol=1e-14).q_prime_final == pytest.approx(full, rel=1e-10)
 
     def test_integrates_half_a_period_without_dense_output(self, wave_2_03, monkeypatch):
-        import scipy.integrate
+        # one run of the compiled DOP853 from 0 to L/2, called back at its
+        # accepted steps only (iout = 1; iout = 2 would ask for dense output)
+        from scipy.integrate._ode import dop853
 
-        spans = []
-        original = scipy.integrate.solve_ivp
+        runs, accepted = [], []
+        original = dop853.runner
 
-        def recording(fun, t_span, y0, **kwargs):
-            spans.append((tuple(t_span), kwargs.get("t_eval")))
-            return original(fun, t_span, y0, **kwargs)
+        def recording(f, t0, y0, t1, rtol, atol, solout, iout, *rest):
+            def spy(xi, y):
+                accepted.append(xi)
+                return solout(xi, y)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+            runs.append((t0, t1, iout))
+            return original(f, t0, y0, t1, rtol, atol, spy, iout, *rest)
+
+        monkeypatch.setattr(dop853, "runner", staticmethod(recording))
         integrate_hill_ivp(wave_2_03)
-        assert spans == [((0.0, wave_2_03.L / 2), None)]
+        assert runs == [(0.0, wave_2_03.L / 2, 1)]
+        assert accepted[0] == 0.0 and accepted[-1] == wave_2_03.L / 2
+        assert np.all(np.diff(accepted) > 0)
 
     def test_integration_failure_is_typed(self, wave_2_03, monkeypatch):
-        from types import SimpleNamespace
+        # a real failure of the compiled integrator: a budget of one step;
+        # scipy only warns of it, so the caller's warning filters are set to
+        # ignore, which must not turn the failure into a result
+        import warnings
 
-        import scipy.integrate
+        from scipy.integrate._ode import dop853
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: SimpleNamespace(
-            success=False, message="step size underflow"))
-        with pytest.raises(IntegrationFailureError,
-                           match="^Hill IVP integration failed: step size underflow$"):
+        original = dop853.runner
+
+        def one_step(f, t0, y0, t1, rtol, atol, solout, iout, work, iwork, nsteps, *rest):
+            return original(f, t0, y0, t1, rtol, atol, solout, iout, work, iwork, 1, *rest)
+
+        monkeypatch.setattr(dop853, "runner", staticmethod(one_step))
+        with warnings.catch_warnings(), pytest.raises(
+                IntegrationFailureError,
+                match="^Hill IVP integration failed: dop853: larger nsteps is needed$"):
+            warnings.simplefilter("ignore")
             integrate_hill_ivp(wave_2_03)
+
+    def test_calls_leave_no_state_behind(self):
+        # the integrators are shared between calls; a call on a fresh one is
+        # the isolated call
+        a, b = params_from_kappa(2.0, 0.3), params_from_kappa(10.0, 0.9)
+        runs = [(a, 1e-12), (b, 1e-14), (a, 1e-12)]
+        interleaved = [integrate_hill_ivp(p, tol) for p, tol in runs]
+        isolated = []
+        for p, tol in runs:
+            _dop853.cache_clear()
+            isolated.append(integrate_hill_ivp(p, tol))
+        assert interleaved == isolated
+
+    def test_concurrent_calls_match_sequential(self):
+        # the shared integrators and the wave they read are guarded by one
+        # lock: threads switching every microsecond, on more threads than
+        # cores, must give each wave the result it gets alone
+        import sys
+        import threading
+
+        ps = [params_from_kappa(L, kappa) for L, kappa in
+              [(2.0, 0.3), (10.0, 0.9), (0.5, 0.6), (4.0, 0.1), (50.0, 0.95), (1.0, 0.999)]]
+        alone = [integrate_hill_ivp(p) for p in ps]
+        results = [[] for _ in ps]
+
+        def work(i):
+            for _ in range(5):
+                results[i].append(integrate_hill_ivp(ps[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[sol] * 5 for sol in alone]
+
+    def test_route_does_not_leak(self):
+        # scipy's compiled runner keeps every integrator it has run: a fresh
+        # integrator a call grows traced memory by 2.7 MB over these calls,
+        # the shared ones by 0.13 MB (64 B a call, a bound method scipy keeps)
+        import tracemalloc
+
+        waves = [params_from_kappa(1.0, kappa) for kappa in np.linspace(0.05, 0.95, 20)]
+        tols = (1e-6, 1e-8)
+        for p in waves:
+            for tol in tols:
+                integrate_hill_ivp(p, tol)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                integrate_hill_ivp(waves[i % 20], tols[i % 2])
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 0.5e6
 
     def test_no_jacobi_call_per_stage(self, wave_2_03, monkeypatch):
         # sn, cn, dn are integrated with q; only the Wronskian check evaluates
