@@ -16,17 +16,19 @@ the linear symbols i(k^3 + s k) for u and i s k for v enter exactly through
 e^z, e^{z/2} and the phi-function weights of z = i dt omega, which are means
 over 32 points w on a unit circle around each z (Kassam & Trefethen, SISC
 2005), free of the cancellation of their closed forms at small |z|, and
-polynomials in 1/w, so no power of w overflows at large |z|.
+polynomials in 1/w, so no power of w overflows at large |z|. The nonlinear
+symbol is folded into those weights, and each stage is formed in place.
 
 Each sample logs the four invariants from its band alone (conserved_of_state):
 the masses are mode 0, which the scheme never moves, so they stay exactly
 constant; int u_x^2 and l2 come by Parseval; int u^2 v is the trapezoid sum of
-one inverse transform, exact for band data, as u^2 v has degree at most N - 1
-and so aliases nothing onto the mean.
+the sample's grid fields, exact for band data, as u^2 v has degree at most
+N - 1 and so aliases nothing onto the mean. The same grid fields start the
+next step.
 
 ETD keeps equilibria, so the co-moving traveling wave is a fixed point of the
 scheme up to rounding, which the step-size resonance of NOTES.md amplifies:
-at N = 128, dt = 1e-3 the wave (2, 0.3) blows up near t = 11.6. In the lab
+at N = 128, dt = 1e-3 the wave (2, 0.3) blows up near t = 12.5. In the lab
 frame it is accurate to ~1e-7 at dt = 1e-3 over T = 0.5. The measured step
 envelope and the cost of a step on both transform paths are in NOTES.md. A
 run blows up when max|X| passes BLOWUP_LIMIT times its start, a bound that
@@ -178,9 +180,10 @@ def _dft_pair(N: int, M: int):
 class _Stepper:
     """ETDRK4 weights for fixed (N, L, dt, frame speeds) on the band of M = _band(N) modes.
 
-    The state, the weights and the nonlinear symbol g hold only the band. Below
-    N = _DENSE_BELOW, inv and fwd are the dense real DFT pair of the band; from there
-    on they are None and the transforms are numpy.fft's.
+    The state and the weights hold only the band. The nonlinear symbol g is folded into
+    the four stage weights Q, f1, f2, f3, so a stage's transforms feed them directly.
+    Below N = _DENSE_BELOW, inv and fwd are the dense real DFT pair of the band; from
+    there on they are None and the transforms are numpy.fft's.
 
     v may ride in its own frame: the mean-zero preconditioning transports v at
     g0 while u keeps its lab form, and the extra g0 dv/dx joins v's symbol.
@@ -192,29 +195,55 @@ class _Stepper:
         k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)[:self.M]
         sv = frame_speed if frame_speed_v is None else frame_speed_v
         z = 1j * dt * np.stack([k**3 + frame_speed * k, sv * k])
-        self.E, self.E2, self.Q, self.f1, f2, self.f3 = _etd_coefficients(z, dt)
-        self.f2 = 2.0 * f2  # weighs both middle stages
+        self.E, self.E2, Q, f1, f2, f3 = _etd_coefficients(z, dt)
         # rows act on rfft(v u) and rfft(u u): -ik (uv) for u, -ik (u^2 / 2) for v
-        self.g = -1j * np.array([[1.0], [0.5]]) * k
+        g = -1j * np.array([[1.0], [0.5]]) * k
+        self.Q, self.f1, self.f3 = Q * g, f1 * g, f3 * g
+        self.f2 = 2.0 * f2 * g  # weighs both middle stages
         self.inv, self.fwd = _dft_pair(N, self.M) if N < _DENSE_BELOW else (None, None)
 
-    def nonlinear(self, X):
+    def fields(self, X):
+        """(u, v) on the grid from the band X."""
         if self.inv is None:
-            w = np.fft.irfft(X, self.N)
-            return self.g * np.fft.rfft(w[::-1] * w[0])[:, :self.M]
-        w = X.view(float) @ self.inv
-        return self.g * (w[::-1] * w[0] @ self.fwd).view(complex)
+            return np.fft.irfft(X, self.N)
+        return X.view(float) @ self.inv
 
-    def advance(self, X):
-        """One step. A blow-up overflows here: simulate steps under np.errstate, so
-        its blow-up check, not a warning, reports it."""
-        nx = self.nonlinear(X)
+    def products(self, w):
+        """The band of rfft(v u, u u) for the grid fields w = (u, v), a new contiguous array:
+        the in-place stage arithmetic runs faster on it than on a strided view."""
+        if self.inv is None:
+            return np.fft.rfft(w[::-1] * w[0])[:, :self.M].copy()
+        return (w[::-1] * w[0] @ self.fwd).view(complex)
+
+    def advance(self, X, w=None):
+        """One step from X, whose grid fields w may be passed in. Each stage is formed in
+        place on arrays of this step; X, w and the shared weights are only read.
+
+        A blow-up overflows here: simulate steps under np.errstate, so its blow-up check,
+        not a warning, reports it."""
+        px = self.products(self.fields(X) if w is None else w)
         e2x = self.E2 * X
-        a = e2x + self.Q * nx
-        na = self.nonlinear(a)
-        nb = self.nonlinear(e2x + self.Q * na)
-        nc = self.nonlinear(self.E2 * a + self.Q * (2.0 * nb - nx))
-        return self.E * X + self.f1 * nx + self.f2 * (na + nb) + self.f3 * nc
+        a = self.Q * px
+        a += e2x
+        pa = self.products(self.fields(a))
+        b = self.Q * pa
+        b += e2x
+        pb = self.products(self.fields(b))
+        c = np.multiply(2.0, pb, out=b)   # b is spent: c = E2 a + Q (2 pb - px) in its place
+        c -= px
+        c *= self.Q
+        a *= self.E2
+        c += a
+        pc = self.products(self.fields(c))
+        out = np.multiply(self.E, X, out=a)
+        px *= self.f1
+        out += px
+        pa += pb
+        pa *= self.f2
+        out += pa
+        pc *= self.f3
+        out += pc
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -233,7 +262,7 @@ def _stepper(N: int, L: float, dt: float, frame_speed: float,
 
 
 def _band_integrals(s: SimState):
-    """(int u_x^2, int(u^2 + v^2)) by Parseval over the band, and (u, v) on the grid.
+    """(int u_x^2, int(u^2 + v^2)) by Parseval over the band.
 
     Each mode k > 0 stands for its conjugate -k too, so it weighs 2 and mode 0 weighs 1;
     the band never holds the Nyquist mode. The trapezoid rule of N points is then
@@ -243,7 +272,15 @@ def _band_integrals(s: SimState):
     sq[:, 1:] *= 2.0
     k = (2.0 * np.pi / s.L) * np.arange(s.X.shape[1])
     w = s.L / s.N**2
-    return w * float(sq[0] @ (k * k)), w * float(np.sum(sq)), np.fft.irfft(s.X, s.N)
+    return w * float(sq[0] @ (k * k)), w * float(np.sum(sq))
+
+
+def _conserved(s: SimState, w: np.ndarray):
+    """conserved_of_state(s) with the grid fields w = (u, v) of s already at hand."""
+    ux2, l2 = _band_integrals(s)
+    u, v = w
+    m_u, m_v = (s.L / s.N) * s.X[:, 0].real
+    return float(m_u), float(m_v), ux2 - (s.L / s.N) * float(u * u @ v), l2
 
 
 def conserved_of_state(s: SimState):
@@ -256,9 +293,7 @@ def conserved_of_state(s: SimState):
     exact for band data: u^2 v has degree 3(M - 1) <= N - 1, so no product aliases onto
     the mean.
     """
-    ux2, l2, (u, v) = _band_integrals(s)
-    m_u, m_v = (s.L / s.N) * s.X[:, 0].real
-    return float(m_u), float(m_v), ux2 - (s.L / s.N) * float(u * u @ v), l2
+    return _conserved(s, np.fft.irfft(s.X, s.N))
 
 
 def _drift_scales(s: SimState, q0: np.ndarray) -> np.ndarray:
@@ -269,7 +304,8 @@ def _drift_scales(s: SimState, q0: np.ndarray) -> np.ndarray:
     A natural size bounds |q0|, and the trapezoid sum of N terms behind q0 rounds by
     up to N eps of it: at or below that, q0 counts as zero. All-zero data has size 0.
     """
-    ux2, _, (u, v) = _band_integrals(s)
+    ux2, _ = _band_integrals(s)
+    u, v = np.fft.irfft(s.X, s.N)
     l2 = q0[3]
     mass = np.sqrt(s.L * l2)
     energy = ux2 + (s.L / s.N) * float(np.sum(np.abs(u * u * v)))
@@ -313,9 +349,11 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
     t_ok = 0.0
     # overflow/invalid are the blow-up detection signal, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
+        w = None   # a sample's grid fields, which also start the next step
         for n in range(n_steps + 1):
             if n:
-                X = stepper.advance(X)
+                X = stepper.advance(X, w)
+                w = None
             t = T if n == n_steps else n * h
             sampled = n % sample_every == 0 or n == n_steps
             if sampled or n % _CHECK_EVERY == 0:
@@ -327,7 +365,8 @@ def simulate(u0: GridFunction, v0: GridFunction, T: float, dt: float,
             if sampled:
                 snap = SimState(t=t, X=X, N=u0.N, L=u0.L)
                 states.append(snap)
-                logs.append((t, *conserved_of_state(snap)))
+                w = stepper.fields(X)
+                logs.append((t, *_conserved(snap, w)))
 
     logs = np.asarray(logs)
     q0 = logs[0, 1:]

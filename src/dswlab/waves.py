@@ -149,8 +149,19 @@ def _check_fundamental_period(p: WaveParams) -> None:
         raise WaveInvariantError("fundamental-period identity violated")
 
 
+# c / c0 - 1 below which kappa_from_c inverts the series c / c0 - 1 = (15/32) kappa^4
+# + O(kappa^6), c0 = 4 pi^2 / L^2: there (kappa < 2.2e-3) its truncation, a relative
+# kappa^2 / 4 in kappa, is below the rounding of brentq's root of the flat speed map
+# (NOTES.md, "The speed map near c0")
+_SPEED_SERIES_BELOW = 1e-11
+
+
 def kappa_from_c(L: float, c: float) -> float:
-    """Invert the strictly increasing speed map: the unique kappa with c(kappa) = c."""
+    """Invert the strictly increasing speed map: the unique kappa with c(kappa) = c.
+
+    Where c / c0 - 1 < _SPEED_SERIES_BELOW, c0 = 4 pi^2 / L^2, c(kappa) is flat to rounding
+    and kappa is the series root (32 (c / c0 - 1) / 15)^(1/4), non-decreasing in c; above,
+    it is brentq's root."""
     from scipy.optimize import brentq
 
     L = _check_period(L)
@@ -177,6 +188,9 @@ def kappa_from_c(L: float, c: float) -> float:
             f"speed {c} is within rounding of 4 pi^2/L^2 = {threshold}: at or below "
             f"c(kappa={lo}), so no periodic wave of period {L} has it"
         )
+    excess = (c - threshold) / threshold   # c - threshold is exact for c <= 2 threshold
+    if excess < _SPEED_SERIES_BELOW:
+        return float(np.sqrt(np.sqrt(32.0 / 15.0 * excess)))
     # bracketed root of a strictly increasing function; brentq refines to machine precision
     return float(brentq(speed_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 

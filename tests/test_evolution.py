@@ -185,6 +185,98 @@ class TestDensePair:
         assert fft.inv is None and fft.fwd is None
 
 
+def textbook_etdrk4(X, N, L, dt, speed, steps):
+    """Cox & Matthews' ETDRK4 as printed: the symbol g after each transform, then the
+    unfolded weights of _etd_coefficients; numpy.fft on every grid."""
+    M = _band(N)
+    k = 2 * np.pi * np.fft.rfftfreq(N, d=L / N)[:M]
+    E, E2, Q, f1, f2, f3 = _etd_coefficients(1j * dt * np.stack([k**3 + speed * k, speed * k]), dt)
+    g = -1j * np.array([[1.0], [0.5]]) * k
+
+    def nonlinear(Y):
+        u, v = np.fft.irfft(Y, N)
+        return g * np.fft.rfft(np.stack([u * v, u * u]))[:, :M]
+
+    for _ in range(steps):
+        nx = nonlinear(X)
+        a = E2 * X + Q * nx
+        na = nonlinear(a)
+        nb = nonlinear(E2 * X + Q * na)
+        nc = nonlinear(E2 * a + Q * (2 * nb - nx))
+        X = E * X + f1 * nx + 2 * f2 * (na + nb) + f3 * nc
+    return X
+
+
+def smooth_band(N, seed):
+    rng, M = np.random.default_rng(seed), _band(N)
+    X = (rng.normal(size=(2, M)) + 1j * rng.normal(size=(2, M))) * N / (1 + np.arange(M)) ** 2
+    X[:, 0] = X[:, 0].real
+    return X
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("N", [64, 128, 255, 256, 4096])
+    def test_the_step_is_the_textbook_scheme(self, N):
+        # the stepper folds g into its weights and forms each stage in place; that only
+        # reorders the arithmetic of the printed scheme, on the dense pair (64, 128, 255)
+        # and on numpy.fft (256, 4096), in a moving frame
+        L, dt, speed = 2 * np.pi, 1e-3, 0.7
+        X0 = smooth_band(N, seed=N)
+        want = textbook_etdrk4(X0, N, L, dt, speed, steps=200)
+        stepper = _stepper(N, L, dt, speed, None)
+        X = X0
+        for _ in range(200):
+            X = stepper.advance(X)
+        assert np.max(np.abs(want)) > 0.1 * np.max(np.abs(X0))
+        assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_step_reads_its_input_and_the_weights_only(self):
+        # the grid fields a sample hands on are those the step would compute itself
+        stepper = _stepper(64, 2 * np.pi, 1e-3, 0.0, None)
+        X0 = smooth_band(64, seed=1)
+        X, w = X0.copy(), stepper.fields(X0)
+        w0 = w.copy()
+        assert np.array_equal(stepper.advance(X, w), stepper.advance(X))
+        assert np.array_equal(X, X0) and np.array_equal(w, w0)
+        assert not any(a.flags.writeable for a in vars(stepper).values()
+                       if isinstance(a, np.ndarray))
+
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_concurrent_calls_match_sequential(self, N):
+        # every call with the same (N, L, dt) shares one memoized stepper: threads
+        # released together and switching every microsecond must each get the run
+        # they get alone, which a scratch array kept on the stepper would break
+        import sys
+        import threading
+
+        fields = [random_smooth_fields(2 * np.pi, N, 4, seed=s) for s in range(6)]
+        alone = [simulate(u0, v0, T=0.2, dt=1e-3) for u0, v0 in fields]
+        results = [[] for _ in fields]
+        start = threading.Barrier(len(fields))
+
+        def work(i):
+            start.wait()
+            for _ in range(3):
+                results[i].append(simulate(*fields[i], T=0.2, dt=1e-3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for runs, want in zip(results, alone):
+            assert len(runs) == 3
+            for got in runs:
+                assert got.conserved.tobytes() == want.conserved.tobytes()
+                assert [s.X.tobytes() for s in got.states] == [s.X.tobytes() for s in want.states]
+
+
 class TestWaveEquilibrium:
     def test_stationary_in_comoving_frame(self, wave_2_03):
         # relative-equilibrium check over 100k small steps; the acceptance-scale
@@ -229,8 +321,8 @@ class TestWaveEquilibrium:
         # N = 256, dt = 1e-3 blew up under the integrating-factor scheme; the
         # exponential integrator keeps the relative equilibrium, on the FFT
         # path (256) and on the dense one (255). At N = 128 rounding seeds the
-        # step-size resonance of NOTES.md: the profile moves by 1.2e-8 to 1.5e-8
-        # by T = 5, whichever transforms round
+        # step-size resonance of NOTES.md: by T = 5 the profile moves by 8.9e-10
+        # on the dense pair but 1.1e-8 on numpy.fft, as the transforms round
         p = wave_2_03
         for N in (256, 255):
             u0, v0 = profile_grid(p, N)

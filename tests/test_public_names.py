@@ -54,6 +54,8 @@ TEST_ONLY = {
                                   "experiment fits",
     "evolution.fit_growth_rate": "oracle: the growth fit of criterion 7's experiment",
     "evolution.WindowTooShortError": "oracle: the refusal of criterion 7's growth fit",
+    "evolution.conserved_of_state": "the four invariants of a lone state; simulate logs each "
+                                    "sample's from the grid fields it hands to the next step",
     "evolution.preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
     "evolution.undo_preprocess": "the mean-zero reduction of v (ROADMAP item 7)",
 }

@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import dswlab
-from dswlab.elliptic import ellip_k, jacobi_sn_cn_dn
+from dswlab.elliptic import KAPPA_MAX, ellip_k, jacobi_sn_cn_dn
 from dswlab.waves import (GridFunction, SpeedBelowThresholdError, WaveInvariantError,
-                          _check_invariants, conserved_quantities, eval_profile,
-                          eval_profile_derivatives, grid_points, kappa_from_c,
-                          params_from_kappa, profile_grid, profile_residual,
-                          spectral_derivative)
+                          _SPEED_SERIES_BELOW, _check_invariants, _unit_wave,
+                          conserved_quantities, eval_profile, eval_profile_derivatives,
+                          grid_points, kappa_from_c, params_from_kappa, profile_grid,
+                          profile_residual, spectral_derivative)
 
 KAPPA_GRID = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 L_GRID = [1.0, 2.0, 4.0, 10.0]
@@ -155,6 +156,44 @@ class TestKappaFromC:
         assert np.nextafter(4 * np.pi**2 / L**2, np.inf) == c
         with pytest.raises(SpeedBelowThresholdError, match="within rounding"):
             kappa_from_c(L, c)
+
+    def test_speed_series_coefficient(self):
+        # c/c0 - 1 = (15/32) kappa^4 (1 + kappa^2 + O(kappa^4)): the series root's coefficient
+        kappa = 1e-2
+        ratio = (params_from_kappa(1.0, kappa).c / (4 * np.pi**2) - 1) / kappa**4
+        assert abs(ratio / (15 / 32 * (1 + kappa**2)) - 1) < 1e-6
+
+    @pytest.mark.parametrize("L", [1.0, 2.7])
+    def test_series_root_near_the_threshold(self, L):
+        # c(kappa) is flat to rounding near c0 = 4 pi^2/L^2, where brentq's root used to
+        # scatter over [2e-8, 2e-4] and fall as c rose; the series root rises with c, and
+        # the speed map takes it back to c within its own rounding, up to 3 ulps
+        c0 = 4 * np.pi**2 / L**2
+        ulp = np.spacing(c0)
+        top = int(_SPEED_SERIES_BELOW * c0 / ulp) - 1
+        steps = np.unique(np.concatenate([np.arange(1, 1000),
+                                          np.geomspace(1000, top, 300).astype(int)]))
+        cs = c0 + steps * ulp
+        assert (cs[-1] - c0) / c0 < _SPEED_SERIES_BELOW
+        ks = [kappa_from_c(L, c) for c in cs]
+        assert all(b >= a for a, b in zip(ks, ks[1:]))
+        assert 1e-4 < ks[0] and ks[-1] < 2.2e-3
+        for c, kappa in zip(cs, ks):
+            assert abs(params_from_kappa(L, kappa).c - c) <= 3 * ulp
+
+    @pytest.mark.parametrize("L", [1.0, 2.7])
+    def test_series_root_joins_brentq_at_the_switch(self, L):
+        # on each side of the switch the answer is brentq's root within brentq's rounding:
+        # 3 ulps of c move the root of the flat map by 3 ulp / (4 (c - c0)) of kappa
+        c0 = 4 * np.pi**2 / L**2
+        ulp = np.spacing(c0)
+        switch = int(_SPEED_SERIES_BELOW * c0 / ulp)
+        cs = c0 + np.arange(switch - 3, switch + 4) * ulp
+        assert len({(c - c0) / c0 < _SPEED_SERIES_BELOW for c in cs}) == 2
+        for c in cs:
+            root = brentq(lambda k: _unit_wave(k).c / (L * L) - c, 1e-9, KAPPA_MAX,
+                          xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            assert abs(kappa_from_c(L, c) / root - 1) <= 3 * ulp / (4 * (c - c0))
 
     def test_monotone_in_c(self):
         L = 2.0
