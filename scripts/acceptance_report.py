@@ -8,8 +8,9 @@ Runs ``python -m pytest -v --continue-on-collection-errors`` in the repository
 root with src/ on PYTHONPATH and writes its output to OUTPUT (default
 test_output.txt in the repository root). The repository root and the
 interpreter path are written as "." and "python", so captures from different
-checkouts compare line by line. Exits with pytest's code, which is 1 while the
-acceptance criteria 5-8 fail as NOTES.md explains.
+checkouts compare line by line, and pytest's wall time is cut from its summary
+line, so two captures of one tree are byte-identical. Exits with pytest's
+code, which is 1 while the acceptance criteria 5-8 fail as NOTES.md explains.
 """
 
 import os
@@ -20,6 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CRITERION_LINE = re.compile(r"ACCEPTANCE \d+: .*")
+# pytest's last line, "==== 4 failed, 775 passed in 65.02s (0:01:05) ===="
+SUMMARY_LINE = re.compile(r"^=+ (.*) in [\d.]+s(?: \([\d:]+\))? =+$", re.MULTILINE)
 
 
 def main(argv):
@@ -34,6 +37,7 @@ def main(argv):
          "--continue-on-collection-errors"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     text = (run.stdout + run.stderr).replace(str(ROOT), ".").replace(sys.executable, "python")
+    text = SUMMARY_LINE.sub(lambda match: f" {match.group(1)} ".center(80, "="), text)
     criteria = {}
     for match in CRITERION_LINE.finditer(text):
         number = int(match.group().split()[1].rstrip(":"))

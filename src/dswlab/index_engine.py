@@ -103,6 +103,9 @@ class QuadratureNotConvergedError(RefusalError):
 _SERIES_MIN, _SERIES_MAX = 32, 16384
 _SERIES_TAIL = 1e-15
 
+# the record's row of dn^2 / B = psi / eta4, psi's Fourier series at period 1; m = 2..4 follow
+_PSI_ROW = 5
+
 
 def _cosine_series(f, K: float) -> list:
     """Coefficients a_0, a_1, ... of each row of f on [0, K], row(u) = sum_m a_m cos(m pi u / K).
@@ -432,7 +435,7 @@ def psi_moments(p: WaveParams):
     Closed elliptic forms: int psi^m = eta4^m L <dn^{2m} / B^m>, with <.> the
     mean over [0, K], a_0 of the last four rows of the quarter-period record.
     """
-    means = (a[0] for a in _quarter_period_record(p.kappa)[1][5:])
+    means = (a[0] for a in _quarter_period_record(p.kappa)[1][_PSI_ROW:])
     return tuple(float(p.eta4**m * p.L * mean) for m, mean in zip((1, 2, 3, 4), means))
 
 

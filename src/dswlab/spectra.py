@@ -42,12 +42,13 @@ that does not solve its equation or a grid too coarse.
 The margin lambda_min(Hc) says by how much the certificate holds; no
 threshold on Re lambda enters. It, n(L+) = n(H) and the kernel overlaps
 are properties of the wave, fixed once the grid resolves psi, so they come
-from the same blocks on a core grid sized by the wave, not by N: psi's
-rfft is chopped where it falls to rounding, at mode m* (at least 2), and
-the core has min(N, 4 m* + 1) points (NOTES.md, point 5 of the stability
-finding, has the sizes). A non-positive lambda_min on the core raises
-IndefiniteHessianError too: it is never reported as a margin. A LAPACK
-failure is an EigensolveError.
+from the same blocks on a core grid sized by the wave, not by N: with m*
+the mode where the quadrature sampler chops psi's Fourier series at period
+1 (the dn^2 / B row of index_engine._quarter_period_record, keyed by kappa),
+at least 2, it has min(N, 4 m* + 1) points, and the D oracle runs on it too
+(NOTES.md, point 5 of the stability finding, has the sizes). A non-positive
+lambda_min on the core raises IndefiniteHessianError too: it is never
+reported as a margin. A LAPACK failure is an EigensolveError.
 
 `assemble` returns the full collocation matrix of L+, H or dH, for the
 oracles of the tests and `unstable_eigenmode`; the eigh oracles refuse a
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .index_engine import D_ERROR_BOUND, _at_period
+from .index_engine import _PSI_ROW, D_ERROR_BOUND, _at_period, _quarter_period_record
 from .waves import RefusalError, WaveParams, _rescaled, eval_profile_derivatives, grid_points
 
 __all__ = [
@@ -107,15 +108,12 @@ EIG_ROUNDING = 16
 # grids that do not resolve the wave give 3e-8 (kappa = 0.99, N = 64) and more.
 KERNEL_RESIDUAL_BOUND = 1e-8
 
-# The margin, the counts and the kernel overlaps are computed on the core grid
-# of CORE_FACTOR m* + 1 points, m* the last rfft mode of psi above CHOP_TOL of
-# the largest (cf. Aurentz & Trefethen, "Chopping a Chebyshev series", ACM
-# TOMS 2017): the products psi^2 in H reach mode 2 m*, and the factor 4 keeps
-# them clear of aliasing. m* counts as at least CHOP_MIN, since below
-# kappa ~ 3e-4 psi chops at mode 1 and a wave constant to rounding at mode 0.
-# NOTES.md, point 5 of the stability finding, measures both choices.
+# The core grid (module docstring) has CORE_FACTOR m* + 1 points: the products
+# psi^2 in H reach mode 2 m*, and the factor 4 keeps them clear of aliasing.
+# m* counts as at least CHOP_MIN, since below kappa ~ 3e-4 psi chops at mode 1
+# and a wave constant to rounding at mode 0. NOTES.md, point 5 of the
+# stability finding, measures both choices.
 CORE_FACTOR = 4
-CHOP_TOL = np.finfo(float).eps
 CHOP_MIN = 2
 
 
@@ -374,23 +372,23 @@ def pseudo_inverse_apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
 def dmatrix_via_collocation(p: WaveParams, N: int) -> np.ndarray:
     """Independent D matrix: solve H e_i = rhs_i off-kernel and pair on the core grid.
 
-    The wave sets the grid, as for the margin of unstable_modes: the
-    n = min(N, CORE_FACTOR m* + 1) points of _core_size. The right-hand sides
-    (1, 0), (0, 1) and (psi, phi) are even and the kernel (psi', phi') of H
-    is odd, so the off-kernel solutions are those of the even block:
-    D_1 = (1/n) R^T H_even^-1 R for the wave moved to period 1, with R = (A, B)
-    the cosine coordinates of the right-hand sides, and D = S D_1 S at the
-    period of p (index_engine._at_period). H_even (x, y) = (A, B) is
-    L+ x = A + M1 B / c with y = (B + M1 x) / c (module docstring): one solve of
-    size n//2 + 1. Shares nothing with the quadrature pipeline but the wave
-    profile. N < 3 is refused as by the certificate, and an EigensolveError
+    It runs on the n points of the core grid (module docstring), which N only
+    bounds. The right-hand sides (1, 0), (0, 1) and (psi, phi) are even and
+    the kernel (psi', phi') of H is odd, so the off-kernel solutions are those
+    of the even block: D_1 = (1/n) R^T H_even^-1 R for the wave moved to
+    period 1, with R = (A, B) the cosine coordinates of the right-hand sides,
+    and D = S D_1 S at the period of p (index_engine._at_period).
+    H_even (x, y) = (A, B) is L+ x = A + M1 B / c with y = (B + M1 x) / c
+    (module docstring): one solve of size n//2 + 1. Shares nothing with the
+    quadrature pipeline but the wave profile and the size of its grid.
+    N < 3 is refused as by the certificate, and an EigensolveError
     names eps cond of L+'s even block, the error its solve may carry, when it
     exceeds D_ERROR_BOUND: below kappa ~ 7e-3, where L+'s second even
     eigenvalue, ~3.2 c kappa^4, nears zero. It reads 1.3e-5 at kappa = 3e-3
     (D off by 2.8e-5) and 2.4e-7 at 1e-2 (5.0e-8).
     """
     p1 = _rescaled(p, 1.0)
-    n = _core_size(_grid(p1, N)[0])
+    n = _core_size(p.kappa, N)
     psi, _ = _grid(p1, n)
     k = 2 * np.pi * np.arange(n // 2 + 1)
     phi = psi * psi / (2.0 * p1.c)  # as eval_profile forms it
@@ -440,12 +438,10 @@ class SpectrumReport:
         return self.k_r + 2 * self.k_c + 2 * self.krein_negative
 
 
-def _core_size(psi: np.ndarray) -> int:
-    """min(N, CORE_FACTOR m* + 1), m* >= CHOP_MIN the last rfft mode of psi above
-    CHOP_TOL of the largest."""
-    a = np.abs(np.fft.rfft(psi))
-    chop = max(int(np.flatnonzero(a > CHOP_TOL * np.max(a))[-1]), CHOP_MIN)
-    return min(psi.size, CORE_FACTOR * chop + 1)
+def _core_size(kappa: float, N: int) -> int:
+    """The points of the core grid (module docstring) of the wave of modulus kappa, at most N."""
+    chop = _quarter_period_record(kappa)[1][_PSI_ROW].size - 1
+    return min(N, CORE_FACTOR * max(chop, CHOP_MIN) + 1)
 
 
 def _parity_blocks(c: float, psi: np.ndarray, dpsi: np.ndarray):
@@ -587,7 +583,7 @@ def unstable_modes(p: WaveParams, N: int) -> SpectrumReport:
     At N: the spectrum, +-i omega with omega the singular values of X, less
     the zero cluster of the dense eigensolve, and its certificate, the
     Cholesky factors of both constrained Hessians and the kernel residual
-    (module docstring). On the core_N points of _core_size, N itself when
+    (module docstring). On the core grid of core_N points, N itself when
     psi does not chop sooner: the margin, n(L+) = n(H) and both kernel
     alignments, which the wave fixes once psi is resolved. Raises
     IndefiniteHessianError when a constrained Hessian has no Cholesky factor
@@ -598,7 +594,7 @@ def unstable_modes(p: WaveParams, N: int) -> SpectrumReport:
     """
     p1 = _rescaled(p, 1.0)
     psi, dpsi = _grid(p1, N)
-    core_N = _core_size(psi)
+    core_N = _core_size(p.kappa, N)
     k, H, kernel, M2 = _parity_blocks(p1.c, psi, dpsi)
     hessians, g, K_eo = _constrained_hessians(H, kernel, k, p1.c)
     X, residual = _certify(hessians, g, K_eo, H[1], kernel, p1.c)

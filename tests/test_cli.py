@@ -96,6 +96,12 @@ class TestWaveCommand:
         assert capsys.readouterr().err == "error: period L must be positive and finite (got inf)\n"
         assert not out.exists()
 
+    def test_neither_modulus_nor_speed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--L", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: one of --kappa or --c is required\n"
+        assert not out.exists()
+
     def test_below_threshold_speed_reported(self, capsys):
         assert main(["wave", "--L", "2", "--c", "1.0"]) == 2
         assert "4 pi^2" in capsys.readouterr().err

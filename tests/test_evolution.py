@@ -503,6 +503,14 @@ class TestPreprocess:
         assert g0 == 3.0
         assert np.max(np.abs(v1.samples)) == 0.0
 
+    @pytest.mark.parametrize("run", [preprocess, lambda u0, v0: simulate(u0, v0, T=0.1, dt=1e-3)],
+                             ids=["preprocess", "simulate"])
+    @pytest.mark.parametrize("L, N", [(2 * np.pi, 32), (np.pi, 64)], ids=["other-N", "other-L"])
+    def test_fields_on_different_grids_are_refused(self, run, L, N):
+        u0 = GridFunction(2 * np.pi, np.zeros(64))
+        with pytest.raises(ValueError, match="^u0 and v0 must share the same grid$"):
+            run(u0, GridFunction(L, np.zeros(N)))
+
     def test_constants_evolve_exactly(self):
         L, N = 2 * np.pi, 64
         u0 = GridFunction(L, np.full(N, 0.4))

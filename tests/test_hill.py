@@ -195,8 +195,8 @@ class TestHillIVP:
 
     def test_concurrent_calls_match_sequential(self):
         # the shared integrators and the wave they read are guarded by one
-        # lock: threads switching every microsecond, on more threads than
-        # cores, must give each wave the result it gets alone
+        # lock: threads released together and switching every microsecond, on
+        # more threads than cores, must give each wave the result it gets alone
         import sys
         import threading
 
@@ -204,8 +204,10 @@ class TestHillIVP:
               [(2.0, 0.3), (10.0, 0.9), (0.5, 0.6), (4.0, 0.1), (50.0, 0.95), (1.0, 0.999)]]
         alone = [integrate_hill_ivp(p) for p in ps]
         results = [[] for _ in ps]
+        start = threading.Barrier(len(ps))
 
         def work(i):
+            start.wait()
             for _ in range(5):
                 results[i].append(integrate_hill_ivp(ps[i]))
 

@@ -355,6 +355,18 @@ class TestSpectrumReport:
         assert keep.size == spectrum_2_03.eigenvalues.size == 2 * 256 - 6
         assert np.max(np.abs(cluster)) < 0.1 * np.min(np.abs(spectrum_2_03.eigenvalues))
 
+    @pytest.mark.parametrize("next_eigenvalue, refused", [(9e-3, True), (1.1e-2, False)])
+    def test_zero_cluster_must_be_separated_by_a_factor_10(self, next_eigenvalue, refused):
+        # at N = 3 the cluster has 4 members; the fifth eigenvalue must be at least
+        # 10 times the cluster's largest
+        dH = np.diag([0.0, 1e-4, -1e-3, 1e-3, next_eigenvalue, 1.0])
+        if refused:
+            with pytest.raises(EigensolveError, match=r"^zero cluster \(\|\.\|<= 1\.00e-03\) "
+                               r"not separated from the spectrum \(next \|\.\| = 9\.00e-03\)$"):
+                _nonzero_spectrum(dH)
+        else:
+            assert _nonzero_spectrum(dH)[3].size == 4
+
     def test_count_identity_with_measured_morse_index(self, spectrum_2_03, wave_2_03):
         # k_r + 2 k_c + 2 k_i^- = n(H) - n(D) holds with the measured n(H) = 1
         n_d = assemble_dmatrix(wave_2_03).n_negative
@@ -566,10 +578,18 @@ class TestCore:
         assert abs(rep.margin / p.c - (8.0 - np.sqrt(37.0)) / 3.0) <= 1e-12
 
     def test_unchopped_wave_keeps_n(self):
-        # near the separatrix psi's coefficients are above rounding up to N / 2
+        # near the separatrix psi's series ends past mode N / 4: at mode 113 here
         rep = unstable_modes(params_from_kappa(1.0, 1.0 - 1e-6), 384)
         assert rep.core_N == 384
         assert rep.n_Lplus == rep.n_H == (1, 1)
+
+    def test_core_does_not_depend_on_n_near_the_separatrix(self):
+        # the quadrature record's series of psi ends at mode 146 whatever N, so every
+        # N from 585 on computes the figures on the 585 points of N = 585
+        p = params_from_kappa(1.0, 1.0 - 1e-8)
+        reps = [unstable_modes(p, N) for N in (1024, 585)]
+        assert [rep.core_N for rep in reps] == [585, 585]
+        assert reps[0].margin == reps[1].margin
 
     @pytest.mark.parametrize("L, kappa, N, grids", [
         (2.0, 0.3, 256, [256, 37]),         # the certificate's grid and the core
@@ -588,7 +608,7 @@ class TestCore:
         p = params_from_kappa(L, kappa)
         unstable_modes(p, N)
         p1 = _rescaled(p, 1.0)
-        assert _core_size(_grid(p1, N)[0]) == grids[-1]
+        assert _core_size(kappa, N) == grids[-1]
         expected = [f for n in grids for psi in [_grid(p1, n)[0]] for f in (psi, psi * psi)]
         assert len(seen) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
