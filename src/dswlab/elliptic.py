@@ -10,8 +10,8 @@ Both read one record per modulus, built once by the AGM and cached
 c_n/a_n. The AGM starts from k' = sqrt((1 - k)(1 + k)), accurate up to
 KAPPA_MAX, and stops at the first level with |c_n| <= 4 eps a_n (eps the
 double spacing at 1), a test rounding can always meet: over
-0 < kappa <= KAPPA_MAX it takes at most 8 steps, so a record holds at most 9
-terms a_0..a_N and the amplitude recursion runs at most 8 levels.
+0 < kappa <= KAPPA_MAX it takes at most 8 steps, so a record holds at most 8
+ratios and the amplitude recursion runs at most 8 levels.
 
 Accuracy on a 0.001 grid of moduli up to 0.999 plus moduli up to KAPPA_MAX,
 u in [-20, 20]: sn, cn, dn agree with scipy.special.ellipj(u, kappa**2) to
@@ -32,8 +32,8 @@ __all__ = ["ellip_k", "jacobi_sn_cn_dn", "KAPPA_MAX"]
 # wave family degenerates to its separatrix there.
 KAPPA_MAX = 1.0 - 1e-9
 
-# |c_n| <= 4 eps a_n: a_n and b_n of a converged AGM still differ by an ulp
-# or two, so a tighter test could never be met and would run to the cap.
+# the stopping rule's 4 eps: a_n and b_n of a converged AGM still differ by an
+# ulp or two, so a tighter test could never be met and would run to the cap
 _AGM_TOL = 4.0 * np.finfo(float).eps
 _AGM_MAX_ITER = 64
 
@@ -54,45 +54,28 @@ def _check_modulus(kappa: float) -> float:
 def ellip_k(kappa: float) -> float:
     """Complete elliptic integral of the first kind, K(kappa).
 
-    K = pi / (2 * agm(1, k')), read from the cached record of the modulus. The
-    AGM converges quadratically and stops at |c_n| <= 4 eps a_n, within 8
-    steps on the admissible range; K agrees with scipy.special.ellipkm1 of
-    1 - kappa**2 to 3.3e-16 relative.
+    K = pi / (2 * agm(1, k')), read from the cached record of the modulus (the AGM and
+    its accuracy: the module docstring).
     """
     return _modulus_record(_check_modulus(kappa))[0]
 
 
-def _agm_scheme(kappa: float):
-    """AGM sequences a_n and c_n = (a_{n-1} - b_{n-1})/2, with c_0 = kappa.
-
-    Stops at the first n with |c_n| <= _AGM_TOL * a_n (4 eps), which takes at
-    most 8 steps for 0 < kappa <= KAPPA_MAX (9 terms a_0..a_N); a_N is then
-    the mean to rounding, since c_{N+1} ~ c_N^2 / (4 a_N). Runs once per
-    modulus: ``_modulus_record`` caches what callers need from it.
-    """
-    a = [1.0]
-    c = [kappa]
-    b = float(np.sqrt((1.0 - kappa) * (1.0 + kappa)))
-    while len(a) < _AGM_MAX_ITER:
-        an = 0.5 * (a[-1] + b)
-        cn = 0.5 * (a[-1] - b)
-        b = float(np.sqrt(a[-1] * b))
-        a.append(an)
-        c.append(cn)
-        if abs(cn) <= _AGM_TOL * an:
-            break
-    return np.asarray(a), np.asarray(c)
-
-
 @lru_cache(maxsize=1024)
 def _modulus_record(kappa: float):
-    """(K, k', 2^N a_N, (c_N/a_N, ..., c_1/a_1)) of a checked modulus, cached."""
-    a, c = _agm_scheme(kappa)
-    n_last = len(a) - 1
-    return (float(np.pi / (2.0 * a[n_last])),
-            float(np.sqrt((1.0 - kappa) * (1.0 + kappa))),
-            float(2.0**n_last * a[n_last]),
-            tuple(float(c[n] / a[n]) for n in range(n_last, 0, -1)))
+    """(K, k', 2^N a_N, (c_N/a_N, ..., c_1/a_1)) of a checked modulus, cached.
+
+    The AGM a_n, b_n from a_0 = 1, b_0 = k', with c_n = (a_{n-1} - b_{n-1})/2, stops at
+    the module docstring's rule; a_N is then the mean to rounding, since
+    c_{N+1} ~ c_N^2 / (4 a_N).
+    """
+    kprime = float(np.sqrt((1.0 - kappa) * (1.0 + kappa)))
+    a, b, ratios = 1.0, kprime, []
+    for n in range(1, _AGM_MAX_ITER):
+        a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
+        ratios.append(c / a)
+        if abs(c) <= _AGM_TOL * a:
+            break
+    return float(np.pi / (2.0 * a)), kprime, float(2.0**n * a), tuple(reversed(ratios))
 
 
 def _scd_core(w: np.ndarray, scale: float, ratios):

@@ -64,7 +64,7 @@ BLOWUP_LIMIT = 1e12
 class BlowUpError(RefusalError):
     """max|X| passed BLOWUP_LIMIT times its start; carries the last time that passed the check."""
 
-    def __init__(self, message: str, t_last: float, trajectory=None):
+    def __init__(self, message: str, t_last: float, trajectory):
         super().__init__(message)
         self.t_last = t_last
         self.trajectory = trajectory

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .elliptic import jacobi_sn_cn_dn
 from .index_engine import _kernel_factor, a_integrals
 from .waves import RefusalError, WaveParams
 
@@ -93,8 +94,6 @@ def _p_and_prime(p: WaveParams, xi):
     p = sn cn dn(alpha xi) / (1 + beta^2 sn^2)^2 is the normalized kernel
     eigenfunction, with p'(0) = alpha = 2K/L.
     """
-    from .elliptic import jacobi_sn_cn_dn
-
     S, S_u = _kernel_factor(p, *jacobi_sn_cn_dn(np.asarray(xi, dtype=float) * p.alpha, p.kappa))
     return S, p.alpha * S_u
 

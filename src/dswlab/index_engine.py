@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import jacobi_sn_cn_dn
-from .waves import (GridFunction, RefusalError, WaveParams, _profile_derivatives, eval_profile,
-                    params_from_kappa)
+from .waves import (GridFunction, RefusalError, WaveParams, _profile_derivatives, _unit_wave,
+                    eval_profile, spectral_derivative)
 
 __all__ = [
     "VarphiTable",
@@ -161,7 +161,7 @@ def _quarter_period_record(kappa: float) -> tuple:
 
     One sampler pass per modulus; the shared arrays are read-only.
     """
-    p1 = params_from_kappa(1.0, kappa)
+    p1 = _unit_wave(kappa)
 
     def integrands(u):
         sn, _, dn = jacobi_sn_cn_dn(u, kappa)
@@ -420,8 +420,6 @@ def linv_apply(p: WaveParams, t: VarphiTable, f: GridFunction) -> GridFunction:
 
 def lplus_apply(p: WaveParams, g: GridFunction) -> np.ndarray:
     """Spectral application of L+ = -d^2 + c - 3 psi^2/(2c) on the grid."""
-    from .waves import spectral_derivative
-
     psi, _ = eval_profile(p, g.x)
     return -spectral_derivative(g, 2) + (p.c - 1.5 * psi**2 / p.c) * g.samples
 

@@ -65,7 +65,7 @@ class TrigPolynomial:
     def has_mean(self) -> bool:
         return abs(self.coeffs.get(0, 0.0)) > MEAN_ZERO_TOL
 
-    def dx(self, order: int = 1) -> "TrigPolynomial":
+    def dx(self, order: int) -> "TrigPolynomial":
         return TrigPolynomial({k: (1j * k) ** order * c for k, c in self.coeffs.items()})
 
     def product(self, other: "TrigPolynomial") -> "TrigPolynomial":

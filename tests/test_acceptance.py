@@ -59,7 +59,7 @@ def test_criterion_01_table_reproduction():
     for L, kappa, c_ref, pp0_ref, qpl_ref, theta_ref in TABLE1:
         p = params_from_kappa(L, kappa)
         sol = integrate_hill_ivp(p)
-        worst["c"] = max(worst["c"], abs(p.c - c_ref) / c_ref)
+        worst["c"] = max(worst["c"], float(abs(p.c - c_ref) / c_ref))  # p.c is a numpy scalar
         worst["pp0"] = max(worst["pp0"], abs(sol.p_prime_0 - pp0_ref) / pp0_ref)
         worst["qpl"] = max(worst["qpl"], abs(sol.q_prime_final - qpl_ref) / abs(qpl_ref))
         worst["theta"] = max(worst["theta"], abs(sol.theta - theta_ref) / theta_ref)

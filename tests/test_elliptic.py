@@ -114,8 +114,9 @@ def test_nonfinite_argument_rejected():
 
 
 def test_agm_terms_bounded_on_dense_grid():
-    terms = [len(elliptic._agm_scheme(k)[0]) for k in KAPPA_DENSE]
-    assert max(terms) <= 9
+    # one ratio c_n/a_n per AGM level
+    levels = [len(elliptic._modulus_record(float(k))[3]) for k in KAPPA_DENSE]
+    assert max(levels) <= 8
 
 
 def test_against_scipy_on_dense_grid():

@@ -248,16 +248,16 @@ class TestHillIVP:
     def test_no_jacobi_call_per_stage(self, wave_2_03, monkeypatch):
         # sn, cn, dn are integrated with q; only the Wronskian check evaluates
         # the closed-form p and p', one array call each
-        from dswlab import elliptic, waves
+        from dswlab import hill, waves
 
         calls = []
-        original = elliptic.jacobi_sn_cn_dn
+        original = hill.jacobi_sn_cn_dn
 
         def counting(u, kappa):
             calls.append(np.ndim(u))
             return original(u, kappa)
 
-        monkeypatch.setattr(elliptic, "jacobi_sn_cn_dn", counting)
+        monkeypatch.setattr(hill, "jacobi_sn_cn_dn", counting)
         monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
         integrate_hill_ivp(wave_2_03)
         assert len(calls) <= 2

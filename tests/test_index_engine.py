@@ -11,7 +11,7 @@ from dswlab.index_engine import (AIntegrals, DegenerateDMatrixError, DMatrixRoun
                                  build_varphi, dmatrix_from_entries, half_period_data,
                                  hamiltonian_index, linv_apply, lplus_apply,
                                  non_periodicity_gap, psi_moments, varphi_pairings)
-from dswlab.waves import (GridFunction, eval_profile, eval_profile_derivatives,
+from dswlab.waves import (GridFunction, _unit_wave, eval_profile, eval_profile_derivatives,
                           params_from_kappa, profile_grid)
 
 
@@ -603,6 +603,7 @@ class TestScalingSymmetry:
         fresh_records.cache_clear()  # sample L = 1 anew, so the record hides no L
         assert a_integrals(p1) == A
         assert np.array_equal(build_varphi(p1)._a, a)
+        assert fresh_records(kappa)[0] is _unit_wave(kappa)  # one period-1 wave per modulus
 
     def test_theta_scales_as_the_period(self, kappa, L):
         from dswlab.hill import floquet_constant

@@ -1,10 +1,11 @@
 """Every name a dswlab module exports, and every public method and property of
 an exported class, is read somewhere, outside the tests unless TEST_ONLY says
-why not, and every default of an exported function is overridden somewhere,
-outside the tests unless TEST_SET says why not. A module exports the names in
-its ``__all__`` and every top-level function and class whose name has no
-leading underscore. Every exception class of dswlab is either an input error
-(a ValueError) or a refusal (a RefusalError), never both.
+why not, and every default of an exported function, or of a public method or
+constructor of an exported class, is overridden somewhere, outside the tests
+unless TEST_SET says why not. A module exports the names in its ``__all__``
+and every top-level function and class whose name has no leading underscore.
+Every exception class of dswlab is either an input error (a ValueError) or a
+refusal (a RefusalError), never both.
 
 The checks parse src/, tests/, scripts/ and perfbench/. The name checks count
 loads of a name (``name`` or ``obj.name``). A definition (``def name``,
@@ -12,11 +13,12 @@ loads of a name (``name`` or ``obj.name``). A definition (``def name``,
 so a public name that only its own module defines fails. A load or a call
 inside a TEST_ONLY function or method is test code, so the production checks
 skip it. The default checks match calls by the called name (``f(...)`` or
-``obj.f(...)``): a defaulted parameter that no call sets, by position or by
-keyword, is a knob nothing turns, and fails; one that only the tests set is
-a knob the product never turns; and one that every call sets is a value
-nothing reads, and fails too. A ``*args`` or ``**kwargs`` in a call may set
-anything.
+``obj.f(...)``; a call ``Cls(...)`` sets the parameters of ``Cls.__init__``),
+and count a method's positions after ``self`` or ``cls``: a defaulted
+parameter that no call sets, by position or by keyword, is a knob nothing
+turns, and fails; one that only the tests set is a knob the product never
+turns; and one that every call sets is a value nothing reads, and fails too.
+A ``*args`` or ``**kwargs`` in a call may set anything.
 """
 
 import ast
@@ -163,18 +165,39 @@ def test_every_exported_name_is_read_outside_the_tests():
     assert not stale, f"TEST_ONLY lists names read outside the tests or not exported: {stale}"
 
 
+def _parameters(function, bound):
+    """(parameter, position or None) for each default of function, its positions counted
+    after its first bound parameters (a method's self or cls)."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[bound:]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
 def _defaulted_parameters(tree, exported):
-    """(function, parameter, position or None) for each default of an exported function."""
+    """(key, called, parameter, position or None) for each default of an exported function
+    and of a public method or constructor of an exported class: key names the default's
+    owner (function, Class.method or Class) and called the name a call of it calls, the
+    class's for its constructor ``__init__``."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in exported:
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], start=first):
-                yield node.name, arg.arg, i
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield node.name, arg.arg, None
+            yield from ((node.name, node.name, *d) for d in _parameters(node, 0))
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    key, called = node.name, node.name
+                elif not item.name.startswith("_"):
+                    key, called = f"{node.name}.{item.name}", item.name
+                else:
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                yield from ((key, called, *d) for d in _parameters(item, 0 if static else 1))
 
 
 def _sets(call, parameter, position):
@@ -186,8 +209,8 @@ def _sets(call, parameter, position):
 
 
 def _defaults(tops, skip_test_only=False):
-    """{module.function(parameter): how each call under tops of that name treats the
-    default, True where it sets the parameter} for the exported functions' defaults.
+    """{module.key(parameter): how each call under tops of that name treats the default,
+    True where it sets the parameter} for the defaults of _defaulted_parameters.
 
     With skip_test_only, the bodies of the TEST_ONLY functions and methods call nothing.
     """
@@ -200,14 +223,14 @@ def _defaults(tops, skip_test_only=False):
         if module:
             defaults += [(module, *d) for d in _defaulted_parameters(tree, _exports(tree))]
     assert defaults, f"no defaulted parameter found under {PACKAGE}"
-    return {f"{module}.{function}({parameter})":
-            [_sets(call, parameter, position) for call in calls.get(function, [])]
-            for module, function, parameter, position in defaults}
+    return {f"{module}.{key}({parameter})":
+            [_sets(call, parameter, position) for call in calls.get(called, [])]
+            for module, key, called, parameter, position in defaults}
 
 
 def _unset_defaults(tops, skip_test_only=False):
-    """The module.function(parameter) defaults of exported functions that no call under
-    tops sets."""
+    """The module.key(parameter) defaults of _defaulted_parameters that no call under tops
+    sets."""
     return {key for key, sets in _defaults(tops, skip_test_only).items() if not any(sets)}
 
 
